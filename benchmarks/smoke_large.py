@@ -13,9 +13,10 @@ End-to-end over the large-graph substrate, in one seeded run:
 4. assert the skyline is non-empty, sane (a subset of the filter
    candidates), that the **refine phase** stayed inside its wall-time
    budget (the block kernel's reason to exist — the bloom baseline
-   takes several times longer at this scale), and that **zero**
-   shared-memory residue survives — no live parent segments and no
-   ``repro_*`` file in ``/dev/shm``.
+   takes several times longer at this scale), that its **peak RSS**
+   stayed inside its memory bounds, and that **zero** shared-memory
+   residue survives — no live parent segments and no ``repro_*`` file
+   in ``/dev/shm``.
 
 Wall times go into ``BENCH_skyline.json`` as ``bench="large_tier"``
 rows through the same checkpoint journal the sweep harness uses, so an
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import glob
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -61,7 +63,23 @@ REFINE_BUDGET_S = float(
     os.environ.get("REPRO_SMOKE_REFINE_BUDGET_S", "20.0")
 )
 
+#: Peak-RSS bounds for the pooled block skyline, in MiB: how far the
+#: parent's peak may rise during the call, and the largest worker's
+#: peak.  ``ru_maxrss`` only ever grows, so the parent bound is on the
+#: rise across the call (graph generation sets an earlier peak).
+#: Measured on kron_large (2-vCPU Linux x86-64 VM, Python 3.11, numpy
+#: 2.4.6): a rise of 18.5 MiB and a worker peak of 287 MiB, most of it
+#: the forked parent image; each bound is the measurement plus 50%
+#: headroom.
+SKYLINE_PARENT_RISE_MB = 28.0
+SKYLINE_WORKER_PEAK_MB = 430.0
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
+    """Peak resident set size in MiB (``ru_maxrss`` is KiB on Linux)."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _assert_no_residue(where: str) -> None:
@@ -105,11 +123,28 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         t0 = time.perf_counter()
         candidates, _ = filter_phase(mapped)
         t_filter = time.perf_counter() - t0
+        peak_before = _peak_rss_mb()
         t0 = time.perf_counter()
         result = parallel_refine_sky(
             mapped, workers=2, refine="block", small_graph_edges=0
         )
         wall = time.perf_counter() - t0
+        parent_rise = _peak_rss_mb() - peak_before
+        # The pool's workers have exited and been reaped by now.
+        worker_peak = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+        print(
+            f"{name}: skyline peak RSS rise {parent_rise:.1f} MiB "
+            f"(<= {SKYLINE_PARENT_RISE_MB:.0f}), worker peak "
+            f"{worker_peak:.1f} MiB (<= {SKYLINE_WORKER_PEAK_MB:.0f})"
+        )
+        assert parent_rise <= SKYLINE_PARENT_RISE_MB, (
+            f"{name}: the skyline raised peak RSS by {parent_rise:.1f} "
+            f"MiB, over the {SKYLINE_PARENT_RISE_MB:.0f} MiB bound"
+        )
+        assert worker_peak <= SKYLINE_WORKER_PEAK_MB, (
+            f"{name}: a refine worker peaked at {worker_peak:.1f} MiB, "
+            f"over the {SKYLINE_WORKER_PEAK_MB:.0f} MiB bound"
+        )
         refine_wall = max(wall - t_filter, 0.0)
         assert result.size > 0, f"{name}: empty skyline"
         assert result.candidate_size is not None

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Reproduction of the paper's case studies (Fig. 13).
 
-Runs FilterRefineSky on Zachary's karate club (real, embedded) and the
+Runs the default skyline (FilterRefineSky with the refine kernel picked
+by candidate count) on Zachary's karate club (real, embedded) and the
 Madrid-bombing contact proxy, prints which actors form the neighborhood
 skyline, and verifies the paper's qualitative finding: low-degree
 vertices are the ones that get dominated, so the skyline concentrates

@@ -19,6 +19,10 @@ Quickstart::
 
     result = neighborhood_skyline(karate_club())
     print(result.skyline)
+
+The default ``algorithm="auto"`` is FilterRefineSky with the refine
+kernel picked by candidate count; ``algorithm="filter_refine"`` names
+the paper's Alg. 3 with its bloom refine.
 """
 
 from repro.core import (

@@ -213,7 +213,10 @@ def _skyline_dispatch(
         if timeout is not None:
             options["timeout"] = timeout
     elif workers != 1:
-        if algorithm == "filter_refine_bitset":
+        if algorithm == "auto":
+            # Same engine, the same kernel cutover decided parent-side.
+            options["refine"] = "auto"
+        elif algorithm == "filter_refine_bitset":
             # Same engine, bitset kernel in the workers.
             options["refine"] = "bitset"
         elif algorithm == "filter_refine_block":
@@ -221,8 +224,8 @@ def _skyline_dispatch(
             options["refine"] = "block"
         elif algorithm != "filter_refine":
             raise ParameterError(
-                f"--workers applies to the filter_refine family, not "
-                f"{algorithm!r}"
+                "--workers applies to auto and the filter_refine family, "
+                f"not {algorithm!r}"
             )
         algorithm = "filter_refine_parallel"
         options["workers"] = workers
@@ -247,12 +250,13 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
 
         validate_word_budget(args.word_budget)
         if algorithm not in (
+            "auto",
             "filter_refine_bitset",
             "filter_refine_parallel",
         ):
             raise ParameterError(
-                "--word-budget applies to filter_refine_bitset or the "
-                f"parallel engine, not {algorithm!r}"
+                "--word-budget applies to auto, filter_refine_bitset or "
+                f"the parallel engine, not {algorithm!r}"
             )
         options["word_budget"] = args.word_budget
     start = time.perf_counter()
@@ -601,12 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p_sky)
     p_sky.add_argument(
         "--algorithm",
-        default="filter_refine",
+        default="auto",
         metavar="NAME",
         # Validated by neighborhood_skyline (ParameterError → exit 2) so
         # the message lists the registry instead of argparse's usage dump.
         help=(
-            "skyline algorithm (default: filter_refine); one of "
+            "skyline algorithm (default: auto, FilterRefineSky with the "
+            "refine kernel picked by candidate count); one of "
             + ", ".join(sorted(ALGORITHMS))
         ),
     )

@@ -1,29 +1,42 @@
 """High-level entry points for neighborhood-skyline computation.
 
 :func:`neighborhood_skyline` is the one function most users need: it
-dispatches by name to the five algorithms the paper evaluates and
-returns a uniform :class:`~repro.core.result.SkylineResult`.
+dispatches by name to the five algorithms the paper evaluates (plus the
+kernel variants of FilterRefineSky and the ``"auto"`` default that picks
+among them) and returns a uniform
+:class:`~repro.core.result.SkylineResult`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.bloom.vertex_filters import VertexBloomIndex
 from repro.core.base_sky import base_sky
-from repro.core.bitset_refine import filter_refine_bitset_sky
-from repro.core.block_refine import filter_refine_block_sky
-from repro.core.counters import SkylineCounters
+from repro.core.bitset_refine import (
+    BitsetScanContext,
+    bitset_refine_pass,
+    filter_refine_bitset_sky,
+)
+from repro.core.block_refine import (
+    block_refine_pass,
+    choose_refine_kernel,
+    filter_refine_block_sky,
+)
+from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.cset import base_cset_sky
 from repro.core.filter_phase import filter_phase
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.filter_refine import bloom_refine_pass, filter_refine_sky
 from repro.core.join_sky import lc_join_sky
 from repro.core.naive import naive_skyline
 from repro.core.result import SkylineResult
 from repro.core.two_hop import base_two_hop_sky
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
+from repro.graph.bitmatrix import CandidateBitMatrix, validate_word_budget
 
 __all__ = [
+    "auto_refine_sky",
     "neighborhood_skyline",
     "neighborhood_candidates",
     "group_centrality_maximize",
@@ -46,9 +59,61 @@ def _parallel_refine_sky(graph: Graph, **options) -> SkylineResult:
     return parallel_refine_sky(graph, **options)
 
 
+def auto_refine_sky(
+    graph: Graph,
+    *,
+    counters: Optional[SkylineCounters] = None,
+    word_budget: Optional[int] = None,
+) -> SkylineResult:
+    """FilterRefineSky with the fastest refine kernel for the input.
+
+    Runs the filter phase once, then hands its output to the kernel
+    :func:`~repro.core.block_refine.choose_refine_kernel` names for the
+    candidate count — the same cutover the parallel engine's
+    ``refine="auto"`` uses — so the result is bit-for-bit
+    :func:`~repro.core.filter_refine.filter_refine_sky`'s.
+    ``word_budget`` bounds the bitset kernel's packed matrix as in
+    :func:`~repro.core.bitset_refine.filter_refine_bitset_sky`.
+    ``counters.extra`` records the kernel that ran under
+    ``"refine_path"`` and ``"refine_requested" == "auto"``.
+    """
+    word_budget = validate_word_budget(word_budget)
+    stats = counters if counters is not None else NULL_COUNTERS
+    n = graph.num_vertices
+    candidates, dominator = filter_phase(graph, counters=counters)
+    kernel = choose_refine_kernel(
+        len(candidates), n, word_budget=word_budget
+    )
+    if kernel == "block":
+        block_refine_pass(graph, candidates, dominator, stats)
+    elif kernel == "bitset":
+        matrix = CandidateBitMatrix.from_graph(graph, candidates)
+        ctx = BitsetScanContext(
+            graph, candidates, matrix, instrumented=counters is not None
+        )
+        bitset_refine_pass(ctx, candidates, dominator, stats)
+    else:
+        blooms = VertexBloomIndex(graph, candidates)
+        bloom_refine_pass(graph, candidates, dominator, blooms, stats)
+    if counters is not None:
+        counters.extra["refine_path"] = kernel
+        counters.extra["refine_requested"] = "auto"
+
+    skyline = tuple(u for u in range(n) if dominator[u] == u)
+    return SkylineResult(
+        skyline=skyline,
+        dominator=tuple(dominator),
+        candidates=tuple(candidates),
+        algorithm=f"FilterRefineSkyAuto({kernel})",
+        counters=counters,
+    )
+
+
 #: Name → implementation for every skyline algorithm in the paper's Exp-1,
-#: plus the naive reference and the multi-worker refine engine.
+#: plus the naive reference, the kernel variants, the ``"auto"`` default
+#: and the multi-worker refine engine.
 ALGORITHMS: dict[str, Callable[..., SkylineResult]] = {
+    "auto": auto_refine_sky,
     "filter_refine": filter_refine_sky,
     "filter_refine_bitset": filter_refine_bitset_sky,
     "filter_refine_block": filter_refine_block_sky,
@@ -63,7 +128,7 @@ ALGORITHMS: dict[str, Callable[..., SkylineResult]] = {
 
 def neighborhood_skyline(
     graph: Graph,
-    algorithm: str = "filter_refine",
+    algorithm: str = "auto",
     *,
     counters: Optional[SkylineCounters] = None,
     **options,
@@ -75,16 +140,19 @@ def neighborhood_skyline(
     graph:
         The input graph.
     algorithm:
-        One of ``"filter_refine"`` (the paper's FilterRefineSky — the
-        default), ``"filter_refine_bitset"`` (the same result via the
-        packed-bitset refine kernel — the fastest on small dense
-        candidate sets, with an automatic bloom fallback past its word
-        budget), ``"filter_refine_block"`` (the same result via the
-        block-vectorized counting kernel of
-        :mod:`repro.core.block_refine` — the fastest on large
-        candidate sets, no bit matrix needed),
-        ``"filter_refine_parallel"`` (the same
-        result computed with a multi-worker refine phase), ``"base"``
+        One of ``"auto"`` (the default: the paper's FilterRefineSky with
+        the refine kernel picked by candidate count — the packed-bitset
+        kernel on small candidate sets, the block kernel on large ones;
+        see :func:`auto_refine_sky`), ``"filter_refine"`` (the paper's
+        FilterRefineSky, Alg. 3, with its bloom refine — the reference
+        the figure scripts name), ``"filter_refine_bitset"`` (the same
+        result via the packed-bitset refine kernel — the fastest on
+        small dense candidate sets, with an automatic bloom fallback
+        past its word budget), ``"filter_refine_block"`` (the same
+        result via the block-vectorized pivot kernel of
+        :mod:`repro.core.block_refine` — the fastest on large candidate
+        sets, no bit matrix needed), ``"filter_refine_parallel"`` (the
+        same result computed with a multi-worker refine phase), ``"base"``
         (BaseSky), ``"two_hop"`` (Base2Hop), ``"cset"`` (BaseCSet),
         ``"lc_join"`` (the containment-join baseline) or ``"naive"``
         (the quadratic reference).
@@ -93,8 +161,9 @@ def neighborhood_skyline(
     options:
         Algorithm-specific keywords, e.g. ``bloom_bits`` / ``seed`` /
         ``exact`` for ``"filter_refine"`` and ``"two_hop"``,
-        ``word_budget`` for ``"filter_refine_bitset"``, or ``workers``
-        / ``chunk_size`` / ``refine`` for ``"filter_refine_parallel"``.
+        ``word_budget`` for ``"auto"`` and ``"filter_refine_bitset"``, or
+        ``workers`` / ``chunk_size`` / ``refine`` for
+        ``"filter_refine_parallel"``.
 
     >>> from repro.graph.generators import complete_graph
     >>> neighborhood_skyline(complete_graph(5)).skyline

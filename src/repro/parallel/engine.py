@@ -148,7 +148,7 @@ def parallel_refine_sky(
         ladder), ``"bitset"`` (the packed AND-NOT of
         :mod:`repro.core.bitset_refine`; the parent packs the candidate
         matrix once and ships raw words, workers rebuild views),
-        ``"block"`` (the block-vectorized counting kernel of
+        ``"block"`` (the block-vectorized pivot kernel of
         :mod:`repro.core.block_refine`; the parent peels the k-core
         decomposition once and ships the core numbers), or ``"auto"``
         (the three-way cutover of

@@ -47,7 +47,8 @@ runners hand whole candidate ranges to
 :mod:`repro.core.block_refine`'s batch kernels instead of scanning one
 vertex at a time.  The same two-pass decomposition applies unchanged —
 the block kernel implements exactly the status/witness predicates
-above, in ndarray blocks — so chunked totals and outputs match the
+above, in ndarray blocks over each candidate's pivot row (every
+possible dominator lies in it) — so chunked totals and outputs match the
 scalar kernels bit for bit.  The engine computes the k-core numbers
 once in the parent and ships them like any other call-scoped segment;
 workers never re-peel the graph.

@@ -176,8 +176,16 @@ class TestApi:
         )
         assert result.size == 15
 
-    def test_default_is_filter_refine(self, karate):
-        assert neighborhood_skyline(karate).algorithm == "FilterRefineSky"
+    def test_default_is_auto(self, karate):
+        # FilterRefineSky with the kernel picked by candidate count; the
+        # paper's Alg. 3 stays reachable by name.
+        assert neighborhood_skyline(karate).algorithm.startswith(
+            "FilterRefineSkyAuto("
+        )
+        assert (
+            neighborhood_skyline(karate, "filter_refine").algorithm
+            == "FilterRefineSky"
+        )
 
     def test_counters_threaded_through(self, karate):
         counters = SkylineCounters()
