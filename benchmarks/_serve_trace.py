@@ -158,7 +158,7 @@ def canonical_params(payload: dict) -> tuple:
     )
 
 
-def direct_references(trace, *, workers: int = 1) -> dict:
+def direct_references(trace) -> dict:
     """Ground-truth result per unique (graph, kind, params) in ``trace``.
 
     Computed on a private registry through the same
@@ -173,7 +173,7 @@ def direct_references(trace, *, workers: int = 1) -> dict:
     from repro.serve.registry import execute_query
 
     references: dict = {}
-    registry = GraphRegistry(workers=workers)
+    registry = GraphRegistry()
     try:
         for request in trace:
             if request.graph not in registry.names():

@@ -1,16 +1,14 @@
 """Before/after benchmark for the batched marginal-gain plane.
 
 For each instance (default: ``kron_large``) this builds a fixed seeded
-candidate pool and runs group-closeness maximization at ``k = 16`` four
+candidate pool and runs group-closeness maximization at ``k = 16`` three
 ways on the same graph:
 
 * **eager scalar** (``gain_batch=1``) — the reference driver every
   other leg is pinned to;
 * **lazy scalar** — the CELF engine with the scalar kernel: the
   **before** row the speedup is measured against;
-* **lazy batched** (``gain_batch="auto"``) — the **after** row;
-* **lazy pooled+batched** (``workers=2``) — the round-0 fan-out
-  shipping batched lanes inside each worker.
+* **lazy batched** (``gain_batch="auto"``) — the **after** row.
 
 Every leg is asserted bit-for-bit equal (group, per-round gains, and
 the CELF ``evaluations + evaluations_saved == eager.evaluations``
@@ -109,32 +107,18 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
             counters=counters,
         )
     )
-    t_pooled, pooled = _timed(
-        lambda: lazy_greedy_maximize(
-            graph,
-            k,
-            objective,
-            candidates=pool,
-            gain_batch="auto",
-            workers=2,
-            small_graph_edges=0,
-        )
-    )
 
     # Correctness gates before any timing row is recorded.
     _assert_same_selection(name, "lazy-scalar", scalar, eager)
     _assert_same_selection(name, "lazy-batched", batched, eager)
-    _assert_same_selection(name, "lazy-pooled", pooled, eager)
     for label, lazy in (
         ("lazy-scalar", scalar),
         ("lazy-batched", batched),
-        ("lazy-pooled", pooled),
     ):
         assert (
             lazy.evaluations + lazy.evaluations_saved == eager.evaluations
         ), (name, label, "CELF counter invariant")
     assert batched.evaluations == scalar.evaluations, name
-    assert pooled.evaluations == scalar.evaluations, name
 
     speedup = t_scalar / max(t_batched, 1e-9)
     extra_counters = counters.extra
@@ -142,8 +126,7 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
         f"{name}: n={n} m={graph.num_edges} k={k} |pool|={len(pool)} "
         f"eager {t_eager:.2f}s lazy-scalar {t_scalar:.2f}s "
         f"lazy-batched {t_batched:.2f}s "
-        f"(B={extra_counters.get('gain_batch')}) "
-        f"lazy-pooled {t_pooled:.2f}s => {speedup:.1f}x; "
+        f"(B={extra_counters.get('gain_batch')}) => {speedup:.1f}x; "
         "all selections bit-for-bit identical to the scalar eager run"
     )
     if enforce_speedup:
@@ -197,14 +180,6 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
                     "lanes_short_circuited"
                 ),
             },
-        ),
-        bench_entry(
-            bench="greedy_vector",
-            instance=name,
-            algorithm=f"BaseGC-lazy-pooled-batched(k={k},w=2)",
-            wall_s=t_pooled,
-            extra={**common, "variant": "pooled",
-                   "evaluations": pooled.evaluations},
         ),
     ]
 

@@ -2,7 +2,7 @@
 
 Reads the repo-root benchmark document and prints GitHub-markdown
 tables pasted into README.md — refine-phase times for the bloom
-baseline vs the packed-bitset kernel (``parallel_speedup`` entries),
+baseline vs the packed-bitset kernel (``fig3_runtime`` entries),
 and eager vs lazy (CELF + CSR) group-centrality wall times with their
 evaluation counts (``fig7_group_closeness``/``fig8_group_harmonic``
 entries).  Keeping the renderer next to the data means the README
@@ -25,7 +25,7 @@ def render(entries) -> str:
     by_key = {
         (e["instance"], e["algorithm"]): e
         for e in entries
-        if e["bench"] == "parallel_speedup"
+        if e["bench"] == "fig3_runtime"
     }
     instances = sorted({k[0] for k in by_key})
     lines = [
@@ -37,10 +37,7 @@ def render(entries) -> str:
         bit = by_key.get((name, "FilterRefineSkyBitset"))
         if bloom is None or bit is None:
             continue
-        ratio = bit.get("extra", {}).get(
-            "refine_speedup_vs_bloom",
-            bloom["refine_s"] / bit["refine_s"],
-        )
+        ratio = bloom["refine_s"] / bit["refine_s"]
         lines.append(
             f"| {name} | {bloom['refine_s']:.4f} | {bit['refine_s']:.4f} "
             f"| {ratio:.2f}x |"
@@ -195,7 +192,7 @@ def render_large_tier(entries) -> str:
     """Million-edge tier table (``large_tier`` entries).
 
     One row per instance: graph shape, binary convert / memmap open
-    times, and the end-to-end parallel block-kernel skyline wall time.
+    times, and the end-to-end default skyline wall time.
     Returns ``""`` when the tier has not been benched yet.
     """
     rows = []
@@ -317,7 +314,7 @@ def main() -> int:
         print(
             f"no entries in {path}; run "
             "`PYTHONPATH=src python -m pytest benchmarks/"
-            "bench_parallel_speedup.py` first",
+            "bench_fig3_runtime.py` first",
             file=sys.stderr,
         )
         return 1

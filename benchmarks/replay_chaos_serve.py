@@ -1,8 +1,8 @@
 """Live-server chaos replay: availability and correctness under faults.
 
 Two seeded profiles run against a live in-process server
-(:class:`~repro.serve.server.ServerThread`, real sockets, warm
-sessions, the PR 9 supervision layer active in both), and their
+(:class:`~repro.serve.server.ServerThread`, real sockets, cached
+skylines, the supervision layer active in both), and their
 headline numbers merge into ``BENCH_skyline.json`` as
 ``bench="chaos_serve"`` rows:
 
@@ -14,8 +14,8 @@ headline numbers merge into ``BENCH_skyline.json`` as
   comparison);
 * **chaos** — the same trace shape with a seeded
   :class:`~repro.harness.faults.ServeFaultPlan` injecting
-  engine exceptions, session poisoning, shm attach failures and slow
-  queries at a 15% dispatch rate.  The row records availability
+  engine exceptions, session poisoning and slow queries at a 15%
+  dispatch rate.  The row records availability
   (fraction of requests answered 200, degraded included), session
   rebuilds, and p99 under fault.
 
@@ -26,8 +26,7 @@ Both profiles assert the full self-healing contract:
   result for its exact parameters (graphs are immutable, so the
   degraded cache can never be stale-wrong, only stale-marked);
 * queue accounting is conserved (enqueued == dequeued + expired);
-* shutdown is clean: no shm segment, no ``/dev/shm/repro_*`` file, no
-  orphaned child process.
+* shutdown is clean: no orphaned child process.
 
 Usage::
 
@@ -38,7 +37,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import glob
 import multiprocessing
 import os
 import sys
@@ -57,7 +55,6 @@ from repro.harness.benchjson import (
     bench_entry,
     write_bench_json,
 )
-from repro.parallel import live_segment_names
 from repro.serve import (
     GraphRegistry,
     ServeConfig,
@@ -95,7 +92,7 @@ def run_profile(profile, graphs, num_requests, seed, references):
             rate=CHAOS_RATE,
         )
     trace = generate_trace(graphs, num_requests, seed=seed, mean_gap_s=0.01)
-    registry = GraphRegistry(workers=1)
+    registry = GraphRegistry()
     for graph in graphs:
         registry.register_spec(graph)
     config = ServeConfig(
@@ -111,9 +108,6 @@ def run_profile(profile, graphs, num_requests, seed, references):
         _, metrics = handle.request("GET", "/metrics")
 
     # Nothing survives the context manager, fault plan or not.
-    assert live_segment_names() == (), live_segment_names()
-    leaked = glob.glob("/dev/shm/repro_*")
-    assert not leaked, f"/dev/shm residue {leaked}"
     assert multiprocessing.active_children() == []
 
     summary = summarize(outcomes, wall_s)

@@ -1,8 +1,8 @@
 """Traffic replay against the serving layer: latency and backpressure.
 
 Two seeded replay profiles run against a live in-process server
-(:class:`~repro.serve.server.ServerThread`, real sockets, warm
-sessions), and their headline numbers merge into
+(:class:`~repro.serve.server.ServerThread`, real sockets, cached
+skylines), and their headline numbers merge into
 ``BENCH_skyline.json`` as ``bench="serve"`` rows:
 
 * **steady** — a generously provisioned queue absorbing the full mixed
@@ -61,7 +61,7 @@ def run_profile(
         mean_gap_s=gap_s,
         timeout_s=timeout_s,
     )
-    registry = GraphRegistry(workers=1)
+    registry = GraphRegistry()
     for graph in graphs:
         registry.register_spec(graph)
     config = ServeConfig(

@@ -2,8 +2,8 @@
 
 Plain script (no pytest) so CI can run it in seconds on tiny registry
 instances: computes the skyline with the bloom baseline, the bitset
-kernel, the forced bloom-fallback (``word_budget=1``) and the parallel
-engine with ``refine="bitset"``, asserts every result bit-for-bit equal,
+kernel and the forced bloom-fallback (``word_budget=1``), asserts every
+result bit-for-bit equal,
 and records the wall times into ``BENCH_skyline.json`` at the repo root
 (merge-write: entries from full benchmark runs are preserved).
 
@@ -28,7 +28,6 @@ from repro.harness.benchjson import (
     bench_entry,
     write_bench_json,
 )
-from repro.parallel import parallel_refine_sky
 from repro.workloads import load
 
 DEFAULT_INSTANCES = ("karate", "bombing_proxy")
@@ -61,13 +60,6 @@ def run(instances) -> list[dict]:
         )
         assert fb.dominator == ref.dominator, name
 
-        _, par = _timed(
-            lambda: parallel_refine_sky(
-                graph, workers=2, refine="bitset", small_graph_edges=0
-            )
-        )
-        assert par.dominator == ref.dominator, name
-
         entries.append(
             bench_entry(
                 bench="smoke_bitset",
@@ -88,8 +80,7 @@ def run(instances) -> list[dict]:
         )
         print(
             f"{name}: |R|={len(ref.skyline)} bloom {t_bloom:.4f}s "
-            f"bitset {t_bit:.4f}s ({path}); fallback and parallel "
-            "outputs identical"
+            f"bitset {t_bit:.4f}s ({path}); fallback output identical"
         )
     return entries
 

@@ -7,16 +7,13 @@ End-to-end over the large-graph substrate, in one seeded run:
 2. convert it to the binary on-disk format and re-open it via
    ``np.memmap`` (:mod:`repro.graph.binfmt`) — the open must be
    effectively instant and the loaded graph identical in counts;
-3. run the parallel block-kernel skyline on the memmap-backed graph
-   through the supervised engine (shared-memory data plane where
-   available);
+3. run the default (``algorithm="auto"``) skyline on the memmap-backed
+   graph — at this size the auto cutover picks the block kernel;
 4. assert the skyline is non-empty, sane (a subset of the filter
    candidates), that the **refine phase** stayed inside its wall-time
    budget (the block kernel's reason to exist — the bloom baseline
-   takes several times longer at this scale), that its **peak RSS**
-   stayed inside its memory bounds, and that **zero** shared-memory
-   residue survives — no live parent segments and no ``repro_*`` file
-   in ``/dev/shm``.
+   takes several times longer at this scale), and that the call's
+   **peak RSS** rise stayed inside its memory bound.
 
 Wall times go into ``BENCH_skyline.json`` as ``bench="large_tier"``
 rows through the same checkpoint journal the sweep harness uses, so an
@@ -29,13 +26,13 @@ Usage::
 
 from __future__ import annotations
 
-import glob
 import os
 import resource
 import sys
 import tempfile
 import time
 
+from repro.core import SkylineCounters, neighborhood_skyline
 from repro.core.filter_phase import filter_phase
 from repro.graph.binfmt import read_binary_graph, write_binary_graph
 from repro.harness.benchjson import (
@@ -44,8 +41,6 @@ from repro.harness.benchjson import (
     write_bench_json,
 )
 from repro.harness.checkpoint import CheckpointJournal
-from repro.parallel import parallel_refine_sky
-from repro.parallel.shm import live_segment_names
 from repro.workloads import load, spec
 
 DEFAULT_INSTANCES = ("kron_large",)
@@ -63,31 +58,21 @@ REFINE_BUDGET_S = float(
     os.environ.get("REPRO_SMOKE_REFINE_BUDGET_S", "20.0")
 )
 
-#: Peak-RSS bounds for the pooled block skyline, in MiB: how far the
-#: parent's peak may rise during the call, and the largest worker's
-#: peak.  ``ru_maxrss`` only ever grows, so the parent bound is on the
-#: rise across the call (graph generation sets an earlier peak).
-#: Measured on kron_large (2-vCPU Linux x86-64 VM, Python 3.11, numpy
-#: 2.4.6): a rise of 18.5 MiB and a worker peak of 287 MiB, most of it
-#: the forked parent image; each bound is the measurement plus 50%
-#: headroom.
-SKYLINE_PARENT_RISE_MB = 28.0
-SKYLINE_WORKER_PEAK_MB = 430.0
+#: Peak-RSS bound for the in-process skyline, in MiB: how far the
+#: process peak may rise during the call.  ``ru_maxrss`` only ever
+#: grows, so the bound is on the rise across the call (graph generation
+#: sets an earlier peak).  Measured on kron_large (2-vCPU Linux x86-64
+#: VM, Python 3.11, numpy 2.4.6): a rise of 50.0 MiB in three runs,
+#: the block kernel's scratch arrays; the bound is the measurement plus
+#: 50% headroom.
+SKYLINE_PEAK_RISE_MB = 75.0
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
+def _peak_rss_mb() -> float:
     """Peak resident set size in MiB (``ru_maxrss`` is KiB on Linux)."""
-    return resource.getrusage(who).ru_maxrss / 1024.0
-
-
-def _assert_no_residue(where: str) -> None:
-    assert not live_segment_names(), (
-        f"{where}: live parent segments {live_segment_names()}"
-    )
-    leaked = glob.glob("/dev/shm/repro_*")
-    assert not leaked, f"{where}: /dev/shm residue {leaked}"
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
@@ -109,10 +94,11 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
     t_open = time.perf_counter() - t0
     assert mapped.num_vertices == graph.num_vertices
     assert mapped.num_edges == graph.num_edges
-    # O(1) open: a million-edge graph must map in well under a second.
+    # No-parse open: a million-edge graph must map and validate in
+    # well under a second.
     assert t_open < 1.0, f"{name}: memmap open took {t_open:.3f}s"
 
-    cell = journal.get(name, "parallel_block", 0)
+    cell = journal.get(name, "auto_skyline", 0)
     if cell is not None:
         wall = cell["wall_s"]
         refine_wall = cell["extra"]["refine_s"]
@@ -124,26 +110,18 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         candidates, _ = filter_phase(mapped)
         t_filter = time.perf_counter() - t0
         peak_before = _peak_rss_mb()
+        counters = SkylineCounters()
         t0 = time.perf_counter()
-        result = parallel_refine_sky(
-            mapped, workers=2, refine="block", small_graph_edges=0
-        )
+        result = neighborhood_skyline(mapped, counters=counters)
         wall = time.perf_counter() - t0
-        parent_rise = _peak_rss_mb() - peak_before
-        # The pool's workers have exited and been reaped by now.
-        worker_peak = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+        rise = _peak_rss_mb() - peak_before
         print(
-            f"{name}: skyline peak RSS rise {parent_rise:.1f} MiB "
-            f"(<= {SKYLINE_PARENT_RISE_MB:.0f}), worker peak "
-            f"{worker_peak:.1f} MiB (<= {SKYLINE_WORKER_PEAK_MB:.0f})"
+            f"{name}: skyline ({counters.extra['refine_path']} refine) "
+            f"peak RSS rise {rise:.1f} MiB (<= {SKYLINE_PEAK_RISE_MB:.0f})"
         )
-        assert parent_rise <= SKYLINE_PARENT_RISE_MB, (
-            f"{name}: the skyline raised peak RSS by {parent_rise:.1f} "
-            f"MiB, over the {SKYLINE_PARENT_RISE_MB:.0f} MiB bound"
-        )
-        assert worker_peak <= SKYLINE_WORKER_PEAK_MB, (
-            f"{name}: a refine worker peaked at {worker_peak:.1f} MiB, "
-            f"over the {SKYLINE_WORKER_PEAK_MB:.0f} MiB bound"
+        assert rise <= SKYLINE_PEAK_RISE_MB, (
+            f"{name}: the skyline raised peak RSS by {rise:.1f} MiB, "
+            f"over the {SKYLINE_PEAK_RISE_MB:.0f} MiB bound"
         )
         refine_wall = max(wall - t_filter, 0.0)
         assert result.size > 0, f"{name}: empty skyline"
@@ -156,7 +134,7 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         candidate_size = result.candidate_size
         journal.mark_done(
             name,
-            "parallel_block",
+            "auto_skyline",
             0,
             wall_s=wall,
             refine_s=refine_wall,
@@ -167,20 +145,19 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         f"{name}: refine phase took {refine_wall:.1f}s, over the "
         f"{REFINE_BUDGET_S:.0f}s block-kernel budget"
     )
-    _assert_no_residue(name)
 
     print(
         f"{name}: n={graph.num_vertices} m={graph.num_edges} "
         f"gen {t_gen:.1f}s convert {t_convert:.2f}s "
         f"memmap-open {t_open * 1000:.1f}ms skyline {wall:.1f}s "
         f"(refine {refine_wall:.1f}s <= {REFINE_BUDGET_S:.0f}s budget) "
-        f"|C|={candidate_size} |R|={skyline_size}; no shm residue"
+        f"|C|={candidate_size} |R|={skyline_size}"
     )
     return [
         bench_entry(
             bench="large_tier",
             instance=name,
-            algorithm="parallel_block_skyline",
+            algorithm="auto_skyline",
             wall_s=wall,
             extra={
                 "refine_s": round(refine_wall, 3),

@@ -8,7 +8,7 @@
   the candidate pool, so timing comparisons isolate the skyline pruning.
   Each accepts ``strategy="lazy"`` for the CELF engine
   (:mod:`repro.centrality.lazy_greedy`): identical output, far fewer
-  gain evaluations, optional parallel round 0.
+  gain evaluations.
 """
 
 from repro.centrality.betweenness import betweenness_centrality, sp_counts_from

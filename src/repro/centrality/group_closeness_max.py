@@ -16,7 +16,7 @@ farness drop per round is identical to maximizing
 
 Both entry points accept ``strategy="lazy"`` to run the CELF engine of
 :mod:`repro.centrality.lazy_greedy` (identical output, far fewer gain
-evaluations) and, with it, ``workers`` for the parallel round 0.
+evaluations).
 """
 
 from __future__ import annotations
@@ -56,29 +56,19 @@ def base_gc(
     k: int,
     *,
     strategy: str = "eager",
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-closeness over the full vertex set (``BaseGC``).
 
     The eager strategy performs ``k(2n − k + 1)/2`` marginal-gain
     evaluations; ``strategy="lazy"`` returns the identical result with
-    (typically far) fewer.  ``data_plane`` / ``session`` configure the
-    lazy round-0 fan-out (see :func:`~repro.centrality.lazy_greedy.
-    lazy_greedy_maximize`).
+    (typically far) fewer.
     """
     return run_greedy(
         graph,
         k,
         ClosenessObjective(graph),
         strategy=strategy,
-        workers=workers,
-        timeout=timeout,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )
 
@@ -89,10 +79,6 @@ def neisky_gc(
     *,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "eager",
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """Algorithm 4 (``NeiSkyGC``): greedy restricted to the skyline.
@@ -110,9 +96,5 @@ def neisky_gc(
         ClosenessObjective(graph),
         candidates=skyline,
         strategy=strategy,
-        workers=workers,
-        timeout=timeout,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )

@@ -14,7 +14,7 @@ Skyline pruning is justified by Lemma 4 (``v ≤ u`` implies
 
 Both entry points accept ``strategy="lazy"`` to run the CELF engine of
 :mod:`repro.centrality.lazy_greedy` (identical output, far fewer gain
-evaluations) and, with it, ``workers`` for the parallel round 0.
+evaluations).
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ def base_gh(
     k: int,
     *,
     strategy: str = "eager",
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-harmonic over the full vertex set (``BaseGH``)."""
@@ -62,10 +58,6 @@ def base_gh(
         k,
         HarmonicObjective(),
         strategy=strategy,
-        workers=workers,
-        timeout=timeout,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )
 
@@ -76,10 +68,6 @@ def neisky_gh(
     *,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "eager",
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """``NeiSkyGH``: greedy group-harmonic restricted to the skyline."""
@@ -91,9 +79,5 @@ def neisky_gh(
         HarmonicObjective(),
         candidates=skyline,
         strategy=strategy,
-        workers=workers,
-        timeout=timeout,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )

@@ -21,15 +21,7 @@ optimizations:
    with preallocated scratch reused across the whole run — instead of
    the per-call generator machinery of :mod:`repro.paths.truncated`.
 
-3. **Parallel round 0.**  With an empty group every candidate costs a
-   full BFS, which is the bulk of a run's work and embarrassingly
-   parallel; ``workers > 1`` fans the first round over a process pool in
-   chunks (one CSR snapshot shipped per worker, gains returned as flat
-   arrays), then rounds ``1..k`` run lazily in-process.  Workers run the
-   same kernels on the same snapshot, so the gains — and therefore the
-   result — are bitwise independent of worker count and chunking.
-
-4. **Batched lanes** (``gain_batch``).  Evaluations run ``B`` sources
+3. **Batched lanes** (``gain_batch``).  Evaluations run ``B`` sources
    per vectorized kernel pass (:meth:`~repro.paths.csr.CSRTraversal.
    _batch_scan`) instead of one Python-level BFS per call.  Round 0
    scores the scope in blocks of ``B``; the CELF drain batches
@@ -50,10 +42,9 @@ optimizations:
 ``evaluations_saved`` is the eager schedule's count over the same pool
 minus that, so ``evaluations + evaluations_saved`` always equals the
 eager driver's ``evaluations`` for the same inputs.  (The one uncounted
-traversal: after a pooled or batched round 0 the winner's update list is
-re-derived in-process — eager already charged that candidate's
-evaluation, and the recomputation is one BFS against the whole round's
-fan-out.)
+traversal: after a batched round 0 the winner's update list is
+re-derived — eager already charged that candidate's evaluation, and the
+recomputation is one BFS against the whole round's scan.)
 """
 
 from __future__ import annotations
@@ -64,7 +55,6 @@ from typing import Iterable, Optional
 from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.parallel.engine import SMALL_GRAPH_EDGES
 from repro.paths.csr import (
     CSRTraversal,
     make_batch_evaluator,
@@ -80,228 +70,22 @@ except ImportError:  # pragma: no cover
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 
 
-def _pooled_round0(
-    graph: Graph,
-    objective: GainObjective,
-    scope: list[int],
-    workers: int,
-    chunk_size: Optional[int],
-    timeout: Optional[float],
-    max_retries: int,
-    fault_plan,
-    extra: Optional[dict],
-    data_plane: str = "pickle",
-    session=None,
-    batch: int = 1,
-) -> list[float]:
-    """Round-0 gains of ``scope``, fanned over a supervised worker pool.
-
-    Runs under the :class:`~repro.parallel.supervisor.PoolSupervisor`:
-    crashed/hung/corrupt workers are retried and, past the retry
-    budget, their chunks are recomputed sequentially in-process on a
-    state rebuilt from the *same* snapshot the workers got — the gains
-    are bitwise identical either way, so recovery never changes the
-    group.  On the pickle plane the snapshot ships through the pool
-    initializer; on the shm plane workers attach published CSR/pool
-    segments and each task carries a
-    :class:`~repro.parallel.greedy_worker.GreedySpec`.  A ``session``
-    supplies a warm pool and cached segments instead of per-call ones.
-    ``batch`` is the gain-batch lane count workers use inside each
-    chunk — gains are bitwise identical for any value, so it is purely
-    a worker-side execution knob.
-
-    ``extra`` (a ``counters.extra`` dict, or ``None``) receives this
-    call's recovery-event deltas and data-plane facts.
-    """
-    import time as _time
-    from hashlib import blake2b
-    from pickle import dumps as _dumps
-
-    from repro.parallel.chunks import chunk_ranges, default_chunk_size
-    from repro.parallel.greedy_worker import (
-        GreedySpec,
-        build_greedy_payload,
-        build_greedy_state,
-        init_greedy_worker,
-        pool_context,
-        run_gain_chunk,
-        validate_gain_chunk,
-    )
-    from repro.parallel.supervisor import PoolSupervisor, SupervisorConfig
-
-    size = chunk_size or default_chunk_size(len(scope), workers)
-    tasks = chunk_ranges(len(scope), size)
-    session_label = None
-    plane_publish_s = None
-
-    _fb: list = []
-
-    def _fallback_state():
-        if not _fb:
-            _fb.append(
-                build_greedy_state(
-                    build_greedy_payload(graph, objective, scope, batch)
-                )
-            )
-        return _fb[0]
-
-    if data_plane == "shm":
-        from array import array
-
-        from repro.parallel.shm import ShmDataPlane, buffer_typecode
-
-        owns_plane = session is None
-        publish_t0 = _time.perf_counter()
-        if owns_plane:
-            plane = ShmDataPlane()
-            indptr, indices = graph.to_csr()
-            graph_refs = {
-                "indptr": plane.publish(
-                    indptr, buffer_typecode(indptr)
-                ),
-                "indices": plane.publish(
-                    indices, buffer_typecode(indices)
-                ),
-            }
-            supervisor = PoolSupervisor(
-                workers=workers,
-                initializer=init_greedy_worker,
-                initargs=(("shm", graph_refs),),
-                config=SupervisorConfig(
-                    timeout=timeout, max_retries=max_retries
-                ),
-                fault_plan=fault_plan,
-                mp_context=pool_context(),
-            )
-            pool_ref = plane.publish(array("q", scope), "q")
-            epoch = 1
-        else:
-            plane = session.plane
-            supervisor = session.supervisor()
-            session_label = session.note_pooled_call()
-            pool_ref = session.cached_segment(
-                "gpool", array("q", scope), "q"
-            )
-            epoch = session.next_epoch()
-        # The key must distinguish objectives as well as scopes; the
-        # bundled objectives are tiny scalar-holders, so their pickle
-        # bytes are a stable identity.
-        obj_tag = blake2b(_dumps(objective), digest_size=8).hexdigest()
-        spec = GreedySpec(
-            epoch=epoch,
-            key=(pool_ref.name, obj_tag, batch),
-            objective=objective,
-            pool=pool_ref,
-            batch=batch,
-        )
-        plane_publish_s = _time.perf_counter() - publish_t0
-        events_before = dict(supervisor.events)
-        try:
-            parts = supervisor.run(
-                run_gain_chunk,
-                [(spec, lo, hi) for lo, hi in tasks],
-                fallback=lambda task: run_gain_chunk(
-                    task, _fallback_state()
-                ),
-                validate=validate_gain_chunk,
-            )
-        finally:
-            if owns_plane:
-                supervisor.shutdown()
-                plane.close()
-        events = {
-            key: value - events_before.get(key, 0)
-            for key, value in supervisor.events.items()
-        }
-    else:
-        if session is not None:
-            session_label = "cold"  # pickle-plane sessions never warm
-        payload = build_greedy_payload(graph, objective, scope, batch)
-        supervisor = PoolSupervisor(
-            workers=workers,
-            initializer=init_greedy_worker,
-            initargs=(payload,),
-            config=SupervisorConfig(
-                timeout=timeout, max_retries=max_retries
-            ),
-            fault_plan=fault_plan,
-            mp_context=pool_context(),
-        )
-        with supervisor:
-            parts = supervisor.run(
-                run_gain_chunk,
-                tasks,
-                fallback=lambda task: run_gain_chunk(
-                    task, _fallback_state()
-                ),
-                validate=validate_gain_chunk,
-            )
-        events = supervisor.events
-    if extra is not None:
-        for key, value in events.items():
-            extra[key] = extra.get(key, 0) + value
-        extra["data_plane"] = data_plane
-        if session_label is not None:
-            extra["parallel_session"] = session_label
-        if plane_publish_s is not None:
-            extra["plane_publish_s"] = plane_publish_s
-    gains: list[float] = []
-    for part in parts:
-        gains.extend(part)
-    return gains
-
-
 def lazy_greedy_maximize(
     graph: Graph,
     k: int,
     objective: GainObjective,
     *,
     candidates: Optional[Iterable[int]] = None,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    small_graph_edges: int = SMALL_GRAPH_EDGES,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan=None,
     counters=None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """CELF-style greedy maximization; output equals ``greedy_maximize``.
 
     Parameters beyond the eager driver's:
 
-    workers:
-        Worker processes for the round-0 fan-out; ``1`` (the default)
-        stays in-process.  Any value yields the identical result.
-    chunk_size:
-        Candidates per round-0 task; ``None`` targets a few chunks per
-        worker.  Purely a scheduling knob.
-    small_graph_edges:
-        In-process threshold: graphs with fewer edges never pay for a
-        pool.  Pass ``0`` to force pooling (tests do).
-    timeout / max_retries / fault_plan:
-        Supervisor recovery policy and chaos injection for the round-0
-        pool, as in :func:`~repro.parallel.engine.parallel_refine_sky`.
-        None of them can change the result.
     counters:
-        Optional :class:`~repro.core.counters.SkylineCounters`; a
-        pooled round 0 records its recovery events under
-        ``counters.extra["resilience_*"]`` and data-plane facts under
-        ``counters.extra["data_plane"]`` etc.
-    data_plane:
-        How the CSR snapshot and candidate pool reach round-0 workers
-        — ``"pickle"``, ``"shm"`` or ``"auto"``, exactly as in
-        :func:`~repro.parallel.engine.parallel_refine_sky`.  Gains are
-        bitwise identical on either plane.
-    session:
-        A warm :class:`~repro.parallel.session.EngineSession` for this
-        graph; the round-0 fan-out reuses its pool and published
-        segments.  The session's scheduling knobs are authoritative —
-        conflicting per-call values raise
-        :class:`~repro.errors.ParameterError` (``workers=1``, this
-        driver's default, defers to the session's count).
+        Optional :class:`~repro.core.counters.SkylineCounters` for the
+        batch telemetry (see ``gain_batch``).
     gain_batch:
         Marginal-gain lanes per batched kernel call (``"auto"``, the
         default, sizes from ``n`` and the pool;
@@ -313,63 +97,8 @@ def lazy_greedy_maximize(
         (``gain_batch`` / ``batch_rounds`` / ``lanes_evaluated`` /
         ``lanes_short_circuited``).
     """
-    from repro.parallel.params import validate_pool_params
-    from repro.parallel.shm import resolve_data_plane
-
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")
-    if session is not None:
-        session.check_open()
-        if session.graph is not graph:
-            raise ParameterError(
-                "this EngineSession was created for a different graph; "
-                "sessions pin one published graph snapshot"
-            )
-        if workers == 1:
-            workers = session.workers
-        elif workers != session.workers:
-            raise ParameterError(
-                f"workers={workers} conflicts with the session's "
-                f"{session.workers}; the pool size is fixed at session "
-                "construction"
-            )
-        if fault_plan is not None:
-            raise ParameterError(
-                "fault_plan is fixed at session construction; pass it "
-                "to EngineSession instead"
-            )
-        fault_plan = session.fault_plan
-        if timeout is not None and timeout != session.timeout:
-            raise ParameterError(
-                f"timeout={timeout} conflicts with the session's "
-                f"{session.timeout}; the supervisor config is fixed at "
-                "session construction"
-            )
-        timeout = session.timeout
-        if max_retries not in (session.max_retries, 2):
-            raise ParameterError(
-                f"max_retries={max_retries} conflicts with the "
-                f"session's {session.max_retries}"
-            )
-        max_retries = session.max_retries
-        if chunk_size is None:
-            chunk_size = session.chunk_size
-        if data_plane != "auto":
-            resolved, _ = resolve_data_plane(data_plane)
-            if resolved != session.data_plane:
-                raise ParameterError(
-                    f"data_plane={data_plane!r} conflicts with the "
-                    f"session's {session.data_plane!r}"
-                )
-        effective_plane = session.data_plane
-    else:
-        effective_plane, _ = resolve_data_plane(data_plane)
-    validate_pool_params(
-        workers=workers,
-        chunk_size=chunk_size,
-        timeout=timeout,
-        max_retries=max_retries,
-    )
     n = graph.num_vertices
     k = min(k, n)
     if candidates is None:
@@ -419,39 +148,10 @@ def lazy_greedy_maximize(
                     break
             eager_evaluations += len(scope)
             evaluations += len(scope)
-            use_pool = (
-                round_no == 0
-                and workers > 1
-                and len(scope) > 1
-                and graph.num_edges >= small_graph_edges
-            )
-            if use_pool:
-                gain_vec = _pooled_round0(
-                    graph,
-                    objective,
-                    scope,
-                    workers,
-                    chunk_size,
-                    timeout,
-                    max_retries,
-                    fault_plan,
-                    None if counters is None else counters.extra,
-                    data_plane=effective_plane,
-                    session=session,
-                    batch=batch,
-                )
-                # max() keeps the first maximum: smallest-ID tie-break.
-                best_idx = max(
-                    range(len(scope)), key=gain_vec.__getitem__
-                )
-                entries = list(zip(scope, gain_vec))
-                if batch > 1:
-                    batch_rounds += -(-len(scope) // batch)
-                    lanes_evaluated += len(scope)
-            elif batch > 1:
+            if batch > 1:
                 # Batched scope scan: gains only; the winner's update
-                # list is re-derived below (uncounted), like the pooled
-                # path.  max() keeps the first maximum: same tie-break.
+                # list is re-derived below (uncounted).  max() keeps the
+                # first maximum: the eager smallest-ID tie-break.
                 gain_vec = []
                 for lo in range(0, len(scope), batch):
                     lane = scope[lo : lo + batch]
@@ -497,7 +197,7 @@ def lazy_greedy_maximize(
             # commit, after the drain.  Lanes ship gains only
             # (collect=False) — update lists for speculative lanes
             # would be wasted materialization — so the winner's updates
-            # are re-derived below, like the pooled round 0's.
+            # are re-derived below, like the batched round 0's.
             eager_evaluations += len(heap)
             round_cache: dict[int, float] = {}
             while True:
@@ -538,7 +238,7 @@ def lazy_greedy_maximize(
                 heapq.heappush(heap, (-gain, u, round_no))
 
         if best_updates is None:
-            # Pooled/batched round 0 ships gains only; re-derive the
+            # Batched scans ship gains only; re-derive the
             # winner's update list (uncounted: this candidate's
             # evaluation was already charged above).
             _gain, best_updates = evaluate(best_u, dist, True)
@@ -583,40 +283,17 @@ def run_greedy(
     *,
     candidates: Optional[Iterable[int]] = None,
     strategy: str = "eager",
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    small_graph_edges: int = SMALL_GRAPH_EDGES,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan=None,
     counters=None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """Strategy dispatcher shared by the Base*/NeiSky* entry points.
 
     ``strategy="eager"`` runs the reference driver; ``"lazy"`` runs the
-    CELF engine (identical output).  ``workers`` applies only to the
-    lazy strategy's round-0 fan-out — combining it with eager is
-    rejected rather than silently ignored — and ``timeout`` /
-    ``max_retries`` / ``fault_plan`` / ``counters`` / ``data_plane`` /
-    ``session`` configure that fan-out's supervisor and data plane
-    (see :func:`lazy_greedy_maximize`).  ``gain_batch`` sets the
-    batched-kernel lane count for either strategy; every value yields
-    the identical result.
+    CELF engine (identical output; ``counters`` receives its batch
+    telemetry).  ``gain_batch`` sets the batched-kernel lane count for
+    either strategy; every value yields the identical result.
     """
     if strategy == "eager":
-        if workers != 1:
-            raise ParameterError(
-                "workers apply to the lazy strategy; eager greedy is "
-                "sequential by definition"
-            )
-        if session is not None:
-            raise ParameterError(
-                "sessions drive the pooled lazy engine; eager greedy "
-                "is sequential by definition"
-            )
         return greedy_maximize(
             graph, k, objective, candidates=candidates,
             gain_batch=gain_batch,
@@ -630,14 +307,6 @@ def run_greedy(
         k,
         objective,
         candidates=candidates,
-        workers=workers,
-        chunk_size=chunk_size,
-        small_graph_edges=small_graph_edges,
-        timeout=timeout,
-        max_retries=max_retries,
-        fault_plan=fault_plan,
         counters=counters,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )

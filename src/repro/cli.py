@@ -15,18 +15,16 @@ Subcommands mirror the paper's three workloads:
   a killed sweep restarts where it left off and produces the same
   final report as an uninterrupted one.
 * ``serve``    — skyline-as-a-service: an asyncio HTTP server hosting
-  named graphs (each behind one warm engine session) and routing
+  named graphs (each with one cached skyline) and routing
   skyline/group/clique queries through a bounded priority queue with
   per-request deadlines and 429 backpressure (see docs/serving.md).
 
 Graphs come either from the registry (``--dataset``) or from an edge
 list on disk (``--edge-list``, ``#`` comments, 0-based IDs).
 
-Ctrl-C is handled cleanly: pooled workers are terminated (the engines
-run under the :class:`~repro.parallel.supervisor.PoolSupervisor`, whose
-context manager kills the pool on any exit), partial results are
-discarded, any checkpoint written so far is kept, and the process exits
-with the conventional code 130 — no multiprocessing traceback spray.
+Ctrl-C is handled cleanly: partial results are discarded, any
+checkpoint written so far is kept, and the process exits with the
+conventional code 130 — one line, no traceback.
 """
 
 from __future__ import annotations
@@ -39,10 +37,8 @@ from typing import Optional, Sequence
 from repro.centrality import base_gc, base_gh, neisky_gc, neisky_gh
 from repro.clique import base_topk_mcc, mc_brb, neisky_mc, neisky_topk_mcc
 from repro.core import ALGORITHMS, SkylineCounters, neighborhood_skyline
-from repro.core.result import SkylineResult
 from repro.errors import ParameterError, ReproError
 from repro.harness.checkpoint import CheckpointJournal
-from repro.parallel import parallel_refine_sky, validate_pool_params
 from repro.graph.adjacency import Graph
 from repro.graph.io import load_graph
 from repro.graph.stats import graph_stats
@@ -66,52 +62,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the skyline refine phase; N > 1 uses "
-            "the parallel engine (identical output, see docs)"
-        ),
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-chunk deadline of the pool supervisor; a hung or "
-            "crashed worker chunk is retried and, past its retry "
-            "budget, recomputed in-process (default: supervisor's)"
-        ),
-    )
-    parser.add_argument(
-        "--data-plane",
-        default="auto",
-        choices=("auto", "shm", "pickle"),
-        help=(
-            "how graph data reaches pooled workers: shm publishes "
-            "shared-memory segments workers attach zero-copy, pickle "
-            "ships a payload per process; auto (default) prefers shm "
-            "and falls back to pickle when shared memory or numpy is "
-            "unavailable — identical results either way"
-        ),
-    )
-
-
-def _validated_workers(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers < 1:
-        raise ParameterError(
-            f"--workers must be a positive integer, got {workers}"
-        )
-    validate_pool_params(timeout=getattr(args, "timeout", None))
-    return workers
-
-
 def _parse_gain_batch(value: str):
     """``--gain-batch`` parser: ``"auto"`` or a positive lane count.
 
@@ -130,32 +80,11 @@ def _parse_gain_batch(value: str):
         ) from None
 
 
-def _parallel_skyline(
-    graph: Graph, args: argparse.Namespace
-) -> Optional[SkylineResult]:
-    """The precomputed skyline for ``group``/``clique`` when ``--workers`` asks
-    for the parallel engine; ``None`` means "let the runner compute it"."""
-    workers = _validated_workers(args)
-    if workers == 1:
-        return None
-    if args.no_skyline:
-        raise ParameterError(
-            "--workers accelerates the skyline computation; it cannot be "
-            "combined with --no-skyline"
-        )
-    return parallel_refine_sky(
-        graph,
-        workers=workers,
-        timeout=args.timeout,
-        data_plane=getattr(args, "data_plane", "auto"),
-    )
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.dataset:
         return load(args.dataset)
-    # load_graph sniffs the format: binary snapshots open O(1) via
-    # memmap, anything else parses as edge-list text.
+    # load_graph sniffs the format: binary snapshots open via memmap,
+    # anything else parses as edge-list text.
     return load_graph(args.edge_list)
 
 
@@ -194,69 +123,21 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _skyline_dispatch(
-    algorithm: str,
-    workers: int,
-    timeout: Optional[float],
-    data_plane: str = "auto",
-) -> tuple[str, dict]:
-    """Resolve ``--workers``/``--timeout``/``--data-plane`` into
-    (algorithm, options).
-
-    Shared by ``skyline`` and ``sweep``: ``workers > 1`` reroutes the
-    filter_refine family through the supervised parallel engine.
-    """
-    options: dict = {}
-    if algorithm == "filter_refine_parallel":
-        options["workers"] = workers
-        options["data_plane"] = data_plane
-        if timeout is not None:
-            options["timeout"] = timeout
-    elif workers != 1:
-        if algorithm == "auto":
-            # Same engine, the same kernel cutover decided parent-side.
-            options["refine"] = "auto"
-        elif algorithm == "filter_refine_bitset":
-            # Same engine, bitset kernel in the workers.
-            options["refine"] = "bitset"
-        elif algorithm == "filter_refine_block":
-            # Same engine, block-vectorized kernel in the workers.
-            options["refine"] = "block"
-        elif algorithm != "filter_refine":
-            raise ParameterError(
-                "--workers applies to auto and the filter_refine family, "
-                f"not {algorithm!r}"
-            )
-        algorithm = "filter_refine_parallel"
-        options["workers"] = workers
-        options["data_plane"] = data_plane
-        if timeout is not None:
-            options["timeout"] = timeout
-    return algorithm, options
-
-
 def _cmd_skyline(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     counters = SkylineCounters() if args.stats else None
-    workers = _validated_workers(args)
-    algorithm, options = _skyline_dispatch(
-        args.algorithm, workers, args.timeout, args.data_plane
-    )
-    if getattr(args, "word_budget", None) is not None:
+    algorithm, options = args.algorithm, {}
+    if args.word_budget is not None:
         # Boundary validation: a nonpositive budget is rejected here
         # with the full explanation instead of silently routing every
         # refine to the bloom fallback.
         from repro.graph.bitmatrix import validate_word_budget
 
         validate_word_budget(args.word_budget)
-        if algorithm not in (
-            "auto",
-            "filter_refine_bitset",
-            "filter_refine_parallel",
-        ):
+        if algorithm not in ("auto", "filter_refine_bitset"):
             raise ParameterError(
-                "--word-budget applies to auto, filter_refine_bitset or "
-                f"the parallel engine, not {algorithm!r}"
+                "--word-budget applies to auto or filter_refine_bitset, "
+                f"not {algorithm!r}"
             )
         options["word_budget"] = args.word_budget
     start = time.perf_counter()
@@ -291,53 +172,19 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
 
 def _cmd_group(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    workers = _validated_workers(args)
     lazy = args.strategy == "lazy"
-    # --workers accelerates the skyline precompute (parallel refine
-    # engine) and, under --strategy lazy, the first greedy round too —
-    # both on ONE warm EngineSession, so the pool is forked and the
-    # graph published once for the whole command.
-    precomputed: Optional[SkylineResult] = None
-    session = None
-    if workers > 1:
-        if args.no_skyline and not lazy:
-            raise ParameterError(
-                "--workers accelerates the skyline computation and the "
-                "lazy strategy's first greedy round; with --no-skyline "
-                "it requires --strategy lazy"
-            )
-        from repro.parallel import EngineSession
-
-        session = EngineSession(
-            graph,
-            workers=workers,
-            timeout=args.timeout,
-            data_plane=args.data_plane,
-        )
-    try:
-        if session is not None and not args.no_skyline:
-            precomputed = session.refine_sky()
-        if args.measure == "closeness":
-            run = base_gc if args.no_skyline else neisky_gc
-        else:
-            run = base_gh if args.no_skyline else neisky_gh
-        options = {
-            "strategy": args.strategy,
-            "workers": workers if lazy else 1,
-            "gain_batch": _parse_gain_batch(args.gain_batch),
-        }
-        if lazy and session is not None:
-            options["session"] = session
-        elif lazy and args.timeout is not None:
-            options["timeout"] = args.timeout
-        if precomputed is not None:
-            options["skyline"] = precomputed.skyline
-        start = time.perf_counter()
-        result = run(graph, args.k, **options)
-        elapsed = time.perf_counter() - start
-    finally:
-        if session is not None:
-            session.close()
+    if args.measure == "closeness":
+        run = base_gc if args.no_skyline else neisky_gc
+    else:
+        run = base_gh if args.no_skyline else neisky_gh
+    start = time.perf_counter()
+    result = run(
+        graph,
+        args.k,
+        strategy=args.strategy,
+        gain_batch=_parse_gain_batch(args.gain_batch),
+    )
+    elapsed = time.perf_counter() - start
     label = "Base" if args.no_skyline else "NeiSky"
     saved = (
         f", {result.evaluations_saved} saved by laziness" if lazy else ""
@@ -382,7 +229,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     measurements are reused, so a sweep killed at cell 7 of 9 restarts
     there and the final report matches the uninterrupted run's.
     """
-    workers = _validated_workers(args)
     if args.trials < 1:
         raise ParameterError(
             f"--trials must be a positive integer, got {args.trials}"
@@ -405,57 +251,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     resumed = 0
     for dataset in datasets:
         graph = load(dataset)
-        # One warm session per dataset: every parallel cell (across
-        # algorithms AND trials) reuses the same pool and published
-        # graph segments instead of re-forking per cell.
-        session = None
-        try:
-            for algorithm in algorithms:
-                run_algorithm, options = _skyline_dispatch(
-                    algorithm, workers, args.timeout, args.data_plane
+        for algorithm in algorithms:
+            for trial in range(args.trials):
+                cell = (
+                    journal.get(dataset, algorithm, trial)
+                    if journal is not None and args.resume
+                    else None
                 )
-                if run_algorithm == "filter_refine_parallel":
-                    if session is None:
-                        from repro.parallel import EngineSession
-
-                        session = EngineSession(
-                            graph,
-                            workers=options["workers"],
-                            timeout=args.timeout,
-                            data_plane=args.data_plane,
+                if cell is not None:
+                    resumed += 1
+                    size = cell.get("extra", {}).get("skyline_size")
+                    wall = cell.get("wall_s", 0.0)
+                else:
+                    start = time.perf_counter()
+                    result = neighborhood_skyline(graph, algorithm=algorithm)
+                    wall = time.perf_counter() - start
+                    size = result.size
+                    if journal is not None:
+                        journal.mark_done(
+                            dataset,
+                            algorithm,
+                            trial,
+                            wall_s=wall,
+                            skyline_size=size,
                         )
-                    options["session"] = session
-                for trial in range(args.trials):
-                    cell = (
-                        journal.get(dataset, algorithm, trial)
-                        if journal is not None and args.resume
-                        else None
-                    )
-                    if cell is not None:
-                        resumed += 1
-                        size = cell.get("extra", {}).get("skyline_size")
-                        wall = cell.get("wall_s", 0.0)
-                    else:
-                        start = time.perf_counter()
-                        result = neighborhood_skyline(
-                            graph, algorithm=run_algorithm, **options
-                        )
-                        wall = time.perf_counter() - start
-                        size = result.size
-                        if journal is not None:
-                            journal.mark_done(
-                                dataset,
-                                algorithm,
-                                trial,
-                                wall_s=wall,
-                                skyline_size=size,
-                            )
-                    rows.append(
-                        (dataset, algorithm, trial, size, f"{wall:.3f}")
-                    )
-        finally:
-            if session is not None:
-                session.close()
+                rows.append((dataset, algorithm, trial, size, f"{wall:.3f}"))
 
     print(
         format_table(
@@ -478,7 +298,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_server,
     )
 
-    workers = _validated_workers(args)
     fault_plan = None
     if args.chaos_seed is not None:
         # Serve-level chaos (harness runs): a seeded, reproducible
@@ -498,11 +317,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # A typo'd --chaos-kinds/--chaos-rate is a bad flag, not a
             # crash: surface it as the conventional `error: ...` exit.
             raise ParameterError(str(exc)) from exc
-    registry = GraphRegistry(
-        workers=workers,
-        data_plane=args.data_plane,
-        timeout=args.timeout,
-    )
+    registry = GraphRegistry()
     try:
         for spec_string in args.graph:
             entry = registry.register_spec(spec_string)
@@ -530,7 +345,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(
                 f"serving on http://{args.host}:{server.port} "
                 f"(queue={config.queue_capacity}, "
-                f"batch={config.batch_max}, workers={workers})",
+                f"batch={config.batch_max})",
                 flush=True,
             )
 
@@ -543,23 +358,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_clique(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    precomputed = _parallel_skyline(graph, args)
     start = time.perf_counter()
     if args.top_k == 1:
-        if args.no_skyline:
-            clique = mc_brb(graph)
-        else:
-            clique = neisky_mc(
-                graph,
-                skyline=None if precomputed is None else precomputed.skyline,
-            )
-        cliques = [clique]
+        cliques = [mc_brb(graph) if args.no_skyline else neisky_mc(graph)]
     elif args.no_skyline:
         cliques = base_topk_mcc(graph, args.top_k)
     else:
-        cliques = neisky_topk_mcc(
-            graph, args.top_k, skyline_result=precomputed
-        )
+        cliques = neisky_topk_mcc(graph, args.top_k)
     elapsed = time.perf_counter() - start
     label = "Base" if args.no_skyline else "NeiSky"
     print(f"{label} top-{args.top_k} maximum cliques ({elapsed:.3f}s):")
@@ -591,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cnv = sub.add_parser(
         "convert",
-        help="convert a graph to the binary memmap format (O(1) loads)",
+        help="convert a graph to the binary memmap format (no-parse loads)",
     )
     _add_graph_arguments(p_cnv)
     p_cnv.add_argument(
@@ -626,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the run falls back to the bloom kernel"
         ),
     )
-    _add_workers_argument(p_sky)
     p_sky.add_argument(
         "--stats", action="store_true", help="print work counters"
     )
@@ -681,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
             "scalar kernels — identical groups either way"
         ),
     )
-    _add_workers_argument(p_grp)
 
     p_stats = sub.add_parser(
         "stats", help="structural statistics of a graph"
@@ -725,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
             "recorded measurements"
         ),
     )
-    _add_workers_argument(p_swp)
 
     p_srv = sub.add_parser(
         "serve",
@@ -764,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help=(
-            "max same-graph requests dispatched per batch on the warm "
-            "session (default: 8)"
+            "max same-graph requests dispatched per batch "
+            "(default: 8)"
         ),
     )
     p_srv.add_argument(
@@ -856,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--chaos-kinds",
-        default="engine-exception,session-poison,slow,shm-attach-failure",
+        default="engine-exception,session-poison,slow",
         metavar="K1,K2,...",
         help="comma-separated serve fault kinds under --chaos-seed",
     )
@@ -867,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="injected hang duration when 'hang' is among --chaos-kinds",
     )
-    _add_workers_argument(p_srv)
 
     p_clq = sub.add_parser("clique", help="maximum clique search")
     _add_graph_arguments(p_clq)
@@ -879,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable skyline pruning (Base* variant)",
     )
-    _add_workers_argument(p_clq)
     return parser
 
 
@@ -902,10 +702,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
-        # Pooled workers are already dead: the supervisor's context
-        # manager terminates its pool on the way out, and workers
-        # ignore SIGINT so only the parent reports.  One line, no
-        # multiprocessing traceback, conventional 128+SIGINT code.
+        # One line, no traceback, conventional 128+SIGINT code.
         print(
             "interrupted: partial results discarded; checkpoint (if "
             "any) kept — rerun with --resume",

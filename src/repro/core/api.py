@@ -40,23 +40,11 @@ __all__ = [
     "neighborhood_skyline",
     "neighborhood_candidates",
     "group_centrality_maximize",
+    "EngineSession",
     "engine_session",
     "serve",
     "ALGORITHMS",
 ]
-
-
-def _parallel_refine_sky(graph: Graph, **options) -> SkylineResult:
-    """Deferred dispatch to :func:`repro.parallel.engine.parallel_refine_sky`.
-
-    The engine module imports :mod:`repro.core` internals, so a
-    module-level import here would close an import cycle that breaks
-    whichever package loads second; binding at call time keeps every
-    import order valid.
-    """
-    from repro.parallel.engine import parallel_refine_sky
-
-    return parallel_refine_sky(graph, **options)
 
 
 def auto_refine_sky(
@@ -69,8 +57,7 @@ def auto_refine_sky(
 
     Runs the filter phase once, then hands its output to the kernel
     :func:`~repro.core.block_refine.choose_refine_kernel` names for the
-    candidate count — the same cutover the parallel engine's
-    ``refine="auto"`` uses — so the result is bit-for-bit
+    candidate count, so the result is bit-for-bit
     :func:`~repro.core.filter_refine.filter_refine_sky`'s.
     ``word_budget`` bounds the bitset kernel's packed matrix as in
     :func:`~repro.core.bitset_refine.filter_refine_bitset_sky`.
@@ -110,14 +97,13 @@ def auto_refine_sky(
 
 
 #: Name → implementation for every skyline algorithm in the paper's Exp-1,
-#: plus the naive reference, the kernel variants, the ``"auto"`` default
-#: and the multi-worker refine engine.
+#: plus the naive reference, the kernel variants and the ``"auto"``
+#: default.
 ALGORITHMS: dict[str, Callable[..., SkylineResult]] = {
     "auto": auto_refine_sky,
     "filter_refine": filter_refine_sky,
     "filter_refine_bitset": filter_refine_bitset_sky,
     "filter_refine_block": filter_refine_block_sky,
-    "filter_refine_parallel": _parallel_refine_sky,
     "base": base_sky,
     "two_hop": base_two_hop_sky,
     "cset": base_cset_sky,
@@ -151,19 +137,16 @@ def neighborhood_skyline(
         past its word budget), ``"filter_refine_block"`` (the same
         result via the block-vectorized pivot kernel of
         :mod:`repro.core.block_refine` — the fastest on large candidate
-        sets, no bit matrix needed), ``"filter_refine_parallel"`` (the
-        same result computed with a multi-worker refine phase), ``"base"``
-        (BaseSky), ``"two_hop"`` (Base2Hop), ``"cset"`` (BaseCSet),
-        ``"lc_join"`` (the containment-join baseline) or ``"naive"``
-        (the quadratic reference).
+        sets, no bit matrix needed), ``"base"`` (BaseSky), ``"two_hop"``
+        (Base2Hop), ``"cset"`` (BaseCSet), ``"lc_join"`` (the
+        containment-join baseline) or ``"naive"`` (the quadratic
+        reference).
     counters:
         Optional :class:`SkylineCounters` to collect work statistics.
     options:
         Algorithm-specific keywords, e.g. ``bloom_bits`` / ``seed`` /
-        ``exact`` for ``"filter_refine"`` and ``"two_hop"``,
-        ``word_budget`` for ``"auto"`` and ``"filter_refine_bitset"``, or
-        ``workers`` / ``chunk_size`` / ``refine`` for
-        ``"filter_refine_parallel"``.
+        ``exact`` for ``"filter_refine"`` and ``"two_hop"``, or
+        ``word_budget`` for ``"auto"`` and ``"filter_refine_bitset"``.
 
     >>> from repro.graph.generators import complete_graph
     >>> neighborhood_skyline(complete_graph(5)).skyline
@@ -179,28 +162,64 @@ def neighborhood_skyline(
     return impl(graph, counters=counters, **options)
 
 
-def engine_session(graph: Graph, **options):
-    """A warm :class:`~repro.parallel.session.EngineSession` for ``graph``.
+class EngineSession:
+    """One graph and its lazily computed default skyline.
 
-    The session owns one worker pool and (on the shared-memory data
-    plane) one published CSR snapshot; repeated
-    ``session.refine_sky(...)`` / ``session.greedy_maximize(...)``
-    calls — or explicit ``session=`` passes to the pooled engines —
-    reuse both, so only the first call pays fork + publish.  Use as a
-    context manager, or call ``close()`` yourself:
+    Graphs are immutable, so the first :meth:`refine_sky` runs
+    :func:`neighborhood_skyline` with ``algorithm="auto"`` and every
+    later call returns that same :class:`SkylineResult`.  ``counters``
+    are filled by the first computation only; a cache hit does no work
+    to count.  :meth:`close` drops the cache (the next call recomputes).
+    Use as a context manager, or call ``close()`` yourself:
 
-        with engine_session(graph, workers=4) as session:
+        with engine_session(graph) as session:
             sky = session.refine_sky()
-            grp = session.greedy_maximize(8, objective)
-
-    ``options`` are :class:`EngineSession`'s keywords (``workers``,
-    ``data_plane``, ``chunk_size``, ``timeout``, ``max_retries``,
-    ``fault_plan``, ``seed``).  Imported lazily for the same
-    import-cycle reason as :func:`_parallel_refine_sky`.
     """
-    from repro.parallel.session import EngineSession
 
-    return EngineSession(graph, **options)
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._skyline: Optional[SkylineResult] = None
+
+    @property
+    def cached(self) -> bool:
+        """``True`` once the skyline has been computed (until close)."""
+        return self._skyline is not None
+
+    def refine_sky(
+        self, *, counters: Optional[SkylineCounters] = None
+    ) -> SkylineResult:
+        """The graph's default skyline, computed on the first call."""
+        if self._skyline is None:
+            self._skyline = neighborhood_skyline(self.graph, counters=counters)
+        return self._skyline
+
+    def close(self) -> None:
+        """Drop the cached skyline.  Idempotent."""
+        self._skyline = None
+
+    def __enter__(self) -> "EngineSession":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def validate_workers(workers: int) -> None:
+    """Accept only ``workers=1``: every engine runs in-process."""
+    if workers != 1:
+        raise ParameterError(
+            f"workers must be 1, got {workers!r}: every engine runs "
+            "in-process"
+        )
+
+
+def engine_session(graph: Graph, *, workers: int = 1) -> EngineSession:
+    """An :class:`EngineSession` (a per-graph skyline cache) for ``graph``.
+
+    ``workers`` is accepted for compatibility and must be ``1``.
+    """
+    validate_workers(workers)
+    return EngineSession(graph)
 
 
 def serve(
@@ -208,9 +227,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8321,
-    workers: int = 1,
-    data_plane: str = "auto",
-    timeout: Optional[float] = None,
     queue_capacity: int = 64,
     batch_max: int = 8,
     request_timeout_s: Optional[float] = 30.0,
@@ -226,19 +242,19 @@ def serve(
 
     ``graphs`` is an iterable of spec strings — a registry dataset name
     (``"karate"``) or ``alias=path`` for an edge-list file.  Each graph
-    gets one warm :func:`engine_session`; ``skyline`` / ``group`` /
+    gets one :class:`EngineSession` skyline cache; ``skyline`` / ``group`` /
     ``clique`` queries are served over HTTP through a bounded priority
     queue with per-request deadlines and 429 backpressure.  The server
     is self-healing: a per-query watchdog (``query_deadline_s``) and
     per-graph circuit breakers (``breaker_threshold`` /
-    ``breaker_cooldown_s``) rebuild failed warm sessions (up to
+    ``breaker_cooldown_s``) rebuild failed sessions (up to
     ``max_session_rebuilds`` per graph) and degrade one broken graph —
     cached skyline marked ``degraded: true`` when ``degraded_cache`` —
     without touching the others.  ``fault_plan`` injects a
     :class:`~repro.harness.faults.ServeFaultPlan` for chaos harness
     runs.  See :mod:`repro.serve` and ``docs/serving.md``; the CLI
     equivalent is ``repro serve``.  Returns the process exit code.
-    Imported lazily — the serving layer pulls in the parallel stack.
+    Imported lazily: the serving layer imports this module.
     """
     from repro.serve import (
         GraphRegistry,
@@ -247,9 +263,7 @@ def serve(
         run_server,
     )
 
-    registry = GraphRegistry(
-        workers=workers, data_plane=data_plane, timeout=timeout
-    )
+    registry = GraphRegistry()
     try:
         for spec in graphs:
             registry.register_spec(spec)
@@ -291,10 +305,6 @@ def group_centrality_maximize(
     use_skyline: bool = True,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "eager",
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    data_plane: str = "auto",
-    session=None,
     gain_batch="auto",
 ):
     """One-call dispatcher for the Sec. IV group-centrality applications.
@@ -313,21 +323,11 @@ def group_centrality_maximize(
     skyline:
         Precomputed skyline to reuse when ``use_skyline`` (``None``
         computes it with FilterRefineSky).
-    strategy / workers:
+    strategy:
         Greedy schedule: ``"eager"`` is the reference driver,
         ``"lazy"`` the CELF engine of
         :mod:`repro.centrality.lazy_greedy` — identical output, fewer
-        evaluations — with ``workers`` fanning its first round over a
-        process pool.
-    timeout:
-        Per-chunk deadline (seconds) of the round-0 pool's supervisor;
-        ``None`` uses the supervisor default.  Recovery never changes
-        the result.
-    data_plane / session:
-        Data plane for the round-0 fan-out and an optional warm
-        :func:`engine_session` to run it on — see
-        :func:`~repro.parallel.engine.parallel_refine_sky` for the
-        plane semantics.  Identical output either way.
+        evaluations.
     gain_batch:
         Marginal-gain lanes per batched evaluation-kernel call:
         ``"auto"`` (the default) sizes from ``n`` and the candidate
@@ -338,16 +338,13 @@ def group_centrality_maximize(
 
     Returns a :class:`~repro.centrality.greedy.GreedyResult`.  Imported
     lazily: :mod:`repro.centrality` itself imports core modules.
-
-    Pool parameters are validated here, at the API boundary, so a bad
+    ``gain_batch`` is validated here, at the API boundary, so a bad
     value raises :class:`~repro.errors.ParameterError` before any graph
-    work (or pool fork) happens.
+    work happens.
     """
     from repro.centrality import base_gc, base_gh, neisky_gc, neisky_gh
-    from repro.parallel.params import validate_pool_params
     from repro.paths.csr import validate_gain_batch
 
-    validate_pool_params(workers=workers, timeout=timeout)
     validate_gain_batch(gain_batch)
     if measure == "closeness":
         base_run, sky_run = base_gc, neisky_gc
@@ -363,10 +360,6 @@ def group_centrality_maximize(
             graph,
             k,
             strategy=strategy,
-            workers=workers,
-            timeout=timeout,
-            data_plane=data_plane,
-            session=session,
             gain_batch=gain_batch,
         )
     return sky_run(
@@ -374,9 +367,5 @@ def group_centrality_maximize(
         k,
         skyline=skyline,
         strategy=strategy,
-        workers=workers,
-        timeout=timeout,
-        data_plane=data_plane,
-        session=session,
         gain_batch=gain_batch,
     )

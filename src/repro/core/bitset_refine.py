@@ -139,10 +139,9 @@ def density_prefers_bloom(num_candidates: int, num_vertices: int) -> bool:
 class BitsetScanContext:
     """Shared lookup state for bitset refine scans.
 
-    Built once per pass (or once per worker process) from the graph,
-    the filter-phase output and the packed matrix; the scan functions
-    (:func:`bitset_refine_pass` here, the status/witness scans in
-    :mod:`repro.parallel.worker`) only read it.  ``cand_groups[v]``
+    Built once per pass from the graph, the filter-phase output and the
+    packed matrix; :func:`bitset_refine_pass` only reads it.
+    ``cand_groups[v]``
     holds the candidate members of ``N(v)`` as pre-bundled triples
     ``(w, deg(w), ~row_w)`` — everything the inner loop touches —
     built in one edge pass over the candidate set (ascending-ID order
@@ -176,9 +175,8 @@ class BitsetScanContext:
         self.graph = graph
         n = graph.num_vertices
         neighbors = graph.neighbors
-        # degrees() rather than len(neighbors()): on a lazy CSR view
-        # (shared-memory workers) it reads indptr without materializing
-        # every adjacency row.
+        # degrees() rather than len(neighbors()): on a CSRGraph it
+        # reads indptr without materializing every adjacency row.
         deg = graph.degrees()
         self.deg = deg
         self.row_int = matrix.int_rows()

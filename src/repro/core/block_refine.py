@@ -22,16 +22,25 @@ vectorized ``searchsorted`` of the keys ``w·n + x``, ``x ∈ N(u)``, in
 the sorted CSR edge keys ``row·n + col``.  A pivot row lists each
 vertex once, so no pair is tested twice.
 
-Output equivalence reuses the two-pass decomposition proved in
-:mod:`repro.parallel.worker` verbatim:
+The sequential refine loop of Alg. 3 looks order-dependent — it skips
+potential dominators ``w`` already refine-dominated — but the
+dependence is shallow, and the kernel splits refine into two passes
+that reproduce the sequential output bit for bit:
 
 1. **Status pass** — which candidates are dominated, testing against
-   the frozen filter-phase dominator state only.  Settlement per pair
-   is the scalar rule, evaluated as masks: strict domination
-   (``deg(w) > deg(u)``) or mutual inclusion lost on the Def. 2 ID
-   tie-break (``w < u``).
+   the frozen filter-phase dominator state only.  Skipping a
+   refine-dominated ``w`` is work avoidance, never a correctness
+   requirement (a pair that passes the test certifies a genuine
+   domination whatever ``w``'s own status), and this pass tests a
+   superset of the sequential scan's pairs, so the dominated *set*
+   equals the sequential one.  Settlement per pair is the scalar rule,
+   evaluated as masks: strict domination (``deg(w) > deg(u)``) or
+   mutual inclusion lost on the Def. 2 ID tie-break (``w < u``).
 2. **Witness pass** — for each dominated candidate, the exact entry
-   the sequential scan would have written: the *first* settling ``w``
+   the sequential scan would have written.  When the sequential loop
+   reaches ``u``, every candidate below ``u`` has its final status, so
+   that entry is a pure function of the status-pass output: the
+   *first* settling ``w``
    in scan order (``v`` ascending in ``N(u)``, ``w`` ascending within
    each ``N(v)``) under the sequential skip predicate "``w``
    filter-dominated, or ``w < u`` and refine-dominated".  Every
@@ -62,10 +71,10 @@ full 2-hop meaning — every ``(v, w)`` visit a status or witness scan of
 the whole 2-hop neighborhood would skip — but are computed without that
 scan, from per-row degree-sorted prefix counts (one ``searchsorted``
 per visited row); uninstrumented runs skip that arithmetic.
-``vertices_examined`` and ``dominations_found`` match the parallel
-bloom/bitset totals exactly; the skip tallies never undercount the
-sequential scan's.  ``bloom_*`` and ``nbr_checks`` stay zero.  Totals
-are deterministic for any chunking.
+``vertices_examined`` and ``dominations_found`` count one visit per
+candidate and one per domination; the skip tallies never undercount
+the sequential scan's.  ``bloom_*`` and ``nbr_checks`` stay zero.
+Totals are deterministic for any block size.
 """
 
 from __future__ import annotations
@@ -180,9 +189,8 @@ def _pivots(indptr, indices, deg, n: int):
 class BlockRefineContext:
     """Shared ndarray state for block refine scans.
 
-    Built once per pass (or per worker process) from the graph, the
-    frozen filter-phase output and the core numbers; the chunk scans
-    only read it (apart from the lazily installed witness flags and
+    Built once per pass from the graph, the frozen filter-phase output
+    and the core numbers; the block scans only read it (apart from the lazily installed witness flags and
     counter keys, which are themselves frozen once set).
     """
 

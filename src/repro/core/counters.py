@@ -82,19 +82,6 @@ class SkylineCounters:
             else:
                 setattr(self, f.name, 0)
 
-    def merge_dict(self, delta: dict[str, int]) -> None:
-        """Add a counter snapshot (e.g. a worker's :meth:`as_dict`) in place.
-
-        Known counter fields accumulate; unknown keys accumulate into
-        :attr:`extra`, so schedulers can report quantities the core
-        schema does not know about without breaking the merge.
-        """
-        for key, value in delta.items():
-            if key in _COUNTER_FIELDS:
-                setattr(self, key, getattr(self, key) + value)
-            else:
-                self.extra[key] = self.extra.get(key, 0) + value
-
 
 #: Integer counter fields, i.e. everything except ``extra``.
 _COUNTER_FIELDS = frozenset(

@@ -30,20 +30,6 @@ class ParameterError(ReproError):
     """
 
 
-class RecoveryError(ReproError):
-    """A supervised parallel run could not be recovered.
-
-    The pool supervisor (:mod:`repro.parallel.supervisor`) retries
-    failed chunks and, once a chunk's retry budget is exhausted,
-    re-runs it sequentially in-process.  That fallback is the last
-    line of defense: if it *also* raises, the run cannot produce a
-    correct result and this error is raised, chaining the fallback's
-    exception.  Worker crashes, hangs, corrupt payloads and worker
-    exceptions alone never surface as ``RecoveryError`` — they are
-    absorbed by retry and fallback.
-    """
-
-
 class DatasetNotFoundError(ReproError, KeyError):
     """An unknown dataset name was requested from the workload registry."""
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSRGraphView", "Graph"]
+__all__ = ["Graph"]
 
 
 class Graph:
@@ -107,13 +107,11 @@ class Graph:
 
         Both are ``array('q')`` (signed 64-bit) buffers: neighbors of
         vertex ``u`` are ``indices[indptr[u]:indptr[u+1]]``, sorted.
-        Arrays pickle as flat bytes, so a CSR snapshot is the cheap way
-        to ship a graph to worker processes — :meth:`from_csr` restores
-        an equal :class:`Graph` on the other side.
+        :meth:`from_csr` restores an equal :class:`Graph`.
 
         The snapshot is memoized: graphs are immutable, so the first
-        call builds it and every later call (each parallel run, each
-        session publish) returns the **same** array pair.  Callers must
+        call builds it and every later call returns the **same** array
+        pair.  Callers must
         treat the returned arrays as read-only — the graph contract,
         extended to its snapshot.
 
@@ -271,107 +269,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
-
-
-class CSRGraphView(Graph):
-    """A :class:`Graph` reading straight from borrowed CSR buffers.
-
-    Built by shared-memory workers over attached ``(indptr, indices)``
-    views (:mod:`repro.parallel.shm`): no adjacency lists are copied at
-    construction.  ``degree`` is O(1) from ``indptr``; ``neighbors``
-    materializes a row on first touch and caches it in the ordinary
-    ``_adj`` slot, so a refine scan only ever pays for the rows it
-    visits — on a chunked worker that is a fraction of the graph —
-    while repeated visits run on plain lists exactly like the base
-    class.  Rows are identical to ``Graph.from_csr``'s, so every
-    algorithm and equivalence proof carries over unchanged.
-
-    The buffers are borrowed, not owned: whoever attached them must
-    keep them mapped for the view's lifetime (worker module state does).
-    Whole-graph operations (``edges``, ``induced_subgraph``, equality,
-    hashing, ``to_csr``) materialize every row first and then defer to
-    the base class.
-    """
-
-    __slots__ = ("_indptr", "_indices", "_np_arrays")
-
-    def __init__(self, indptr, indices):
-        n = len(indptr) - 1
-        super().__init__([None] * n, len(indices) // 2)
-        self._indptr = indptr
-        self._indices = indices
-        self._np_arrays = None
-
-    def degree(self, u: int) -> int:
-        return self._indptr[u + 1] - self._indptr[u]
-
-    def degrees(self) -> list[int]:
-        indptr = self._indptr
-        return [
-            indptr[u + 1] - indptr[u] for u in range(len(self._adj))
-        ]
-
-    def neighbors(self, u: int) -> Sequence[int]:
-        row = self._adj[u]
-        if row is None:
-            indptr = self._indptr
-            row = tuple(self._indices[indptr[u] : indptr[u + 1]])
-            self._adj[u] = row
-        return row
-
-    def csr_arrays(self):
-        """The borrowed buffers wrapped as zero-copy ndarrays.
-
-        Requires numpy (callers on the array substrate are already
-        numpy-gated); the wrappers are built once and cached.
-        """
-        if self._np_arrays is None:
-            import numpy as np
-
-            self._np_arrays = (
-                np.asarray(self._indptr),
-                np.asarray(self._indices),
-            )
-        return self._np_arrays
-
-    def neighbors_array(self, u: int):
-        """``N(u)`` as a zero-copy slice of the borrowed indices buffer."""
-        indptr, indices = self.csr_arrays()
-        return indices[indptr[u] : indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if self.degree(u) <= self.degree(v) else (v, u)
-        nbrs = self.neighbors(a)
-        i = bisect_left(nbrs, b)
-        return i < len(nbrs) and nbrs[i] == b
-
-    def closed_neighborhood(self, u: int) -> list[int]:
-        self.neighbors(u)
-        return super().closed_neighborhood(u)
-
-    def _materialize(self) -> None:
-        for u in range(len(self._adj)):
-            if self._adj[u] is None:
-                self.neighbors(u)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        self._materialize()
-        return super().edges()
-
-    def induced_subgraph(
-        self, vertices: Iterable[int]
-    ) -> tuple["Graph", list[int]]:
-        self._materialize()
-        return super().induced_subgraph(vertices)
-
-    def to_csr(self) -> tuple[array, array]:
-        self._materialize()
-        return super().to_csr()
-
-    def __eq__(self, other: object) -> bool:
-        self._materialize()
-        return super().__eq__(other)
-
-    def __hash__(self) -> int:
-        self._materialize()
-        return super().__hash__()

@@ -1,12 +1,12 @@
-"""On-disk binary CSR graph format with O(1) memmap loading.
+"""On-disk binary CSR graph format with memmap loading.
 
 Text edge lists cost a full parse — integer conversion, dedup, CSR
 assembly — every time a graph is opened.  For the million-edge workload
 tier that parse dominates end-to-end benchmark time, so converted
 graphs are stored as raw CSR bytes that :func:`read_binary_graph` maps
 straight into a :class:`~repro.graph.csr.CSRGraph` via ``np.memmap``:
-opening is O(1), and pages are faulted in lazily as algorithms touch
-rows.
+opening costs no parse and no copy, only one vectorized validation pass
+over the arrays.
 
 Layout (all fields little-endian)::
 
@@ -20,12 +20,14 @@ Layout (all fields little-endian)::
 
 The arrays are exactly the ``int32`` snapshot :meth:`~repro.graph.csr.
 CSRGraph.csr_arrays` exposes, so ``write → read`` round-trips to an
-identical graph and a memmap-loaded graph feeds the shared-memory data
-plane, the vectorized filter phase and the traversal kernels without
-any conversion.
+identical graph and a memmap-loaded graph feeds the vectorized filter
+phase, the refine kernels and the traversal kernels without any
+conversion.
 
 Every load validates the magic, version, declared counts and the file
-size they imply; a truncated or corrupted file raises
+size they imply, that ``indptr`` runs from 0 to ``2m`` without
+decreasing, and that every index names a vertex in ``[0, n)``; a
+truncated or corrupted file raises
 :class:`~repro.errors.GraphFormatError` naming the path and the
 specific mismatch, never a numpy shape error downstream.
 """
@@ -116,8 +118,10 @@ def read_binary_graph(path: PathLike) -> CSRGraph:
     """Open a binary graph as a memmap-backed :class:`CSRGraph`.
 
     The arrays are read-only ``np.memmap`` views — nothing is copied at
-    open time, and the OS pages data in on demand.  The returned graph
-    keeps the mapping alive for its lifetime.
+    open time.  Validation reads both arrays once (linear in the file,
+    a few milliseconds per million edges); the OS pages the data in
+    on demand.  The returned graph keeps the mapping alive for its
+    lifetime.
     """
     _require_numpy("reading a binary graph")
     label = os.fspath(path)
@@ -173,5 +177,22 @@ def read_binary_graph(path: PathLike) -> CSRGraph:
             f"{label}: indptr endpoints ({int(indptr[0])}, "
             f"{int(indptr[n])}) do not match the declared 2m={2 * m} — "
             "corrupt index"
+        )
+    # One vectorized pass over each array (about 2 ms per million
+    # indices): every row range must be well-formed and every neighbor
+    # a vertex, or the kernels would index out of bounds — or, for a
+    # negative ID, silently wrap around and answer.
+    drops = _np.flatnonzero(_np.diff(indptr) < 0)
+    if drops.size:
+        u = int(drops[0])
+        raise GraphFormatError(
+            f"{label}: indptr decreases at vertex {u} "
+            f"({int(indptr[u])} > {int(indptr[u + 1])}) — corrupt index"
+        )
+    if m and (int(indices.min()) < 0 or int(indices.max()) >= n):
+        pos = int(_np.flatnonzero((indices < 0) | (indices >= n))[0])
+        raise GraphFormatError(
+            f"{label}: neighbor index {int(indices[pos])} at entry {pos} "
+            f"is outside [0, {n}) — corrupt index"
         )
     return CSRGraph.from_arrays(indptr, indices)

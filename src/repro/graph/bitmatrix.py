@@ -33,7 +33,6 @@ back to the bloom path.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ParameterError
@@ -118,9 +117,8 @@ def validate_word_budget(word_budget: Optional[int]) -> int:
 class CandidateBitMatrix:
     """Adjacency rows of selected vertices, packed 64 neighbors per word.
 
-    Build with :meth:`from_graph` (packs via ``np.packbits``) or
-    :meth:`from_payload` (rebuilds a zero-copy view on a snapshot
-    shipped to a worker process).  Rows are indexed by *vertex id*
+    Build with :meth:`from_graph` (packs via ``np.packbits``).  Rows
+    are indexed by *vertex id*
     through an internal position map; only the vertices the matrix was
     built for have rows.
     """
@@ -133,7 +131,7 @@ class CandidateBitMatrix:
         vertices: Sequence[int],
         rows,  # np.ndarray[(k, words), uint64]
     ):
-        # Not part of the public API: use from_graph / from_payload.
+        # Not part of the public API: use from_graph.
         self.num_vertices = num_vertices
         self.vertices = tuple(vertices)
         self.rows = rows
@@ -207,55 +205,6 @@ class CandidateBitMatrix:
                 )
                 rows[lo : lo + len(chunk)] = packed.view(_np.uint64)
         return cls(n, verts, rows)
-
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "CandidateBitMatrix":
-        """Rebuild a matrix from a :meth:`to_payload` snapshot.
-
-        The row data is wrapped in a read-only ``np.frombuffer`` view —
-        workers rebuild *views*, never re-pack rows.
-        """
-        num_vertices, vertices, raw = payload
-        return cls.from_buffer(num_vertices, vertices, raw)
-
-    @classmethod
-    def from_buffer(
-        cls, num_vertices: int, vertices: Sequence[int], raw
-    ) -> "CandidateBitMatrix":
-        """Wrap any buffer of packed row words, zero-copy.
-
-        ``raw`` may be ``bytes`` (a pickled payload) or a live
-        :class:`memoryview` over a shared-memory segment
-        (:func:`repro.parallel.shm.attach_view`) — either way the rows
-        are ``np.frombuffer`` views and the caller's buffer must outlive
-        the matrix.
-        """
-        if not HAVE_NUMPY:
-            raise ParameterError(
-                "CandidateBitMatrix requires numpy; gate on "
-                "repro.graph.bitmatrix.HAVE_NUMPY before building"
-            )
-        verts = tuple(vertices)
-        words = words_for_vertices(num_vertices)
-        nbytes = memoryview(raw).nbytes
-        if nbytes != len(verts) * words * 8:
-            raise ParameterError(
-                f"bit-matrix payload holds {nbytes} bytes; expected "
-                f"{len(verts) * words * 8} for {len(verts)} rows of "
-                f"{words} words"
-            )
-        rows = _np.frombuffer(raw, dtype=_np.uint64).reshape(
-            len(verts), words
-        )
-        return cls(num_vertices, verts, rows)
-
-    def to_payload(self) -> tuple:
-        """A pickle-cheap snapshot: ``(n, vertex ids, raw row bytes)``."""
-        return (
-            self.num_vertices,
-            array("q", self.vertices),
-            self.rows.tobytes(),
-        )
 
     # ------------------------------------------------------------------
     # Row access

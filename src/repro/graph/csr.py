@@ -9,14 +9,12 @@ unchanged.  What the array backing buys:
   wraps existing buffers (including ``np.memmap`` views of the on-disk
   binary format, :mod:`repro.graph.binfmt`) without copying;
   :meth:`~repro.graph.adjacency.Graph.to_csr` returns the same arrays
-  back, zero-copy, which is exactly what the shared-memory data plane
-  publishes to workers.
+  back, zero-copy.
 * **Vectorized whole-graph scans** — ``degrees()`` is one ``np.diff``,
   and the filter phase (:mod:`repro.core.filter_phase`) runs its bulk
   neighborhood-inclusion pretests directly over :meth:`csr_arrays`.
 * **List-speed scalar loops** — ``neighbors(u)`` materializes a row
-  into a plain tuple on first touch and caches it (the
-  :class:`~repro.graph.adjacency.CSRGraphView` pattern), so the
+  into a plain tuple on first touch and caches it, so the
   refine/clique/greedy inner loops never pay numpy's per-element boxing
   cost.
 

@@ -10,8 +10,8 @@ draws its datasets from plus the package's own binary snapshots:
   via the ``comment`` and ``base`` parameters; :func:`read_konect` is the
   preconfigured convenience wrapper.
 * **Binary CSR snapshots** (:mod:`repro.graph.binfmt`): raw
-  ``indptr``/``indices`` bytes behind a magic header, opened O(1) via
-  ``np.memmap``.  :func:`load_graph` sniffs the magic and routes to the
+  ``indptr``/``indices`` bytes behind a magic header, opened via
+  ``np.memmap`` with no parse.  :func:`load_graph` sniffs the magic and routes to the
   right reader, so callers never name the format.
 
 Vertex IDs in a file may be sparse (e.g. ``{3, 17, 90}``); by default they
@@ -196,7 +196,7 @@ def read_konect(source: PathOrFile, **kwargs) -> Graph:
 def load_graph(source: PathOrFile, **kwargs) -> Graph:
     """Load a graph from any supported on-disk format, auto-detected.
 
-    Paths whose first bytes carry the binary magic open O(1) through
+    Paths whose first bytes carry the binary magic open through
     :func:`~repro.graph.binfmt.read_binary_graph` (``kwargs`` would be
     meaningless there and are rejected); everything else — including
     open file objects — parses as edge-list text with ``kwargs``

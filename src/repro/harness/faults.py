@@ -1,174 +1,34 @@
-"""Deterministic fault injection for the pooled engines.
+"""Deterministic fault injection for the serving layer.
 
-Chaos testing a process pool is only useful if the chaos is
-reproducible: a CI failure under "worker crashed on chunk 3" must
-replay identically on a laptop.  This module provides that as data,
-not monkeypatching — a :class:`FaultPlan` is a picklable map from
-``(chunk_id, attempt)`` to a fault kind, shipped to every worker
-through the pool initializer (the supervisor composes it in front of
-the engine's own initializer).  At the top of each supervised chunk
-the worker consults the installed plan and, if the cell matches,
-misbehaves on purpose:
-
-``"crash"``
-    ``os._exit(66)`` — the process dies without cleanup, exactly like
-    a segfault; the supervisor sees a broken pool.
-``"hang"``
-    sleep for :attr:`FaultPlan.hang_seconds` — the chunk blows its
-    deadline and the supervisor must kill the pool to reclaim it.
-``"slow"``
-    sleep for :attr:`FaultPlan.slow_seconds`, then compute normally —
-    latency jitter that must *not* trigger recovery under a sane
-    deadline.
-``"corrupt"``
-    return :data:`CORRUPT_PAYLOAD` instead of the real result — the
-    supervisor's schema validation must reject it.
-``"oom"``
-    raise :class:`MemoryError` — an in-worker allocation failure; the
-    pool survives, the chunk is retried.
-
-Keying on ``(chunk_id, attempt)`` is what makes recovery testable:
-``{(3, 0): "crash"}`` crashes chunk 3's first attempt and lets the
-retry succeed, while ``{(3, a): "oom" for a in range(9)}`` exhausts
-the retry budget and forces the sequential fallback.  Either way the
-final skyline/group is bit-for-bit the sequential one — that is the
-supervisor's contract, and the chaos suite asserts it.
+Chaos testing a server is only useful if the chaos is reproducible: a
+CI failure under "the third query on graph ``g`` raised" must replay
+identically on a laptop.  A :class:`ServeFaultPlan` is that schedule as
+data — a map from ``(graph, dispatch_index)`` to a fault kind that the
+serving supervisor (:mod:`repro.serve.supervision`) consults on the
+engine thread each time it dispatches a query.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from random import Random
 from typing import Mapping, Optional
 
-__all__ = [
-    "CORRUPT_PAYLOAD",
-    "FAULT_KINDS",
-    "SERVE_FAULT_KINDS",
-    "FaultPlan",
-    "ServeFaultPlan",
-    "active_fault",
-    "install_fault_plan",
-    "perform_fault",
-]
+__all__ = ["SERVE_FAULT_KINDS", "ServeFaultPlan"]
 
-#: Every fault kind a plan may inject.
-FAULT_KINDS = ("crash", "hang", "slow", "corrupt", "oom")
-
-#: What a "corrupt" worker returns: a payload no chunk schema accepts.
-CORRUPT_PAYLOAD = "\x00corrupt-worker-payload\x00"
-
-#: Returned by :func:`perform_fault` when the caller must substitute
-#: :data:`CORRUPT_PAYLOAD` for the real result.
-_RETURN_CORRUPT = object()
-
-
-class FaultPlan:
-    """A reproducible schedule of worker faults.
-
-    ``faults`` maps ``(chunk_id, attempt)`` to a kind from
-    :data:`FAULT_KINDS`.  Instances are immutable in spirit, cheap to
-    pickle (plain dict + two floats) and compare/repr by content so
-    test parametrization stays readable.
-    """
-
-    __slots__ = ("faults", "slow_seconds", "hang_seconds")
-
-    def __init__(
-        self,
-        faults: Mapping[tuple[int, int], str],
-        *,
-        slow_seconds: float = 0.05,
-        hang_seconds: float = 30.0,
-    ):
-        for cell, kind in faults.items():
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} at {cell}; choose "
-                    f"from {FAULT_KINDS}"
-                )
-        self.faults = dict(faults)
-        self.slow_seconds = slow_seconds
-        self.hang_seconds = hang_seconds
-
-    @classmethod
-    def single(cls, kind: str, chunk_id: int = 0, attempt: int = 0, **kw):
-        """A plan injecting one fault into one attempt of one chunk."""
-        return cls({(chunk_id, attempt): kind}, **kw)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        max_chunks: int = 64,
-        max_attempts: int = 2,
-        rate: float = 0.25,
-        kinds: tuple[str, ...] = ("crash", "slow", "corrupt", "oom"),
-        **kw,
-    ) -> "FaultPlan":
-        """A random-but-reproducible plan drawn from ``seed``.
-
-        Hangs are excluded by default: property tests sweep many seeds
-        and a hang costs a full deadline each time it fires.
-        """
-        rng = Random(seed)
-        faults = {
-            (chunk, attempt): rng.choice(kinds)
-            for chunk in range(max_chunks)
-            for attempt in range(max_attempts)
-            if rng.random() < rate
-        }
-        return cls(faults, **kw)
-
-    def fault_for(self, chunk_id: int, attempt: int) -> Optional[str]:
-        """The fault scheduled for this ``(chunk, attempt)`` cell, if any."""
-        return self.faults.get((chunk_id, attempt))
-
-    # Pickle support for __slots__ (no __dict__ to fall back on).
-    def __getstate__(self):
-        return (self.faults, self.slow_seconds, self.hang_seconds)
-
-    def __setstate__(self, state):
-        self.faults, self.slow_seconds, self.hang_seconds = state
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FaultPlan)
-            and self.__getstate__() == other.__getstate__()
-        )
-
-    def __repr__(self):
-        return (
-            f"FaultPlan({self.faults!r}, "
-            f"slow_seconds={self.slow_seconds}, "
-            f"hang_seconds={self.hang_seconds})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Serve-level faults (the serving layer's chaos harness)
-# ----------------------------------------------------------------------
-
-#: Fault kinds the *serving* layer can inject, one level above the
-#: worker-pool kinds: these fire on the engine thread, at the moment a
-#: query is dispatched onto a graph's warm session.
+#: Fault kinds the serving layer can inject: these fire on the engine
+#: thread, at the moment a query is dispatched onto a graph's session.
 SERVE_FAULT_KINDS = (
     "engine-exception",
     "session-poison",
     "hang",
     "slow",
-    "shm-attach-failure",
 )
 
 
 class ServeFaultPlan:
     """A reproducible schedule of serving-layer faults.
 
-    Where :class:`FaultPlan` keys on ``(chunk_id, attempt)`` inside one
-    pooled call, a serve plan keys on ``(graph, dispatch_index)`` —
-    the *n*-th time the engine thread dispatches a query for ``graph``
+    A plan keys on ``(graph, dispatch_index)`` — the *n*-th time the engine thread dispatches a query for ``graph``
     (retries consume indices too, so a fault on attempt 0 followed by a
     clean retry is the cell ``(g, 0): kind`` with ``(g, 1)`` absent).
     ``(graph, None)`` is a wildcard matching every dispatch of that
@@ -180,18 +40,15 @@ class ServeFaultPlan:
         raise ``RuntimeError`` before the query runs — an uncaught
         engine bug.
     ``"session-poison"``
-        tear the graph's warm :class:`~repro.parallel.session.
-        EngineSession` down out from under the query, then raise — a
-        leaked/poisoned session the supervisor must rebuild.
+        tear the graph's :class:`~repro.core.api.EngineSession` down
+        (dropping its cached skyline) out from under the query, then
+        raise — a poisoned session the supervisor must rebuild.
     ``"hang"``
         sleep :attr:`hang_seconds` before running — meant to blow the
         per-query deadline so the watchdog abandons the query.
     ``"slow"``
         sleep :attr:`slow_seconds`, then run normally — latency jitter
         that must *not* trip recovery under a sane deadline.
-    ``"shm-attach-failure"``
-        raise ``OSError`` as a worker failing to map a published
-        segment would — infrastructure failure, session rebuilt.
     """
 
     __slots__ = ("faults", "slow_seconds", "hang_seconds")
@@ -231,19 +88,13 @@ class ServeFaultPlan:
         *,
         max_calls: int = 128,
         rate: float = 0.15,
-        kinds: tuple[str, ...] = (
-            "engine-exception",
-            "session-poison",
-            "slow",
-            "shm-attach-failure",
-        ),
+        kinds: tuple[str, ...] = ("engine-exception", "session-poison", "slow"),
         **kw,
     ) -> "ServeFaultPlan":
         """A random-but-reproducible plan drawn from ``seed``.
 
-        Hangs are excluded by default for the same reason as in
-        :meth:`FaultPlan.seeded`: each one costs a full per-query
-        deadline.
+        Hangs are excluded by default: property tests sweep many seeds
+        and each hang costs a full per-query deadline.
         """
         # Validate the whole menu up front: sampling might never draw a
         # typo'd kind into a cell, and a bad plan must fail every time.
@@ -289,48 +140,3 @@ class ServeFaultPlan:
             f"slow_seconds={self.slow_seconds}, "
             f"hang_seconds={self.hang_seconds})"
         )
-
-
-#: The plan installed in *this* process (worker-side module state,
-#: populated by the supervisor's composed pool initializer).
-_PLAN: Optional[FaultPlan] = None
-
-
-def install_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Install ``plan`` for :func:`active_fault` lookups (``None`` clears)."""
-    global _PLAN
-    _PLAN = plan
-
-
-def active_fault(chunk_id: int, attempt: int) -> Optional[str]:
-    """The fault the installed plan schedules for this cell, if any."""
-    if _PLAN is None:
-        return None
-    return _PLAN.fault_for(chunk_id, attempt)
-
-
-def perform_fault(kind: str):
-    """Misbehave as ``kind`` dictates; see the module docstring.
-
-    Returns :data:`_RETURN_CORRUPT` when the caller must return
-    :data:`CORRUPT_PAYLOAD` in place of the real result, else ``None``
-    (for ``"slow"``, after sleeping — the chunk then runs normally).
-    """
-    if kind == "crash":
-        os._exit(66)
-    if kind == "hang":
-        time.sleep(_PLAN.hang_seconds if _PLAN else 30.0)
-        return None
-    if kind == "slow":
-        time.sleep(_PLAN.slow_seconds if _PLAN else 0.05)
-        return None
-    if kind == "corrupt":
-        return _RETURN_CORRUPT
-    if kind == "oom":
-        raise MemoryError("injected allocation failure (fault plan)")
-    raise ValueError(f"unknown fault kind {kind!r}")
-
-
-def wants_corrupt_return(token) -> bool:
-    """``True`` iff :func:`perform_fault` asked for a corrupt payload."""
-    return token is _RETURN_CORRUPT

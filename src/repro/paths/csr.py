@@ -9,16 +9,15 @@ per call, a generator suspension plus tuple allocation per improved
 vertex, and a Python-level ``gain_weight`` call per improvement.
 
 :class:`CSRTraversal` removes all three.  It is built once per run (or
-once per worker process) from the graph's :meth:`~repro.graph.adjacency.
-Graph.to_csr` snapshot and accepts any CSR buffer shape the engines
-produce: ``array`` snapshots of the list-backed graph, the ``int32``
-ndarrays of :class:`~repro.graph.csr.CSRGraph`, or the typed
-memoryviews a shared-memory worker attaches.  Internally it keeps:
+from the graph's :meth:`~repro.graph.adjacency.Graph.to_csr` snapshot
+and accepts either CSR buffer shape the graph backends produce:
+``array`` snapshots of the list-backed graph or the ``int32`` ndarrays
+of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
 
 * **one flat Python-int list** of the neighbor IDs (``tolist()`` — one
   pass, no per-access boxing ever again) plus per-row slice views
   materialized lazily and cached, so the scalar traversal loops iterate
-  plain lists at C speed while a worker that scans a fraction of the
+  plain lists at C speed while a run that scans a fraction of the
   graph only pays for the rows it touches;
 * **zero-copy ndarray views** of ``indptr``/``indices`` when numpy is
   available, which back the vectorized level-synchronous full-BFS
@@ -108,7 +107,7 @@ GAIN_BATCH_MAX_LANES = 64
 GAIN_BATCH_CELL_CAP = 1 << 24
 
 #: memoryview/array format codes mapped to numpy dtypes for zero-copy
-#: ndarray views over attached shared-memory buffers.
+#: ndarray views over ``array`` snapshots.
 _FORMAT_DTYPES = {
     "i": "int32",
     "I": "uint32",
@@ -167,7 +166,7 @@ class CSRTraversal:
         self.indptr = indptr
         self.indices = indices
         # One normalization pass: plain Python ints for the scalar
-        # loops (array/memoryview/ndarray all support tolist()).
+        # loops (array and ndarray both support tolist()).
         self._starts = (
             indptr.tolist() if hasattr(indptr, "tolist") else list(indptr)
         )

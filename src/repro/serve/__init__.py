@@ -1,8 +1,8 @@
 """Skyline-as-a-service: asyncio HTTP serving layer.
 
 The repo's first multi-request, multi-graph subsystem: a registry of
-named graphs each fronted by one warm
-:class:`~repro.parallel.session.EngineSession`, a bounded priority
+named graphs each fronted by one skyline cache
+(:class:`~repro.core.api.EngineSession`), a bounded priority
 queue with per-request deadlines and backpressure, and a handcrafted
 asyncio HTTP front (no new dependencies).  See ``docs/serving.md`` for
 the architecture and semantics, and ``repro serve --help`` for the CLI.

@@ -10,9 +10,9 @@ stitches together every telemetry source the repo already has:
   from recorded samples (bounded reservoir) plus fixed power-of-two
   bucket counts for dashboards,
 * the engine's own work counters — :class:`~repro.core.counters.
-  SkylineCounters` sums and the ``resilience_*`` / ``parallel_session``
-  / ``data_plane`` extras every pooled call reports — summed across
-  all served requests.
+  SkylineCounters` sums and extras — summed across all served
+  requests.  A graph's skyline is computed once and cached, so these
+  count that first computation only.
 
 Everything is plain ints/floats/strings, so ``json.dumps`` of
 :meth:`ServerMetrics.as_dict` *is* the ``/metrics`` payload.
@@ -95,7 +95,6 @@ class ServerMetrics:
         self.service_time = LatencyHistogram()
         self.engine_counters: Counter = Counter()
         self.engine_extra: Counter = Counter()
-        self.session_calls: Counter = Counter()  # "cold"/"warm" -> n
         self.batches_total = 0
         self.batched_requests_total = 0
         # -- supervision / self-healing (PR 9) -------------------------
@@ -143,19 +142,16 @@ class ServerMetrics:
     def absorb_engine_counters(self, counters) -> None:
         """Fold one call's :class:`SkylineCounters` into the totals.
 
-        Numeric ``extra`` values (``resilience_*`` event counts and the
-        like) are summed; ``parallel_session`` cold/warm labels are
-        tallied; other non-numeric extras are counted by value so the
-        surface stays JSON-able.
+        Numeric ``extra`` values are summed; non-numeric extras (such
+        as ``refine_path``) are counted by value so the surface stays
+        JSON-able.
         """
         if counters is None:
             return
         for key, value in counters.as_dict().items():
             self.engine_counters[key] += value
         for key, value in getattr(counters, "extra", {}).items():
-            if key == "parallel_session":
-                self.session_calls[str(value)] += 1
-            elif isinstance(value, bool):
+            if isinstance(value, bool):
                 self.engine_extra[f"{key}={value}"] += 1
             elif isinstance(value, (int, float)):
                 self.engine_extra[key] += value
@@ -180,7 +176,6 @@ class ServerMetrics:
             "engine": {
                 "counters": dict(sorted(self.engine_counters.items())),
                 "extra": dict(sorted(self.engine_extra.items())),
-                "session_calls": dict(sorted(self.session_calls.items())),
             },
             "supervision": {
                 "engine_failures": {

@@ -19,9 +19,8 @@ model with a fake clock (``tests/serve/test_queue_stateful.py``):
   cycle is spent on a request whose client has already given up.
 * **Batching** — :meth:`pop_batch` returns the most urgent request
   plus up to ``batch_max - 1`` further requests *for the same graph*,
-  in priority order.  Same-graph batches keep a warm
-  :class:`~repro.parallel.session.EngineSession` hot instead of
-  ping-ponging between graphs.
+  in priority order.  Same-graph batches keep one graph's data hot in
+  the CPU caches instead of ping-ponging between graphs.
 
 Counters (`enqueued`/`dequeued`/`rejected`/`expired`) and queue
 wait-times are recorded on the queue itself; the server folds them

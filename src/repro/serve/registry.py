@@ -1,12 +1,11 @@
-"""Multi-graph registry: named graphs, each with one warm engine session.
+"""Multi-graph registry: named graphs, each with one skyline cache.
 
 A serving process hosts several immutable graphs at once.  The registry
-maps each name to a :class:`GraphEntry` that owns the graph, a lazily
-created warm :class:`~repro.parallel.session.EngineSession` (one pool +
-one published CSR snapshot, reused across every request for that
-graph), and a cached skyline result — the skyline is the input stage of
-both downstream applications, so one computation feeds every subsequent
-``group`` and ``clique`` request.
+maps each name to a :class:`GraphEntry` that owns the graph and its
+:class:`~repro.core.api.EngineSession` — the lazily computed default
+skyline.  The skyline is the answer to ``skyline`` queries and the
+input stage of both downstream applications, so one computation feeds
+every ``skyline``, ``group`` and ``clique`` request for that graph.
 
 Graph sources are either **registry dataset names**
 (:mod:`repro.workloads`) or **edge-list paths**; the CLI spec syntax is
@@ -14,10 +13,9 @@ Graph sources are either **registry dataset names**
 
 :func:`execute_query` is the single dispatch point for the three query
 kinds.  It goes through exactly the public entry points a direct caller
-would use — ``parallel_refine_sky`` (bit-for-bit
-``filter_refine_sky``/``filter_refine_bitset`` by the engine's
-equivalence guarantee), ``run_greedy`` via the Base*/NeiSky* drivers,
-and ``mc_brb``/``*_topk_mcc`` — so a served response is bit-for-bit the
+would use — ``neighborhood_skyline`` (its ``"auto"`` default),
+``run_greedy`` via the Base*/NeiSky* drivers, and
+``mc_brb``/``*_topk_mcc`` — so a served response is bit-for-bit the
 direct API result; the integration suite asserts exactly that.
 """
 
@@ -27,12 +25,12 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.api import EngineSession, validate_workers
 from repro.core.counters import SkylineCounters
 from repro.core.result import SkylineResult
 from repro.errors import GraphFormatError, ParameterError, ReproError
 from repro.graph.adjacency import Graph
 from repro.graph.io import load_graph
-from repro.parallel.session import EngineSession
 
 __all__ = [
     "GraphEntry",
@@ -78,7 +76,7 @@ def load_spec_graph(name: str, kind: str, source: str) -> Graph:
 
         return load(source)
     try:
-        # Sniffing loader: binary snapshots open O(1) via memmap, text
+        # Sniffing loader: binary snapshots open via memmap, text
         # parses as an edge list — the spec syntax doesn't change.
         return load_graph(source)
     except GraphFormatError as exc:
@@ -94,16 +92,12 @@ def load_spec_graph(name: str, kind: str, source: str) -> Graph:
 
 @dataclass
 class GraphEntry:
-    """One hosted graph: data + warm session + cached skyline."""
+    """One hosted graph: data + its skyline-cache session."""
 
     name: str
     graph: Graph
     source: str
-    workers: int = 1
-    data_plane: str = "auto"
-    timeout: Optional[float] = None
-    _session: Optional[EngineSession] = field(default=None, repr=False)
-    _skyline: Optional[SkylineResult] = field(default=None, repr=False)
+    session: EngineSession = field(init=False, repr=False)
     #: The graph's circuit breaker, attached lazily by the serving
     #: supervisor (:mod:`repro.serve.supervision`); ``None`` outside a
     #: supervised server.
@@ -112,31 +106,20 @@ class GraphEntry:
     rebuilds_total: int = 0
     _last_good_skyline: Optional[dict] = field(default=None, repr=False)
 
-    @property
-    def session(self) -> EngineSession:
-        """The warm engine session, created on first use."""
-        if self._session is None or self._session.closed:
-            self._session = EngineSession(
-                self.graph,
-                workers=self.workers,
-                data_plane=self.data_plane,
-                timeout=self.timeout,
-            )
-        return self._session
+    def __post_init__(self) -> None:
+        self.session = EngineSession(self.graph)
 
     def skyline_result(
         self, counters: Optional[SkylineCounters] = None
     ) -> SkylineResult:
-        """The graph's skyline, computed once on the warm session.
+        """The graph's skyline, computed once and cached by the session.
 
-        The graph is immutable, so the result is cached; every
-        ``group``/``clique`` request after the first reuses it — the
-        same reuse a direct caller gets by passing ``skyline=`` into
-        the drivers.
+        The graph is immutable, so every ``skyline``/``group``/``clique``
+        request after the first reuses the result — the same reuse a
+        direct caller gets by passing ``skyline=`` into the drivers.
+        ``counters`` are filled by the first computation only.
         """
-        if self._skyline is None:
-            self._skyline = self.session.refine_sky(counters=counters)
-        return self._skyline
+        return self.session.refine_sky(counters=counters)
 
     def note_good_skyline(self, payload: dict) -> None:
         """Remember the last successful skyline response (degraded path).
@@ -156,57 +139,36 @@ class GraphEntry:
         return dict(self._last_good_skyline)
 
     def describe(self) -> dict:
-        """The /graphs row: name, source, sizes, session/cache state."""
+        """The /graphs row: name, source, sizes, cache state."""
         return {
             "name": self.name,
             "source": self.source,
             "vertices": self.graph.num_vertices,
             "edges": self.graph.num_edges,
-            "workers": self.workers,
-            "data_plane": self.data_plane,
-            "session": (
-                "cold"
-                if self._session is None or self._session.closed
-                else "warm"
-            ),
-            "skyline_cached": self._skyline is not None,
+            "skyline_cached": self.session.cached,
             "rebuilds": self.rebuilds_total,
         }
 
     def close_session(self) -> None:
-        """Tear down the warm session only (idempotent; unlinks all
-        shared-memory segments).  The skyline cache survives — the
-        graph is immutable, so a rebuilt session recomputes the same
-        values and the degraded path may keep serving the old copy."""
-        if self._session is not None:
-            self._session.close()
-            self._session = None
+        """Drop the session's skyline cache (idempotent).  The next
+        query recomputes it; the degraded path keeps its own copy."""
+        self.session.close()
 
     def close(self) -> None:
-        """Tear down the warm session (idempotent; registry close path)."""
+        """Drop the skyline cache (idempotent; registry close path)."""
         self.close_session()
 
 
 class GraphRegistry:
     """Named graphs behind the serving layer; owns their sessions.
 
-    ``workers`` / ``data_plane`` / ``timeout`` apply to every entry's
-    session (per-graph overrides can be added at :meth:`register`).
-    ``close()`` is idempotent and closes every session — the registry
-    is the single owner, so server shutdown tears down every pool and
-    shared-memory segment exactly once.
+    ``workers`` is accepted for compatibility and must be ``1``: every
+    query runs in-process.  ``close()`` is idempotent and drops every
+    entry's skyline cache exactly once.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        data_plane: str = "auto",
-        timeout: Optional[float] = None,
-    ):
-        self.workers = workers
-        self.data_plane = data_plane
-        self.timeout = timeout
+    def __init__(self, *, workers: int = 1):
+        validate_workers(workers)
         self._entries: dict[str, GraphEntry] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -224,7 +186,6 @@ class GraphRegistry:
         graph: Graph,
         *,
         source: str = "inline",
-        workers: Optional[int] = None,
     ) -> GraphEntry:
         """Host ``graph`` under ``name`` (re-registration rejected)."""
         if self._closed:
@@ -234,14 +195,7 @@ class GraphRegistry:
                 f"graph {name!r} is already registered; unregister or "
                 "pick another alias"
             )
-        entry = GraphEntry(
-            name=name,
-            graph=graph,
-            source=source,
-            workers=self.workers if workers is None else workers,
-            data_plane=self.data_plane,
-            timeout=self.timeout,
-        )
+        entry = GraphEntry(name=name, graph=graph, source=source)
         self._entries[name] = entry
         return entry
 
@@ -267,7 +221,7 @@ class GraphRegistry:
         return [self._entries[n].describe() for n in self.names()]
 
     def close(self) -> None:
-        """Close every session.  Idempotent; safe to call twice."""
+        """Close every entry.  Idempotent; safe to call twice."""
         with self._lock:
             if self._closed:
                 return
@@ -290,14 +244,13 @@ def _int_param(params: dict, key: str, default: int, minimum: int) -> int:
 
 
 def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
-    """Run one query on ``entry``'s warm session; a JSON-able result.
+    """Run one query on ``entry``; a JSON-able result.
 
     The responses carry the exact values a direct caller sees:
 
-    * ``skyline`` — ``skyline``/``dominator``/``candidates`` of the
-      engine's :class:`SkylineResult` (identical to
-      ``filter_refine_sky`` / ``filter_refine_bitset`` by the parallel
-      engine's equivalence guarantee);
+    * ``skyline`` — ``skyline``/``dominator``/``candidate_size`` of the
+      entry's cached :func:`~repro.core.api.neighborhood_skyline`
+      result;
     * ``group`` — ``group``/``gains``/``evaluations``/``pool_size`` of
       the Base*/NeiSky* drivers' :class:`GreedyResult` (``gains`` in
       the objective's own units; eager and lazy strategies return
@@ -308,7 +261,7 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
     graph = entry.graph
     if kind == "skyline":
         counters = SkylineCounters()
-        result = entry.session.refine_sky(counters=counters)
+        result = entry.skyline_result(counters)
         return {
             "algorithm": result.algorithm,
             "skyline": list(result.skyline),

@@ -7,8 +7,8 @@ Architecture (one process, one event loop, one engine thread)::
                                                                   ▼
                                                     engine thread (1)
                                                     execute_query on the
-                                                    graph's warm
-                                                    EngineSession
+                                                    graph's cached
+                                                    skyline
 
 * The **event loop** parses requests, enqueues them, and writes
   responses.  It never runs graph work.
@@ -20,10 +20,9 @@ Architecture (one process, one event loop, one engine thread)::
   are single-caller objects, so all graph work serializes on that
   thread while the loop stays responsive.  Per-request deadlines bound
   the *queue wait*; once dispatched, a request runs under the
-  supervisor's per-query watchdog deadline on top of the engine's own
-  :class:`~repro.parallel.supervisor.PoolSupervisor` machinery.  An
-  engine failure never kills the server: the supervisor rebuilds the
-  graph's warm session (full segment hygiene), retries with seeded
+  supervisor's per-query watchdog deadline.  An engine failure never
+  kills the server: the supervisor rebuilds the graph's session
+  (dropping its skyline cache), retries with seeded
   backoff, and — once a graph's circuit breaker opens — degrades that
   one graph (cached skyline marked ``degraded: true``, 503 +
   ``Retry-After`` otherwise) while every other graph serves at full
@@ -519,7 +518,7 @@ async def _serve(
     sigterm = asyncio.Event()
     try:
         # Graceful SIGTERM: stop admitting, drain queued work with 503,
-        # tear sessions/segments down, exit 0.  Signal handlers only
+        # tear sessions down, exit 0.  Signal handlers only
         # install on a main-thread loop; ServerThread harnesses use
         # their stop_event instead.
         loop.add_signal_handler(signal.SIGTERM, sigterm.set)
@@ -556,8 +555,8 @@ def run_server(
 
     Serves until Ctrl-C, SIGTERM or ``config.max_requests`` queries;
     returns the conventional exit code (0 normal — including SIGTERM,
-    which drains gracefully — and 130 on interrupt).  Sessions and
-    segments are torn down on every path.  ``fault_plan`` injects
+    which drains gracefully — and 130 on interrupt).  Sessions are
+    torn down on every path.  ``fault_plan`` injects
     serve-level chaos (:class:`~repro.harness.faults.ServeFaultPlan`)
     for harness runs.
     """

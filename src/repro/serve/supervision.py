@@ -1,10 +1,9 @@
 """Self-healing supervision for the serving layer.
 
-PR 4 made every *pooled call* fault-tolerant; this module lifts the
-same discipline one layer up, to the long-lived server: a single
-engine-thread exception, a poisoned warm
-:class:`~repro.parallel.session.EngineSession`, or a hung query must
-degrade one graph's answers, never kill the process.  Three pieces:
+A long-lived server must survive its engine: a single engine-thread
+exception, a poisoned :class:`~repro.core.api.EngineSession`, or a
+hung query must degrade one graph's answers, never kill the process.
+Three pieces:
 
 :class:`CircuitBreaker`
     A per-graph health state machine (``closed → open → half_open``)
@@ -22,9 +21,9 @@ degrade one graph's answers, never kill the process.  Three pieces:
     wraps every dispatch: per-query deadline via ``asyncio.wait_for``
     (the watchdog), a heartbeat the ``/health`` endpoint reads, bounded
     retries with seeded exponential backoff, and — on any engine
-    failure — a full teardown-and-rebuild of the failed graph's warm
-    session (segment hygiene included: ``EngineSession.close`` unlinks
-    every ``/dev/shm`` segment it owns).  A hung query is *abandoned*:
+    failure — a teardown-and-rebuild of the failed graph's session
+    (``EngineSession.close`` drops its cached skyline, so the retry
+    recomputes it).  A hung query is *abandoned*:
     the executor is replaced so serving continues, the stale thread is
     fenced by a cancel token, and the query is retried or answered 503.
     Rebuilds are budgeted per graph (``max_session_rebuilds``); an
@@ -34,8 +33,8 @@ degrade one graph's answers, never kill the process.  Three pieces:
 
 :class:`~repro.harness.faults.ServeFaultPlan`
     The chaos counterpart: deterministic serve-level fault injection
-    (engine-exception / session-poison / hang / slow /
-    shm-attach-failure) performed by the supervisor at dispatch time,
+    (engine-exception / session-poison / hang / slow) performed by the
+    supervisor at dispatch time,
     keyed on ``(graph, dispatch_index)`` so CI failures replay
     identically.
 
@@ -523,14 +522,10 @@ class EngineSupervisor:
                 "injected engine exception (serve fault plan)"
             )
         if kind == "session-poison":
-            # A genuinely torn-down warm session: real segment teardown,
-            # then the failure the supervisor must heal from.
+            # A genuinely torn-down session (its skyline cache is
+            # dropped), then the failure the supervisor must heal from.
             entry.close_session()
             raise RuntimeError("injected poisoned session (serve fault plan)")
-        if kind == "shm-attach-failure":
-            raise OSError(
-                "injected shared-memory attach failure (serve fault plan)"
-            )
         if kind in ("hang", "slow"):
             seconds = (
                 plan.hang_seconds if kind == "hang" else plan.slow_seconds
@@ -547,13 +542,13 @@ class EngineSupervisor:
 
     # -- healing -------------------------------------------------------
     def _rebuild_session(self, entry: GraphEntry, breaker) -> bool:
-        """Tear down + forget the entry's warm session; budget-checked.
+        """Tear down the entry's session (drops its cache); budget-checked.
 
         Returns ``False`` when the graph's rebuild budget is exhausted,
         in which case the breaker is pinned open and the caller must
         stop attempting engine work for this graph.
         """
-        entry.close_session()  # idempotent; unlinks every shm segment
+        entry.close_session()  # idempotent; drops the skyline cache
         if entry.rebuilds_total >= self.config.max_session_rebuilds:
             if breaker.pinned_reason is None:
                 breaker.pin_open(
@@ -574,7 +569,7 @@ class EngineSupervisor:
         self.metrics.record_abandoned_query()
 
     def _backoff_s(self, attempt: int) -> float:
-        """Seeded-jitter exponential backoff (PoolSupervisor's scheme)."""
+        """Seeded-jitter exponential backoff."""
         base = min(
             self.config.backoff_cap_s,
             self.config.backoff_base_s * 2 ** (attempt - 1),

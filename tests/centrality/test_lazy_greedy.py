@@ -17,11 +17,7 @@ from repro.centrality.group_closeness_max import (
     base_gc,
     neisky_gc,
 )
-from repro.centrality.group_harmonic_max import (
-    HarmonicObjective,
-    base_gh,
-    neisky_gh,
-)
+from repro.centrality.group_harmonic_max import base_gh, neisky_gh
 from repro.centrality.lazy_greedy import lazy_greedy_maximize, run_greedy
 from repro.errors import ParameterError
 from repro.graph.components import largest_connected_component
@@ -145,18 +141,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             lazy_greedy_maximize(karate, -1, ClosenessObjective(karate))
 
-    def test_bad_workers(self, karate):
-        with pytest.raises(ParameterError):
-            lazy_greedy_maximize(
-                karate, 2, ClosenessObjective(karate), workers=0
-            )
-
-    def test_bad_chunk_size(self, karate):
-        with pytest.raises(ParameterError):
-            lazy_greedy_maximize(
-                karate, 2, ClosenessObjective(karate), chunk_size=0
-            )
-
     def test_candidate_out_of_range(self, karate):
         with pytest.raises(ParameterError):
             lazy_greedy_maximize(
@@ -168,46 +152,6 @@ class TestValidation:
             run_greedy(
                 karate, 2, ClosenessObjective(karate), strategy="bogus"
             )
-
-    def test_eager_rejects_workers(self, karate):
-        with pytest.raises(ParameterError, match="lazy strategy"):
-            run_greedy(
-                karate,
-                2,
-                ClosenessObjective(karate),
-                strategy="eager",
-                workers=2,
-            )
-
-
-class TestParallelRoundZero:
-    def test_pooled_identical_to_in_process(self, karate):
-        objective = HarmonicObjective()
-        base = lazy_greedy_maximize(karate, 4, objective)
-        for workers in (2, 4):
-            pooled = lazy_greedy_maximize(
-                karate,
-                4,
-                objective,
-                workers=workers,
-                small_graph_edges=0,  # force the pool on a tiny graph
-            )
-            assert pooled.group == base.group
-            assert pooled.gains == base.gains
-            # The pooled path must not change the counter semantics.
-            assert pooled.evaluations == base.evaluations
-            assert pooled.evaluations_saved == base.evaluations_saved
-
-    def test_small_graph_threshold_skips_pool(self, karate):
-        # Below the edge threshold workers>1 silently stays in-process;
-        # the result is identical either way, so just pin equality.
-        a = lazy_greedy_maximize(
-            karate, 3, ClosenessObjective(karate), workers=4
-        )
-        b = lazy_greedy_maximize(karate, 3, ClosenessObjective(karate))
-        assert a.group == b.group
-        assert a.gains == b.gains
-
 
 class TestGroupBetweennessLazy:
     @pytest.fixture

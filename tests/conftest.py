@@ -9,8 +9,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-# CI runners are slower and noisier than dev machines, and the pooled
-# parallel-engine tests fork real worker processes; the "ci" profile
+# CI runners are slower and noisier than dev machines; the "ci" profile
 # relaxes the per-example deadline accordingly (tests that manage their
 # own @settings, deadline included, are unaffected).  Selected via
 # HYPOTHESIS_PROFILE=ci in .github/workflows/ci.yml.
@@ -70,6 +69,38 @@ def connected_graphs(draw, max_vertices: int = 20):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    """A small graph with extra false/true twins grafted on.
+
+    Twin classes are exactly the mutual-inclusion ties of Def. 2, so
+    these graphs maximize the ID tie-break traffic a wrong refine
+    decomposition would scramble.
+    """
+    g = draw(graphs(max_vertices=10))
+    n = g.num_vertices
+    if n == 0:
+        return g
+    adj = [set(g.neighbors(u)) for u in range(n)]
+    extra = draw(st.integers(min_value=1, max_value=6))
+    for _ in range(extra):
+        src = draw(st.integers(min_value=0, max_value=len(adj) - 1))
+        true_twin = draw(st.booleans())
+        new = len(adj)
+        adj.append(set(adj[src]))
+        for w in adj[src]:
+            adj[w].add(new)
+        if true_twin:
+            # An edge between equal open neighborhoods makes the closed
+            # neighborhoods equal too.
+            adj[src].add(new)
+            adj[new].add(src)
+    edges = [
+        (u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v
+    ]
+    return Graph.from_edges(len(adj), edges)
 
 
 # ---------------------------------------------------------------------

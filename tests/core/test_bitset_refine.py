@@ -208,27 +208,3 @@ class TestDensityHeuristic:
         filter_refine_bitset_sky(g, word_budget=1, counters=counters)
         assert counters.extra["bitset_fallback_reason"] == "word-budget"
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
-    def test_parallel_engine_honours_heuristic(self, monkeypatch):
-        from repro.core import bitset_refine as br
-        from repro.parallel import parallel_refine_sky
-
-        monkeypatch.setattr(br, "DENSITY_FALLBACK_MIN_CANDIDATES", 1)
-        g = karate_club()
-        counters = SkylineCounters()
-        result = parallel_refine_sky(
-            g, workers=1, refine="bitset", counters=counters
-        )
-        assert counters.extra["refine_path"] == "bloom-fallback"
-        assert counters.extra["bitset_fallback_reason"] == "candidate-density"
-        assert result.dominator == filter_refine_sky(g).dominator
-        # The bypass restores the packed kernel.
-        bypass = SkylineCounters()
-        parallel_refine_sky(
-            g,
-            workers=1,
-            refine="bitset",
-            counters=bypass,
-            density_fallback=False,
-        )
-        assert bypass.extra["refine_path"] == "bitset"

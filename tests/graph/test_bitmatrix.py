@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -79,35 +78,6 @@ def test_subset_conflicts_exclude():
     assert not m.subset_conflicts(0, 2, exclude=2).any()
 
 
-@given(graphs(max_vertices=70))
-def test_payload_roundtrip(g):
-    verts = tuple(u for u in range(g.num_vertices) if u % 3 != 1)
-    m = CandidateBitMatrix.from_graph(g, verts)
-    clone = CandidateBitMatrix.from_payload(m.to_payload())
-    assert clone.vertices == m.vertices
-    assert clone.num_vertices == m.num_vertices
-    assert clone.word_count == m.word_count
-    assert clone.memory_words() == m.memory_words()
-    assert (clone.rows == m.rows).all()
-    assert clone.int_rows() == m.int_rows()
-
-
-def test_payload_views_are_read_only():
-    g = karate_club()
-    m = CandidateBitMatrix.from_graph(g, (0, 1, 2))
-    clone = CandidateBitMatrix.from_payload(m.to_payload())
-    with pytest.raises((ValueError, RuntimeError)):
-        clone.rows[0, 0] = 1
-
-
-def test_payload_length_validation():
-    g = karate_club()
-    m = CandidateBitMatrix.from_graph(g, (0, 1, 2))
-    n, verts, raw = m.to_payload()
-    with pytest.raises(ParameterError):
-        CandidateBitMatrix.from_payload((n, verts, raw[:-8]))
-
-
 def test_empty_and_edgeless():
     empty = CandidateBitMatrix.from_graph(Graph.from_edges(0, []), ())
     assert len(empty) == 0
@@ -127,8 +97,6 @@ def test_from_graph_requires_numpy(monkeypatch):
     monkeypatch.setattr(bm, "HAVE_NUMPY", False)
     with pytest.raises(ParameterError):
         bm.CandidateBitMatrix.from_graph(Graph.from_edges(2, [(0, 1)]), (0,))
-    with pytest.raises(ParameterError):
-        bm.CandidateBitMatrix.from_payload((0, (), b""))
 
 
 def test_repr_mentions_shape():

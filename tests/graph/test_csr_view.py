@@ -1,10 +1,8 @@
-"""Tests for the memoized CSR snapshot and the lazy CSR-backed view.
+"""Tests for the memoized CSR snapshot of the list-backed graph.
 
-The shared-memory data plane leans on two properties proven here:
-:meth:`Graph.to_csr` returns the *same* array pair on every call (so a
-session publishes each graph's bytes once), and :class:`CSRGraphView`
-behaves exactly like the :class:`Graph` its buffers came from (so a
-worker reading attached segments computes the same skyline).
+:meth:`Graph.to_csr` returns the *same* array pair on every call (the
+kernels that read it never rebuild it), and :meth:`Graph.from_csr`
+restores an equal graph from it.
 """
 
 from __future__ import annotations
@@ -13,13 +11,9 @@ from array import array
 
 from hypothesis import given
 
-from repro.graph.adjacency import CSRGraphView, Graph
+from repro.graph.adjacency import Graph
 
 from tests.conftest import graphs
-
-
-def _view_of(g: Graph) -> CSRGraphView:
-    return CSRGraphView(*g.to_csr())
 
 
 class TestToCsrMemoization:
@@ -51,64 +45,3 @@ class TestToCsrMemoization:
         assert Graph.from_csr(*snap) == g
 
 
-class TestCSRGraphView:
-    def test_degree_without_materializing(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        view = _view_of(g)
-        assert [view.degree(u) for u in range(4)] == [3, 1, 1, 1]
-        # degree() reads indptr only; no adjacency row gets built.
-        assert all(row is None for row in view._adj)
-
-    def test_neighbors_materialize_lazily_and_cache(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        view = _view_of(g)
-        row = view.neighbors(1)
-        assert row == (0, 2)  # immutable: callers can't corrupt the cache
-        assert view.neighbors(1) is row
-        assert view._adj[3] is None  # untouched rows stay lazy
-
-    def test_counts_match(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
-        view = _view_of(g)
-        assert view.num_vertices == g.num_vertices
-        assert view.num_edges == g.num_edges
-        assert len(view) == len(g)
-
-    @given(graphs(max_vertices=14))
-    def test_view_is_indistinguishable_from_base_graph(self, g):
-        view = _view_of(g)
-        for u in g.vertices():
-            assert view.degree(u) == g.degree(u)
-            assert list(view.neighbors(u)) == list(g.neighbors(u))
-            assert view.closed_neighborhood(u) == g.closed_neighborhood(u)
-        for u in g.vertices():
-            for v in g.vertices():
-                if u != v:
-                    assert view.has_edge(u, v) == g.has_edge(u, v)
-
-    @given(graphs(max_vertices=12))
-    def test_whole_graph_operations_defer_to_base(self, g):
-        view = _view_of(g)
-        assert sorted(view.edges()) == sorted(g.edges())
-        assert view == g
-        assert hash(view) == hash(g)
-        snap = view.to_csr()
-        assert Graph.from_csr(*snap) == g
-        if g.num_vertices >= 2:
-            verts = list(g.vertices())[: g.num_vertices // 2 + 1]
-            sub_view, map_view = view.induced_subgraph(verts)
-            sub_base, map_base = g.induced_subgraph(verts)
-            assert sub_view == sub_base
-            assert map_view == map_base
-
-    def test_view_over_memoryview_buffers(self):
-        # Workers hand the view memoryviews over shared segments, not
-        # array objects — slicing those must yield plain int rows.
-        g = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)])
-        indptr, indices = g.to_csr()
-        view = CSRGraphView(
-            memoryview(indptr).cast("B").cast("q"),
-            memoryview(indices).cast("B").cast("q"),
-        )
-        assert view == g
-        assert all(isinstance(x, int) for x in view.neighbors(0))

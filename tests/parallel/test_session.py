@@ -1,367 +1,81 @@
-"""EngineSession and data-plane semantics.
+"""EngineSession semantics: a per-graph cache of the default skyline.
 
-The contracts under test:
+The module keeps the path it had when the session also owned a worker
+pool.  The contracts under test:
 
-* **Bit-for-bit equality** — {sequential, pickle plane, shm plane} ×
-  {one-shot, warm session} all return the identical skyline/group,
-  including under every injected fault kind.
-* **Warm reuse** — the first pooled call of a session is ``"cold"``,
-  later calls ``"warm"``; refine and greedy share one pool.
-* **Lifecycle** — double-close is a no-op, use-after-close raises
-  :class:`ParameterError`, conflicting per-call knobs are rejected,
-  and no ``repro_*`` segment outlives any test (enforced by
-  ``conftest.py`` for this directory).
+* **Compute once** — the first :meth:`EngineSession.refine_sky` runs
+  the default (``algorithm="auto"``) skyline and fills ``counters``;
+  later calls return the same :class:`SkylineResult` and count nothing.
+* **Bit-for-bit** — the cached result equals the sequential
+  FilterRefineSky skyline, dominator and candidate set.
+* **Lifecycle** — ``close()`` is idempotent; ``workers`` accepts only 1.
 """
 
-import multiprocessing
-
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.centrality.greedy import greedy_maximize
-from repro.centrality.group_closeness_max import ClosenessObjective
-from repro.centrality.lazy_greedy import lazy_greedy_maximize, run_greedy
+from repro.core.api import EngineSession, engine_session, neighborhood_skyline
 from repro.core.counters import SkylineCounters
 from repro.core.filter_refine import filter_refine_sky
 from repro.errors import ParameterError
-from repro.graph.generators import copying_power_law
-from repro.harness.faults import FaultPlan
-from repro.parallel import (
-    EngineSession,
-    parallel_refine_sky,
-    shm_available,
-)
-from repro.parallel.supervisor import DEFAULT_TIMEOUT
-
-from tests.conftest import graphs
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="no usable shared memory on this host"
-)
-
-HANG_DEADLINE = 1.0
-
-FAULT_PLANS = {
-    "crash": FaultPlan.single("crash"),
-    "hang": FaultPlan.single("hang", hang_seconds=20.0),
-    "slow": FaultPlan.single("slow", slow_seconds=0.05),
-    "corrupt": FaultPlan.single("corrupt"),
-    "oom": FaultPlan.single("oom"),
-}
+from repro.serve.registry import GraphRegistry
 
 
-def _timeout_for(kind: str) -> float:
-    return HANG_DEADLINE if kind == "hang" else DEFAULT_TIMEOUT
-
-
-# ---------------------------------------------------------------------
-# Warm reuse and equality
-# ---------------------------------------------------------------------
-@needs_shm
 def test_session_refine_cold_then_warm(karate):
     seq = filter_refine_sky(karate)
-    with EngineSession(karate, workers=2) as session:
-        assert session.data_plane == "shm"
-        labels = []
+    direct_counters = SkylineCounters()
+    neighborhood_skyline(karate, counters=direct_counters)
+    with EngineSession(karate) as session:
+        assert not session.cached
+        results = []
+        work = []
         for _ in range(3):
             counters = SkylineCounters()
-            result = session.refine_sky(
-                small_graph_edges=0, counters=counters
-            )
+            result = session.refine_sky(counters=counters)
             assert result.skyline == seq.skyline
             assert result.dominator == seq.dominator
             assert result.candidates == seq.candidates
-            assert counters.extra["data_plane"] == "shm"
-            labels.append(counters.extra["parallel_session"])
-        assert labels == ["cold", "warm", "warm"]
-    assert multiprocessing.active_children() == []
+            assert session.cached
+            results.append(result)
+            work.append(counters.pair_tests)
+        # The first call does the work of one direct call; the later
+        # ones are cache hits returning the very same object.
+        assert work[0] == direct_counters.pair_tests
+        assert work[1:] == [0, 0]
+        assert results[1] is results[0] and results[2] is results[0]
 
 
-@needs_shm
-def test_session_refine_then_greedy_share_one_pool(karate):
-    """The refine→greedy serving pattern: one pool, one graph snapshot."""
-    seq_sky = filter_refine_sky(karate)
-    seq_grp = greedy_maximize(karate, 5, ClosenessObjective(karate))
-    with EngineSession(karate, workers=2) as session:
-        c_sky = SkylineCounters()
-        sky = session.refine_sky(small_graph_edges=0, counters=c_sky)
-        c_grp = SkylineCounters()
-        grp = session.greedy_maximize(
-            5,
-            ClosenessObjective(karate),
-            small_graph_edges=0,
-            counters=c_grp,
-        )
-        assert sky.skyline == seq_sky.skyline
-        assert grp.group == seq_grp.group
-        assert grp.gains == seq_grp.gains
-        # The greedy call rides the pool the refine call forked.
-        assert c_sky.extra["parallel_session"] == "cold"
-        assert c_grp.extra["parallel_session"] == "warm"
-
-
-@needs_shm
-def test_session_kernel_switch_stays_exact(karate):
-    """bloom → bitset → bloom on one warm pool: workers rotate their
-    per-call state cache without mixing kernels."""
-    seq = filter_refine_sky(karate)
-    with EngineSession(karate, workers=2) as session:
-        for refine in ("bloom", "bitset", "bloom"):
-            result = session.refine_sky(
-                small_graph_edges=0, refine=refine
-            )
-            assert result.skyline == seq.skyline
-            assert result.dominator == seq.dominator
-
-
-@needs_shm
 def test_concurrent_sessions_on_two_graphs(karate, small_power_law):
     seq_a = filter_refine_sky(karate)
     seq_b = filter_refine_sky(small_power_law)
-    with EngineSession(karate, workers=2) as sa:
-        with EngineSession(small_power_law, workers=2) as sb:
+    with EngineSession(karate) as sa:
+        with EngineSession(small_power_law) as sb:
             for _ in range(2):
-                ra = sa.refine_sky(small_graph_edges=0)
-                rb = sb.refine_sky(small_graph_edges=0)
+                ra = sa.refine_sky()
+                rb = sb.refine_sky()
                 assert ra.skyline == seq_a.skyline
                 assert rb.skyline == seq_b.skyline
-        # sb closed; sa still serves.
-        assert sa.refine_sky(small_graph_edges=0).skyline == seq_a.skyline
+        # sb closed and dropped its cache; sa's is untouched.
+        assert not sb.cached
+        assert sa.cached
+        assert sa.refine_sky().skyline == seq_a.skyline
 
 
-def test_pickle_plane_session_is_always_cold(karate):
-    seq = filter_refine_sky(karate)
-    with EngineSession(karate, workers=2, data_plane="pickle") as session:
-        assert session.data_plane == "pickle"
-        for _ in range(2):
-            counters = SkylineCounters()
-            result = session.refine_sky(
-                small_graph_edges=0, counters=counters
-            )
-            assert result.skyline == seq.skyline
-            assert counters.extra["data_plane"] == "pickle"
-            assert counters.extra["parallel_session"] == "cold"
-
-
-# ---------------------------------------------------------------------
-# Lifecycle and conflict rejection
-# ---------------------------------------------------------------------
 def test_double_close_is_noop(karate):
-    session = EngineSession(karate, workers=2)
-    assert not session.closed
+    session = EngineSession(karate)
+    session.refine_sky()
+    assert session.cached
     session.close()
     session.close()
-    assert session.closed
-    assert "closed" in repr(session)
-
-
-def test_use_after_close_raises(karate):
-    session = EngineSession(karate, workers=2)
-    session.close()
-    with pytest.raises(ParameterError, match="closed"):
-        session.refine_sky(small_graph_edges=0)
-    with pytest.raises(ParameterError, match="closed"):
-        session.greedy_maximize(3, ClosenessObjective(karate))
-    with pytest.raises(ParameterError, match="closed"):
-        with session:
-            pass
-
-
-def test_session_rejects_other_graph(karate, small_power_law):
-    with EngineSession(karate, workers=2) as session:
-        with pytest.raises(ParameterError, match="different graph"):
-            parallel_refine_sky(small_power_law, session=session)
-        with pytest.raises(ParameterError, match="different graph"):
-            lazy_greedy_maximize(
-                small_power_law,
-                3,
-                ClosenessObjective(small_power_law),
-                session=session,
-            )
+    assert not session.cached
 
 
 def test_session_rejects_conflicting_knobs(karate):
-    with EngineSession(karate, workers=2, timeout=5.0) as session:
+    for workers in (0, -1, 2, 3):
         with pytest.raises(ParameterError, match="workers"):
-            session.refine_sky(workers=3)
-        with pytest.raises(ParameterError, match="fault_plan"):
-            session.refine_sky(fault_plan=FaultPlan.single("crash"))
-        with pytest.raises(ParameterError, match="timeout"):
-            session.refine_sky(timeout=1.0)
-        with pytest.raises(ParameterError, match="max_retries"):
-            session.refine_sky(max_retries=7)
-        # Matching values pass the conflict checks untouched.
-        result = session.refine_sky(workers=2, timeout=5.0)
-        assert result.skyline == filter_refine_sky(karate).skyline
-
-
-@needs_shm
-def test_session_rejects_conflicting_data_plane(karate):
-    with EngineSession(karate, workers=2, data_plane="pickle") as session:
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.refine_sky(data_plane="shm")
-    with EngineSession(karate, workers=2, data_plane="shm") as session:
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.refine_sky(data_plane="pickle")
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.greedy_maximize(
-                3, ClosenessObjective(karate), data_plane="pickle"
-            )
-
-
-def test_eager_greedy_rejects_session(karate):
-    with EngineSession(karate, workers=2) as session:
-        with pytest.raises(ParameterError, match="eager"):
-            run_greedy(
-                karate,
-                3,
-                ClosenessObjective(karate),
-                strategy="eager",
-                session=session,
-            )
-
-
-def test_unknown_data_plane_rejected(karate):
-    with pytest.raises(ParameterError, match="data plane"):
-        parallel_refine_sky(karate, data_plane="carrier-pigeon")
-    with pytest.raises(ParameterError, match="data plane"):
-        EngineSession(karate, data_plane="carrier-pigeon")
-
-
-def test_pickle_session_has_no_segments(karate):
-    session = EngineSession(karate, workers=2, data_plane="pickle")
-    with pytest.raises(ParameterError, match="pickle plane"):
-        session.graph_refs()
-    with pytest.raises(ParameterError, match="pickle plane"):
-        session.cached_segment("cand", b"abc", "B")
-    session.close()
-
-
-@needs_shm
-def test_segment_cache_is_bounded(karate):
-    from repro.parallel.session import _MAX_CACHED_SEGMENTS
-
-    with EngineSession(karate, workers=2) as session:
-        refs = [
-            session.cached_segment("blob", bytes([i]) * 64, "B")
-            for i in range(_MAX_CACHED_SEGMENTS + 8)
-        ]
-        assert len(session._seg_cache) <= _MAX_CACHED_SEGMENTS
-        # Identical content returns the identical (cached) ref.
-        again = session.cached_segment(
-            "blob", bytes([_MAX_CACHED_SEGMENTS + 7]) * 64, "B"
-        )
-        assert again == refs[-1]
-
-
-# ---------------------------------------------------------------------
-# Automatic fallback when shm is unusable
-# ---------------------------------------------------------------------
-def test_auto_falls_back_to_pickle_without_shm(karate, monkeypatch):
-    import repro.parallel.shm as shm_mod
-
-    monkeypatch.setattr(shm_mod, "_AVAILABLE", False)
-    seq = filter_refine_sky(karate)
-    counters = SkylineCounters()
-    result = parallel_refine_sky(
-        karate,
-        workers=2,
-        small_graph_edges=0,
-        data_plane="auto",
-        counters=counters,
-    )
-    assert result.skyline == seq.skyline
-    assert counters.extra["data_plane"] == "pickle"
-    assert counters.extra["data_plane_fallback_reason"] == "no-shared-memory"
-    session = EngineSession(karate, workers=2)
-    assert session.data_plane == "pickle"
-    assert session.plane_fallback_reason == "no-shared-memory"
-    session.close()
-    # Explicitly requesting shm on such a host is an error, not a
-    # silent degrade.
-    with pytest.raises(ParameterError, match="unavailable"):
-        parallel_refine_sky(
-            karate, workers=2, small_graph_edges=0, data_plane="shm"
-        )
-
-
-# ---------------------------------------------------------------------
-# Chaos: the full fault matrix through a warm session, shm plane
-# ---------------------------------------------------------------------
-@needs_shm
-@pytest.mark.parametrize("kind", sorted(FAULT_PLANS))
-def test_session_fault_matrix_stays_exact(karate, kind):
-    seq = filter_refine_sky(karate)
-    with EngineSession(
-        karate,
-        workers=2,
-        fault_plan=FAULT_PLANS[kind],
-        timeout=_timeout_for(kind),
-    ) as session:
-        for _ in range(2):
-            result = session.refine_sky(small_graph_edges=0)
-            assert result.skyline == seq.skyline
-            assert result.dominator == seq.dominator
-    assert multiprocessing.active_children() == []
-
-
-@needs_shm
-def test_oneshot_shm_fault_recovery(karate):
-    """One-shot shm calls (no session) recover and clean up too."""
-    seq = filter_refine_sky(karate)
-    counters = SkylineCounters()
-    result = parallel_refine_sky(
-        karate,
-        workers=2,
-        small_graph_edges=0,
-        data_plane="shm",
-        fault_plan=FaultPlan({(0, a): "oom" for a in range(10)}),
-        max_retries=1,
-        counters=counters,
-    )
-    assert result.skyline == seq.skyline
-    assert result.dominator == seq.dominator
-    assert counters.extra["resilience_fallback_chunks"] >= 1
-
-
-@needs_shm
-def test_session_greedy_fault_recovery(karate):
-    seq = greedy_maximize(karate, 4, ClosenessObjective(karate))
-    with EngineSession(
-        karate, workers=2, fault_plan=FAULT_PLANS["crash"]
-    ) as session:
-        result = session.greedy_maximize(
-            4, ClosenessObjective(karate), small_graph_edges=0
-        )
-        assert result.group == seq.group
-        assert result.gains == seq.gains
-
-
-# ---------------------------------------------------------------------
-# Differential: sequential vs pickle vs shm, one-shot vs session
-# ---------------------------------------------------------------------
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(graphs(max_vertices=18))
-def test_planes_agree_with_sequential(graph):
-    seq = filter_refine_sky(graph)
-    pickle_r = parallel_refine_sky(
-        graph, workers=2, small_graph_edges=0, data_plane="pickle"
-    )
-    assert pickle_r.skyline == seq.skyline
-    assert pickle_r.dominator == seq.dominator
-    if shm_available():
-        shm_r = parallel_refine_sky(
-            graph, workers=2, small_graph_edges=0, data_plane="shm"
-        )
-        assert shm_r.skyline == seq.skyline
-        assert shm_r.dominator == seq.dominator
-        with EngineSession(graph, workers=2) as session:
-            for _ in range(2):
-                warm = session.refine_sky(small_graph_edges=0)
-                assert warm.skyline == seq.skyline
-                assert warm.dominator == seq.dominator
+            engine_session(karate, workers=workers)
+        with pytest.raises(ParameterError, match="workers"):
+            GraphRegistry(workers=workers)
+    # The one accepted value builds an ordinary cache.
+    with engine_session(karate, workers=1) as session:
+        assert isinstance(session, EngineSession)
+        assert session.refine_sky().skyline == filter_refine_sky(karate).skyline

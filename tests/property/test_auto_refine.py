@@ -28,8 +28,7 @@ from repro.core.filter_phase import filter_phase
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.naive import naive_skyline
 from repro.graph.generators import copying_power_law, kronecker_graph
-from tests.conftest import graphs, power_law_graphs
-from tests.property.test_parallel_equivalence import twin_heavy_graphs
+from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 
 COMMON = settings(
     max_examples=40,

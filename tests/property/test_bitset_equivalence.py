@@ -6,12 +6,11 @@ rest of the suite pins to ``naive``) — and its headline counters must
 agree too, since the kernel claims to test exactly the same pairs.
 These tests enforce the claims on hypothesis-generated graphs, on
 power-law graphs, on the twin-heavy graphs whose Def. 2 tie-breaks a
-wrong kernel would scramble, on both sides of the dense/sparse cutover,
-and through the parallel engine at 1, 2 and 4 workers.
+wrong kernel would scramble, and on both sides of the dense/sparse
+cutover.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.bitset_refine import filter_refine_bitset_sky
 from repro.core.counters import SkylineCounters
@@ -19,23 +18,13 @@ from repro.core.filter_phase import filter_phase
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.naive import naive_skyline
 from repro.graph.bitmatrix import matrix_words
-from repro.parallel import parallel_refine_sky
-from tests.conftest import graphs, power_law_graphs
-from tests.property.test_parallel_equivalence import twin_heavy_graphs
+from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 
 COMMON = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-#: Pool-backed examples fork real worker processes; keep the count low.
-POOLED = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 def assert_same_result(bit, seq):
     assert bit.skyline == seq.skyline
@@ -106,50 +95,3 @@ def test_cutover_both_sides_agree(g):
         assert (
             bloom_side.algorithm == "FilterRefineSkyBitset(bloom-fallback)"
         )
-
-
-@COMMON
-@given(graphs(), st.sampled_from([1, 2, 5, None]))
-def test_parallel_bitset_in_process(g, chunk_size):
-    par = parallel_refine_sky(
-        g, workers=1, chunk_size=chunk_size, refine="bitset"
-    )
-    assert_same_result(par, filter_refine_sky(g))
-
-
-@POOLED
-@given(
-    graphs(max_vertices=18),
-    st.sampled_from([2, 4]),
-    st.sampled_from([1, 3, None]),
-)
-def test_parallel_bitset_pooled(g, workers, chunk_size):
-    par = parallel_refine_sky(
-        g,
-        workers=workers,
-        chunk_size=chunk_size,
-        refine="bitset",
-        small_graph_edges=0,  # force the pool even on tiny graphs
-    )
-    assert_same_result(par, filter_refine_sky(g))
-    assert par.skyline == naive_skyline(g).skyline
-
-
-@COMMON
-@given(graphs(), st.sampled_from([(1, None), (1, 1), (1, 4)]))
-def test_parallel_bitset_counters_deterministic(g, config):
-    workers, chunk_size = config
-    baseline = SkylineCounters()
-    parallel_refine_sky(
-        g, workers=1, chunk_size=2, refine="bitset", counters=baseline
-    )
-    other = SkylineCounters()
-    parallel_refine_sky(
-        g,
-        workers=workers,
-        chunk_size=chunk_size,
-        refine="bitset",
-        counters=other,
-    )
-    assert other.as_dict() == baseline.as_dict()
-    assert other.extra["refine_path"] == baseline.extra["refine_path"]

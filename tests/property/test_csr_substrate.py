@@ -18,6 +18,7 @@ import struct
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.centrality import neisky_gc, neisky_gh
 from repro.core import SkylineCounters, neighborhood_skyline
@@ -26,6 +27,7 @@ from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
 from repro.graph.binfmt import (
     BINARY_MAGIC,
+    BINARY_VERSION,
     is_binary_graph,
     read_binary_graph,
     write_binary_graph,
@@ -146,33 +148,6 @@ class TestSkylineEquivalence:
             assert r_list.evaluations == r_csr.evaluations
 
 
-class TestPicklePlanePayloads:
-    def test_worker_init_sniff_handles_ndarray_payloads(self, karate):
-        """Regression: the plane sniff in the worker initializers must
-        not compare an ndarray payload head against ``"shm"``
-        (elementwise ``==`` made every pickle-plane worker die at init,
-        silently masked by the supervisor's sequential fallback)."""
-        from repro.core.counters import SkylineCounters
-        from repro.parallel import parallel_refine_sky
-
-        csr = as_csr(karate)
-        counters = SkylineCounters()
-        result = parallel_refine_sky(
-            csr,
-            workers=2,
-            data_plane="pickle",
-            small_graph_edges=0,
-            counters=counters,
-        )
-        assert result.skyline == neighborhood_skyline(karate).skyline
-        events = {
-            k: v
-            for k, v in counters.extra.items()
-            if k.startswith("resilience_") and v
-        }
-        assert not events, f"pooled run degraded: {events}"
-
-
 class TestTraversalEquivalence:
     @given(graphs(max_vertices=16))
     def test_bfs_distances_match(self, g):
@@ -261,3 +236,99 @@ class TestBinaryFormat:
         path = tmp_path / "k.rsky"
         write_binary_graph(karate, path)
         assert os.listdir(tmp_path) == ["k.rsky"]
+
+
+def _crafted_rsky(path, n, indptr, indices, *, m=None, magic=BINARY_MAGIC):
+    """Write a hand-made ``.rsky`` file (no validation on the way out)."""
+    m = len(indices) // 2 if m is None else m
+    header = struct.pack("<4sIQQ", magic, BINARY_VERSION, n, m)
+    body = struct.pack(f"<{len(indptr)}i", *indptr)
+    body += struct.pack(f"<{len(indices)}i", *indices)
+    path.write_bytes(header + body)
+    return path
+
+
+#: A valid 4-vertex path 0-1-2-3 as raw CSR arrays.
+_P4_INDPTR = [0, 1, 3, 5, 6]
+_P4_INDICES = [1, 0, 2, 1, 3, 2]
+
+#: The five corrupt-file cases: (label, crafted kwargs, error match).
+_CORRUPT_CASES = {
+    "bad_magic": (dict(magic=b"NOPE"), "magic"),
+    "lying_size": (dict(m=4), "declares"),
+    "non_monotone_indptr": (
+        dict(indptr=[0, 3, 1, 5, 6]),
+        "indptr decreases at vertex 1",
+    ),
+    "out_of_range_index": (
+        dict(indices=[1, 0, 2, 1, 7, 2]),
+        r"neighbor index 7 at entry 4 is outside \[0, 4\)",
+    ),
+    "negative_index": (
+        dict(indices=[1, 0, 2, 1, -3, 2]),
+        r"neighbor index -3 at entry 4 is outside \[0, 4\)",
+    ),
+}
+
+
+def _corrupt_file(tmp_path, case):
+    kwargs, _match = _CORRUPT_CASES[case]
+    arrays = dict(indptr=_P4_INDPTR, indices=_P4_INDICES)
+    arrays.update(kwargs)
+    return _crafted_rsky(tmp_path / f"{case}.rsky", 4, **arrays)
+
+
+class TestHostileBinaryInput:
+    def test_crafted_helper_writes_a_valid_graph(self, tmp_path):
+        path = _crafted_rsky(tmp_path / "p4.rsky", 4, _P4_INDPTR, _P4_INDICES)
+        g = read_binary_graph(path)
+        assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_out_of_range_index_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="outside"):
+            read_binary_graph(_corrupt_file(tmp_path, "out_of_range_index"))
+
+    def test_non_monotone_indptr_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="indptr decreases"):
+            read_binary_graph(_corrupt_file(tmp_path, "non_monotone_indptr"))
+
+    def test_negative_index_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="outside"):
+            read_binary_graph(_corrupt_file(tmp_path, "negative_index"))
+
+    @pytest.mark.parametrize("case", sorted(_CORRUPT_CASES))
+    def test_cli_exits_2_with_one_line_error(self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        path = _corrupt_file(tmp_path, case)
+        assert main(["skyline", "--edge-list", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_mutated_bytes_fail_cleanly_or_keep_invariants(
+        self, tmp_path_factory, data
+    ):
+        import numpy as np
+
+        path = tmp_path_factory.mktemp("mut") / "g.rsky"
+        write_binary_graph(Graph.from_edges(
+            5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+        ), path)
+        raw = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            pos = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+            raw[pos] = data.draw(st.integers(min_value=0, max_value=255))
+        path.write_bytes(bytes(raw))
+        try:
+            g = read_binary_graph(path)
+        except GraphFormatError:
+            return
+        indptr, indices = g.csr_arrays()
+        n = g.num_vertices
+        assert indptr[0] == 0 and indptr[n] == len(indices)
+        assert (np.diff(indptr) >= 0).all()
+        assert ((indices >= 0) & (indices < n)).all()

@@ -1,9 +1,8 @@
 """Differential safety net for the lazy (CELF) greedy engine.
 
 ``strategy="lazy"`` must return the *same* group, gains (float ``==``),
-and pool size as the eager reference driver — for every objective,
-every worker count and any chunking — because laziness, the CSR
-kernels and the round-0 pool are all pure scheduling changes.  These
+and pool size as the eager reference driver — for every objective —
+because laziness and the CSR kernels are pure scheduling changes.  These
 tests enforce the claim on hypothesis-generated graphs (random,
 power-law, disconnected composites, twin-heavy), including ``k`` at or
 beyond the pool size so the heap-dry fallback path is exercised.
@@ -24,15 +23,6 @@ COMMON = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-#: Pool-backed examples fork real worker processes, so keep the count
-#: low; the in-process path (identical kernels) gets the wide sweep.
-POOLED = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 def make_objective(graph, measure):
     """The gain objective for ``measure`` on ``graph``."""
@@ -148,25 +138,3 @@ def test_k_at_least_pool_size_falls_back(g, measure):
     )
 
 
-@POOLED
-@given(
-    graphs(max_vertices=14),
-    st.sampled_from([2, 4]),
-    st.sampled_from([1, 3, None]),
-    MEASURES,
-)
-def test_pooled_round0_matches_eager(g, workers, chunk_size, measure):
-    objective = make_objective(g, measure)
-    pooled = lazy_greedy_maximize(
-        g,
-        4,
-        objective,
-        workers=workers,
-        chunk_size=chunk_size,
-        small_graph_edges=0,  # force the pool even on tiny graphs
-    )
-    assert_identical(pooled, greedy_maximize(g, 4, objective))
-    # Worker count and chunking must not leak into the counters either.
-    in_process = lazy_greedy_maximize(g, 4, objective)
-    assert pooled.evaluations == in_process.evaluations
-    assert pooled.evaluations_saved == in_process.evaluations_saved

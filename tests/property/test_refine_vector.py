@@ -4,8 +4,8 @@
 witnesses and candidate set as the scalar bitset kernel and the
 sequential bloom baseline (which the rest of the suite pins to
 ``naive``) — bit for bit, on hypothesis-generated graphs, on the
-twin-heavy tie-break stressors, on every registered dataset, and
-through the parallel engine on both data planes.  The counter relations
+twin-heavy tie-break stressors and on every registered dataset.  The
+counter relations
 the kernel claims are pinned too: same vertices examined, same
 dominations found, bulk skip tallies never undercounting, zero bloom
 machinery, and the core-number pretest's rejects surfaced in
@@ -34,20 +34,11 @@ from repro.core.block_refine import (
 from repro.core.counters import SkylineCounters
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.naive import naive_skyline
-from repro.parallel import parallel_refine_sky
 from repro.workloads import load, names
-from tests.conftest import graphs, power_law_graphs
-from tests.property.test_parallel_equivalence import twin_heavy_graphs
+from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 
 COMMON = settings(
     max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-#: Pool-backed examples fork real worker processes; keep the count low.
-POOLED = settings(
-    max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -132,49 +123,6 @@ def test_block_chunking_invariance(g, entry_budget):
     assert c_tiny.extra.get("core_pretest_rejects") == c_ref.extra.get(
         "core_pretest_rejects"
     )
-
-
-@COMMON
-@given(graphs(), st.sampled_from([1, 2, 5, None]))
-def test_parallel_block_in_process(g, chunk_size):
-    c = SkylineCounters()
-    par = parallel_refine_sky(
-        g, workers=1, chunk_size=chunk_size, refine="block", counters=c
-    )
-    assert_same_result(par, filter_refine_sky(g))
-    if HAVE_NUMPY:
-        assert c.extra["refine_path"] == "block"
-        assert c.extra.get("core_pretest_rejects", -1) >= 0
-
-
-@POOLED
-@given(graphs(), st.sampled_from(["shm", "pickle"]))
-def test_parallel_block_pooled_both_planes(g, plane):
-    par = parallel_refine_sky(
-        g,
-        workers=2,
-        small_graph_edges=0,
-        refine="block",
-        data_plane=plane,
-        counters=SkylineCounters(),
-    )
-    assert_same_result(par, filter_refine_sky(g))
-
-
-@POOLED
-@given(graphs())
-def test_parallel_auto_kernel_matches(g):
-    c = SkylineCounters()
-    par = parallel_refine_sky(
-        g,
-        workers=2,
-        small_graph_edges=0,
-        refine="auto",
-        counters=c,
-    )
-    assert_same_result(par, filter_refine_sky(g))
-    assert c.extra["refine_requested"] == "auto"
-    assert c.extra["refine_path"] in ("bloom", "bitset", "block")
 
 
 def test_choose_refine_kernel_cutover():

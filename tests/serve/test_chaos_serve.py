@@ -1,7 +1,7 @@
 """Chaos against the live server: faults injected through ServerThread.
 
-PR 4 proved the pooled engines with `harness/faults.py`; this suite
-proves the serving layer the same way, end-to-end over real sockets:
+This suite proves the serving layer's self-healing end-to-end over
+real sockets, with faults injected through `harness/faults.py`:
 
 * a transient engine fault heals invisibly — the client sees a plain
   200, bit-for-bit the direct API result, and /metrics records the
@@ -16,13 +16,11 @@ proves the serving layer the same way, end-to-end over real sockets:
   (corrupt file, duplicate name), never a server-killing traceback;
 * shutdown under fault — mid-chaos stop(), and SIGTERM to a real
   ``repro-sky serve`` subprocess with its breaker open — drains with
-  503, exits 0, and leaves zero ``/dev/shm`` residue (enforced by this
-  directory's conftest hooks and explicit subprocess checks).
+  503 and exits 0.
 """
 
 from __future__ import annotations
 
-import glob
 import http.client
 import json
 import os
@@ -94,7 +92,7 @@ def _raw_request(handle, payload):
 # Transient faults heal invisibly
 # ---------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "kind", ["engine-exception", "session-poison", "shm-attach-failure"]
+    "kind", ["engine-exception", "session-poison"]
 )
 def test_transient_fault_serves_bitforbit_200(kind):
     plan = ServeFaultPlan.single(kind, "karate", 0)
@@ -307,8 +305,7 @@ def test_midchaos_stop_drains_cleanly():
 
 def test_sigterm_with_open_breaker_exits_zero(tmp_path):
     """A real `repro-sky serve` process under 100%-rate chaos: SIGTERM
-    while its breaker is open exits 0 with zero segment residue."""
-    before = set(glob.glob("/dev/shm/repro_*"))
+    while its breaker is open exits 0."""
     port_file = tmp_path / "stdout.log"
     proc = subprocess.Popen(
         [
@@ -320,8 +317,6 @@ def test_sigterm_with_open_breaker_exits_zero(tmp_path):
             "karate",
             "--port",
             "0",
-            "--workers",
-            "1",
             "--chaos-seed",
             "7",
             "--chaos-rate",
@@ -377,5 +372,3 @@ def test_sigterm_with_open_breaker_exits_zero(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-    leaked = set(glob.glob("/dev/shm/repro_*")) - before
-    assert not leaked, f"serve subprocess leaked segments: {sorted(leaked)}"

@@ -51,22 +51,19 @@ def test_absorb_engine_counters_sums_and_labels():
     metrics = ServerMetrics()
     first = SkylineCounters()
     first.pair_tests = 5
-    first.extra["parallel_session"] = "cold"
-    first.extra["resilience_retries"] = 2
-    first.extra["data_plane"] = "shm"
+    first.extra["core_pretest_rejects"] = 2
+    first.extra["refine_path"] = "block"
     second = SkylineCounters()
     second.pair_tests = 7
-    second.extra["parallel_session"] = "warm"
-    second.extra["resilience_retries"] = 1
-    second.extra["data_plane"] = "shm"
+    second.extra["core_pretest_rejects"] = 1
+    second.extra["refine_path"] = "block"
     metrics.absorb_engine_counters(first)
     metrics.absorb_engine_counters(second)
     metrics.absorb_engine_counters(None)  # tolerated no-op
     engine = metrics.as_dict()["engine"]
     assert engine["counters"]["pair_tests"] == 12
-    assert engine["session_calls"] == {"cold": 1, "warm": 1}
-    assert engine["extra"]["resilience_retries"] == 3
-    assert engine["extra"]["data_plane=shm"] == 2
+    assert engine["extra"]["core_pretest_rejects"] == 3
+    assert engine["extra"]["refine_path=block"] == 2
 
 
 def test_metrics_document_is_json_serializable():

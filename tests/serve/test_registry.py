@@ -57,10 +57,8 @@ def test_session_is_lazy_and_skyline_cached():
     registry = GraphRegistry()
     try:
         entry = registry.register("karate", load("karate"))
-        assert entry.describe()["session"] == "cold"
         assert entry.describe()["skyline_cached"] is False
         first = entry.skyline_result()
-        assert entry.describe()["session"] == "warm"
         assert entry.describe()["skyline_cached"] is True
         assert entry.skyline_result() is first  # cached, not recomputed
     finally:
@@ -70,7 +68,7 @@ def test_session_is_lazy_and_skyline_cached():
 def test_close_is_idempotent_and_blocks_registration():
     registry = GraphRegistry()
     entry = registry.register("karate", load("karate"))
-    entry.skyline_result()  # warm the session
+    entry.skyline_result()  # fill the cache
     registry.close()
     registry.close()  # second close is a no-op
     with pytest.raises(ReproError):
@@ -164,14 +162,31 @@ def test_last_good_skyline_cache_roundtrip():
     registry.close()
 
 
-def test_close_session_keeps_skyline_cache():
+def test_close_session_drops_skyline_cache():
     registry = GraphRegistry(workers=1)
     entry = registry.register("karate", load("karate"), source="inline")
     first = entry.skyline_result()
+    entry.note_good_skyline({"skyline": list(first.skyline)})
     entry.close_session()
-    assert entry._session is None
-    assert entry._skyline is first  # cache survives the teardown
-    # A fresh session rebuilds transparently and agrees bit-for-bit.
-    again = entry.session.refine_sky()
+    assert entry.describe()["skyline_cached"] is False
+    # The degraded path keeps its own copy across the teardown.
+    assert entry.degraded_skyline_payload() == {
+        "skyline": list(first.skyline)
+    }
+    # The next query recomputes transparently and agrees bit-for-bit.
+    again = entry.skyline_result()
+    assert again is not first
     assert again.skyline == first.skyline
+    assert again.dominator == first.dominator
     registry.close()
+
+
+def test_workers_other_than_one_rejected():
+    from repro.core.api import engine_session
+
+    with pytest.raises(ParameterError, match="workers must be 1"):
+        GraphRegistry(workers=2)
+    with pytest.raises(ParameterError, match="workers must be 1"):
+        engine_session(load("karate"), workers=4)
+    with engine_session(load("karate"), workers=1) as session:
+        assert session.refine_sky() is session.refine_sky()

@@ -6,16 +6,15 @@ contracts under test:
 
 * served ``skyline`` / ``group`` / ``clique`` responses are
   **bit-for-bit identical** to the corresponding direct API calls
-  (``filter_refine_sky`` ≡ ``filter_refine_bitset`` ≡ the parallel
-  engine; the Base*/NeiSky* greedy drivers; the clique stack);
+  (``neighborhood_skyline``'s default; the Base*/NeiSky* greedy
+  drivers; the clique stack);
 * concurrent clients across both graphs all succeed and agree with the
   direct results;
 * ``/metrics`` and ``/health`` expose the documented schema;
 * error paths map to the documented statuses (404 unknown graph /
   route, 400 bad input, 405 wrong method, 429 full queue, 504 expired
   deadline);
-* shutdown is clean: no leaked ``/dev/shm`` segment (enforced by this
-  directory's conftest hooks) and no stray server thread.
+* shutdown is clean: no stray server thread.
 """
 
 from __future__ import annotations
@@ -175,10 +174,8 @@ def test_metrics_schema(server):
         assert {"count", "sum_s", "buckets"} <= set(histogram)
         assert histogram["count"] >= 1
         assert "p99_s" in histogram
-    assert {"counters", "extra", "session_calls"} == set(doc["engine"])
-    # The warm-session telemetry flows through: the first pooled call
-    # was cold, everything else warm (workers=1 stays in-process, so
-    # session_calls may be empty — but the engine counters must sum).
+    assert {"counters", "extra"} == set(doc["engine"])
+    # The skyline computations' counters flow through.
     assert doc["engine"]["counters"].get("pair_tests", 0) > 0
     assert doc["queue"]["capacity"] == 32
 
@@ -299,3 +296,47 @@ def test_backpressure_and_deadline_end_to_end():
         assert metrics["queue"]["dequeued_total"] == 0  # nothing ran
         assert metrics["requests"]["skyline"]["429"] == 1
         assert metrics["requests"]["skyline"]["504"] == 2
+
+
+# ---------------------------------------------------------------------
+# One skyline computation per graph
+# ---------------------------------------------------------------------
+def test_served_skyline_is_computed_once_per_graph():
+    """N skyline queries, then a group and a clique query, on one fresh
+    graph: the engine counters in /metrics are exactly one
+    ``neighborhood_skyline`` call's, and every payload is bit-for-bit
+    the direct API result."""
+    from repro.core import SkylineCounters
+
+    graph = load("bombing_proxy")
+    direct_counters = SkylineCounters()
+    direct = neighborhood_skyline(graph, counters=direct_counters)
+    registry = GraphRegistry()
+    registry.register("g", graph)
+    config = ServeConfig(port=0, queue_capacity=16, batch_max=4)
+    with ServerThread(registry, config) as handle:
+        for _ in range(5):
+            result = _query(handle, {"graph": "g", "kind": "skyline"})[
+                "result"
+            ]
+            assert result["algorithm"] == direct.algorithm
+            assert tuple(result["skyline"]) == direct.skyline
+            assert tuple(result["dominator"]) == direct.dominator
+            assert result["candidate_size"] == direct.candidate_size
+            assert result["size"] == direct.size
+        group = _query(handle, {"graph": "g", "kind": "group", "k": 3})[
+            "result"
+        ]
+        expected = neisky_gc(graph, 3, skyline=direct.skyline)
+        assert tuple(group["group"]) == expected.group
+        assert tuple(group["gains"]) == expected.gains
+        assert group["evaluations"] == expected.evaluations
+        clique = _query(handle, {"graph": "g", "kind": "clique"})["result"]
+        assert clique["cliques"] == [neisky_mc(graph, skyline=direct.skyline)]
+        status, metrics = handle.request("GET", "/metrics")
+    assert status == 200
+    engine = metrics["engine"]
+    assert engine["counters"] == direct_counters.as_dict()
+    assert engine["extra"]["refine_path=" + direct_counters.extra[
+        "refine_path"
+    ]] == 1

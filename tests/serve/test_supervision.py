@@ -235,7 +235,7 @@ def test_transient_fault_heals_with_bitforbit_retry():
         registry.close()
 
 
-@pytest.mark.parametrize("kind", ["session-poison", "shm-attach-failure"])
+@pytest.mark.parametrize("kind", ["session-poison"])
 def test_poison_and_attach_faults_heal_too(kind):
     plan = ServeFaultPlan.single(kind, "karate", 0)
     registry, supervisor, metrics = _supervised(

@@ -107,49 +107,13 @@ def test_stats_command(capsys):
 
 
 # ---------------------------------------------------------------------
-# --workers flag and error paths
+# Error paths
 # ---------------------------------------------------------------------
-def test_skyline_workers_flag_uses_parallel_engine(capsys):
-    assert main(["skyline", "--dataset", "karate", "--workers", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "FilterRefineSkyParallel" in out
-    assert "|R| = 15" in out
-
-
-def test_skyline_parallel_algorithm_name(capsys):
-    code = main(
-        [
-            "skyline",
-            "--dataset",
-            "karate",
-            "--algorithm",
-            "filter_refine_parallel",
-        ]
-    )
-    assert code == 0
-    assert "FilterRefineSkyParallel" in capsys.readouterr().out
-
-
-def test_skyline_workers_zero_is_clean_error(capsys):
-    code = main(["skyline", "--dataset", "karate", "--workers", "0"])
-    assert code == 2
-    assert "--workers must be a positive integer" in capsys.readouterr().err
-
-
-def test_skyline_workers_with_incompatible_algorithm(capsys):
-    code = main(
-        [
-            "skyline",
-            "--dataset",
-            "karate",
-            "--algorithm",
-            "base",
-            "--workers",
-            "2",
-        ]
-    )
-    assert code == 2
-    assert "filter_refine family" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--workers", "--timeout", "--data-plane"])
+def test_pool_flags_are_gone(flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["skyline", "--dataset", "karate", flag, "2"])
+    assert exc.value.code == 2
 
 
 def test_unknown_algorithm_is_parameter_error(capsys):
@@ -165,42 +129,6 @@ def test_malformed_edge_list_names_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.txt" in err
     assert "line 2" in err
-
-
-def test_group_workers_flag(capsys):
-    code = main(["group", "--dataset", "karate", "--k", "2", "--workers", "2"])
-    assert code == 0
-    assert "NeiSky group-closeness" in capsys.readouterr().out
-
-
-def test_group_workers_conflicts_with_no_skyline(capsys):
-    code = main(
-        [
-            "group",
-            "--dataset",
-            "karate",
-            "--k",
-            "2",
-            "--workers",
-            "2",
-            "--no-skyline",
-        ]
-    )
-    assert code == 2
-    assert "--no-skyline" in capsys.readouterr().err
-
-
-def test_clique_workers_flag(capsys):
-    assert main(["clique", "--dataset", "karate", "--workers", "2"]) == 0
-    assert "size 5" in capsys.readouterr().out
-
-
-def test_clique_topk_workers_flag(capsys):
-    code = main(
-        ["clique", "--dataset", "karate", "--top-k", "2", "--workers", "2"]
-    )
-    assert code == 0
-    assert "#2" in capsys.readouterr().out
 
 
 def test_sweep_runs_grid(capsys):
@@ -289,38 +217,6 @@ def test_keyboard_interrupt_is_clean_exit_130(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1  # exactly one line, no traceback
     assert "checkpoint (if any) kept" in err
-
-
-def test_skyline_timeout_flag(capsys):
-    code = main(
-        [
-            "skyline",
-            "--dataset",
-            "karate",
-            "--workers",
-            "2",
-            "--timeout",
-            "60",
-        ]
-    )
-    assert code == 0
-    assert "|R| = 15" in capsys.readouterr().out
-
-
-def test_timeout_must_be_positive(capsys):
-    code = main(
-        [
-            "skyline",
-            "--dataset",
-            "karate",
-            "--workers",
-            "2",
-            "--timeout",
-            "0",
-        ]
-    )
-    assert code == 2
-    assert "timeout" in capsys.readouterr().err
 
 
 def test_serve_validates_queue_capacity(capsys):
