@@ -52,7 +52,11 @@ def test_fig11_base_gc(benchmark, figure_report, axis, fraction):
     graph = scalability_centrality_instance(axis, fraction)
     start = time.perf_counter()
     benchmark.pedantic(
-        base_gc, args=(graph, GROUP_K_DEFAULT), rounds=1, iterations=1
+        base_gc,
+        args=(graph, GROUP_K_DEFAULT),
+        kwargs={"strategy": "eager"},
+        rounds=1,
+        iterations=1,
     )
     _record(figure_report, axis, fraction, "Greedy++", time.perf_counter() - start)
 
@@ -64,7 +68,9 @@ def test_fig11_neisky_gc(benchmark, figure_report, bench_json, axis, fraction):
 
     def run():
         skyline = filter_refine_sky(graph).skyline
-        return neisky_gc(graph, GROUP_K_DEFAULT, skyline=skyline)
+        return neisky_gc(
+            graph, GROUP_K_DEFAULT, skyline=skyline, strategy="eager"
+        )
 
     start = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -92,7 +98,9 @@ def test_fig11_lazy_gc(benchmark, figure_report, bench_json, axis, fraction):
     # the result is asserted identical before the timing is recorded.
     graph = scalability_centrality_instance(axis, fraction)
     skyline = filter_refine_sky(graph).skyline
-    eager = neisky_gc(graph, GROUP_K_DEFAULT, skyline=skyline)
+    eager = neisky_gc(
+        graph, GROUP_K_DEFAULT, skyline=skyline, strategy="eager"
+    )
 
     def run():
         sky = filter_refine_sky(graph).skyline

@@ -50,7 +50,11 @@ def test_fig12_base_gh(benchmark, figure_report, axis, fraction):
     graph = scalability_centrality_instance(axis, fraction)
     start = time.perf_counter()
     benchmark.pedantic(
-        base_gh, args=(graph, GROUP_K_DEFAULT), rounds=1, iterations=1
+        base_gh,
+        args=(graph, GROUP_K_DEFAULT),
+        kwargs={"strategy": "eager"},
+        rounds=1,
+        iterations=1,
     )
     _record(figure_report, axis, fraction, "Greedy-H", time.perf_counter() - start)
 
@@ -62,7 +66,9 @@ def test_fig12_neisky_gh(benchmark, figure_report, bench_json, axis, fraction):
 
     def run():
         skyline = filter_refine_sky(graph).skyline
-        return neisky_gh(graph, GROUP_K_DEFAULT, skyline=skyline)
+        return neisky_gh(
+            graph, GROUP_K_DEFAULT, skyline=skyline, strategy="eager"
+        )
 
     start = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -90,7 +96,9 @@ def test_fig12_lazy_gh(benchmark, figure_report, bench_json, axis, fraction):
     # the result is asserted identical before the timing is recorded.
     graph = scalability_centrality_instance(axis, fraction)
     skyline = filter_refine_sky(graph).skyline
-    eager = neisky_gh(graph, GROUP_K_DEFAULT, skyline=skyline)
+    eager = neisky_gh(
+        graph, GROUP_K_DEFAULT, skyline=skyline, strategy="eager"
+    )
 
     def run():
         sky = filter_refine_sky(graph).skyline

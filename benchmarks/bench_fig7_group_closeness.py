@@ -66,7 +66,13 @@ def _record(figure_report, name, k, label, elapsed, evaluations):
 def test_fig7_base_gc(benchmark, figure_report, bench_json, name, k):
     graph = centrality_instance(name)
     start = time.perf_counter()
-    result = benchmark.pedantic(base_gc, args=(graph, k), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        base_gc,
+        args=(graph, k),
+        kwargs={"strategy": "eager"},
+        rounds=1,
+        iterations=1,
+    )
     elapsed = time.perf_counter() - start
     _record(figure_report, name, k, "Greedy++", elapsed, result.evaluations)
     bench_json(
@@ -91,7 +97,7 @@ def test_fig7_neisky_gc(benchmark, figure_report, bench_json, name, k):
 
     def run():
         skyline = filter_refine_sky(graph).skyline
-        return neisky_gc(graph, k, skyline=skyline)
+        return neisky_gc(graph, k, skyline=skyline, strategy="eager")
 
     start = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -119,7 +125,7 @@ def test_fig7_lazy_gc(benchmark, figure_report, bench_json, name, k):
     # the result is asserted identical before the timing is recorded.
     graph = centrality_instance(name)
     skyline = filter_refine_sky(graph).skyline
-    eager = neisky_gc(graph, k, skyline=skyline)
+    eager = neisky_gc(graph, k, skyline=skyline, strategy="eager")
 
     def run():
         # Recompute the skyline inside the timed body so the wall time

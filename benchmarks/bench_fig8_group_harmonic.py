@@ -47,7 +47,13 @@ def _record(figure_report, name, k, label, elapsed, evaluations):
 def test_fig8_base_gh(benchmark, figure_report, bench_json, name, k):
     graph = centrality_instance(name)
     start = time.perf_counter()
-    result = benchmark.pedantic(base_gh, args=(graph, k), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        base_gh,
+        args=(graph, k),
+        kwargs={"strategy": "eager"},
+        rounds=1,
+        iterations=1,
+    )
     elapsed = time.perf_counter() - start
     _record(figure_report, name, k, "Greedy-H", elapsed, result.evaluations)
     bench_json(
@@ -72,7 +78,7 @@ def test_fig8_neisky_gh(benchmark, figure_report, bench_json, name, k):
 
     def run():
         skyline = filter_refine_sky(graph).skyline
-        return neisky_gh(graph, k, skyline=skyline)
+        return neisky_gh(graph, k, skyline=skyline, strategy="eager")
 
     start = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -100,7 +106,7 @@ def test_fig8_lazy_gh(benchmark, figure_report, bench_json, name, k):
     # the result is asserted identical before the timing is recorded.
     graph = centrality_instance(name)
     skyline = filter_refine_sky(graph).skyline
-    eager = neisky_gh(graph, k, skyline=skyline)
+    eager = neisky_gh(graph, k, skyline=skyline, strategy="eager")
 
     def run():
         # Recompute the skyline inside the timed body so the wall time

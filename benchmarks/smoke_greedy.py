@@ -69,7 +69,9 @@ def run(instances) -> list[dict]:
             ("NeiSkyGC", neisky_gc),
             ("BaseGH", base_gh),
         ):
-            t_eager, eager = _timed(lambda r=runner: r(graph, SMOKE_K))
+            t_eager, eager = _timed(
+                lambda r=runner: r(graph, SMOKE_K, strategy="eager")
+            )
             t_lazy, lazy = _timed(
                 lambda r=runner: r(graph, SMOKE_K, strategy="lazy")
             )

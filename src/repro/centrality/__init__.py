@@ -8,7 +8,8 @@
   the candidate pool, so timing comparisons isolate the skyline pruning.
   Each accepts ``strategy="lazy"`` for the CELF engine
   (:mod:`repro.centrality.lazy_greedy`): identical output, far fewer
-  gain evaluations.
+  gain evaluations.  Lazy is the default for closeness and harmonic;
+  betweenness keeps the eager default.
 """
 
 from repro.centrality.betweenness import betweenness_centrality, sp_counts_from

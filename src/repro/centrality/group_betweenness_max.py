@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.centrality.betweenness import sp_counts_from
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.api import neighborhood_skyline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 
@@ -250,5 +250,5 @@ def neisky_gb(
 ) -> GroupBetweennessResult:
     """Greedy group-betweenness restricted to the neighborhood skyline."""
     if skyline is None:
-        skyline = filter_refine_sky(graph).skyline
+        skyline = neighborhood_skyline(graph).skyline
     return _greedy_gb(graph, k, sorted(skyline), strategy)

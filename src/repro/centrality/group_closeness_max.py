@@ -14,9 +14,10 @@ appearing naturally as the ``new = 0`` improvement.  Maximizing the
 farness drop per round is identical to maximizing
 ``GC(S ∪ {u}) = n / F(S ∪ {u})``.
 
-Both entry points accept ``strategy="lazy"`` to run the CELF engine of
-:mod:`repro.centrality.lazy_greedy` (identical output, far fewer gain
-evaluations).
+Both entry points run the CELF engine of
+:mod:`repro.centrality.lazy_greedy` by default; ``strategy="eager"``
+runs the reference driver (identical output, and the paper's evaluation
+counts).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 from repro.centrality.greedy import GreedyResult
 from repro.centrality.lazy_greedy import run_greedy
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.api import neighborhood_skyline
 from repro.graph.adjacency import Graph
 
 __all__ = ["ClosenessObjective", "base_gc", "neisky_gc"]
@@ -55,14 +56,14 @@ def base_gc(
     graph: Graph,
     k: int,
     *,
-    strategy: str = "eager",
+    strategy: str = "lazy",
     gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-closeness over the full vertex set (``BaseGC``).
 
-    The eager strategy performs ``k(2n − k + 1)/2`` marginal-gain
-    evaluations; ``strategy="lazy"`` returns the identical result with
-    (typically far) fewer.
+    ``strategy="eager"`` performs ``k(2n − k + 1)/2`` marginal-gain
+    evaluations; the default lazy strategy returns the identical result
+    with (typically far) fewer.
     """
     return run_greedy(
         graph,
@@ -78,18 +79,19 @@ def neisky_gc(
     k: int,
     *,
     skyline: Optional[tuple[int, ...]] = None,
-    strategy: str = "eager",
+    strategy: str = "lazy",
     gain_batch="auto",
 ) -> GreedyResult:
     """Algorithm 4 (``NeiSkyGC``): greedy restricted to the skyline.
 
     ``skyline`` may be passed in when already computed (benchmarks reuse
-    one skyline across many ``k``); otherwise FilterRefineSky runs first.
-    The eager strategy performs ``k(2r − k + 1)/2`` evaluations for
+    one skyline across many ``k``); otherwise
+    :func:`~repro.core.api.neighborhood_skyline` runs first.
+    ``strategy="eager"`` performs ``k(2r − k + 1)/2`` evaluations for
     ``r = |R|``.
     """
     if skyline is None:
-        skyline = filter_refine_sky(graph).skyline
+        skyline = neighborhood_skyline(graph).skyline
     return run_greedy(
         graph,
         k,

@@ -12,9 +12,10 @@ special case.
 Skyline pruning is justified by Lemma 4 (``v ≤ u`` implies
 ``GH(S∪{u}) ≥ GH(S∪{v})``).
 
-Both entry points accept ``strategy="lazy"`` to run the CELF engine of
-:mod:`repro.centrality.lazy_greedy` (identical output, far fewer gain
-evaluations).
+Both entry points run the CELF engine of
+:mod:`repro.centrality.lazy_greedy` by default; ``strategy="eager"``
+runs the reference driver (identical output, and the paper's evaluation
+counts).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 from repro.centrality.greedy import GreedyResult
 from repro.centrality.lazy_greedy import run_greedy
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.api import neighborhood_skyline
 from repro.graph.adjacency import Graph
 
 __all__ = ["HarmonicObjective", "base_gh", "neisky_gh"]
@@ -49,7 +50,7 @@ def base_gh(
     graph: Graph,
     k: int,
     *,
-    strategy: str = "eager",
+    strategy: str = "lazy",
     gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-harmonic over the full vertex set (``BaseGH``)."""
@@ -67,12 +68,12 @@ def neisky_gh(
     k: int,
     *,
     skyline: Optional[tuple[int, ...]] = None,
-    strategy: str = "eager",
+    strategy: str = "lazy",
     gain_batch="auto",
 ) -> GreedyResult:
     """``NeiSkyGH``: greedy group-harmonic restricted to the skyline."""
     if skyline is None:
-        skyline = filter_refine_sky(graph).skyline
+        skyline = neighborhood_skyline(graph).skyline
     return run_greedy(
         graph,
         k,

@@ -2,7 +2,9 @@
 
 Same contract as :func:`repro.centrality.greedy.greedy_maximize` — same
 group, same gains, same tie-breaks, bit for bit — with three stacked
-optimizations:
+optimizations.  It is the default schedule of every group-closeness and
+group-harmonic entry point; the eager driver stays as the reference
+it is tested against.
 
 1. **Lazy evaluation.**  Marginal gains along the greedy chain are
    non-increasing for both bundled objectives (see
@@ -23,8 +25,10 @@ optimizations:
 
 3. **Batched lanes** (``gain_batch``).  Evaluations run ``B`` sources
    per vectorized kernel pass (:meth:`~repro.paths.csr.CSRTraversal.
-   _batch_scan`) instead of one Python-level BFS per call.  Round 0
-   scores the scope in blocks of ``B``; the CELF drain batches
+   _batch_scan`) instead of one Python-level BFS per call.  Round 0,
+   scored against an empty group, runs on the bitset multi-source BFS
+   of :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` (64
+   sources per machine word); the CELF drain batches
    *speculatively*: when a stale pop needs a re-score, the kernel also
    scores the next ``B-1`` stale heap entries (the likeliest next pops)
    into a round-local cache, and each later stale pop is served from
@@ -42,9 +46,9 @@ optimizations:
 ``evaluations_saved`` is the eager schedule's count over the same pool
 minus that, so ``evaluations + evaluations_saved`` always equals the
 eager driver's ``evaluations`` for the same inputs.  (The one uncounted
-traversal: after a batched round 0 the winner's update list is
-re-derived — eager already charged that candidate's evaluation, and the
-recomputation is one BFS against the whole round's scan.)
+traversal per round: batched scans ship gains only, so the winner's
+update list is re-derived — eager already charged that candidate's
+evaluation.  After round 0 it is the winner's BFS distance vector.)
 """
 
 from __future__ import annotations
@@ -151,16 +155,22 @@ def lazy_greedy_maximize(
             if batch > 1:
                 # Batched scope scan: gains only; the winner's update
                 # list is re-derived below (uncounted).  max() keeps the
-                # first maximum: the eager smallest-ID tie-break.
-                gain_vec = []
-                for lo in range(0, len(scope), batch):
-                    lane = scope[lo : lo + batch]
-                    gain_vec.extend(
-                        g for g, _none in batch_evaluate(
-                            lane, dist_nd, False
-                        )
-                    )
+                # first maximum: the eager smallest-ID tie-break.  With
+                # nothing committed yet every scan is a plain BFS, which
+                # the bitset round-0 kernel runs 64 sources per word.
+                if not group:
+                    gain_vec = trav.first_round_gains(scope, objective)
                     batch_rounds += 1
+                else:
+                    gain_vec = []
+                    for lo in range(0, len(scope), batch):
+                        lane = scope[lo : lo + batch]
+                        gain_vec.extend(
+                            g for g, _none in batch_evaluate(
+                                lane, dist_nd, False
+                            )
+                        )
+                        batch_rounds += 1
                 lanes_evaluated += len(scope)
                 best_idx = max(
                     range(len(scope)), key=gain_vec.__getitem__
@@ -237,18 +247,25 @@ def lazy_greedy_maximize(
                 round_updates[u] = updates
                 heapq.heappush(heap, (-gain, u, round_no))
 
-        if best_updates is None:
-            # Batched scans ship gains only; re-derive the
-            # winner's update list (uncounted: this candidate's
-            # evaluation was already charged above).
-            _gain, best_updates = evaluate(best_u, dist, True)
-        if dist_nd is None:
-            for v, new in best_updates:
-                dist[v] = new
+        if best_updates is None and not group:
+            # Bitset round 0 ships gains only.  Against an empty group
+            # the winner improves every vertex it reaches to its BFS
+            # distance, so the vectorized full BFS is the commit.
+            dist = trav.bfs_distances(best_u)
+            dist_nd = _np.array(dist, dtype=_np.int32)
         else:
-            for v, new in best_updates:
-                dist[v] = new
-                dist_nd[v] = new
+            if best_updates is None:
+                # Batched scans ship gains only; re-derive the
+                # winner's update list (uncounted: this candidate's
+                # evaluation was already charged above).
+                _gain, best_updates = evaluate(best_u, dist, True)
+            if dist_nd is None:
+                for v, new in best_updates:
+                    dist[v] = new
+            else:
+                for v, new in best_updates:
+                    dist[v] = new
+                    dist_nd[v] = new
         in_group[best_u] = 1
         group.append(best_u)
         gains.append(best_gain)
@@ -282,16 +299,18 @@ def run_greedy(
     objective: GainObjective,
     *,
     candidates: Optional[Iterable[int]] = None,
-    strategy: str = "eager",
+    strategy: str = "lazy",
     counters=None,
     gain_batch="auto",
 ) -> GreedyResult:
     """Strategy dispatcher shared by the Base*/NeiSky* entry points.
 
-    ``strategy="eager"`` runs the reference driver; ``"lazy"`` runs the
-    CELF engine (identical output; ``counters`` receives its batch
-    telemetry).  ``gain_batch`` sets the batched-kernel lane count for
-    either strategy; every value yields the identical result.
+    ``strategy="lazy"`` (the default) runs the CELF engine;
+    ``"eager"`` runs the reference driver (identical output, and the
+    ``evaluations`` count of the paper's Example 2; ``counters``
+    receives only the lazy engine's batch telemetry).  ``gain_batch``
+    sets the batched-kernel lane count for either strategy; every value
+    yields the identical result.
     """
     if strategy == "eager":
         return greedy_maximize(

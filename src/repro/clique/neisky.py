@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.clique.mcbrb import _bb_colored, greedy_heuristic_clique
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.api import neighborhood_skyline
 from repro.graph.adjacency import Graph
 
 __all__ = ["neisky_mc"]
@@ -34,14 +34,14 @@ def neisky_mc(
     """Exact maximum clique searching only skyline-rooted ego networks.
 
     ``skyline`` may be supplied when precomputed; otherwise
-    FilterRefineSky runs first (its cost is part of what the paper's
-    Exp-6 measures at ``k = 1``).
+    :func:`~repro.core.api.neighborhood_skyline` runs first (its cost
+    is part of what the paper's Exp-6 measures at ``k = 1``).
     """
     n = graph.num_vertices
     if n == 0:
         return []
     if skyline is None:
-        skyline = filter_refine_sky(graph).skyline
+        skyline = neighborhood_skyline(graph).skyline
     best = greedy_heuristic_clique(graph)
     adjacency = [set(graph.neighbors(u)) for u in range(n)]
     degree = graph.degree

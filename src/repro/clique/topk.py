@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from repro.clique.mcbrb import max_clique_with_root, mc_brb
 from repro.clique.neisky import neisky_mc
-from repro.core.filter_refine import filter_refine_sky
+from repro.core.api import neighborhood_skyline
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -96,8 +96,8 @@ def neisky_topk_mcc(
 
     ``skyline_result`` (not just the skyline — the dominator witnesses
     drive the re-entry step) may be supplied when precomputed; by default
-    FilterRefineSky runs first, and its cost is part of what Exp-6
-    measures.
+    :func:`~repro.core.api.neighborhood_skyline` runs first, and its
+    cost is part of what Exp-6 measures.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -105,7 +105,7 @@ def neisky_topk_mcc(
     if n == 0:
         return []
     if skyline_result is None:
-        skyline_result = filter_refine_sky(graph)
+        skyline_result = neighborhood_skyline(graph)
     if k == 1:
         return [neisky_mc(graph, skyline=skyline_result.skyline)]
     dominator = skyline_result.dominator

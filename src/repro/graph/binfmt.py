@@ -26,8 +26,9 @@ conversion.
 
 Every load validates the magic, version, declared counts and the file
 size they imply, that ``indptr`` runs from 0 to ``2m`` without
-decreasing, and that every index names a vertex in ``[0, n)``; a
-truncated or corrupted file raises
+decreasing, that every index names a vertex in ``[0, n)``, that every
+row is strictly increasing and loop-free, and that every edge is
+stored in both directions; a truncated or corrupted file raises
 :class:`~repro.errors.GraphFormatError` naming the path and the
 specific mismatch, never a numpy shape error downstream.
 """
@@ -195,4 +196,49 @@ def read_binary_graph(path: PathLike) -> CSRGraph:
             f"{label}: neighbor index {int(indices[pos])} at entry {pos} "
             f"is outside [0, {n}) — corrupt index"
         )
+    if m:
+        _check_rows_and_symmetry(label, n, indptr, indices)
     return CSRGraph.from_arrays(indptr, indices)
+
+
+def _check_rows_and_symmetry(label, n, indptr, indices) -> None:
+    """Reject unsorted rows, loops and one-way edges.
+
+    The kernels trust the CSR snapshot (:meth:`CSRGraph.from_arrays`),
+    so a row out of order or an edge stored in one direction only would
+    be answered silently — and a skyline verifier reading the same
+    adjacency would agree with it.  With edge keys ``u*n + v`` in file
+    order, every row is strictly increasing iff the keys are (a row
+    break adds ``n``, more than any in-row gap), and then the edge set
+    is symmetric iff the sorted reversed keys ``v*n + u`` equal the
+    keys: one sort, ~15x cheaper here than a ``searchsorted`` of the
+    unsorted reversed keys, which runs only to name a one-way edge.
+    """
+    # int32 keys while n*n fits: they halve the sort's memory traffic.
+    key = _np.int32 if n * n < 1 << 31 else _np.int64
+    rows = _np.repeat(_np.arange(n, dtype=key), _np.diff(indptr))
+    cols = indices.astype(key, copy=False)
+    keys = rows * n + cols
+    drops = _np.flatnonzero(_np.diff(keys) <= 0)
+    if drops.size:
+        pos = int(drops[0]) + 1
+        raise GraphFormatError(
+            f"{label}: row {int(rows[pos])} is not strictly increasing at "
+            f"entry {pos} ({int(indices[pos - 1])} then "
+            f"{int(indices[pos])}) — corrupt index"
+        )
+    loops = _np.flatnonzero(rows == cols)
+    if loops.size:
+        raise GraphFormatError(
+            f"{label}: self-loop at vertex {int(rows[loops[0]])} — "
+            "corrupt index"
+        )
+    reverse = cols * n + rows
+    if not _np.array_equal(_np.sort(reverse), keys):
+        pos = _np.minimum(_np.searchsorted(keys, reverse), keys.size - 1)
+        i = int(_np.flatnonzero(keys[pos] != reverse)[0])
+        u, v = int(rows[i]), int(cols[i])
+        raise GraphFormatError(
+            f"{label}: edge ({u}, {v}) has no reverse entry ({v}, {u}) — "
+            "adjacency is not symmetric"
+        )

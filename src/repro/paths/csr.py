@@ -61,6 +61,13 @@ emission order, and the generic kernel feeds ``gain_weight`` the same
 ``batch_*_eval(sources, ...)`` returns the *bitwise same*
 ``(gain, updates)`` pairs as ``B`` scalar ``*_eval`` calls, one numpy
 pass per frontier level instead of one Python loop iteration per edge.
+
+**Round-0 kernel.**  With the group still empty every gain scan is a
+plain BFS and every vertex at level ``L`` contributes the same term, so
+:meth:`CSRTraversal.first_round_gains` needs only each source's level
+histogram.  It gets all of them from one bitset multi-source BFS — 64
+sources per machine word, one gather and one ``bitwise_or.reduceat``
+per level — and replays each lane's scalar fold from the histogram.
 """
 
 from __future__ import annotations
@@ -96,10 +103,14 @@ GAIN_BATCH_MIN_VERTICES = 256
 #: capped at :data:`GAIN_BATCH_MAX_LANES`.
 GAIN_BATCH_CELL_BUDGET = 1 << 23
 
-#: Auto-sizing lane cap; in the CELF drain ``B`` is also the
-#: speculation width, and past ~64 lanes the extra speculative scans
-#: rarely pay for themselves.
-GAIN_BATCH_MAX_LANES = 64
+#: Auto-sizing lane cap.  Round 0 runs on the bitset kernel
+#: (:meth:`CSRTraversal.first_round_gains`), so ``B`` only sizes the
+#: CELF drain's speculation width.  The drain scores its lanes one after
+#: another, so a wider batch buys little but wasted speculative scans:
+#: on R-MAT scale 10 (k=8), copying-model n=400 (k 2-4) and kron_large
+#: (k=16) widths 8-16 were fastest, 64 was 10-30% slower and 2-4 lost
+#: at the small sizes.
+GAIN_BATCH_MAX_LANES = 8
 
 #: Hard cap on ``B * n`` cells for *explicit* batch requests: an
 #: oversized ``--gain-batch`` is clamped, never allowed to materialize
@@ -760,6 +771,114 @@ class CSRTraversal:
             out.append((gain, updates))
         return out
 
+    # ------------------------------------------------------------------
+    # Round-0 kernel: bitset multi-source BFS, 64 sources per word
+    # ------------------------------------------------------------------
+    def first_round_gains(self, sources, objective) -> list[float]:
+        """Empty-group gain of every source, bitwise equal to the scalar
+        ``*_eval(source, [-1] * n)`` of :func:`make_evaluator`.
+
+        With no committed set the pruned scan is a plain BFS, and every
+        vertex a source reaches at level ``L`` contributes the same term
+        ``gain_weight(-1, L)``.  So a lane's gain depends only on its
+        level histogram ``c[L]``, and the scalar sequential fold over
+        the emission stream is replayed per lane as ``0.0``, the source
+        term, then ``c[1]`` copies of the level-1 term, and so on.  The
+        fold is one ``np.cumsum`` (a strictly sequential accumulate);
+        ``np.sum`` is pairwise and would drift from the scalar harmonic
+        gain in the last bits.  Closeness terms are integers, so its
+        lanes sum exactly in int64 and convert once, as the scalar does.
+
+        The histograms come from :meth:`_level_histograms`, which runs
+        all lanes of a chunk as one bit-parallel BFS.
+        """
+        sources = [int(s) for s in sources]
+        if not sources:
+            return []
+        kernel = getattr(objective, "csr_kernel", None)
+        if kernel == "harmonic":
+
+            def term(level):
+                return 1.0 / level if level else -0.0
+        elif kernel != "closeness":
+            weight = objective.gain_weight
+
+            def term(level):
+                return weight(-1, level)
+
+        # Chunk lanes so one level's (2m, W) gather stays within the
+        # auto-sizing cell budget.
+        words = max(1, GAIN_BATCH_CELL_BUDGET // max(1, self._nd_indices.size))
+        step = 64 * words
+        gains: list[float] = []
+        for lo in range(0, len(sources), step):
+            hist = self._level_histograms(sources[lo : lo + step])
+            if kernel == "closeness":
+                levels = _np.arange(hist.shape[1], dtype=_np.int64)
+                totals = hist @ (objective.penalty - levels)
+                gains.extend(float(t) for t in totals.tolist())
+                continue
+            terms = _np.array(
+                [0.0] + [term(level) for level in range(hist.shape[1])]
+            )
+            lead = _np.ones((hist.shape[0], 1), dtype=_np.int64)
+            for counts in _np.hstack([lead, hist]):
+                gains.append(
+                    float(_np.cumsum(_np.repeat(terms, counts))[-1])
+                )
+        return gains
+
+    def _level_histograms(self, sources):
+        """Per-lane BFS level histograms, ``hist[b, L]`` = vertices at
+        distance ``L`` from ``sources[b]`` (``hist[b, 0] == 1``).
+
+        A bitset multi-source BFS (Then et al., VLDB 2015): each vertex
+        carries a ``(W,)`` uint64 mask, bit ``b`` set when lane ``b``'s
+        frontier or visited set holds it.  One level is a pull: gather
+        every neighbor's frontier mask (``frontier[indices]``), OR each
+        row's masks together with one ``np.bitwise_or.reduceat``, and
+        keep the bits not yet visited.  The work per level is ``2m * W``
+        word operations for 64 lanes per word, against ``2m`` Python-
+        level edge visits per lane in the scalar scan.
+        """
+        n = self.n
+        num_lanes = len(sources)
+        width = (num_lanes + 63) // 64
+        indptr = self._indptr64()
+        indices = self._nd_indices
+        rows = _np.flatnonzero(indptr[1:] > indptr[:-1])
+        row_starts = indptr[rows]
+        lanes = _np.arange(num_lanes, dtype=_np.int64)
+        frontier = _np.zeros((n, width), dtype=_np.uint64)
+        _np.bitwise_or.at(
+            frontier,
+            (_np.asarray(sources, dtype=_np.int64), lanes >> 6),
+            _np.left_shift(_np.uint64(1), (lanes & 63).astype(_np.uint64)),
+        )
+        visited = frontier.copy()
+        hist = [_np.ones(num_lanes, dtype=_np.int64)]
+        while rows.size:
+            reached = _np.zeros_like(frontier)
+            reached[rows] = _np.bitwise_or.reduceat(
+                frontier[indices], row_starts, axis=0
+            )
+            reached &= ~visited
+            hit = _np.flatnonzero(reached.any(axis=1))
+            if not hit.size:
+                break
+            visited[hit] |= reached[hit]
+            # Per-lane popcount: unpack the reached rows to one byte per
+            # lane bit (little-endian words: bit b of word w is column
+            # 64*w + b) and count down the columns.
+            bits = _np.unpackbits(
+                reached[hit].astype("<u8", copy=False).view(_np.uint8),
+                axis=1,
+                bitorder="little",
+            )
+            hist.append(bits.sum(axis=0, dtype=_np.int64)[:num_lanes])
+            frontier = reached
+        return _np.stack(hist, axis=1)
+
 
 def make_evaluator(trav: CSRTraversal, objective):
     """Bind ``objective`` to its fastest CSR kernel.
@@ -829,7 +948,9 @@ def choose_gain_batch(num_vertices: int, pool_size: int) -> int:
     Small graphs and single-candidate pools stay scalar (batch 1); past
     :data:`GAIN_BATCH_MIN_VERTICES` the lane count is the cell budget
     divided by n, capped at :data:`GAIN_BATCH_MAX_LANES` and the pool
-    size.  The heuristic mirrors ``choose_refine_kernel``: cheap,
+    size.  Any width above 1 also routes the lazy driver's round 0 to
+    the bitset kernel, so the cap sizes only the CELF drain's
+    speculation.  The heuristic mirrors ``choose_refine_kernel``: cheap,
     deterministic, and conservative at the boundaries.
     """
     if (

@@ -56,13 +56,13 @@ class TestGreedyDriver:
     def test_evaluation_count_full_pool(self, karate):
         # k(2n - k + 1)/2 — the paper's Example 2 formula.
         k, n = 3, 34
-        result = base_gc(karate, k)
+        result = base_gc(karate, k, strategy="eager")
         assert result.evaluations == k * (2 * n - k + 1) // 2
 
     def test_evaluation_count_skyline_pool(self, karate):
         k = 3
         r = filter_refine_sky(karate).size
-        result = neisky_gc(karate, k)
+        result = neisky_gc(karate, k, strategy="eager")
         assert result.evaluations == k * (2 * r - k + 1) // 2
         assert result.pool_size == r
 

@@ -36,25 +36,29 @@ class TestLazyMatchesEager:
     @pytest.mark.parametrize("k", [0, 1, 3, 8])
     def test_closeness_base(self, karate, k):
         assert_identical(
-            base_gc(karate, k, strategy="lazy"), base_gc(karate, k)
+            base_gc(karate, k, strategy="lazy"),
+            base_gc(karate, k, strategy="eager"),
         )
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_closeness_neisky(self, karate, k):
         assert_identical(
-            neisky_gc(karate, k, strategy="lazy"), neisky_gc(karate, k)
+            neisky_gc(karate, k, strategy="lazy"),
+            neisky_gc(karate, k, strategy="eager"),
         )
 
     @pytest.mark.parametrize("k", [0, 1, 3, 8])
     def test_harmonic_base(self, karate, k):
         assert_identical(
-            base_gh(karate, k, strategy="lazy"), base_gh(karate, k)
+            base_gh(karate, k, strategy="lazy"),
+            base_gh(karate, k, strategy="eager"),
         )
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_harmonic_neisky(self, karate, k):
         assert_identical(
-            neisky_gh(karate, k, strategy="lazy"), neisky_gh(karate, k)
+            neisky_gh(karate, k, strategy="lazy"),
+            neisky_gh(karate, k, strategy="eager"),
         )
 
     def test_power_law_instances(self):
@@ -64,21 +68,23 @@ class TestLazyMatchesEager:
             )
             for k in (3, 6):
                 assert_identical(
-                    base_gc(g, k, strategy="lazy"), base_gc(g, k)
+                    base_gc(g, k, strategy="lazy"),
+                    base_gc(g, k, strategy="eager"),
                 )
                 assert_identical(
-                    base_gh(g, k, strategy="lazy"), base_gh(g, k)
+                    base_gh(g, k, strategy="lazy"),
+                    base_gh(g, k, strategy="eager"),
                 )
 
     def test_disconnected_graph(self, disconnected):
         for k in (2, 5):
             assert_identical(
                 base_gc(disconnected, k, strategy="lazy"),
-                base_gc(disconnected, k),
+                base_gc(disconnected, k, strategy="eager"),
             )
             assert_identical(
                 base_gh(disconnected, k, strategy="lazy"),
-                base_gh(disconnected, k),
+                base_gh(disconnected, k, strategy="eager"),
             )
 
     def test_pool_exhaustion_fallback(self, karate):
@@ -94,7 +100,8 @@ class TestLazyMatchesEager:
 
     def test_k_exceeds_n(self, karate):
         assert_identical(
-            base_gc(karate, 100, strategy="lazy"), base_gc(karate, 100)
+            base_gc(karate, 100, strategy="lazy"),
+            base_gc(karate, 100, strategy="eager"),
         )
 
 
@@ -104,13 +111,14 @@ class TestLazySavesEvaluations:
         # one benchmark instance.
         for k in (5, 8):
             lazy = base_gc(karate, k, strategy="lazy")
-            eager = base_gc(karate, k)
+            eager = base_gc(karate, k, strategy="eager")
             assert lazy.evaluations < eager.evaluations
             assert lazy.evaluations_saved > 0
 
     def test_saves_on_harmonic_too(self, karate):
         lazy = base_gh(karate, 6, strategy="lazy")
-        assert lazy.evaluations < base_gh(karate, 6).evaluations
+        eager = base_gh(karate, 6, strategy="eager")
+        assert lazy.evaluations < eager.evaluations
 
     def test_round_zero_cannot_save(self, karate):
         # Round 0 evaluates everything in either schedule.
@@ -121,8 +129,9 @@ class TestLazySavesEvaluations:
 
 class TestResultMetadata:
     def test_strategy_field(self, karate):
-        assert base_gc(karate, 2, strategy="lazy").strategy == "lazy"
-        assert base_gc(karate, 2).strategy == "eager"
+        assert base_gc(karate, 2, strategy="eager").strategy == "eager"
+        # Lazy is the default schedule.
+        assert base_gc(karate, 2).strategy == "lazy"
 
     def test_eager_defaults_backward_compatible(self):
         r = GreedyResult(

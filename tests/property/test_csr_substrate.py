@@ -252,7 +252,12 @@ def _crafted_rsky(path, n, indptr, indices, *, m=None, magic=BINARY_MAGIC):
 _P4_INDPTR = [0, 1, 3, 5, 6]
 _P4_INDICES = [1, 0, 2, 1, 3, 2]
 
-#: The five corrupt-file cases: (label, crafted kwargs, error match).
+#: A 4-vertex file whose rows are unsorted and whose adjacency is
+#: asymmetric (row 0 lists 2 before 1; 1 lists 3 but 3 does not list 1).
+_UNSORTED_INDPTR = [0, 2, 3, 5, 6]
+_UNSORTED_INDICES = [2, 1, 3, 0, 3, 2]
+
+#: The corrupt-file cases: (label, crafted kwargs, error match).
 _CORRUPT_CASES = {
     "bad_magic": (dict(magic=b"NOPE"), "magic"),
     "lying_size": (dict(m=4), "declares"),
@@ -267,6 +272,18 @@ _CORRUPT_CASES = {
     "negative_index": (
         dict(indices=[1, 0, 2, 1, -3, 2]),
         r"neighbor index -3 at entry 4 is outside \[0, 4\)",
+    ),
+    "unsorted_row": (
+        dict(indptr=_UNSORTED_INDPTR, indices=_UNSORTED_INDICES),
+        r"row 0 is not strictly increasing at entry 1 \(2 then 1\)",
+    ),
+    "asymmetric_edge": (
+        dict(indices=[1, 0, 2, 1, 3, 1]),
+        r"edge \(2, 3\) has no reverse entry \(3, 2\)",
+    ),
+    "self_loop": (
+        dict(indices=[1, 0, 2, 1, 2, 2]),
+        "self-loop at vertex 2",
     ),
 }
 
@@ -295,6 +312,27 @@ class TestHostileBinaryInput:
     def test_negative_index_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="outside"):
             read_binary_graph(_corrupt_file(tmp_path, "negative_index"))
+
+    @pytest.mark.parametrize(
+        "case", ["unsorted_row", "asymmetric_edge", "self_loop"]
+    )
+    def test_row_order_and_symmetry_rejected(self, tmp_path, case):
+        _kwargs, match = _CORRUPT_CASES[case]
+        with pytest.raises(GraphFormatError, match=match):
+            read_binary_graph(_corrupt_file(tmp_path, case))
+
+    def test_unsorted_asymmetric_file_fails_verify_run(self, tmp_path, capsys):
+        # This file used to pass `skyline --verify` ("verification
+        # passed", |R| = 2): the verifier read the same broken rows.
+        from repro.cli import main
+
+        path = _crafted_rsky(
+            tmp_path / "bad.rsky", 4, _UNSORTED_INDPTR, _UNSORTED_INDICES
+        )
+        assert main(["skyline", "--edge-list", str(path), "--verify"]) == 2
+        err = capsys.readouterr().err
+        assert "not strictly increasing" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("case", sorted(_CORRUPT_CASES))
     def test_cli_exits_2_with_one_line_error(self, tmp_path, capsys, case):
@@ -332,3 +370,10 @@ class TestHostileBinaryInput:
         assert indptr[0] == 0 and indptr[n] == len(indices)
         assert (np.diff(indptr) >= 0).all()
         assert ((indices >= 0) & (indices < n)).all()
+        edges = set()
+        for u in range(n):
+            row = indices[indptr[u] : indptr[u + 1]].tolist()
+            assert row == sorted(set(row)), "row not strictly increasing"
+            assert u not in row, "self-loop"
+            edges.update((u, v) for v in row)
+        assert all((v, u) in edges for u, v in edges), "asymmetric"

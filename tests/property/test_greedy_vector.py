@@ -8,8 +8,8 @@ batched kernel replays the scalar BFS emission order bit for bit (see
 :mod:`repro.paths.csr`), and the batched drain replays the scalar heap
 evolution pop for pop.  These tests enforce the claim on
 hypothesis-generated graphs, on every registered dataset, and across
-batch widths including 1 (forced scalar), a non-divisor width, the auto
-cap and the whole vertex set.
+batch widths including 1 (forced scalar), a non-divisor width, a wide
+64-lane drain and the whole vertex set.
 """
 
 import random
@@ -34,7 +34,7 @@ COMMON = settings(
 )
 
 #: Batch widths every equivalence test sweeps: forced scalar, a
-#: non-divisor width (partial last lane), the auto-plane cap, and
+#: non-divisor width (partial last lane), a wide 64-lane drain, and
 #: "every candidate in one call".
 WIDTHS = (1, 3, 64, "n")
 

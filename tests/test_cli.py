@@ -62,6 +62,18 @@ def test_group_harmonic_base_variant(capsys):
     assert "Base group-harmonic" in capsys.readouterr().out
 
 
+def test_group_strategy_defaults_to_lazy(capsys):
+    assert main(["group", "--dataset", "karate", "--k", "4"]) == 0
+    lazy = capsys.readouterr().out
+    assert "saved by laziness" in lazy
+    args = ["group", "--dataset", "karate", "--k", "4", "--strategy", "eager"]
+    assert main(args) == 0
+    eager = capsys.readouterr().out
+    assert "saved by laziness" not in eager
+    # Same group either way.
+    assert lazy.split("(")[0] == eager.split("(")[0]
+
+
 def test_clique_single(capsys):
     assert main(["clique", "--dataset", "karate"]) == 0
     out = capsys.readouterr().out
