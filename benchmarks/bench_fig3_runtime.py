@@ -3,8 +3,6 @@
 Paper shape to reproduce: FilterRefineSky is the fastest (or tied with
 BaseCSet — see the note below), BaseSky is 4–35× slower, Base2Hop pays
 heavily for materializing the 2-hop lists, LC-Join sits in between.
-The packed-bitset variant (not in the paper) rides along as a sixth
-column: same output, word-parallel refine kernel.
 
 Note recorded with the report: the paper's FilterRefineSky-vs-BaseCSet
 gap comes from word-level bitset constants that a Python interpreter
@@ -28,7 +26,6 @@ from repro.core import (
     base_cset_sky,
     base_sky,
     base_two_hop_sky,
-    filter_refine_bitset_sky,
     filter_refine_sky,
     lc_join_sky,
 )
@@ -42,12 +39,6 @@ ALGORITHMS = (
     ("Base2Hop", base_two_hop_sky),
     ("BaseCSet", base_cset_sky),
     ("FilterRefineSky", filter_refine_sky),
-    ("FilterRefineSkyBitset", filter_refine_bitset_sky),
-)
-
-#: Algorithms whose wall time decomposes as filter + refine.
-FILTER_REFINE_FAMILY = frozenset(
-    {"FilterRefineSky", "FilterRefineSkyBitset"}
 )
 
 _RESULTS: dict[str, dict[str, float]] = {}
@@ -75,7 +66,7 @@ def test_fig3_runtime(benchmark, figure_report, bench_json, name, algo_name, alg
     counters = SkylineCounters()
     algo(graph, counters=counters)
     refine_s = None
-    if algo_name in FILTER_REFINE_FAMILY:
+    if algo_name == "FilterRefineSky":
         refine_s = max(elapsed - _filter_time(name, graph), 0.0)
     bench_json(
         bench_entry(
@@ -106,7 +97,5 @@ def test_fig3_runtime(benchmark, figure_report, bench_json, name, algo_name, alg
                 "expected shape: FilterRefineSky ≈ BaseCSet fastest; "
                 "BaseSky and Base2Hop several times slower (paper: 4-35x "
                 "for BaseSky); the paper's FRS-vs-CSet constant-factor gap "
-                "is a bitset effect that the Python interpreter flattens. "
-                "FilterRefineSkyBitset (not in the paper) replaces the "
-                "bloom refine kernel with packed-word AND-NOT tests."
+                "is a bitset effect that the Python interpreter flattens."
             )

@@ -17,11 +17,6 @@ can never paper over a wrong answer.  On the default instance the run
 **fails** unless the batched lazy engine beats the scalar lazy engine
 by at least ``MIN_SPEEDUP``×.
 
-A second section benches the vectorized set-containment join the same
-way: ``lc_join_sky`` under the scalar and vector kernels on small-tier
-instances, skylines asserted identical to ``filter_refine_sky`` ground
-truth, recorded as ``bench="containment_vector"`` rows.
-
 Rows go into ``BENCH_skyline.json`` at the repo root (merge-write,
 same as every other harness script), and the merged document is schema
 checked with :func:`repro.harness.benchjson.validate_file` before the
@@ -43,8 +38,6 @@ from repro.centrality.greedy import greedy_maximize
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.lazy_greedy import lazy_greedy_maximize
 from repro.core.counters import SkylineCounters
-from repro.core.filter_refine import filter_refine_sky
-from repro.core.join_sky import lc_join_sky
 from repro.harness.benchjson import (
     BENCH_FILENAME,
     bench_entry,
@@ -54,7 +47,6 @@ from repro.harness.benchjson import (
 from repro.workloads import load
 
 DEFAULT_INSTANCES = ("kron_large",)
-CONTAINMENT_INSTANCES = ("wikitalk_sim", "dblp_sim")
 
 GREEDY_K = 16
 POOL_SIZE = 192
@@ -184,61 +176,6 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
     ]
 
 
-def run_containment_one(name: str) -> list[dict]:
-    graph = load(name)
-    ref = filter_refine_sky(graph)
-
-    t_scalar, scalar = _timed(
-        lambda: lc_join_sky(graph, join_kernel="scalar")
-    )
-    t_vector, vector = _timed(
-        lambda: lc_join_sky(graph, join_kernel="vector")
-    )
-    auto = lc_join_sky(graph)
-
-    for label, result in (
-        ("scalar", scalar),
-        ("vector", vector),
-        ("auto", auto),
-    ):
-        assert result.skyline == ref.skyline, (name, label, "skyline")
-        # The dominator witness is the join's own (it may differ from
-        # filter-refine's), but the kernel must not change it.
-        assert result.dominator == scalar.dominator, (name, label)
-
-    speedup = t_scalar / max(t_vector, 1e-9)
-    print(
-        f"{name}: |C|={len(ref.candidates)} |R|={len(ref.skyline)} "
-        f"join scalar {t_scalar:.3f}s vector {t_vector:.3f}s "
-        f"=> {speedup:.1f}x; skylines identical to filter-refine"
-    )
-    common = {
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "skyline_size": len(ref.skyline),
-    }
-    return [
-        bench_entry(
-            bench="containment_vector",
-            instance=name,
-            algorithm="LCJoinSky-scalar",
-            wall_s=t_scalar,
-            extra={**common, "variant": "before"},
-        ),
-        bench_entry(
-            bench="containment_vector",
-            instance=name,
-            algorithm="LCJoinSky-vector",
-            wall_s=t_vector,
-            extra={
-                **common,
-                "variant": "after",
-                "speedup_vs_scalar": round(speedup, 2),
-            },
-        ),
-    ]
-
-
 def main(argv) -> int:
     instances = tuple(argv) or DEFAULT_INSTANCES
     entries = []
@@ -247,9 +184,6 @@ def main(argv) -> int:
         # explicitly requested small instances still record their rows
         # (batched lanes are not expected to win at toy sizes).
         entries.extend(run_greedy_one(name, name in DEFAULT_INSTANCES))
-    if instances == DEFAULT_INSTANCES:
-        for name in CONTAINMENT_INSTANCES:
-            entries.extend(run_containment_one(name))
     path = os.path.join(REPO_ROOT, BENCH_FILENAME)
     write_bench_json(path, entries)
     problems = validate_file(path)

@@ -1,21 +1,17 @@
 """Before/after benchmark for the block-vectorized refine kernel.
 
 For each instance (default: ``kron_large``) this computes the skyline
-three ways on the same graph:
+two ways on the same graph:
 
-* ``filter_refine`` — the sequential bloom baseline and the ground
-  truth every kernel is pinned to;
-* ``filter_refine_bitset`` with the default word budget — the **before**
-  row: the best pre-block kernel a caller got (at million-edge scale
-  the packed matrix blows the budget, so this is the bloom fallback —
-  ``extra.refine_path`` records which path actually ran);
-* ``filter_refine_block`` — the **after** row.
+* ``filter_refine`` — the paper's sequential bloom Alg. 3: the
+  **before** row and the ground truth the block kernel is pinned to;
+* ``filter_refine_block`` — the **after** row (the ``auto`` default).
 
-Every result is asserted bit-for-bit equal (skyline, dominator,
-candidates) to the sequential bloom baseline *before* any timing row is
-recorded, so a speedup number can never paper over a wrong answer.
-Refine-phase wall time is the end-to-end wall minus a separately timed
-filter phase (all three algorithms run the identical filter pass).
+The block result is asserted bit-for-bit equal (skyline, dominator,
+candidates) to the bloom baseline *before* any timing row is recorded,
+so a speedup number can never paper over a wrong answer.  Refine-phase
+wall time is the end-to-end wall minus a separately timed filter phase
+(both algorithms run the identical filter pass).
 
 Rows go into ``BENCH_skyline.json`` at the repo root as
 ``bench="refine_vector"`` entries (merge-write, same as every other
@@ -35,7 +31,6 @@ import os
 import sys
 import time
 
-from repro.core.bitset_refine import filter_refine_bitset_sky
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase
@@ -71,16 +66,10 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
     filter_phase(graph)
     t_filter = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    ref = filter_refine_sky(graph)
-    t_bloom = time.perf_counter() - t0
-
     before_counters = SkylineCounters()
     t0 = time.perf_counter()
-    before = filter_refine_bitset_sky(graph, counters=before_counters)
+    ref = filter_refine_sky(graph, counters=before_counters)
     t_before = time.perf_counter() - t0
-    _assert_identical(before, ref, name, "bitset")
-    before_path = before_counters.extra.get("refine_path")
 
     after_counters = SkylineCounters()
     t0 = time.perf_counter()
@@ -97,7 +86,7 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
         f"{name}: n={graph.num_vertices} m={graph.num_edges} "
         f"|C|={len(ref.candidates)} |R|={len(ref.skyline)} "
         f"filter {t_filter:.2f}s refine before {refine_before:.2f}s "
-        f"({before_path}) after {refine_after:.2f}s "
+        f"(bloom) after {refine_after:.2f}s "
         f"=> {speedup:.1f}x; core pretest rejected {rejects} entries; "
         "all outputs bit-for-bit identical to sequential bloom"
     )
@@ -119,20 +108,13 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
             bench="refine_vector",
             instance=name,
             algorithm="FilterRefineSky",
-            wall_s=t_bloom,
-            extra={**common, "variant": "baseline"},
-        ),
-        bench_entry(
-            bench="refine_vector",
-            instance=name,
-            algorithm="FilterRefineSkyBitset",
             wall_s=t_before,
             counters=before_counters.as_dict(),
             extra={
                 **common,
                 "variant": "before",
                 "refine_s": round(refine_before, 3),
-                "refine_path": before_path,
+                "refine_path": "bloom",
             },
         ),
         bench_entry(

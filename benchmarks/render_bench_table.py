@@ -1,9 +1,8 @@
 """Render the README benchmark tables from ``BENCH_skyline.json``.
 
 Reads the repo-root benchmark document and prints GitHub-markdown
-tables pasted into README.md — refine-phase times for the bloom
-baseline vs the packed-bitset kernel (``fig3_runtime`` entries),
-and eager vs lazy (CELF + CSR) group-centrality wall times with their
+tables pasted into README.md — the paper's Fig. 3 skyline runtimes
+(``fig3_runtime`` entries), and eager vs lazy (CELF + CSR) group-centrality wall times with their
 evaluation counts (``fig7_group_closeness``/``fig8_group_harmonic``
 entries).  Keeping the renderer next to the data means the README
 numbers are always regenerable::
@@ -21,26 +20,29 @@ from repro.harness.benchjson import BENCH_FILENAME, load_bench_json
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+#: The paper's Exp-1 series, in ``bench_fig3_runtime.py``'s column order.
+FIG3_SERIES = ("LC-Join", "BaseSky", "Base2Hop", "BaseCSet", "FilterRefineSky")
+
+
 def render(entries) -> str:
+    """Fig. 3 wall times (s) per dataset, one column per paper series."""
     by_key = {
         (e["instance"], e["algorithm"]): e
         for e in entries
         if e["bench"] == "fig3_runtime"
     }
-    instances = sorted({k[0] for k in by_key})
     lines = [
-        "| dataset | refine bloom (s) | refine bitset (s) | speedup |",
-        "|---|---|---|---|",
+        "| dataset | " + " | ".join(FIG3_SERIES) + " |",
+        "|---" * (len(FIG3_SERIES) + 1) + "|",
     ]
-    for name in instances:
-        bloom = by_key.get((name, "FilterRefineSky"))
-        bit = by_key.get((name, "FilterRefineSkyBitset"))
-        if bloom is None or bit is None:
+    for name in sorted({k[0] for k in by_key}):
+        cells = [by_key.get((name, a)) for a in FIG3_SERIES]
+        if None in cells:
             continue
-        ratio = bloom["refine_s"] / bit["refine_s"]
         lines.append(
-            f"| {name} | {bloom['refine_s']:.4f} | {bit['refine_s']:.4f} "
-            f"| {ratio:.2f}x |"
+            f"| {name} | "
+            + " | ".join(f"{e['wall_s']:.3f}" for e in cells)
+            + " |"
         )
     return "\n".join(lines)
 
@@ -147,8 +149,7 @@ def render_refine_vector(entries) -> str:
     """Block-kernel before/after table (``refine_vector`` entries).
 
     One row per instance: candidate count, the before row's refine wall
-    (annotated with the path that actually ran — at large scale the
-    default-budget bitset kernel is the bloom fallback), the block
+    (annotated with the path that ran: the bloom Alg. 3), the block
     kernel's refine wall, and the measured speedup.  Returns ``""``
     when ``bench_refine_vector.py`` has not been run yet.
     """
@@ -159,7 +160,7 @@ def render_refine_vector(entries) -> str:
     }
     rows = []
     for name in sorted({k[0] for k in by_key}):
-        before = by_key.get((name, "FilterRefineSkyBitset"))
+        before = by_key.get((name, "FilterRefineSky"))
         after = by_key.get((name, "FilterRefineSkyBlock"))
         if before is None or after is None:
             continue
@@ -268,45 +269,6 @@ def render_greedy_vector(entries) -> str:
     )
 
 
-def render_containment_vector(entries) -> str:
-    """Containment-join kernel table (``containment_vector`` rows).
-
-    One row per instance: skyline size and end-to-end ``LC-join``
-    skyline walls under the scalar and vector kernels.  Returns ``""``
-    when no containment rows exist yet.
-    """
-    by_key = {
-        (e["instance"], e["algorithm"]): e
-        for e in entries
-        if e["bench"] == "containment_vector"
-    }
-    rows = []
-    for name in sorted({k[0] for k in by_key}):
-        before = by_key.get((name, "LCJoinSky-scalar"))
-        after = by_key.get((name, "LCJoinSky-vector"))
-        if before is None or after is None:
-            continue
-        a_extra = after.get("extra", {})
-        ratio = a_extra.get(
-            "speedup_vs_scalar", before["wall_s"] / after["wall_s"]
-        )
-        rows.append(
-            f"| {name} | {a_extra.get('skyline_size', '?')} "
-            f"| {before['wall_s']:.3f} | {after['wall_s']:.3f} "
-            f"| {ratio:.2f}x |"
-        )
-    if not rows:
-        return ""
-    return "\n".join(
-        [
-            "| dataset | \\|R\\| | join scalar (s) | join vector (s) "
-            "| speedup |",
-            "|---|---|---|---|---|",
-            *rows,
-        ]
-    )
-
-
 def main() -> int:
     path = os.path.join(REPO_ROOT, BENCH_FILENAME)
     entries = load_bench_json(path)
@@ -339,10 +301,6 @@ def main() -> int:
     if greedy_vector:
         print()
         print(greedy_vector)
-    containment_vector = render_containment_vector(entries)
-    if containment_vector:
-        print()
-        print(containment_vector)
     return 0
 
 

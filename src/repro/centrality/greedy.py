@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
 
+import numpy as _np
+
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.csr import (
@@ -37,11 +39,6 @@ from repro.paths.csr import (
     resolve_gain_batch,
 )
 from repro.paths.truncated import improvements
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["GainObjective", "GreedyResult", "greedy_maximize"]
 

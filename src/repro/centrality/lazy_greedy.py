@@ -56,6 +56,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional
 
+import numpy as _np
+
 from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -65,11 +67,6 @@ from repro.paths.csr import (
     make_evaluator,
     resolve_gain_batch,
 )
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 

@@ -126,23 +126,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_skyline(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     counters = SkylineCounters() if args.stats else None
-    algorithm, options = args.algorithm, {}
-    if args.word_budget is not None:
-        # Boundary validation: a nonpositive budget is rejected here
-        # with the full explanation instead of silently routing every
-        # refine to the bloom fallback.
-        from repro.graph.bitmatrix import validate_word_budget
-
-        validate_word_budget(args.word_budget)
-        if algorithm not in ("auto", "filter_refine_bitset"):
-            raise ParameterError(
-                "--word-budget applies to auto or filter_refine_bitset, "
-                f"not {algorithm!r}"
-            )
-        options["word_budget"] = args.word_budget
     start = time.perf_counter()
     result = neighborhood_skyline(
-        graph, algorithm=algorithm, counters=counters, **options
+        graph, algorithm=args.algorithm, counters=counters
     )
     elapsed = time.perf_counter() - start
     print(
@@ -416,19 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         # the message lists the registry instead of argparse's usage dump.
         help=(
             "skyline algorithm (default: auto, FilterRefineSky with the "
-            "refine kernel picked by candidate count); one of "
+            "block refine kernel); one of "
             + ", ".join(sorted(ALGORITHMS))
-        ),
-    )
-    p_sky.add_argument(
-        "--word-budget",
-        type=int,
-        default=None,
-        metavar="WORDS",
-        help=(
-            "dense/sparse cutover for the bitset refine kernel, in "
-            "uint64 words (positive; default 2**24); past the budget "
-            "the run falls back to the bloom kernel"
         ),
     )
     p_sky.add_argument(

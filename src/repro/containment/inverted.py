@@ -6,24 +6,18 @@ LC-Join) builds on the data set ``S`` — and, as the paper notes for the
 skyline use case, its size is what makes join-based approaches memory
 hungry: the index duplicates every element occurrence.
 
-With numpy available the postings are ``int32`` ndarray views into one
-flat buffer, built once by a stable counting sort over all (element,
-record) occurrence pairs — the representation the vectorized join
-kernel of :mod:`repro.containment.lcjoin` consumes directly (its
-``np.bincount`` / ``np.intersect1d`` passes need ndarray operands, not
-Python lists).  Without numpy the index falls back to plain sorted
-lists and the join runs its scalar crosscut; both representations hold
-the same IDs in the same order.
+The postings are ``int32`` ndarray views into one flat buffer, built
+once by a stable counting sort over all (element, record) occurrence
+pairs — the representation the join of
+:mod:`repro.containment.lcjoin` consumes directly (its
+``np.intersect1d`` step needs ndarray operands, not Python lists).
 """
 
 from __future__ import annotations
 
-from repro.containment.records import RecordSet
+import numpy as _np
 
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.containment.records import RecordSet
 
 __all__ = ["InvertedIndex"]
 
@@ -34,31 +28,17 @@ class InvertedIndex:
     __slots__ = ("_postings", "_empty")
 
     def __init__(self, records: RecordSet):
-        if _np is not None:
-            self._postings = self._build_ndarray(records)
-            self._empty = _np.empty(0, dtype=_np.int32)
-        else:
-            self._postings = self._build_lists(records)
-            self._empty = []
+        self._postings = self._build(records)
+        self._empty = _np.empty(0, dtype=_np.int32)
 
     @staticmethod
-    def _build_lists(records: RecordSet) -> list[list[int]]:
-        postings: list[list[int]] = [[] for _ in range(records.universe)]
-        for rid, record in enumerate(records):
-            for x in record:
-                postings[x].append(rid)
-        # Record IDs are appended in increasing order, so each posting
-        # list is already sorted.
-        return postings
-
-    @staticmethod
-    def _build_ndarray(records: RecordSet) -> list:
+    def _build(records: RecordSet) -> list:
         """All postings as ``int32`` views into one flat buffer.
 
         One stable argsort over the flattened (element, record ID)
         occurrence pairs groups equal elements together while keeping
-        record IDs ascending inside each group — the same order the
-        append loop above produces, without per-element list objects.
+        record IDs ascending inside each group, without per-element
+        list objects.
         """
         universe = records.universe
         total = records.total_elements()
@@ -85,9 +65,8 @@ class InvertedIndex:
     def postings(self, x: int):
         """Sorted record IDs whose record contains ``x`` (empty if none).
 
-        An ``int32`` ndarray under numpy, a plain list otherwise — both
-        read identically (``len``, iteration, indexing); callers that
-        need a list should wrap with ``list(...)``.
+        An ``int32`` ndarray view; callers that need a list should wrap
+        with ``list(...)``.
         """
         if 0 <= x < len(self._postings):
             return self._postings[x]

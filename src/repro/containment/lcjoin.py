@@ -8,25 +8,9 @@ intersecting *from the rarest list outward* ("crosscutting") keeps the
 intermediate candidate sets small with early termination as soon as the
 intersection becomes empty.
 
-Two kernels compute that intersection:
-
-* **scalar** — the classic rarest-first crosscut: pairwise sorted
-  intersections (galloping binary search), early exit on empty.  Runs
-  everywhere; the differential oracle for the vector kernel.
-* **vector** — a counting-identity pass over the *concatenated*
-  postings: every posting holds each record ID at most once (records
-  are deduplicated sets), so a record contains the query iff its ID
-  occurs once per query element, i.e. iff
-  ``np.bincount(concat)[r] == len(query)``.  One ``np.concatenate`` +
-  ``np.bincount`` + ``np.nonzero`` replaces the whole per-element
-  intersection chain, and ``np.nonzero``'s ascending output is exactly
-  the scalar crosscut's result order.
-
-``kernel="auto"`` picks per index via :func:`choose_join_kernel`,
-mirroring the refine phase's ``choose_refine_kernel`` cutover: scalar
-without numpy or on indexes too small to amortize ndarray overhead,
-vector otherwise.  Both kernels return identical record-ID lists, so
-the choice is purely an execution knob.
+The pairwise step is a galloping binary search, or ``np.intersect1d``
+once both sides are long enough to amortize the call (see
+:func:`_intersect_sorted`).
 
 This module is generic over :class:`RecordSet`; the skyline-specific
 adapter lives in :mod:`repro.core.join_sky`.
@@ -36,20 +20,12 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+import numpy as _np
+
 from repro.containment.inverted import InvertedIndex
 from repro.containment.records import RecordSet
-from repro.errors import ParameterError
 
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = ["ContainmentJoin", "choose_join_kernel"]
-
-#: Below this many total posting entries the whole index is so small
-#: that ndarray call overhead beats the bincount pass — stay scalar.
-JOIN_KERNEL_MIN_ENTRIES = 256
+__all__ = ["ContainmentJoin"]
 
 #: ``np.intersect1d`` floor for the scalar crosscut's pairwise step:
 #: both sides must be at least this long (and ndarrays) before the
@@ -66,8 +42,7 @@ def _intersect_sorted(a, b):
     repeat an ID).  Both paths return the same IDs in ascending order.
     """
     if (
-        _np is not None
-        and isinstance(a, _np.ndarray)
+        isinstance(a, _np.ndarray)
         and isinstance(b, _np.ndarray)
         and len(a) >= INTERSECT_VECTOR_MIN
         and len(b) >= INTERSECT_VECTOR_MIN
@@ -90,32 +65,8 @@ def _intersect_sorted(a, b):
     return out
 
 
-def choose_join_kernel(total_entries: int, num_records: int) -> str:
-    """The ``kernel="auto"`` cutover: ``"scalar"`` or ``"vector"``.
-
-    * no numpy → ``"scalar"`` (the only kernel that runs everywhere);
-    * tiny indexes (< :data:`JOIN_KERNEL_MIN_ENTRIES` posting entries)
-      → ``"scalar"`` (ndarray call overhead dominates);
-    * extremely sparse indexes (``total_entries * 8 < num_records``)
-      → ``"scalar"`` (the bincount's ``minlength=num_records`` zeroing
-      outweighs the few entries actually counted);
-    * everything else → ``"vector"``.
-    """
-    if _np is None:
-        return "scalar"
-    if total_entries < JOIN_KERNEL_MIN_ENTRIES:
-        return "scalar"
-    if total_entries * 8 < num_records:
-        return "scalar"
-    return "vector"
-
-
 class ContainmentJoin:
     """Joins a query :class:`RecordSet` against a data :class:`RecordSet`.
-
-    ``kernel`` is ``"auto"`` (pick via :func:`choose_join_kernel`),
-    ``"scalar"`` or ``"vector"``; an explicit ``"vector"`` without
-    numpy falls back to scalar.  Identical results either way.
 
     >>> data = RecordSet([{1, 2, 3}, {2, 3}, {4}])
     >>> queries = RecordSet([{2, 3}])
@@ -123,31 +74,14 @@ class ContainmentJoin:
     [0, 1]
     """
 
-    def __init__(self, data: RecordSet, *, kernel: str = "auto"):
-        if kernel not in ("auto", "scalar", "vector"):
-            raise ParameterError(
-                f"unknown join kernel {kernel!r}; choose 'auto', "
-                "'scalar' or 'vector'"
-            )
+    def __init__(self, data: RecordSet):
         self._data = data
         self._index = InvertedIndex(data)
-        if kernel == "auto":
-            kernel = choose_join_kernel(
-                self._index.memory_entries(), len(data)
-            )
-        elif kernel == "vector" and _np is None:
-            kernel = "scalar"
-        self._kernel = kernel
 
     @property
     def index(self) -> InvertedIndex:
         """The underlying inverted index (exposed for memory accounting)."""
         return self._index
-
-    @property
-    def kernel(self) -> str:
-        """The resolved intersection kernel (``"scalar"``/``"vector"``)."""
-        return self._kernel
 
     def containing_records(
         self, query: tuple[int, ...], *, limit: Optional[int] = None
@@ -164,8 +98,6 @@ class ContainmentJoin:
         if not query:
             result = list(range(len(self._data)))
             return result[:limit] if limit is not None else result
-        if self._kernel == "vector":
-            return self._containing_vector(query, limit)
         # Crosscutting: intersect posting lists rarest-first.
         lists = sorted(
             (self._index.postings(x) for x in query), key=len
@@ -178,26 +110,6 @@ class ContainmentJoin:
         if limit is not None:
             candidates = candidates[:limit]
         return [int(r) for r in candidates]
-
-    def _containing_vector(
-        self, query: tuple[int, ...], limit: Optional[int]
-    ) -> list[int]:
-        """Counting-identity kernel (see module docstring)."""
-        postings = self._index.postings
-        lists = [postings(x) for x in query]
-        for p in lists:
-            if not len(p):
-                return []
-        if len(lists) == 1:
-            hits = lists[0]
-        else:
-            counts = _np.bincount(
-                _np.concatenate(lists), minlength=len(self._data)
-            )
-            hits = _np.nonzero(counts == len(lists))[0]
-        if limit is not None:
-            hits = hits[:limit]
-        return [int(r) for r in hits]
 
     def join(
         self, queries: RecordSet

@@ -14,7 +14,7 @@ from repro.core.api import (
     serve,
 )
 from repro.core.base_sky import base_sky
-from repro.core.bitset_refine import filter_refine_bitset_sky
+from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.cset import base_cset_sky
 from repro.core.dynamic import DynamicSkyline
@@ -57,7 +57,7 @@ __all__ = [
     "neighborhood_included",
     "two_hop_neighbors",
     "filter_phase",
-    "filter_refine_bitset_sky",
+    "filter_refine_block_sky",
     "filter_refine_sky",
     "lc_join_sky",
     "dominance_layers",

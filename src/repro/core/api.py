@@ -2,41 +2,28 @@
 
 :func:`neighborhood_skyline` is the one function most users need: it
 dispatches by name to the five algorithms the paper evaluates (plus the
-kernel variants of FilterRefineSky and the ``"auto"`` default that picks
-among them) and returns a uniform
-:class:`~repro.core.result.SkylineResult`.
+block refine kernel behind the ``"auto"`` default) and returns a
+uniform :class:`~repro.core.result.SkylineResult`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.bloom.vertex_filters import VertexBloomIndex
 from repro.core.base_sky import base_sky
-from repro.core.bitset_refine import (
-    BitsetScanContext,
-    bitset_refine_pass,
-    filter_refine_bitset_sky,
-)
-from repro.core.block_refine import (
-    block_refine_pass,
-    choose_refine_kernel,
-    filter_refine_block_sky,
-)
-from repro.core.counters import NULL_COUNTERS, SkylineCounters
+from repro.core.block_refine import filter_refine_block_sky
+from repro.core.counters import SkylineCounters
 from repro.core.cset import base_cset_sky
 from repro.core.filter_phase import filter_phase
-from repro.core.filter_refine import bloom_refine_pass, filter_refine_sky
+from repro.core.filter_refine import filter_refine_sky
 from repro.core.join_sky import lc_join_sky
 from repro.core.naive import naive_skyline
 from repro.core.result import SkylineResult
 from repro.core.two_hop import base_two_hop_sky
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import CandidateBitMatrix, validate_word_budget
 
 __all__ = [
-    "auto_refine_sky",
     "neighborhood_skyline",
     "neighborhood_candidates",
     "group_centrality_maximize",
@@ -47,62 +34,12 @@ __all__ = [
 ]
 
 
-def auto_refine_sky(
-    graph: Graph,
-    *,
-    counters: Optional[SkylineCounters] = None,
-    word_budget: Optional[int] = None,
-) -> SkylineResult:
-    """FilterRefineSky with the fastest refine kernel for the input.
-
-    Runs the filter phase once, then hands its output to the kernel
-    :func:`~repro.core.block_refine.choose_refine_kernel` names for the
-    candidate count, so the result is bit-for-bit
-    :func:`~repro.core.filter_refine.filter_refine_sky`'s.
-    ``word_budget`` bounds the bitset kernel's packed matrix as in
-    :func:`~repro.core.bitset_refine.filter_refine_bitset_sky`.
-    ``counters.extra`` records the kernel that ran under
-    ``"refine_path"`` and ``"refine_requested" == "auto"``.
-    """
-    word_budget = validate_word_budget(word_budget)
-    stats = counters if counters is not None else NULL_COUNTERS
-    n = graph.num_vertices
-    candidates, dominator = filter_phase(graph, counters=counters)
-    kernel = choose_refine_kernel(
-        len(candidates), n, word_budget=word_budget
-    )
-    if kernel == "block":
-        block_refine_pass(graph, candidates, dominator, stats)
-    elif kernel == "bitset":
-        matrix = CandidateBitMatrix.from_graph(graph, candidates)
-        ctx = BitsetScanContext(
-            graph, candidates, matrix, instrumented=counters is not None
-        )
-        bitset_refine_pass(ctx, candidates, dominator, stats)
-    else:
-        blooms = VertexBloomIndex(graph, candidates)
-        bloom_refine_pass(graph, candidates, dominator, blooms, stats)
-    if counters is not None:
-        counters.extra["refine_path"] = kernel
-        counters.extra["refine_requested"] = "auto"
-
-    skyline = tuple(u for u in range(n) if dominator[u] == u)
-    return SkylineResult(
-        skyline=skyline,
-        dominator=tuple(dominator),
-        candidates=tuple(candidates),
-        algorithm=f"FilterRefineSkyAuto({kernel})",
-        counters=counters,
-    )
-
-
 #: Name → implementation for every skyline algorithm in the paper's Exp-1,
-#: plus the naive reference, the kernel variants and the ``"auto"``
-#: default.
+#: plus the naive reference and the block refine kernel, which is also
+#: the ``"auto"`` default.
 ALGORITHMS: dict[str, Callable[..., SkylineResult]] = {
-    "auto": auto_refine_sky,
+    "auto": filter_refine_block_sky,
     "filter_refine": filter_refine_sky,
-    "filter_refine_bitset": filter_refine_bitset_sky,
     "filter_refine_block": filter_refine_block_sky,
     "base": base_sky,
     "two_hop": base_two_hop_sky,
@@ -126,27 +63,21 @@ def neighborhood_skyline(
     graph:
         The input graph.
     algorithm:
-        One of ``"auto"`` (the default: the paper's FilterRefineSky with
-        the refine kernel picked by candidate count — the packed-bitset
-        kernel on small candidate sets, the block kernel on large ones;
-        see :func:`auto_refine_sky`), ``"filter_refine"`` (the paper's
+        One of ``"auto"`` (the default: the paper's FilterRefineSky
+        filter phase, then the block-vectorized pivot refine of
+        :mod:`repro.core.block_refine`; an alias of
+        ``"filter_refine_block"``), ``"filter_refine"`` (the paper's
         FilterRefineSky, Alg. 3, with its bloom refine — the reference
-        the figure scripts name), ``"filter_refine_bitset"`` (the same
-        result via the packed-bitset refine kernel — the fastest on
-        small dense candidate sets, with an automatic bloom fallback
-        past its word budget), ``"filter_refine_block"`` (the same
-        result via the block-vectorized pivot kernel of
-        :mod:`repro.core.block_refine` — the fastest on large candidate
-        sets, no bit matrix needed), ``"base"`` (BaseSky), ``"two_hop"``
-        (Base2Hop), ``"cset"`` (BaseCSet), ``"lc_join"`` (the
-        containment-join baseline) or ``"naive"`` (the quadratic
-        reference).
+        the figure scripts name and the differential oracle),
+        ``"base"`` (BaseSky), ``"two_hop"`` (Base2Hop), ``"cset"``
+        (BaseCSet), ``"lc_join"`` (the containment-join baseline) or
+        ``"naive"`` (the quadratic reference).
     counters:
         Optional :class:`SkylineCounters` to collect work statistics.
     options:
         Algorithm-specific keywords, e.g. ``bloom_bits`` / ``seed`` /
         ``exact`` for ``"filter_refine"`` and ``"two_hop"``, or
-        ``word_budget`` for ``"auto"`` and ``"filter_refine_bitset"``.
+        ``entry_budget`` for ``"auto"`` and ``"filter_refine_block"``.
 
     >>> from repro.graph.generators import complete_graph
     >>> neighborhood_skyline(complete_graph(5)).skyline

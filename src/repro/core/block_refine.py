@@ -1,9 +1,10 @@
 """``FilterRefineSkyBlock`` — the block-vectorized refine kernel.
 
-The bloom and bitset refine kernels walk the 2-hop neighborhood of each
+The paper's bloom refine (Alg. 3) walks the 2-hop neighborhood of each
 candidate in Python, one pair at a time.  This module evaluates the
 same decisions in **blocks** over the CSR ndarrays, and scans far less
-than the full 2-hop neighborhood to do it.
+than the full 2-hop neighborhood to do it.  It is the production
+refine: ``neighborhood_skyline``'s ``"auto"`` default runs it.
 
 Pivot rows
 ----------
@@ -81,85 +82,28 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.cores import core_decomposition
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: ``True`` when numpy is importable and the block kernel can run.
-HAVE_NUMPY = _np is not None
+from repro.graph.csr import csr_ndarrays
 
 __all__ = [
     "BLOCK_ENTRY_BUDGET",
-    "BLOCK_KERNEL_MIN_CANDIDATES",
     "BlockRefineContext",
-    "HAVE_NUMPY",
     "block_refine_pass",
     "block_status_chunk",
     "block_witness_chunk",
-    "choose_refine_kernel",
     "filter_refine_block_sky",
 ]
 
 #: Subset-test lookups (``Σ deg(u) · deg(p(u))``) per block — bounds the
 #: flat scratch arrays to a few tens of MB however large the graph is.
 BLOCK_ENTRY_BUDGET = 1 << 22
-
-#: Below this many candidates the scalar bitset kernel (packing is
-#: microseconds, scans early-exit) beats the block kernel's fixed
-#: overhead (core peel, pivot and edge-key arrays, ~1 ms at n = 400);
-#: ``choose_refine_kernel`` routes there.  Fitted on both benchmark
-#: graph families (refine-only times in ``docs/refine-kernels.md``):
-#: on sparse copying-model graphs bitset wins up to |C| ≈ 300, on R-MAT
-#: block wins from |C| ≈ 160.  Kept below the bitset kernel's
-#: ``DENSITY_FALLBACK_MIN_CANDIDATES``, so an ``"auto"`` bitset route
-#: never meets the density fallback.
-BLOCK_KERNEL_MIN_CANDIDATES = 256
-
-
-def choose_refine_kernel(
-    num_candidates: int,
-    num_vertices: int,
-    *,
-    word_budget: int,
-) -> str:
-    """The three-way ``"auto"`` cutover: bloom / bitset / block.
-
-    * no numpy → ``"bloom"`` (the only kernel that runs everywhere);
-    * small candidate sets whose packed matrix fits ``word_budget`` →
-      ``"bitset"`` (scalar early-exit scans win under the block
-      kernel's fixed ndarray overhead);
-    * everything else → ``"block"`` (the vectorized pivot kernel —
-      it needs no bit matrix, so neither the word budget nor the
-      candidate-density fallback applies to it).
-    """
-    if not HAVE_NUMPY:
-        return "bloom"
-    from repro.graph.bitmatrix import matrix_words
-
-    if (
-        num_candidates < BLOCK_KERNEL_MIN_CANDIDATES
-        and matrix_words(num_candidates, num_vertices) <= word_budget
-    ):
-        return "bitset"
-    return "block"
-
-
-def _graph_csr(graph: Graph):
-    """``(indptr, indices)`` of ``graph`` as numpy arrays."""
-    csr_arrays = getattr(graph, "csr_arrays", None)
-    if csr_arrays is not None:
-        indptr, indices = csr_arrays()
-    else:
-        indptr, indices = graph.to_csr()
-    return _np.asarray(indptr), _np.asarray(indices)
 
 
 def _ragged_gather(indices, starts, lens):
@@ -220,12 +164,7 @@ class BlockRefineContext:
         cores=None,
         entry_budget: int = BLOCK_ENTRY_BUDGET,
     ):
-        if not HAVE_NUMPY:
-            raise ParameterError(
-                "the block refine kernel requires numpy; gate on "
-                "repro.core.block_refine.HAVE_NUMPY"
-            )
-        indptr, indices = _graph_csr(graph)
+        indptr, indices = csr_ndarrays(graph)
         n = self.n = graph.num_vertices
         self.indptr = indptr.astype(_np.int64, copy=False)
         self.indices = indices
@@ -473,19 +412,13 @@ def filter_refine_block_sky(
     *,
     counters: Optional[SkylineCounters] = None,
     entry_budget: int = BLOCK_ENTRY_BUDGET,
-    bloom_bits: Optional[int] = None,
-    bits_per_element: int = 8,
-    seed: int = 0,
 ) -> SkylineResult:
     """Compute the neighborhood skyline with the block refine kernel.
 
     Same filter phase, same result as
     :func:`~repro.core.filter_refine.filter_refine_sky` — bit for bit —
-    with the refine phase evaluated in vectorized blocks.  Without
-    numpy the refine falls back to the bloom pass (``bloom_bits`` /
-    ``bits_per_element`` / ``seed`` size it; they are ignored when the
-    block kernel runs) and ``counters.extra`` records
-    ``refine_path == "bloom-fallback"`` with reason ``"numpy-missing"``.
+    with the refine phase evaluated in vectorized blocks.
+    ``counters.extra["refine_path"]`` records ``"block"``.
     """
     if entry_budget <= 0:
         raise ParameterError(
@@ -494,36 +427,17 @@ def filter_refine_block_sky(
     stats = counters if counters is not None else NULL_COUNTERS
     n = graph.num_vertices
     candidates, dominator = filter_phase(graph, counters=counters)
-
-    if not HAVE_NUMPY:
-        from repro.bloom.vertex_filters import VertexBloomIndex
-        from repro.core.filter_refine import bloom_refine_pass
-
-        blooms = VertexBloomIndex(
-            graph,
-            candidates,
-            bits=bloom_bits,
-            seed=seed,
-            bits_per_element=bits_per_element,
-        )
-        bloom_refine_pass(graph, candidates, dominator, blooms, stats)
-        if counters is not None:
-            counters.extra["refine_path"] = "bloom-fallback"
-            counters.extra["bitset_fallback_reason"] = "numpy-missing"
-        algorithm = "FilterRefineSkyBlock(bloom-fallback)"
-    else:
-        block_refine_pass(
-            graph, candidates, dominator, stats, entry_budget=entry_budget
-        )
-        if counters is not None:
-            counters.extra["refine_path"] = "block"
-        algorithm = "FilterRefineSkyBlock"
+    block_refine_pass(
+        graph, candidates, dominator, stats, entry_budget=entry_budget
+    )
+    if counters is not None:
+        counters.extra["refine_path"] = "block"
 
     skyline = tuple(u for u in range(n) if dominator[u] == u)
     return SkylineResult(
         skyline=skyline,
         dominator=tuple(dominator),
         candidates=tuple(candidates),
-        algorithm=algorithm,
+        algorithm="FilterRefineSkyBlock",
         counters=counters,
     )

@@ -28,13 +28,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
+import numpy as _np
+
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.graph.adjacency import Graph
-
-try:  # pragma: no cover - exercised via the list-backed fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["filter_phase", "closed_inclusion_over_edge"]
 
@@ -148,7 +145,7 @@ def filter_phase(
     csr_arrays = getattr(graph, "csr_arrays", None)
     pretest = None
     row_start = None
-    if csr_arrays is not None and _np is not None and n:
+    if csr_arrays is not None and n:
         indptr, indices = csr_arrays()
         pretest = _edge_pretest(indptr, indices)
         row_start = indptr.tolist()

@@ -27,10 +27,9 @@ When a dominator ``w`` survives all checks: strict domination
 (``deg(w) > deg(u)``) removes ``u`` and stops its scan; mutual inclusion
 (equal degrees) applies the ID tie-break and continues scanning.
 
-The refine loop itself is exposed as :func:`bloom_refine_pass` so the
-bitset engine (:mod:`repro.core.bitset_refine`) can reuse it verbatim
-when its dense/sparse cutover falls back to the bloom path — same scan,
-same counters, no second filter phase.
+This is the reference refine: the production default runs the same
+filter phase with the block kernel of :mod:`repro.core.block_refine`,
+and the differential suites pin the two to each other bit for bit.
 """
 
 from __future__ import annotations

@@ -31,19 +31,12 @@ def lc_join_sky(
     graph: Graph,
     *,
     counters: Optional[SkylineCounters] = None,
-    join_kernel: str = "auto",
 ) -> SkylineResult:
-    """Compute the neighborhood skyline via a set-containment join.
-
-    ``join_kernel`` selects the posting-list intersection kernel
-    (``"auto"``/``"scalar"``/``"vector"`` — see
-    :class:`~repro.containment.lcjoin.ContainmentJoin`); the skyline is
-    identical under every setting.
-    """
+    """Compute the neighborhood skyline via a set-containment join."""
     stats = counters if counters is not None else NULL_COUNTERS
     n = graph.num_vertices
     data = RecordSet.closed_neighborhoods(graph)
-    join = ContainmentJoin(data, kernel=join_kernel)
+    join = ContainmentJoin(data)
 
     dominator = list(range(n))
     degree = graph.degree

@@ -39,14 +39,11 @@ import os
 import struct
 from typing import Union
 
+import numpy as _np
+
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph, HAVE_NUMPY
-
-try:  # pragma: no cover - absence exercised via HAVE_NUMPY gating
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.graph.csr import CSRGraph
 
 __all__ = [
     "BINARY_MAGIC",
@@ -65,13 +62,6 @@ BINARY_MAGIC = b"RSKY"
 BINARY_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQQ")
-
-
-def _require_numpy(what: str) -> None:
-    if not HAVE_NUMPY:
-        raise GraphFormatError(
-            f"{what} requires numpy; convert/load edge-list text instead"
-        )
 
 
 def is_binary_graph(path: PathLike) -> bool:
@@ -97,7 +87,6 @@ def write_binary_graph(graph: Graph, path: PathLike) -> int:
     target, so a crashed convert never leaves a half-written file that
     still carries a valid magic.
     """
-    _require_numpy("writing a binary graph")
     csr = CSRGraph.from_graph(graph)
     indptr, indices = csr.csr_arrays()
     header = _HEADER.pack(
@@ -124,7 +113,6 @@ def read_binary_graph(path: PathLike) -> CSRGraph:
     on demand.  The returned graph keeps the mapping alive for its
     lifetime.
     """
-    _require_numpy("reading a binary graph")
     label = os.fspath(path)
     try:
         size = os.path.getsize(path)

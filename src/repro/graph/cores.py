@@ -22,12 +22,10 @@ The decomposition is computed by **round-based batch peeling** rather
 than the classic one-vertex-at-a-time bucket queue: at level ``k``,
 peel *every* remaining vertex of degree ≤ ``k`` at once (ascending ID
 within a batch), decrement the survivors' degrees in bulk, and cascade
-until the level empties.  Batch peeling is what vectorizes: the numpy
-path runs one gather + ``np.unique`` per cascade round instead of a
-Python loop per edge.  A pure-Python implementation of the *same*
-schedule backs hosts without numpy — both paths produce the identical
-``(core, order, degeneracy)`` triple, so nothing downstream depends on
-which one ran.
+until the level empties.  Batch peeling is what vectorizes: each
+cascade round is one gather + ``np.unique`` over the CSR arrays instead
+of a Python loop per edge.  The test suite replays the same schedule in
+pure Python as the oracle for the peel order.
 
 >>> from repro.graph.karate import karate_club
 >>> core_decomposition(karate_club()).degeneracy
@@ -38,17 +36,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as _np
+
 from repro.graph.adjacency import Graph
+from repro.graph.csr import csr_ndarrays
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: ``True`` when numpy is importable and the vectorized peel can run.
-HAVE_NUMPY = _np is not None
-
-__all__ = ["CoreDecomposition", "HAVE_NUMPY", "core_decomposition"]
+__all__ = ["CoreDecomposition", "core_decomposition"]
 
 
 class CoreDecomposition(NamedTuple):
@@ -58,7 +51,7 @@ class CoreDecomposition(NamedTuple):
     vertices in peel order (a valid degeneracy ordering: every vertex
     has at most ``degeneracy`` neighbors later in the order);
     ``degeneracy`` equals ``max(core)`` (0 on the empty graph).  Both
-    sequences hold plain Python ints on every backend.
+    sequences hold plain Python ints on every graph backend.
     """
 
     core: list[int]
@@ -66,23 +59,15 @@ class CoreDecomposition(NamedTuple):
     degeneracy: int
 
 
-def _graph_arrays(graph: Graph):
-    """``(indptr, indices)`` as numpy arrays, or ``None`` off-substrate."""
-    if not HAVE_NUMPY:
-        return None
-    csr_arrays = getattr(graph, "csr_arrays", None)
-    if csr_arrays is not None:
-        return csr_arrays()
-    try:
-        indptr, indices = graph.to_csr()
-    except Exception:  # pragma: no cover - exotic graph protocol objects
-        return None
-    return _np.asarray(indptr), _np.asarray(indices)
+def core_decomposition(graph: Graph) -> CoreDecomposition:
+    """Peel ``graph`` completely; see :class:`CoreDecomposition`.
 
-
-def _peel_numpy(graph: Graph) -> CoreDecomposition:
-    indptr, indices = _graph_arrays(graph)
+    Vectorized over the CSR arrays on either graph backend.
+    """
     n = graph.num_vertices
+    if n == 0:
+        return CoreDecomposition([], [], 0)
+    indptr, indices = csr_ndarrays(graph)
     indptr = indptr.astype(_np.int64, copy=False)
     # row_len stays the structural CSR row length (it sizes the ragged
     # gathers); deg is the residual degree the peel decrements.
@@ -118,54 +103,4 @@ def _peel_numpy(graph: Graph) -> CoreDecomposition:
             # the next cascade round; np.unique keeps them ID-ascending.
             sel = alive[touched] & (deg[touched] <= k)
             batch = touched[sel].astype(_np.int64, copy=False)
-    degeneracy = int(core.max()) if n else 0
-    return CoreDecomposition(
-        [int(c) for c in core], [int(u) for u in order], degeneracy
-    )
-
-
-def _peel_python(graph: Graph) -> CoreDecomposition:
-    # The same batch-peel schedule as the numpy path, entry for entry:
-    # level jump to the minimum live degree, cascade rounds of every
-    # vertex at or below the level (ascending IDs), bulk decrements.
-    n = graph.num_vertices
-    neighbors = graph.neighbors
-    deg = list(graph.degrees())
-    alive = bytearray([1]) * n if n else bytearray()
-    core = [0] * n
-    order: list[int] = []
-    k = 0
-    while len(order) < n:
-        k = max(k, min(deg[u] for u in range(n) if alive[u]))
-        batch = [u for u in range(n) if alive[u] and deg[u] <= k]
-        while batch:
-            for u in batch:
-                alive[u] = 0
-                core[u] = k
-            order.extend(batch)
-            touched: dict[int, int] = {}
-            for u in batch:
-                for v in neighbors(u):
-                    touched[v] = touched.get(v, 0) + 1
-            for v, cnt in touched.items():
-                deg[v] -= cnt
-            batch = sorted(
-                v for v in touched if alive[v] and deg[v] <= k
-            )
-    degeneracy = max(core) if n else 0
-    return CoreDecomposition(core, order, degeneracy)
-
-
-def core_decomposition(graph: Graph) -> CoreDecomposition:
-    """Peel ``graph`` completely; see :class:`CoreDecomposition`.
-
-    Runs vectorized over the CSR arrays when numpy is available and
-    falls back to a pure-Python peel with the identical batch schedule
-    otherwise — same core numbers (they are unique), same order, same
-    degeneracy, regardless of backend.
-    """
-    if graph.num_vertices == 0:
-        return CoreDecomposition([], [], 0)
-    if HAVE_NUMPY and _graph_arrays(graph) is not None:
-        return _peel_numpy(graph)
-    return _peel_python(graph)
+    return CoreDecomposition(core.tolist(), order.tolist(), int(core.max()))

@@ -20,42 +20,24 @@ unchanged.  What the array backing buys:
 
 Arrays are exposed read-only (``writeable=False`` views), matching the
 immutability contract of the list-backed graph.
-
-``numpy`` is optional at runtime: gate on :data:`HAVE_NUMPY` (callers
-like :func:`as_csr` degrade to the list-backed graph when it is
-missing).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as _np
+
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: ``True`` when numpy is importable and CSRGraph can be built.
-HAVE_NUMPY = _np is not None
-
 __all__ = [
     "CSRGraph",
-    "HAVE_NUMPY",
     "as_csr",
+    "csr_ndarrays",
     "csr_from_edge_arrays",
     "graph_from_edge_arrays",
 ]
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise GraphFormatError(
-            "CSRGraph requires numpy; gate on repro.graph.csr.HAVE_NUMPY "
-            "or build a list-backed Graph instead"
-        )
 
 
 def _readonly_i32(data):
@@ -110,7 +92,6 @@ class CSRGraph(Graph):
         Buffers already in ``int32`` (including memmaps) are wrapped
         zero-copy; anything else is converted once.
         """
-        _require_numpy()
         indptr = _np.asarray(indptr)
         if len(indptr) == 0:
             raise GraphFormatError("CSR indptr must have at least 1 entry")
@@ -210,16 +191,26 @@ class CSRGraph(Graph):
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges})"
 
 
-def as_csr(graph: Graph) -> Graph:
-    """``graph`` on the numpy substrate when available, else unchanged.
+def as_csr(graph: Graph) -> CSRGraph:
+    """``graph`` on the numpy CSR substrate (``graph`` itself if already).
 
     The single upgrade point loaders and the workload registry call:
-    results are bit-for-bit identical either way, so callers never need
-    to know which backing they got.
+    results are bit-for-bit identical on either backing, so callers
+    never need to know which one they got.
     """
-    if not HAVE_NUMPY or isinstance(graph, CSRGraph):
-        return graph
     return CSRGraph.from_graph(graph)
+
+
+def csr_ndarrays(graph: Graph):
+    """``(indptr, indices)`` of ``graph`` as numpy arrays, on any backend.
+
+    Zero-copy: a :class:`CSRGraph`'s backing arrays, or ndarray views
+    of a list-backed graph's memoized ``to_csr()`` snapshot.
+    """
+    if isinstance(graph, CSRGraph):
+        return graph.csr_arrays()
+    indptr, indices = graph.to_csr()
+    return _np.asarray(indptr), _np.asarray(indices)
 
 
 def csr_from_edge_arrays(n: int, us, vs):
@@ -230,7 +221,6 @@ def csr_from_edge_arrays(n: int, us, vs):
     validate upstream).  Returns sorted ``(indptr, indices)`` ``int32``
     arrays; cost is one ``lexsort`` over the ``2m`` directed entries.
     """
-    _require_numpy()
     us = _np.asarray(us, dtype=_np.int64)
     vs = _np.asarray(vs, dtype=_np.int64)
     src = _np.concatenate([us, vs])

@@ -22,14 +22,11 @@ import random
 from bisect import bisect_left
 from typing import Optional
 
+import numpy as _np
+
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-
-try:  # pragma: no cover - the large-tier generators are numpy-gated
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "erdos_renyi",
@@ -359,14 +356,6 @@ def barabasi_albert(
 # All are deterministic given ``seed`` (``np.random.default_rng``).
 
 
-def _require_numpy_gen(name: str):
-    if _np is None:
-        raise ParameterError(
-            f"{name} requires numpy; use the list-backed generators for "
-            "small graphs instead"
-        )
-
-
 def _edges_from_endpoints(n: int, us, vs) -> Graph:
     """Drop loops, dedupe both orientations, build the CSR graph."""
     from repro.graph.csr import graph_from_edge_arrays
@@ -409,7 +398,6 @@ def kronecker_graph(
             "initiator probabilities must be non-negative and sum to 1, "
             f"got {initiator}"
         )
-    _require_numpy_gen("kronecker_graph")
     n = 1 << scale
     m = edge_factor * n
     rng = _np.random.default_rng(seed)
@@ -447,7 +435,6 @@ def watts_strogatz(
         )
     if not 0.0 <= beta <= 1.0:
         raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    _require_numpy_gen("watts_strogatz")
     half = k // 2
     if n == 0 or half == 0:
         return empty_graph(n)
@@ -474,7 +461,6 @@ def configuration_model(
     targets (the standard erased construction).  An odd stub total
     silently drops the last stub.
     """
-    _require_numpy_gen("configuration_model")
     deg = _np.asarray(degrees, dtype=_np.int64)
     if len(deg) and int(deg.min()) < 0:
         raise ParameterError("degrees must be non-negative")
@@ -509,7 +495,6 @@ def power_law_degrees(
         )
     if min_degree < 1:
         raise ParameterError(f"min_degree must be >= 1, got {min_degree}")
-    _require_numpy_gen("power_law_degrees")
     if max_degree is None:
         max_degree = max(min_degree, int(math.isqrt(n)))
     rng = _np.random.default_rng(seed)

@@ -20,10 +20,13 @@ ID-based tie-break of Definition 2 stays deterministic.
 
 Parsing is streaming: edges accumulate into one flat machine-typed
 buffer as lines are read (no intermediate list of pair tuples, so peak
-memory is the edge array itself), and when numpy is available the
-dedupe/compaction/CSR assembly happens vectorized and the result is a
-:class:`~repro.graph.csr.CSRGraph` — behaviorally identical to the
-list-backed build, including every error message.
+memory is the edge array itself), then the dedupe/compaction/CSR
+assembly happens vectorized and the result is a
+:class:`~repro.graph.csr.CSRGraph`.
+
+Hostile input fails with one :class:`~repro.errors.GraphFormatError`
+naming the file and the 1-based line: bytes that are not UTF-8, IDs
+that are not integers, negative or past the signed 64-bit range.
 """
 
 from __future__ import annotations
@@ -33,24 +36,29 @@ import os
 from array import array
 from typing import IO, Iterable, Union
 
+import numpy as _np
+
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
-from repro.graph.builder import GraphBuilder
-
-try:  # pragma: no cover - list-backed fallback exercised via gating
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.graph.csr import CSRGraph, graph_from_edge_arrays
 
 __all__ = ["load_graph", "read_edge_list", "read_konect", "write_edge_list"]
 
 PathOrFile = Union[str, os.PathLike, IO[str]]
 
+#: Largest vertex ID the parse buffer (``array("q")``) can hold.
+MAX_VERTEX_ID = (1 << 63) - 1
+
 
 def _open_for_read(source: PathOrFile) -> tuple[IO[str], bool]:
     if isinstance(source, (str, os.PathLike)):
         try:
-            return open(source, "r", encoding="utf-8"), True
+            # Undecodable bytes survive as lone surrogates, so the parse
+            # loop can name the line that holds them.
+            return (
+                open(source, "r", encoding="utf-8", errors="surrogateescape"),
+                True,
+            )
         except OSError as exc:
             raise GraphFormatError(
                 f"{_source_label(source)}: {exc.strerror or exc}"
@@ -106,8 +114,13 @@ def read_edge_list(
     # never a Python list of pair tuples — peak memory is the buffer.
     endpoints = array("q")
     append = endpoints.append
+    lineno = 0
     try:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and not _is_utf8(line):
+                raise GraphFormatError(
+                    f"{label}: line {lineno}: not valid UTF-8 text"
+                )
             stripped = line.strip()
             if not stripped or stripped.startswith(comment):
                 continue
@@ -129,42 +142,42 @@ def read_edge_list(
                     f"{label}: line {lineno}: negative vertex id after "
                     f"applying base={base}"
                 )
+            if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+                raise GraphFormatError(
+                    f"{label}: line {lineno}: vertex id "
+                    f"{max(u, v)} exceeds {MAX_VERTEX_ID}"
+                )
             if u == v:
                 # Self-loops appear in some raw dumps; the paper's model is
                 # simple graphs, so they are dropped rather than fatal.
                 continue
             append(u)
             append(v)
+    except UnicodeDecodeError as exc:
+        # A caller-opened text stream decodes in chunks, so the bad
+        # bytes sit at or after the line after the last one read.
+        raise GraphFormatError(
+            f"{label}: line {lineno + 1}: not valid UTF-8 text"
+        ) from exc
     finally:
         if should_close:
             fh.close()
+    return _assemble_csr(endpoints, label, compact, allow_duplicates)
 
-    if _np is not None and len(endpoints):
-        return _assemble_csr(endpoints, label, compact, allow_duplicates)
 
-    pairs = [
-        (endpoints[i], endpoints[i + 1])
-        for i in range(0, len(endpoints), 2)
-    ]
-    if compact:
-        ids = sorted({x for pair in pairs for x in pair})
-        remap = {old: new for new, old in enumerate(ids)}
-        pairs = [(remap[u], remap[v]) for u, v in pairs]
-
-    builder = GraphBuilder()
-    for u, v in pairs:
-        if not allow_duplicates and builder.has_edge(u, v):
-            raise GraphFormatError(f"{label}: duplicate edge ({u}, {v})")
-        builder.add_edge(u, v)
-    return builder.build()
+def _is_utf8(line: str) -> bool:
+    """``False`` iff ``line`` carries surrogate-escaped (undecodable) bytes."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _assemble_csr(
     endpoints: array, label: str, compact: bool, allow_duplicates: bool
-) -> Graph:
+) -> CSRGraph:
     """Vectorized compaction + dedupe + CSR build of parsed endpoints."""
-    from repro.graph.csr import graph_from_edge_arrays
-
     flat = _np.frombuffer(endpoints, dtype=_np.int64)
     us, vs = flat[0::2], flat[1::2]
     if compact:
@@ -173,7 +186,12 @@ def _assemble_csr(
         us = _np.searchsorted(ids, us)
         vs = _np.searchsorted(ids, vs)
     else:
-        n = int(flat.max()) + 1
+        n = int(flat.max()) + 1 if len(flat) else 0
+        if n >= 1 << 31:
+            raise GraphFormatError(
+                f"{label}: vertex id {n - 1} is past the int32 CSR range; "
+                "load with compact=True"
+            )
     # Orientation-normalize to scalar codes; unique = dedupe in one pass.
     lo = _np.minimum(us, vs)
     hi = _np.maximum(us, vs)

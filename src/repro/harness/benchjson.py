@@ -11,9 +11,9 @@ Document shape (``schema`` version 1)::
       "schema": 1,
       "entries": [
         {
-          "bench": "parallel_speedup",        # producing benchmark
+          "bench": "refine_vector",           # producing benchmark
           "instance": "wikitalk_sim",          # registry dataset name
-          "algorithm": "FilterRefineSkyBitset",
+          "algorithm": "FilterRefineSkyBlock",
           "wall_s": 0.0123,                    # end-to-end wall time
           "refine_s": 0.0075,                  # refine phase only (opt.)
           "counters": {"pair_tests": ...},     # as_dict() sums (opt.)

@@ -19,9 +19,9 @@ of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
   materialized lazily and cached, so the scalar traversal loops iterate
   plain lists at C speed while a run that scans a fraction of the
   graph only pays for the rows it touches;
-* **zero-copy ndarray views** of ``indptr``/``indices`` when numpy is
-  available, which back the vectorized level-synchronous full-BFS
-  kernels (:meth:`bfs_distances` / :meth:`multi_source_distances` index
+* **zero-copy ndarray views** of ``indptr``/``indices``, which back
+  the vectorized level-synchronous full-BFS kernels
+  (:meth:`bfs_distances` / :meth:`multi_source_distances` index
   the ndarrays directly — distances are order-independent, so the
   vectorized frontier expansion returns exactly the scalar kernel's
   values);
@@ -72,16 +72,12 @@ per level — and replays each lane's scalar fold from the histogram.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as _np
 
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "CSRTraversal",
@@ -131,8 +127,6 @@ _FORMAT_DTYPES = {
 
 def _ndarray_view(buf):
     """``buf`` as a zero-copy integer ndarray, or ``None`` if impossible."""
-    if _np is None:
-        return None
     if isinstance(buf, _np.ndarray):
         return buf
     try:
@@ -209,9 +203,9 @@ class CSRTraversal:
 
     @property
     def supports_batch(self) -> bool:
-        """Whether the batched gain plane is available (numpy + ndarray
-        views over the CSR buffers)."""
-        return _np is not None and self._nd_indptr is not None
+        """Whether the batched gain plane is available (ndarray views
+        over the CSR buffers)."""
+        return self._nd_indptr is not None
 
     def _row(self, u: int) -> list:
         row = self._rows[u]
@@ -917,8 +911,8 @@ def make_batch_evaluator(trav: CSRTraversal, objective):
     Returns ``batch_evaluate(sources, current, collect) ->
     [(gain, updates), ...]`` (one pair per source lane, bitwise equal to
     the scalar evaluator's output), or ``None`` when the batch plane is
-    unavailable (no numpy, or buffers without ndarray views) — callers
-    fall back to the scalar evaluator.
+    unavailable (buffers without ndarray views) — callers fall back to
+    the scalar evaluator.
     """
     if not trav.supports_batch:
         return None
@@ -950,14 +944,10 @@ def choose_gain_batch(num_vertices: int, pool_size: int) -> int:
     divided by n, capped at :data:`GAIN_BATCH_MAX_LANES` and the pool
     size.  Any width above 1 also routes the lazy driver's round 0 to
     the bitset kernel, so the cap sizes only the CELF drain's
-    speculation.  The heuristic mirrors ``choose_refine_kernel``: cheap,
-    deterministic, and conservative at the boundaries.
+    speculation.  Cheap, deterministic, and conservative at the
+    boundaries.
     """
-    if (
-        _np is None
-        or num_vertices < GAIN_BATCH_MIN_VERTICES
-        or pool_size <= 1
-    ):
+    if num_vertices < GAIN_BATCH_MIN_VERTICES or pool_size <= 1:
         return 1
     lanes = min(
         GAIN_BATCH_MAX_LANES,
@@ -993,14 +983,9 @@ def resolve_gain_batch(
 
     ``"auto"`` defers to :func:`choose_gain_batch`; explicit requests
     are honoured but clamped to the :data:`GAIN_BATCH_CELL_CAP` memory
-    guard.  Without numpy every request resolves to 1 (the scalar
-    kernels are the only plane) — batching is a pure execution detail,
-    so silent degradation is correct, exactly like the bloom fallback
-    of the bitset refine kernel.
+    guard.
     """
     validate_gain_batch(gain_batch)
-    if _np is None:
-        return 1
     if gain_batch == "auto":
         return choose_gain_batch(num_vertices, pool_size)
     cap = max(1, GAIN_BATCH_CELL_CAP // max(num_vertices, 1))

@@ -1,5 +1,6 @@
 """Tests for the generic set-containment machinery."""
 
+import numpy as np
 import pytest
 
 from repro.containment.inverted import InvertedIndex
@@ -74,7 +75,6 @@ class TestIntersectSorted:
         assert _intersect_sorted([10, 11, 500], big) == [10, 500]
 
     def test_ndarray_vector_path_matches_scalar(self):
-        np = pytest.importorskip("numpy")
         a = np.arange(0, 200, 3, dtype=np.int32)
         b = np.arange(0, 200, 5, dtype=np.int32)
         expected = _intersect_sorted(list(a), list(b))

@@ -177,10 +177,10 @@ class TestApi:
         assert result.size == 15
 
     def test_default_is_auto(self, karate):
-        # FilterRefineSky with the kernel picked by candidate count; the
+        # FilterRefineSky's filter phase with the block refine; the
         # paper's Alg. 3 stays reachable by name.
-        assert neighborhood_skyline(karate).algorithm.startswith(
-            "FilterRefineSkyAuto("
+        assert neighborhood_skyline(karate).algorithm == (
+            "FilterRefineSkyBlock"
         )
         assert (
             neighborhood_skyline(karate, "filter_refine").algorithm

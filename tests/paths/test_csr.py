@@ -258,8 +258,6 @@ class TestGainBatchSizing:
         validate_gain_batch(64)
 
     def test_resolve_honours_explicit_batch(self):
-        numpy = pytest.importorskip("numpy")
-        assert numpy is not None
         assert resolve_gain_batch(5, 1000, 100) == 5
         # Explicit requests are clamped by the cell-cap memory guard.
         assert resolve_gain_batch(10**9, 1 << 20, 10**9) <= (1 << 24)

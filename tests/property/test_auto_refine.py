@@ -1,24 +1,20 @@
 """The ``algorithm="auto"`` default and the block kernel's batched passes.
 
 ``neighborhood_skyline``'s default runs the filter phase once and hands
-its output to the refine kernel ``choose_refine_kernel`` names.  These
-tests pin it to the paper's FilterRefineSky and to the naive reference
-bit for bit, on both sides of the cutover; pin the large-candidate
-route (block) on a seeded R-MAT graph; and check the block kernel's
-batched witness pass against a brute-force, pure-Python replay of the
+its output to the block refine kernel.  These tests pin it to the
+paper's FilterRefineSky and to the naive reference bit for bit; pin its
+counters on a seeded R-MAT graph; and check the block kernel's batched
+witness pass against a brute-force, pure-Python replay of the
 sequential first-settling-entry scan.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import block_refine, neighborhood_skyline
+from repro.core.api import ALGORITHMS
 from repro.core.block_refine import (
-    BLOCK_KERNEL_MIN_CANDIDATES,
-    HAVE_NUMPY,
     BlockRefineContext,
     block_status_chunk,
     block_witness_chunk,
@@ -36,23 +32,13 @@ COMMON = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the block and bitset kernels need numpy"
-)
-
-
 def assert_auto_matches(g):
-    """``auto`` on its own route and forced onto the block route."""
     ref = filter_refine_sky(g)
-    naive = naive_skyline(g).skyline
-    for cutover in (BLOCK_KERNEL_MIN_CANDIDATES, 0):
-        with mock.patch.object(
-            block_refine, "BLOCK_KERNEL_MIN_CANDIDATES", cutover
-        ):
-            auto = neighborhood_skyline(g)
-        assert auto.skyline == ref.skyline == naive
-        assert auto.dominator == ref.dominator
-        assert auto.candidates == ref.candidates
+    naive = naive_skyline(g)
+    auto = neighborhood_skyline(g)
+    assert auto.skyline == ref.skyline == naive.skyline
+    assert auto.dominator == ref.dominator
+    assert auto.candidates == ref.candidates
 
 
 @COMMON
@@ -73,12 +59,11 @@ def test_auto_matches_twin_heavy(g):
     assert_auto_matches(g)
 
 
-@needs_numpy
 def test_auto_routes_rmat_to_block():
+    assert ALGORITHMS["auto"] is ALGORITHMS["filter_refine_block"]
     g = kronecker_graph(10, 8, initiator=(0.57, 0.19, 0.19, 0.05), seed=7)
     c_filter = SkylineCounters()
     candidates, _ = filter_phase(g, counters=c_filter)
-    assert len(candidates) > BLOCK_KERNEL_MIN_CANDIDATES
 
     c_auto, c_ref = SkylineCounters(), SkylineCounters()
     auto = neighborhood_skyline(g, counters=c_auto)
@@ -86,9 +71,8 @@ def test_auto_routes_rmat_to_block():
     assert auto.skyline == ref.skyline
     assert auto.dominator == ref.dominator
     assert auto.candidates == ref.candidates
-    assert auto.algorithm == "FilterRefineSkyAuto(block)"
+    assert auto.algorithm == "FilterRefineSkyBlock"
     assert c_auto.extra["refine_path"] == "block"
-    assert c_auto.extra["refine_requested"] == "auto"
     # One filter phase: its tallies appear once, not twice.
     assert (
         c_auto.extra["filter_pretest_rejects"]
@@ -100,14 +84,6 @@ def test_auto_routes_rmat_to_block():
         c_auto.vertices_examined
         == c_filter.vertices_examined + len(candidates)
     )
-
-
-def test_small_graphs_stay_on_bitset(karate):
-    counters = SkylineCounters()
-    result = neighborhood_skyline(karate, counters=counters)
-    expected = "bitset" if HAVE_NUMPY else "bloom"
-    assert counters.extra["refine_path"] == expected
-    assert result.algorithm == f"FilterRefineSkyAuto({expected})"
 
 
 def brute_force_passes(g, candidates, dominator):
@@ -205,14 +181,12 @@ def assert_batched_passes_match_brute_force(g):
         assert block_witness_chunk(ctx, dominated, NULL_COUNTERS) == witnesses
 
 
-@needs_numpy
 @COMMON
 @given(st.one_of(graphs(), power_law_graphs(), twin_heavy_graphs()))
 def test_batched_passes_match_brute_force(g):
     assert_batched_passes_match_brute_force(g)
 
 
-@needs_numpy
 @pytest.mark.parametrize("n,seed", [(100, 9), (200, 19), (400, 1), (400, 7)])
 def test_batched_passes_match_brute_force_copying(n, seed):
     # Copying-model graphs nest neighborhoods deeply.  On these seeds

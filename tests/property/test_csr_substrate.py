@@ -32,17 +32,12 @@ from repro.graph.binfmt import (
     read_binary_graph,
     write_binary_graph,
 )
-from repro.graph.csr import CSRGraph, HAVE_NUMPY, as_csr
+from repro.graph.csr import CSRGraph, as_csr
 from repro.paths.bfs import bfs_distances, multi_source_distances
 from repro.paths.csr import CSRTraversal
 from repro.workloads import load, names
 
 from tests.conftest import graphs, power_law_graphs
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the CSR substrate requires numpy"
-)
-
 
 class TestGraphProtocolEquivalence:
     @given(graphs(max_vertices=18))
@@ -117,7 +112,7 @@ class TestSkylineEquivalence:
     @given(power_law_graphs(max_vertices=40))
     def test_all_algorithms_identical(self, g):
         csr = CSRGraph.from_graph(g)
-        for algorithm in ("filter_refine", "filter_refine_bitset"):
+        for algorithm in ("filter_refine", "auto"):
             r_list = neighborhood_skyline(g, algorithm=algorithm)
             r_csr = neighborhood_skyline(csr, algorithm=algorithm)
             assert r_list.skyline == r_csr.skyline

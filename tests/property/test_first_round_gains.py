@@ -28,8 +28,6 @@ from repro.graph.generators import erdos_renyi, kronecker_graph
 from repro.paths.csr import CSRTraversal, make_evaluator
 from tests.conftest import graphs
 
-pytest.importorskip("numpy")
-
 COMMON = settings(
     max_examples=40,
     deadline=None,

@@ -1,9 +1,8 @@
 """Differential safety net for the block-vectorized refine kernel.
 
 ``filter_refine_block`` must return the *same* skyline, dominator
-witnesses and candidate set as the scalar bitset kernel and the
-sequential bloom baseline (which the rest of the suite pins to
-``naive``) — bit for bit, on hypothesis-generated graphs, on the
+witnesses and candidate set as the sequential bloom baseline, and the
+same skyline as ``naive`` — bit for bit, on hypothesis-generated graphs, on the
 twin-heavy tie-break stressors and on every registered dataset.  The
 counter relations
 the kernel claims are pinned too: same vertices examined, same
@@ -25,14 +24,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import neighborhood_skyline
-from repro.core.bitset_refine import filter_refine_bitset_sky
-from repro.core.block_refine import (
-    HAVE_NUMPY,
-    choose_refine_kernel,
-    filter_refine_block_sky,
-)
+from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_refine import filter_refine_sky
+from repro.core.join_sky import lc_join_sky
 from repro.core.naive import naive_skyline
 from repro.workloads import load, names
 from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
@@ -71,12 +66,10 @@ def assert_counter_relations(c_blk: SkylineCounters, c_ref: SkylineCounters):
 
 @COMMON
 @given(graphs())
-def test_block_matches_bloom_bitset_naive(g):
+def test_block_matches_bloom_naive(g):
     seq = filter_refine_sky(g)
-    bit = filter_refine_bitset_sky(g)
     blk = filter_refine_block_sky(g)
     assert_same_result(blk, seq)
-    assert_same_result(blk, bit)
     assert blk.skyline == naive_skyline(g).skyline
 
 
@@ -87,8 +80,7 @@ def test_block_counter_relations(g):
     filter_refine_sky(g, counters=c_seq)
     filter_refine_block_sky(g, counters=c_blk)
     assert_counter_relations(c_blk, c_seq)
-    if HAVE_NUMPY:
-        assert c_blk.extra["refine_path"] == "block"
+    assert c_blk.extra["refine_path"] == "block"
 
 
 @COMMON
@@ -125,33 +117,16 @@ def test_block_chunking_invariance(g, entry_budget):
     )
 
 
-def test_choose_refine_kernel_cutover():
-    if not HAVE_NUMPY:
-        assert choose_refine_kernel(10, 100, word_budget=1 << 20) == "bloom"
-        return
-    # Small candidate sets within budget stay scalar bitset.
-    assert choose_refine_kernel(18, 34, word_budget=1 << 20) == "bitset"
-    # Large candidate sets go block regardless of the matrix budget.
-    assert choose_refine_kernel(10_000, 50_000, word_budget=1 << 24) == "block"
-    # Small but over-budget sets go block too (no matrix needed there).
-    assert choose_refine_kernel(100, 1_000_000, word_budget=1) == "block"
-
-
 @pytest.mark.parametrize("name", names())
 def test_every_standard_dataset_three_way(name):
+    """Block (the ``auto`` default), bloom Alg. 3 and the LC-Join
+    baseline, which shares no code with either."""
     g = load(name)
-    c_seq, c_bit, c_blk = (
-        SkylineCounters(),
-        SkylineCounters(),
-        SkylineCounters(),
-    )
+    c_seq, c_blk = SkylineCounters(), SkylineCounters()
     seq = filter_refine_sky(g, counters=c_seq)
-    bit = filter_refine_bitset_sky(g, counters=c_bit)
-    blk = neighborhood_skyline(
-        g, algorithm="filter_refine_block", counters=c_blk
-    )
+    blk = neighborhood_skyline(g, counters=c_blk)
     assert_same_result(blk, seq)
-    assert_same_result(blk, bit)
+    assert blk.skyline == lc_join_sky(g).skyline
     assert_counter_relations(c_blk, c_seq)
 
 
@@ -165,11 +140,8 @@ def test_every_standard_dataset_three_way(name):
     ),
 )
 @pytest.mark.parametrize("name", names(tier="large"))
-def test_every_large_dataset_three_way(name):
+def test_every_large_dataset_matches_bloom(name):
     g = load(name)
     seq = filter_refine_sky(g)
     blk = filter_refine_block_sky(g)
-    bit = filter_refine_bitset_sky(g)
     assert_same_result(blk, seq)
-    assert bit.skyline == seq.skyline
-    assert bit.dominator == seq.dominator

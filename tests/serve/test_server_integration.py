@@ -61,8 +61,8 @@ def test_served_skyline_equals_direct_calls(server, name):
     doc = _query(server, {"graph": name, "kind": "skyline"})
     result = doc["result"]
     sequential = filter_refine_sky(graph)
-    bitset = neighborhood_skyline(graph, algorithm="filter_refine_bitset")
-    assert tuple(result["skyline"]) == sequential.skyline == bitset.skyline
+    naive = neighborhood_skyline(graph, algorithm="naive")
+    assert tuple(result["skyline"]) == sequential.skyline == naive.skyline
     assert tuple(result["dominator"]) == sequential.dominator
     assert result["candidate_size"] == sequential.candidate_size
     assert result["size"] == sequential.size

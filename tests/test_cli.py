@@ -143,6 +143,20 @@ def test_malformed_edge_list_names_file_and_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "data", [b"0 1\n1 \xff\xfe\n", b"0 1\n1 99999999999999999999999\n"]
+)
+def test_hostile_edge_list_is_one_line_error(tmp_path, capsys, data):
+    path = tmp_path / "hostile.txt"
+    path.write_bytes(data)
+    assert main(["skyline", "--edge-list", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "hostile.txt: line 2" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_runs_grid(capsys):
     code = main(
         [
