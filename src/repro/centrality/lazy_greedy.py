@@ -23,32 +23,32 @@ it is tested against.
    with preallocated scratch reused across the whole run — instead of
    the per-call generator machinery of :mod:`repro.paths.truncated`.
 
-3. **Batched lanes** (``gain_batch``).  Evaluations run ``B`` sources
-   per vectorized kernel pass (:meth:`~repro.paths.csr.CSRTraversal.
-   _batch_scan`) instead of one Python-level BFS per call.  Round 0,
-   scored against an empty group, runs on the bitset multi-source BFS
-   of :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` (64
-   sources per machine word); the CELF drain batches
-   *speculatively*: when a stale pop needs a re-score, the kernel also
-   scores the next ``B-1`` stale heap entries (the likeliest next pops)
-   into a round-local cache, and each later stale pop is served from
-   that cache.  The heap itself is driven by the exact scalar pop/push
-   sequence — stale bounds are never replaced speculatively, and
-   ``evaluations`` is charged per *consumed* pop only — so selections,
-   gains, ``evaluations`` and ``evaluations_saved`` are bit-for-bit
-   identical for every batch size.  Speculative work is visible in
-   ``counters.extra``: ``batch_rounds`` (kernel dispatches),
-   ``lanes_evaluated`` (total lanes scored) and
-   ``lanes_short_circuited`` (speculative lanes the drain never
-   consumed — wasted, bounded by ``B-1`` per round).
+3. **Vector kernels** (``gain_batch > 1``).  Round 0, scored against
+   an empty group, runs on the bitset multi-source BFS of
+   :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` (64 sources
+   per machine word).  Every later scan — each stale pop of the CELF
+   drain, a heap-dry rebuild, the winner's update list — runs on
+   :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval`: the scalar
+   pruned scan under an edge-visit budget, handed to the one-lane
+   vectorized kernel only when it runs past the budget.  After round 0
+   most scans touch only the few vertices the candidate would move
+   closer, so they finish scalar; the large ones (million-edge graphs)
+   go vectorized.  Each stale pop is scored exactly once, gains only;
+   nothing is scored speculatively.  ``gain_batch=1`` keeps every scan
+   on the scalar kernel.  Both paths return the scalar kernel's gains
+   bit for bit, so the heap evolves identically.  Kernel use is
+   visible in ``counters.extra``: ``batch_rounds`` (vectorized
+   dispatches: bitset chunks plus hand-offs), ``lanes_evaluated``
+   (gain scans, equal to ``evaluations``) and ``lanes_short_circuited``
+   (always 0, kept for readers of the counter).
 
 ``evaluations`` counts gain evaluations actually performed;
 ``evaluations_saved`` is the eager schedule's count over the same pool
 minus that, so ``evaluations + evaluations_saved`` always equals the
 eager driver's ``evaluations`` for the same inputs.  (The one uncounted
-traversal per round: batched scans ship gains only, so the winner's
-update list is re-derived — eager already charged that candidate's
-evaluation.  After round 0 it is the winner's BFS distance vector.)
+traversal per round: scans ship gains only, so the winner's update list
+is re-derived — eager already charged that candidate's evaluation.
+After the bitset round 0 it is the winner's BFS distance vector.)
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ import numpy as _np
 from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.paths.csr import (
-    CSRTraversal,
-    make_batch_evaluator,
-    make_evaluator,
-    resolve_gain_batch,
-)
+from repro.paths.csr import CSRTraversal, make_evaluator, resolve_gain_batch
 
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 
@@ -88,14 +83,15 @@ def lazy_greedy_maximize(
         Optional :class:`~repro.core.counters.SkylineCounters` for the
         batch telemetry (see ``gain_batch``).
     gain_batch:
-        Marginal-gain lanes per batched kernel call (``"auto"``, the
+        Resolved like the eager driver's lane width (``"auto"``, the
         default, sizes from ``n`` and the pool;
-        :func:`~repro.paths.csr.resolve_gain_batch`).  Purely an
-        execution knob: the batched drain replays the scalar CELF
-        pop/push sequence exactly, so the group, gains, tie-breaks,
-        ``evaluations`` and ``evaluations_saved`` are identical for
-        every value.  Batch telemetry lands in ``counters.extra``
-        (``gain_batch`` / ``batch_rounds`` / ``lanes_evaluated`` /
+        :func:`~repro.paths.csr.resolve_gain_batch`), but here only
+        ``1`` (scalar kernels only) versus ``> 1`` (vector kernels, see
+        the module docstring) matters.  Purely an execution knob: the
+        group, gains, tie-breaks, ``evaluations`` and
+        ``evaluations_saved`` are identical for every value.  Kernel
+        telemetry lands in ``counters.extra`` (``gain_batch`` /
+        ``batch_rounds`` / ``lanes_evaluated`` /
         ``lanes_short_circuited``).
     """
     if k < 0:
@@ -117,28 +113,29 @@ def lazy_greedy_maximize(
     evaluations = 0
     eager_evaluations = 0  # what the eager schedule would have spent
     trav = CSRTraversal.from_graph(graph)
-    evaluate = make_evaluator(trav, objective)
     batch = resolve_gain_batch(gain_batch, n, len(pool))
-    batch_evaluate = (
-        make_batch_evaluator(trav, objective) if batch > 1 else None
-    )
-    if batch_evaluate is None:
+    if not trav.supports_batch:
         batch = 1
-    # The batched kernel indexes the committed distances vectorized, so
-    # the batch path maintains an int32 ndarray mirror of `dist` (the
-    # scalar kernels keep the list: per-element list access is faster
-    # for the one-off winner re-derivations).
-    dist_nd = _np.full(n, -1, dtype=_np.int32) if batch > 1 else None
-    batch_rounds = 0
-    lanes_evaluated = 0
-    lanes_short_circuited = 0
+    if batch > 1:
+        # The vector kernels index the committed distances as an int32
+        # ndarray, kept in step with `dist` at every commit.
+        dist_nd = _np.full(n, -1, dtype=_np.int32)
+
+        def evaluate(u: int, collect: bool):
+            return trav.adaptive_eval(u, dist, dist_nd, objective, collect)
+    else:
+        dist_nd = None
+        scalar_evaluate = make_evaluator(trav, objective)
+
+        def evaluate(u: int, collect: bool):
+            return scalar_evaluate(u, dist, collect)
+
     #: CELF heap of (-cached_gain, vertex, round_tag); each not-yet-
     #: chosen candidate appears exactly once.  A tag older than the
     #: current round marks the cached gain as a stale upper bound.
     heap: list[tuple[float, int, int]] = []
 
     for round_no in range(k):
-        best_updates: Optional[list[tuple[int, int]]] = None
         if not heap:
             # (Re)build: first round, or the pool ran dry last round —
             # mirror the eager driver's fallback to all of V \ S.
@@ -149,119 +146,51 @@ def lazy_greedy_maximize(
                     break
             eager_evaluations += len(scope)
             evaluations += len(scope)
-            if batch > 1:
-                # Batched scope scan: gains only; the winner's update
-                # list is re-derived below (uncounted).  max() keeps the
-                # first maximum: the eager smallest-ID tie-break.  With
-                # nothing committed yet every scan is a plain BFS, which
-                # the bitset round-0 kernel runs 64 sources per word.
-                if not group:
-                    gain_vec = trav.first_round_gains(scope, objective)
-                    batch_rounds += 1
-                else:
-                    gain_vec = []
-                    for lo in range(0, len(scope), batch):
-                        lane = scope[lo : lo + batch]
-                        gain_vec.extend(
-                            g for g, _none in batch_evaluate(
-                                lane, dist_nd, False
-                            )
-                        )
-                        batch_rounds += 1
-                lanes_evaluated += len(scope)
-                best_idx = max(
-                    range(len(scope)), key=gain_vec.__getitem__
-                )
-                entries = list(zip(scope, gain_vec))
+            # With nothing committed yet every scan is a plain BFS,
+            # which the bitset round-0 kernel runs 64 sources per word.
+            if batch > 1 and not group:
+                gain_vec = trav.first_round_gains(scope, objective)
             else:
-                best_idx = -1
-                best_gain = float("-inf")
-                entries = []
-                for u in scope:
-                    gain, updates = evaluate(u, dist, True)
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_idx = len(entries)
-                        best_updates = updates
-                    entries.append((u, gain))
-            best_u, best_gain = entries[best_idx]
+                gain_vec = [evaluate(u, False)[0] for u in scope]
+            # max() keeps the first maximum: the eager smallest-ID
+            # tie-break.
+            best_idx = max(range(len(scope)), key=gain_vec.__getitem__)
+            best_u = scope[best_idx]
+            best_gain = gain_vec[best_idx]
             heap = [
                 (-gain, u, round_no)
-                for i, (u, gain) in enumerate(entries)
+                for i, (u, gain) in enumerate(zip(scope, gain_vec))
                 if i != best_idx
             ]
             heapq.heapify(heap)
-        elif batch > 1:
-            # Batched CELF drain.  The heap evolution below is the
-            # scalar drain's, verbatim: stale bounds are popped in the
-            # same order, re-scored values pushed back one at a time,
-            # and `evaluations` charged per consumed pop.  The batching
-            # is purely speculative — a cache miss scores the popped
-            # candidate *plus* the next B-1 stale uncached heap entries
-            # (the likeliest next pops) in one kernel pass, and later
-            # pops are served from the round-local cache.  Gains cached
-            # mid-round stay valid because `dist` only changes at the
-            # commit, after the drain.  Lanes ship gains only
-            # (collect=False) — update lists for speculative lanes
-            # would be wasted materialization — so the winner's updates
-            # are re-derived below, like the batched round 0's.
-            eager_evaluations += len(heap)
-            round_cache: dict[int, float] = {}
-            while True:
-                neg_gain, u, tag = heapq.heappop(heap)
-                if tag == round_no:
-                    best_u = u
-                    best_gain = -neg_gain
-                    break
-                gain = round_cache.pop(u, None)
-                if gain is None:
-                    lane = [u]
-                    for _ng, v, t in heapq.nsmallest(batch - 1, heap):
-                        if t != round_no and v not in round_cache:
-                            lane.append(v)
-                    results = batch_evaluate(lane, dist_nd, False)
-                    batch_rounds += 1
-                    lanes_evaluated += len(lane)
-                    for v, (g, _none) in zip(lane, results):
-                        round_cache[v] = g
-                    gain = round_cache.pop(u)
-                evaluations += 1
-                heapq.heappush(heap, (-gain, u, round_no))
-            lanes_short_circuited += len(round_cache)
         else:
-            # CELF: pop/re-evaluate/re-push until the top is fresh.
+            # CELF: pop/re-score/re-push until the top is fresh.  Each
+            # stale pop is scored exactly once, gains only.
             eager_evaluations += len(heap)
-            round_updates: dict[int, list[tuple[int, int]]] = {}
             while True:
                 neg_gain, u, tag = heapq.heappop(heap)
                 if tag == round_no:
                     best_u = u
                     best_gain = -neg_gain
-                    best_updates = round_updates[u]
                     break
-                gain, updates = evaluate(u, dist, True)
                 evaluations += 1
-                round_updates[u] = updates
+                gain, _none = evaluate(u, False)
                 heapq.heappush(heap, (-gain, u, round_no))
 
-        if best_updates is None and not group:
-            # Bitset round 0 ships gains only.  Against an empty group
-            # the winner improves every vertex it reaches to its BFS
-            # distance, so the vectorized full BFS is the commit.
+        if not group and batch > 1:
+            # Against an empty group the winner improves every vertex it
+            # reaches to its BFS distance, so the vectorized full BFS is
+            # the commit.
             dist = trav.bfs_distances(best_u)
-            dist_nd = _np.array(dist, dtype=_np.int32)
+            dist_nd[:] = dist
         else:
-            if best_updates is None:
-                # Batched scans ship gains only; re-derive the
-                # winner's update list (uncounted: this candidate's
-                # evaluation was already charged above).
-                _gain, best_updates = evaluate(best_u, dist, True)
-            if dist_nd is None:
+            # Scans ship gains only; re-derive the winner's update list
+            # (uncounted: this candidate's evaluation was charged above).
+            _gain, best_updates = evaluate(best_u, True)
+            for v, new in best_updates:
+                dist[v] = new
+            if dist_nd is not None:
                 for v, new in best_updates:
-                    dist[v] = new
-            else:
-                for v, new in best_updates:
-                    dist[v] = new
                     dist_nd[v] = new
         in_group[best_u] = 1
         group.append(best_u)
@@ -271,14 +200,14 @@ def lazy_greedy_maximize(
         extra = counters.extra
         extra["gain_batch"] = batch
         extra["batch_rounds"] = (
-            extra.get("batch_rounds", 0) + batch_rounds
+            extra.get("batch_rounds", 0) + trav.vector_dispatches
         )
+        # Every gain scan is a charged evaluation: nothing is scored
+        # speculatively, so no lane is ever short-circuited.
         extra["lanes_evaluated"] = (
-            extra.get("lanes_evaluated", 0) + lanes_evaluated
+            extra.get("lanes_evaluated", 0) + evaluations
         )
-        extra["lanes_short_circuited"] = (
-            extra.get("lanes_short_circuited", 0) + lanes_short_circuited
-        )
+        extra.setdefault("lanes_short_circuited", 0)
     return GreedyResult(
         group=tuple(group),
         gains=tuple(gains),

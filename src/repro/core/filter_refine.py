@@ -66,14 +66,25 @@ def bloom_refine_pass(
     n = graph.num_vertices
     bit_of = blooms.bit_masks
     neighbors = graph.neighbors
-    # On CSR-backed graphs the 2-hop scan reads rows through zero-copy
-    # ndarray slices instead of materializing (and caching) a tuple per
-    # visited vertex — the refine pass touches far more rows than it
-    # revisits, so the per-row allocation was pure overhead.  Writes to
-    # ``dominator`` are wrapped in int() so results stay plain-int.
-    row_of = getattr(graph, "neighbors_array", None)
-    if row_of is None:
+    # On CSR-backed graphs the 2-hop scan reads rows as list slices of
+    # one plain-int copy of ``indices``, cached for this pass only (hub
+    # rows are revisited from many candidates).  Plain ints, not
+    # ndarray slices, keep every ``w`` a Python int in the hot loop.
+    csr_arrays = getattr(graph, "csr_arrays", None)
+    if csr_arrays is None:
         row_of = neighbors
+    else:
+        indptr, indices = csr_arrays()
+        starts = indptr.tolist()
+        flat = indices.tolist()
+        rows = [None] * n
+
+        def row_of(v):
+            row = rows[v]
+            if row is None:
+                row = rows[v] = flat[starts[v] : starts[v + 1]]
+            return row
+
     has_edge = graph.has_edge
     # degrees() reads indptr on CSR-backed graphs — no row
     # materialization just to measure lengths.
@@ -134,10 +145,10 @@ def bloom_refine_pass(
                     # Mutual inclusion: smaller ID dominates; keep
                     # scanning either way (paper lines 22-25).
                     if u > w and dominator[u] == u:
-                        dominator[u] = int(w)
+                        dominator[u] = w
                         stats.dominations_found += 1
                 elif dominator[u] == u:
-                    dominator[u] = int(w)
+                    dominator[u] = w
                     stats.dominations_found += 1
                     strictly_dominated = True
                     break

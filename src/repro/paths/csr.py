@@ -68,6 +68,15 @@ plain BFS and every vertex at level ``L`` contributes the same term, so
 histogram.  It gets all of them from one bitset multi-source BFS — 64
 sources per machine word, one gather and one ``bitwise_or.reduceat``
 per level — and replays each lane's scalar fold from the histogram.
+
+**Adaptive single-candidate kernel.**  After round 0 a pruned scan
+usually touches only the few vertices a candidate would move closer,
+and there the vector plane's ~10 numpy calls per level cost more than
+the scalar loop.  :meth:`CSRTraversal.adaptive_eval` runs the scalar
+scan under an edge-visit budget (:data:`SCAN_EDGE_BUDGET`) and hands
+only scans that run past it to the one-lane vector kernel.  The lazy
+(CELF) driver scores every scan after round 0 this way; the eager
+driver batches ``B`` lanes per vector pass.
 """
 
 from __future__ import annotations
@@ -99,14 +108,21 @@ GAIN_BATCH_MIN_VERTICES = 256
 #: capped at :data:`GAIN_BATCH_MAX_LANES`.
 GAIN_BATCH_CELL_BUDGET = 1 << 23
 
-#: Auto-sizing lane cap.  Round 0 runs on the bitset kernel
-#: (:meth:`CSRTraversal.first_round_gains`), so ``B`` only sizes the
-#: CELF drain's speculation width.  The drain scores its lanes one after
-#: another, so a wider batch buys little but wasted speculative scans:
-#: on R-MAT scale 10 (k=8), copying-model n=400 (k 2-4) and kron_large
-#: (k=16) widths 8-16 were fastest, 64 was 10-30% slower and 2-4 lost
-#: at the small sizes.
+#: Auto-sizing lane cap.  It sizes only the eager driver's lanes: the
+#: lazy driver treats any ``B > 1`` as "use the vector kernels" (bitset
+#: round 0, :meth:`CSRTraversal.adaptive_eval` in the drain) and never
+#: batches lanes.  Fitted when ``B`` still sized the lazy drain's
+#: speculation: on R-MAT scale 10 (k=8), copying-model n=400 (k 2-4)
+#: and kron_large (k=16) widths 8-16 were fastest, 64 was 10-30% slower
+#: and 2-4 lost at the small sizes.
 GAIN_BATCH_MAX_LANES = 8
+
+#: Edge-visit budget of :meth:`CSRTraversal.adaptive_eval`: a gain scan
+#: that visits more edges than this is handed from the scalar loop to
+#: the one-lane vectorized kernel.  Fitted on the CELF drain of
+#: group_rmat, copying-model n=400 graphs and kron_large (table in
+#: ``docs/centrality-kernels.md``).
+SCAN_EDGE_BUDGET = 1024
 
 #: Hard cap on ``B * n`` cells for *explicit* batch requests: an
 #: oversized ``--gain-batch`` is clamped, never allowed to materialize
@@ -139,6 +155,22 @@ def _ndarray_view(buf):
     return _np.frombuffer(mv, dtype=dtype)
 
 
+def _sequential_sum(terms) -> float:
+    """The scalar ``gain = 0.0; gain += t`` chain over a float64 array.
+
+    ``np.cumsum`` is a strictly left-to-right accumulate; ``np.sum``
+    (pairwise) and, since Python 3.12, the builtin ``sum`` of floats
+    (compensated) are not, and would drift from the scalar kernels in
+    the last bits.  Starting the chain at ``terms[0]`` instead of
+    ``0.0`` can differ only in the sign of a zero total, which the
+    final ``0.0 +`` normalizes the way the scalar chain does (its
+    harmonic source term is ``-0.0``, and ``0.0 + -0.0`` is ``+0.0``).
+    """
+    if not terms.size:
+        return 0.0
+    return 0.0 + float(_np.cumsum(terms)[-1])
+
+
 class CSRTraversal:
     """Reusable BFS workspace over a CSR snapshot of one graph.
 
@@ -163,6 +195,7 @@ class CSRTraversal:
         "_claim_tick",
         "_new_dist",
         "_queue",
+        "vector_dispatches",
     )
 
     def __init__(self, indptr: Sequence[int], indices: Sequence[int]):
@@ -195,6 +228,9 @@ class CSRTraversal:
         self._claim_tick = 1
         self._new_dist = [-2] * n
         self._queue = [0] * n
+        #: Vectorized kernel passes run so far: one per ``_batch_scan``
+        #: call and one per bitset chunk of :meth:`first_round_gains`.
+        self.vector_dispatches = 0
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRTraversal":
@@ -316,13 +352,20 @@ class CSRTraversal:
     # ------------------------------------------------------------------
     # Truncated gain BFS (CSR rebuild of repro.paths.truncated)
     # ------------------------------------------------------------------
-    def _scan(self, source: int, current: Sequence[int]) -> int:
+    def _scan(
+        self, source: int, current: Sequence[int], budget: int = -1
+    ) -> int:
         """Run the pruned BFS; return the number of improved vertices.
 
         On return ``_queue[:count]`` lists the improved vertices in
         emission order and ``_new_dist`` holds their new distances.  The
         caller must sweep the prefix and restore ``_new_dist`` to ``-2``
         for every listed vertex before the next traversal.
+
+        A non-negative ``budget`` caps the edge visits (the summed row
+        lengths of the dequeued vertices): a scan that would run past it
+        is abandoned, its ``_new_dist`` cells restored, and ``-1``
+        returned.
         """
         cur_src = current[source]
         if cur_src != -1 and cur_src <= 0:
@@ -340,6 +383,12 @@ class CSRTraversal:
             row = rows[u]
             if row is None:
                 row = self._row(u)
+            if budget >= 0:
+                budget -= len(row)
+                if budget < 0:
+                    for i in range(tail):
+                        new_dist[queue[i]] = -2
+                    return -1
             for v in row:
                 if new_dist[v] != -2:
                     continue
@@ -383,7 +432,13 @@ class CSRTraversal:
         so accumulating in int and converting once equals the eager
         driver's float-by-float sum bit for bit.
         """
-        count = self._scan(source, current)
+        return self._closeness_fold(
+            self._scan(source, current), current, penalty, collect
+        )
+
+    def _closeness_fold(self, count, current, penalty, collect):
+        """Sweep a finished :meth:`_scan` (``count`` improved vertices)
+        into the closeness gain; restores ``_new_dist``."""
         updates = [] if collect else None
         total = 0
         new_dist = self._new_dist
@@ -418,7 +473,12 @@ class CSRTraversal:
         term by term — ``1.0/new - old_term`` as one expression — in
         emission order, so the float result is the eager driver's.
         """
-        count = self._scan(source, current)
+        return self._harmonic_fold(
+            self._scan(source, current), current, collect
+        )
+
+    def _harmonic_fold(self, count, current, collect):
+        """Sweep a finished :meth:`_scan` into the harmonic gain."""
         updates = [] if collect else None
         gain = 0.0
         new_dist = self._new_dist
@@ -457,7 +517,12 @@ class CSRTraversal:
         collect: bool = True,
     ) -> tuple[float, Optional[list[tuple[int, int]]]]:
         """Gain under an arbitrary ``gain_weight``; optionally the updates."""
-        count = self._scan(source, current)
+        return self._generic_fold(
+            self._scan(source, current), current, weight, collect
+        )
+
+    def _generic_fold(self, count, current, weight, collect):
+        """Sweep a finished :meth:`_scan` into a ``gain_weight`` sum."""
         updates = [] if collect else None
         gain = 0.0
         new_dist = self._new_dist
@@ -557,6 +622,7 @@ class CSRTraversal:
         negative-but-reached) emit nothing, matching the scalar
         short-circuit.
         """
+        self.vector_dispatches += 1
         indptr = self._indptr64()
         indices = self._nd_indices
         block = self._scan_block()
@@ -706,8 +772,8 @@ class CSRTraversal:
         The per-term arithmetic (``1.0/new - old_term``) is elementwise,
         so numpy float64 reproduces CPython bit for bit; only the *sum*
         is order-sensitive, and it runs sequentially per lane over the
-        emission-ordered term list — exactly the scalar ``gain += term``
-        chain, starting from the same ``0.0``.
+        emission-ordered term list (:func:`_sequential_sum`) — exactly
+        the scalar ``gain += term`` chain, starting from the same ``0.0``.
         """
         sources = list(sources)
         if not sources:
@@ -721,14 +787,14 @@ class CSRTraversal:
         _np.divide(1.0, news, out=inv_new, where=(news > 0))
         terms = inv_new - inv_old
         order, bounds = self._lane_order(lanes, len(sources))
-        st = terms[order].tolist()
+        st = terms[order]
         if collect:
             sv = verts[order].tolist()
             sn = news[order].tolist()
         out = []
         for b in range(len(sources)):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
-            gain = sum(st[lo:hi], 0.0)
+            gain = _sequential_sum(st[lo:hi])
             updates = list(zip(sv[lo:hi], sn[lo:hi])) if collect else None
             out.append((gain, updates))
         return out
@@ -766,6 +832,54 @@ class CSRTraversal:
         return out
 
     # ------------------------------------------------------------------
+    # Adaptive single-candidate gain: scalar first, vector past a budget
+    # ------------------------------------------------------------------
+    def adaptive_eval(
+        self,
+        source: int,
+        current: Sequence[int],
+        current_nd,
+        objective,
+        collect: bool = False,
+        *,
+        budget: int = SCAN_EDGE_BUDGET,
+    ) -> tuple[float, Optional[list[tuple[int, int]]]]:
+        """``(gain, updates)`` of adding ``source``, bitwise equal to
+        ``make_evaluator(self, objective)(source, current, collect)``.
+
+        Runs the scalar :meth:`_scan` with an edge-visit ``budget``.
+        Pruned scans against a committed group usually stay small and
+        finish scalar.  A scan that runs past the budget is abandoned
+        (scratch restored) and re-run on the one-lane vectorized kernel,
+        whose per-level numpy passes win once a scan is large.
+        ``current_nd`` is ``current`` as an int32 ndarray (the vector
+        kernel's view of the same distances).
+        """
+        kernel = getattr(objective, "csr_kernel", None)
+        count = self._scan(source, current, budget)
+        if count >= 0:
+            if kernel == "closeness":
+                return self._closeness_fold(
+                    count, current, objective.penalty, collect
+                )
+            if kernel == "harmonic":
+                return self._harmonic_fold(count, current, collect)
+            return self._generic_fold(
+                count, current, objective.gain_weight, collect
+            )
+        if kernel == "closeness":
+            lane = self.batch_closeness_eval(
+                [source], current_nd, objective.penalty, collect
+            )
+        elif kernel == "harmonic":
+            lane = self.batch_harmonic_eval([source], current_nd, collect)
+        else:
+            lane = self.batch_generic_eval(
+                [source], current_nd, objective.gain_weight, collect
+            )
+        return lane[0]
+
+    # ------------------------------------------------------------------
     # Round-0 kernel: bitset multi-source BFS, 64 sources per word
     # ------------------------------------------------------------------
     def first_round_gains(self, sources, objective) -> list[float]:
@@ -777,11 +891,11 @@ class CSRTraversal:
         ``gain_weight(-1, L)``.  So a lane's gain depends only on its
         level histogram ``c[L]``, and the scalar sequential fold over
         the emission stream is replayed per lane as ``0.0``, the source
-        term, then ``c[1]`` copies of the level-1 term, and so on.  The
-        fold is one ``np.cumsum`` (a strictly sequential accumulate);
-        ``np.sum`` is pairwise and would drift from the scalar harmonic
-        gain in the last bits.  Closeness terms are integers, so its
-        lanes sum exactly in int64 and convert once, as the scalar does.
+        term, then ``c[1]`` copies of the level-1 term, and so on
+        (:func:`_sequential_sum`); ``np.sum`` is pairwise and would
+        drift from the scalar harmonic gain in the last bits.  Closeness
+        terms are integers, so its lanes sum exactly in int64 and
+        convert once, as the scalar does.
 
         The histograms come from :meth:`_level_histograms`, which runs
         all lanes of a chunk as one bit-parallel BFS.
@@ -812,14 +926,9 @@ class CSRTraversal:
                 totals = hist @ (objective.penalty - levels)
                 gains.extend(float(t) for t in totals.tolist())
                 continue
-            terms = _np.array(
-                [0.0] + [term(level) for level in range(hist.shape[1])]
-            )
-            lead = _np.ones((hist.shape[0], 1), dtype=_np.int64)
-            for counts in _np.hstack([lead, hist]):
-                gains.append(
-                    float(_np.cumsum(_np.repeat(terms, counts))[-1])
-                )
+            terms = _np.array([term(level) for level in range(hist.shape[1])])
+            for counts in hist:
+                gains.append(_sequential_sum(_np.repeat(terms, counts)))
         return gains
 
     def _level_histograms(self, sources):
@@ -835,6 +944,7 @@ class CSRTraversal:
         word operations for 64 lanes per word, against ``2m`` Python-
         level edge visits per lane in the scalar scan.
         """
+        self.vector_dispatches += 1
         n = self.n
         num_lanes = len(sources)
         width = (num_lanes + 63) // 64
@@ -942,10 +1052,10 @@ def choose_gain_batch(num_vertices: int, pool_size: int) -> int:
     Small graphs and single-candidate pools stay scalar (batch 1); past
     :data:`GAIN_BATCH_MIN_VERTICES` the lane count is the cell budget
     divided by n, capped at :data:`GAIN_BATCH_MAX_LANES` and the pool
-    size.  Any width above 1 also routes the lazy driver's round 0 to
-    the bitset kernel, so the cap sizes only the CELF drain's
-    speculation.  Cheap, deterministic, and conservative at the
-    boundaries.
+    size.  The width sizes the eager driver's lanes; for the lazy driver
+    any width above 1 just selects the vector kernels (bitset round 0,
+    :meth:`CSRTraversal.adaptive_eval` after it).  Cheap, deterministic,
+    and conservative at the boundaries.
     """
     if num_vertices < GAIN_BATCH_MIN_VERTICES or pool_size <= 1:
         return 1
