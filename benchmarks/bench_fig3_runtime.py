@@ -10,12 +10,17 @@ flattens (both algorithms enumerate the same (v, w) incidences); the
 pairs with *asymptotic* differences — FilterRefineSky vs BaseSky and vs
 Base2Hop — reproduce cleanly.
 
+Each cell is the fastest of :data:`ROUNDS` calls on the same graph
+(the median is recorded alongside): one cold call per cell could not
+resolve FilterRefineSky against BaseSky on ``dblp_sim``.
+
 Every row also lands in ``BENCH_skyline.json`` (via the ``bench_json``
 fixture) with the algorithm's work counters; for the filter+refine
-family the refine-phase time (wall minus the dataset's measured
+family the refine-phase time (wall minus the dataset's fastest
 filter-phase time) is recorded alongside.
 """
 
+import statistics
 import time
 
 import pytest
@@ -41,15 +46,21 @@ ALGORITHMS = (
     ("FilterRefineSky", filter_refine_sky),
 )
 
+#: Timed calls per cell; the table reports the fastest.
+ROUNDS = 5
+
 _RESULTS: dict[str, dict[str, float]] = {}
 _FILTER_TIMES: dict[str, float] = {}
 
 
 def _filter_time(name, graph) -> float:
     if name not in _FILTER_TIMES:
-        start = time.perf_counter()
-        filter_phase(graph)
-        _FILTER_TIMES[name] = time.perf_counter() - start
+        walls = []
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            filter_phase(graph)
+            walls.append(time.perf_counter() - start)
+        _FILTER_TIMES[name] = min(walls)
     return _FILTER_TIMES[name]
 
 
@@ -57,9 +68,16 @@ def _filter_time(name, graph) -> float:
 @pytest.mark.parametrize("algo_name,algo", ALGORITHMS, ids=[a for a, _ in ALGORITHMS])
 def test_fig3_runtime(benchmark, figure_report, bench_json, name, algo_name, algo):
     graph = dataset(name)
-    start = time.perf_counter()
-    result = benchmark.pedantic(algo, args=(graph,), rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
+    walls = []
+
+    def timed():
+        start = time.perf_counter()
+        out = algo(graph)
+        walls.append(time.perf_counter() - start)
+        return out
+
+    result = benchmark.pedantic(timed, rounds=ROUNDS, iterations=1)
+    elapsed = min(walls)
     _RESULTS.setdefault(name, {})[algo_name] = elapsed
     benchmark.extra_info["skyline_size"] = result.size
 
@@ -76,7 +94,12 @@ def test_fig3_runtime(benchmark, figure_report, bench_json, name, algo_name, alg
             wall_s=elapsed,
             refine_s=refine_s,
             counters=counters.as_dict(),
-            extra={"skyline_size": result.size, **counters.extra},
+            extra={
+                "skyline_size": result.size,
+                "rounds": len(walls),
+                "median_s": statistics.median(walls),
+                **counters.extra,
+            },
         )
     )
 
@@ -84,7 +107,8 @@ def test_fig3_runtime(benchmark, figure_report, bench_json, name, algo_name, alg
     if len(per_dataset) == len(ALGORITHMS):
         report = figure_report(
             "Figure 3",
-            "Runtime (s) of neighborhood skyline computation algorithms",
+            "Runtime (s) of neighborhood skyline computation algorithms "
+            f"(fastest of {ROUNDS} calls)",
             ("dataset",) + tuple(a for a, _ in ALGORITHMS) + ("BaseSky/FRS",),
         )
         report.add_row(

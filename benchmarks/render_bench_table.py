@@ -226,11 +226,11 @@ def render_large_tier(entries) -> str:
 
 
 def render_greedy_vector(entries) -> str:
-    """Batched gain-plane before/after table (``greedy_vector`` rows).
+    """Greedy vector-kernel before/after table (``greedy_vector`` rows).
 
-    One row per instance: pool shape, the eager reference wall, the
-    scalar and batched lazy walls with the measured speedup, and the
-    auto-chosen lane width.  Returns ``""`` when
+    One row per instance: pool shape, the eager reference wall, and the
+    scalar-kernel and default lazy walls with the measured speedup.
+    Returns ``""`` when
     ``bench_greedy_vector.py`` has not been run yet.
     """
     by_inst = {}
@@ -255,15 +255,15 @@ def render_greedy_vector(entries) -> str:
             f"| {name} | {a_extra.get('k', '?')} "
             f"| {a_extra.get('pool_size', '?')} | {eager_cell} "
             f"| {before['wall_s']:.1f} | {after['wall_s']:.1f} "
-            f"| {ratio:.1f}x | {a_extra.get('gain_batch', '?')} |"
+            f"| {ratio:.1f}x |"
         )
     if not rows:
         return ""
     return "\n".join(
         [
             "| dataset | k | pool | eager (s) | lazy scalar (s) "
-            "| lazy batched (s) | speedup | B |",
-            "|---|---|---|---|---|---|---|---|",
+            "| lazy batched (s) | speedup |",
+            "|---|---|---|---|---|---|---|",
             *rows,
         ]
     )

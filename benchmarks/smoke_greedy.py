@@ -2,8 +2,8 @@
 
 Plain script (no pytest) so CI can run it in seconds on tiny registry
 instances: runs BaseGC/NeiSkyGC and BaseGH under the eager reference
-driver, the lazy engine and the lazy engine with forced batched gain
-lanes (``gain_batch=3``), asserts every result bit-for-bit identical
+driver and the default lazy engine (bitset round 0 and adaptive vector
+scans, on every graph size), asserts the results bit-for-bit identical
 (group, gains, pool size), checks the counter invariant ``lazy.evaluations +
 lazy.evaluations_saved == eager.evaluations``, and records the wall
 times into ``BENCH_skyline.json`` at the repo root (merge-write:
@@ -76,16 +76,6 @@ def run(instances) -> list[dict]:
                 lambda r=runner: r(graph, SMOKE_K, strategy="lazy")
             )
             _check_pair(name, label, eager, lazy)
-            # Forced batched lanes (the graphs are below the auto
-            # threshold, so force a width): must be a pure no-op on
-            # the result and the evaluation accounting.
-            t_batched, batched = _timed(
-                lambda r=runner: r(
-                    graph, SMOKE_K, strategy="lazy", gain_batch=3
-                )
-            )
-            _check_pair(name, label, eager, batched)
-            assert batched.evaluations == lazy.evaluations, (name, label)
             entries.append(
                 bench_entry(
                     bench="smoke_greedy",
@@ -107,18 +97,6 @@ def run(instances) -> list[dict]:
                     },
                 )
             )
-            entries.append(
-                bench_entry(
-                    bench="smoke_greedy",
-                    instance=name,
-                    algorithm=f"{label}-lazy-batched(k={SMOKE_K},B=3)",
-                    wall_s=t_batched,
-                    extra={
-                        "evaluations": batched.evaluations,
-                        "evaluations_saved": batched.evaluations_saved,
-                    },
-                )
-            )
             if label == "BaseGC":
                 saved_note = (
                     f"lazy saved {lazy.evaluations_saved} of "
@@ -126,8 +104,8 @@ def run(instances) -> list[dict]:
                 )
 
         print(
-            f"{name}: k={SMOKE_K} eager/lazy/batched groups "
-            "identical; " + saved_note
+            f"{name}: k={SMOKE_K} eager/lazy groups identical; "
+            + saved_note
         )
     return entries
 

@@ -28,16 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
 
-import numpy as _np
-
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.paths.csr import (
-    CSRTraversal,
-    make_batch_evaluator,
-    make_evaluator,
-    resolve_gain_batch,
-)
 from repro.paths.truncated import improvements
 
 __all__ = ["GainObjective", "GreedyResult", "greedy_maximize"]
@@ -90,7 +82,6 @@ def greedy_maximize(
     objective: GainObjective,
     *,
     candidates: Optional[Iterable[int]] = None,
-    gain_batch="auto",
 ) -> GreedyResult:
     """Greedily build a size-``k`` group maximizing ``objective``.
 
@@ -109,17 +100,15 @@ def greedy_maximize(
         before ``k`` picks (``k > |R|`` under skyline pruning), the
         remaining rounds fall back to evaluating all of ``V \\ S`` so the
         requested group size is always honoured.
-    gain_batch:
-        Marginal-gain lanes per batched kernel call — ``"auto"`` (the
-        default) sizes from ``n`` and the pool and resolves to 1 (the
-        scalar generator loop) on small graphs or without numpy; any
-        value produces the identical result, since the batched kernel
-        replays the scalar emission order bit for bit (see
-        :mod:`repro.paths.csr`).  ``evaluations`` accounting never
-        changes: one per candidate per round, regardless of lanes.
 
     Ties between equal gains break to the smaller vertex ID, making runs
     deterministic and Base/NeiSky variants comparable.
+
+    This is the scalar reference driver: every gain is the generator
+    stream of :func:`repro.paths.truncated.improvements` folded through
+    ``gain_weight``, and the lazy engine
+    (:mod:`repro.centrality.lazy_greedy`) is tested against it bit for
+    bit.
     """
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")
@@ -140,18 +129,6 @@ def greedy_maximize(
     evaluations = 0
     weight = objective.gain_weight
 
-    batch = resolve_gain_batch(gain_batch, n, len(pool))
-    batch_evaluate = None
-    dist_nd = None
-    if batch > 1:
-        trav = CSRTraversal.from_graph(graph)
-        batch_evaluate = make_batch_evaluator(trav, objective)
-        if batch_evaluate is None:
-            batch = 1
-        else:
-            evaluate = make_evaluator(trav, objective)
-            dist_nd = _np.full(n, -1, dtype=_np.int32)
-
     for _round in range(k):
         active = [u for u in pool if not in_group[u]]
         if not active:
@@ -163,43 +140,22 @@ def greedy_maximize(
         best_u = -1
         best_gain = float("-inf")
         best_updates: list[tuple[int, int]] = []
-        if batch_evaluate is not None:
-            # Batched round: score `batch` lanes per kernel pass.  The
-            # first-strict-maximum scan order is the scalar loop's, so
-            # tie-breaks are identical; the winner's update list is
-            # re-derived with one uncounted scalar traversal (same
-            # precedent as the pooled round 0 of the lazy driver).
-            for lo in range(0, len(active), batch):
-                lane = active[lo : lo + batch]
-                results = batch_evaluate(lane, dist_nd, False)
-                for u, (gain, _none) in zip(lane, results):
-                    evaluations += 1
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_u = u
-            _gain, best_updates = evaluate(best_u, dist, True)
-        else:
-            for u in active:
-                evaluations += 1
-                gain = 0.0
-                updates: list[tuple[int, int]] = []
-                append = updates.append
-                for v, old, new in improvements(graph, u, dist):
-                    gain += weight(old, new)
-                    append((v, new))
-                if gain > best_gain:
-                    best_gain = gain
-                    best_u = u
-                    best_updates = updates
+        for u in active:
+            evaluations += 1
+            gain = 0.0
+            updates: list[tuple[int, int]] = []
+            append = updates.append
+            for v, old, new in improvements(graph, u, dist):
+                gain += weight(old, new)
+                append((v, new))
+            if gain > best_gain:
+                best_gain = gain
+                best_u = u
+                best_updates = updates
         # Commit: apply the winner's improvements, cached during the
         # scan — re-running its BFS here would be pure duplicate work.
-        if dist_nd is None:
-            for v, new in best_updates:
-                dist[v] = new
-        else:
-            for v, new in best_updates:
-                dist[v] = new
-                dist_nd[v] = new
+        for v, new in best_updates:
+            dist[v] = new
         in_group[best_u] = 1
         group.append(best_u)
         gains.append(best_gain)

@@ -57,7 +57,6 @@ def base_gc(
     k: int,
     *,
     strategy: str = "lazy",
-    gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-closeness over the full vertex set (``BaseGC``).
 
@@ -70,7 +69,6 @@ def base_gc(
         k,
         ClosenessObjective(graph),
         strategy=strategy,
-        gain_batch=gain_batch,
     )
 
 
@@ -80,7 +78,6 @@ def neisky_gc(
     *,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "lazy",
-    gain_batch="auto",
 ) -> GreedyResult:
     """Algorithm 4 (``NeiSkyGC``): greedy restricted to the skyline.
 
@@ -98,5 +95,4 @@ def neisky_gc(
         ClosenessObjective(graph),
         candidates=skyline,
         strategy=strategy,
-        gain_batch=gain_batch,
     )

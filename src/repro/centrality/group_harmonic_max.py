@@ -51,7 +51,6 @@ def base_gh(
     k: int,
     *,
     strategy: str = "lazy",
-    gain_batch="auto",
 ) -> GreedyResult:
     """Greedy group-harmonic over the full vertex set (``BaseGH``)."""
     return run_greedy(
@@ -59,7 +58,6 @@ def base_gh(
         k,
         HarmonicObjective(),
         strategy=strategy,
-        gain_batch=gain_batch,
     )
 
 
@@ -69,7 +67,6 @@ def neisky_gh(
     *,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "lazy",
-    gain_batch="auto",
 ) -> GreedyResult:
     """``NeiSkyGH``: greedy group-harmonic restricted to the skyline."""
     if skyline is None:
@@ -80,5 +77,4 @@ def neisky_gh(
         HarmonicObjective(),
         candidates=skyline,
         strategy=strategy,
-        gain_batch=gain_batch,
     )

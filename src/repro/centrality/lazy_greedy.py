@@ -23,24 +23,24 @@ it is tested against.
    with preallocated scratch reused across the whole run — instead of
    the per-call generator machinery of :mod:`repro.paths.truncated`.
 
-3. **Vector kernels** (``gain_batch > 1``).  Round 0, scored against
-   an empty group, runs on the bitset multi-source BFS of
+3. **Vector kernels.**  Round 0, scored against an empty group, runs
+   on the bitset multi-source BFS of
    :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` (64 sources
    per machine word).  Every later scan — each stale pop of the CELF
    drain, a heap-dry rebuild, the winner's update list — runs on
    :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval`: the scalar
-   pruned scan under an edge-visit budget, handed to the one-lane
-   vectorized kernel only when it runs past the budget.  After round 0
-   most scans touch only the few vertices the candidate would move
-   closer, so they finish scalar; the large ones (million-edge graphs)
-   go vectorized.  Each stale pop is scored exactly once, gains only;
-   nothing is scored speculatively.  ``gain_batch=1`` keeps every scan
-   on the scalar kernel.  Both paths return the scalar kernel's gains
-   bit for bit, so the heap evolves identically.  Kernel use is
-   visible in ``counters.extra``: ``batch_rounds`` (vectorized
-   dispatches: bitset chunks plus hand-offs), ``lanes_evaluated``
-   (gain scans, equal to ``evaluations``) and ``lanes_short_circuited``
-   (always 0, kept for readers of the counter).
+   pruned scan under an edge-visit budget, handed to the vector scan
+   only when it runs past the budget.  After round 0 most scans touch
+   only the few vertices the candidate would move closer, so they
+   finish scalar; the large ones (million-edge graphs) go vectorized.
+   Each stale pop is scored exactly once, gains only; nothing is scored
+   speculatively.  Every kernel returns the scalar kernel's gains bit
+   for bit, so the heap evolves exactly as a scalar drain's would.
+   Kernel use is visible in ``counters.extra``: ``batch_rounds``
+   (vectorized dispatches: bitset chunks plus hand-offs),
+   ``lanes_evaluated`` (gain scans, equal to ``evaluations``) and
+   ``lanes_short_circuited`` (always 0, kept for readers of the
+   counter).
 
 ``evaluations`` counts gain evaluations actually performed;
 ``evaluations_saved`` is the eager schedule's count over the same pool
@@ -61,7 +61,7 @@ import numpy as _np
 from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.paths.csr import CSRTraversal, make_evaluator, resolve_gain_batch
+from repro.paths.csr import CSRTraversal
 
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 
@@ -73,26 +73,14 @@ def lazy_greedy_maximize(
     *,
     candidates: Optional[Iterable[int]] = None,
     counters=None,
-    gain_batch="auto",
 ) -> GreedyResult:
     """CELF-style greedy maximization; output equals ``greedy_maximize``.
 
-    Parameters beyond the eager driver's:
-
-    counters:
-        Optional :class:`~repro.core.counters.SkylineCounters` for the
-        batch telemetry (see ``gain_batch``).
-    gain_batch:
-        Resolved like the eager driver's lane width (``"auto"``, the
-        default, sizes from ``n`` and the pool;
-        :func:`~repro.paths.csr.resolve_gain_batch`), but here only
-        ``1`` (scalar kernels only) versus ``> 1`` (vector kernels, see
-        the module docstring) matters.  Purely an execution knob: the
-        group, gains, tie-breaks, ``evaluations`` and
-        ``evaluations_saved`` are identical for every value.  Kernel
-        telemetry lands in ``counters.extra`` (``gain_batch`` /
-        ``batch_rounds`` / ``lanes_evaluated`` /
-        ``lanes_short_circuited``).
+    ``counters``, beyond the eager driver's parameters, is an optional
+    :class:`~repro.core.counters.SkylineCounters` for the kernel
+    telemetry (``batch_rounds`` / ``lanes_evaluated`` /
+    ``lanes_short_circuited`` in ``counters.extra``; see the module
+    docstring).
     """
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")
@@ -113,22 +101,12 @@ def lazy_greedy_maximize(
     evaluations = 0
     eager_evaluations = 0  # what the eager schedule would have spent
     trav = CSRTraversal.from_graph(graph)
-    batch = resolve_gain_batch(gain_batch, n, len(pool))
-    if not trav.supports_batch:
-        batch = 1
-    if batch > 1:
-        # The vector kernels index the committed distances as an int32
-        # ndarray, kept in step with `dist` at every commit.
-        dist_nd = _np.full(n, -1, dtype=_np.int32)
+    # The vector kernels index the committed distances as an int32
+    # ndarray, kept in step with `dist` at every commit.
+    dist_nd = _np.full(n, -1, dtype=_np.int32)
 
-        def evaluate(u: int, collect: bool):
-            return trav.adaptive_eval(u, dist, dist_nd, objective, collect)
-    else:
-        dist_nd = None
-        scalar_evaluate = make_evaluator(trav, objective)
-
-        def evaluate(u: int, collect: bool):
-            return scalar_evaluate(u, dist, collect)
+    def evaluate(u: int, collect: bool):
+        return trav.adaptive_eval(u, dist, dist_nd, objective, collect)
 
     #: CELF heap of (-cached_gain, vertex, round_tag); each not-yet-
     #: chosen candidate appears exactly once.  A tag older than the
@@ -148,7 +126,7 @@ def lazy_greedy_maximize(
             evaluations += len(scope)
             # With nothing committed yet every scan is a plain BFS,
             # which the bitset round-0 kernel runs 64 sources per word.
-            if batch > 1 and not group:
+            if not group:
                 gain_vec = trav.first_round_gains(scope, objective)
             else:
                 gain_vec = [evaluate(u, False)[0] for u in scope]
@@ -177,7 +155,7 @@ def lazy_greedy_maximize(
                 gain, _none = evaluate(u, False)
                 heapq.heappush(heap, (-gain, u, round_no))
 
-        if not group and batch > 1:
+        if not group:
             # Against an empty group the winner improves every vertex it
             # reaches to its BFS distance, so the vectorized full BFS is
             # the commit.
@@ -189,16 +167,13 @@ def lazy_greedy_maximize(
             _gain, best_updates = evaluate(best_u, True)
             for v, new in best_updates:
                 dist[v] = new
-            if dist_nd is not None:
-                for v, new in best_updates:
-                    dist_nd[v] = new
+                dist_nd[v] = new
         in_group[best_u] = 1
         group.append(best_u)
         gains.append(best_gain)
 
     if counters is not None:
         extra = counters.extra
-        extra["gain_batch"] = batch
         extra["batch_rounds"] = (
             extra.get("batch_rounds", 0) + trav.vector_dispatches
         )
@@ -227,31 +202,20 @@ def run_greedy(
     candidates: Optional[Iterable[int]] = None,
     strategy: str = "lazy",
     counters=None,
-    gain_batch="auto",
 ) -> GreedyResult:
     """Strategy dispatcher shared by the Base*/NeiSky* entry points.
 
     ``strategy="lazy"`` (the default) runs the CELF engine;
-    ``"eager"`` runs the reference driver (identical output, and the
-    ``evaluations`` count of the paper's Example 2; ``counters``
-    receives only the lazy engine's batch telemetry).  ``gain_batch``
-    sets the batched-kernel lane count for either strategy; every value
-    yields the identical result.
+    ``"eager"`` runs the scalar reference driver (identical output, and
+    the ``evaluations`` count of the paper's Example 2; ``counters``
+    receives only the lazy engine's kernel telemetry).
     """
     if strategy == "eager":
-        return greedy_maximize(
-            graph, k, objective, candidates=candidates,
-            gain_batch=gain_batch,
-        )
+        return greedy_maximize(graph, k, objective, candidates=candidates)
     if strategy != "lazy":
         raise ParameterError(
             f"unknown greedy strategy {strategy!r}; choose 'eager' or 'lazy'"
         )
     return lazy_greedy_maximize(
-        graph,
-        k,
-        objective,
-        candidates=candidates,
-        counters=counters,
-        gain_batch=gain_batch,
+        graph, k, objective, candidates=candidates, counters=counters
     )

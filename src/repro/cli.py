@@ -62,24 +62,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_gain_batch(value: str):
-    """``--gain-batch`` parser: ``"auto"`` or a positive lane count.
-
-    Validation proper happens at the API boundary
-    (:func:`repro.paths.csr.validate_gain_batch`); this just turns the
-    CLI string into the value the runners expect.
-    """
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise ParameterError(
-            f"--gain-batch must be 'auto' or a positive integer, "
-            f"got {value!r}"
-        ) from None
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.dataset:
         return load(args.dataset)
@@ -164,12 +146,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
     else:
         run = base_gh if args.no_skyline else neisky_gh
     start = time.perf_counter()
-    result = run(
-        graph,
-        args.k,
-        strategy=args.strategy,
-        gain_batch=_parse_gain_batch(args.gain_batch),
-    )
+    result = run(graph, args.k, strategy=args.strategy)
     elapsed = time.perf_counter() - start
     label = "Base" if args.no_skyline else "NeiSky"
     saved = (
@@ -449,16 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
             "identical group with far fewer gain evaluations; eager "
             "re-evaluates every candidate each round (the paper's "
             "evaluation counts)"
-        ),
-    )
-    p_grp.add_argument(
-        "--gain-batch",
-        default="auto",
-        help=(
-            "marginal-gain lanes per batched kernel call: 'auto' "
-            "(default, sized from the graph and candidate pool), a "
-            "positive integer to force a lane count, or 1 to force the "
-            "scalar kernels — identical groups either way"
         ),
     )
 

@@ -236,7 +236,6 @@ def group_centrality_maximize(
     use_skyline: bool = True,
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "lazy",
-    gain_batch="auto",
 ):
     """One-call dispatcher for the Sec. IV group-centrality applications.
 
@@ -259,24 +258,12 @@ def group_centrality_maximize(
         :mod:`repro.centrality.lazy_greedy`, ``"eager"`` the reference
         driver — identical group and gains; eager reports the paper's
         Example 2 ``evaluations`` count, lazy its own smaller one.
-    gain_batch:
-        Marginal-gain lanes per batched evaluation-kernel call:
-        ``"auto"`` (the default) sizes from ``n`` and the candidate
-        pool, a positive int forces that lane count, ``1`` forces the
-        scalar kernels.  Purely an execution knob — the batched kernel
-        is bit-for-bit equal to the scalar one (see
-        :mod:`repro.paths.csr`), so the group never depends on it.
 
     Returns a :class:`~repro.centrality.greedy.GreedyResult`.  Imported
     lazily: :mod:`repro.centrality` itself imports core modules.
-    ``gain_batch`` is validated here, at the API boundary, so a bad
-    value raises :class:`~repro.errors.ParameterError` before any graph
-    work happens.
     """
     from repro.centrality import base_gc, base_gh, neisky_gc, neisky_gh
-    from repro.paths.csr import validate_gain_batch
 
-    validate_gain_batch(gain_batch)
     if measure == "closeness":
         base_run, sky_run = base_gc, neisky_gc
     elif measure == "harmonic":
@@ -287,16 +274,5 @@ def group_centrality_maximize(
             "'harmonic'"
         )
     if not use_skyline:
-        return base_run(
-            graph,
-            k,
-            strategy=strategy,
-            gain_batch=gain_batch,
-        )
-    return sky_run(
-        graph,
-        k,
-        skyline=skyline,
-        strategy=strategy,
-        gain_batch=gain_batch,
-    )
+        return base_run(graph, k, strategy=strategy)
+    return sky_run(graph, k, skyline=skyline, strategy=strategy)

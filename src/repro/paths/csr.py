@@ -19,12 +19,11 @@ of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
   materialized lazily and cached, so the scalar traversal loops iterate
   plain lists at C speed while a run that scans a fraction of the
   graph only pays for the rows it touches;
-* **zero-copy ndarray views** of ``indptr``/``indices``, which back
-  the vectorized level-synchronous full-BFS kernels
-  (:meth:`bfs_distances` / :meth:`multi_source_distances` index
-  the ndarrays directly — distances are order-independent, so the
-  vectorized frontier expansion returns exactly the scalar kernel's
-  values);
+* **ndarray views** of ``indptr``/``indices`` (zero-copy over both
+  backends' buffers), which back the vectorized kernels — the full BFS
+  of :meth:`bfs_distances` / :meth:`multi_source_distances`
+  (distances are order-independent, so it returns exactly the scalar
+  kernel's values), the vector gain scan and the round-0 kernel;
 * two preallocated scratch buffers reused across evaluations:
   ``new_dist`` (tentative distances, ``-2`` meaning untouched) and
   ``queue`` (a flat FIFO whose prefix, after a traversal, lists the
@@ -40,27 +39,31 @@ integer farness drops (exact in either representation), harmonic adds
 ``1.0/new - old_term`` as one fused expression exactly as
 :class:`~repro.centrality.group_harmonic_max.HarmonicObjective` does.
 
-**Batched gain plane.**  The pruned gain scan *also* vectorizes, despite
-its emission-order contract: :meth:`CSRTraversal._batch_scan` runs one
-vectorized pruned BFS per source lane, all lanes sharing one ``n``-cell
-distance scratch (cleaned per lane), and reconstructs each lane's scalar
-emission order exactly.  The trick is the same first-occurrence gather
-:mod:`repro.core.block_refine` proved out: within one level the ragged
-``np.repeat`` row gather visits parents in frontier order and neighbors
-in row order — precisely the scalar FIFO discovery order — so deduping
-same-level rediscoveries by *first occurrence* (a linear reversed
-scatter-claim, not a sort) leaves every lane's per-level emission
-sequence identical to its scalar ``_scan``.  Levels concatenate
-level-major, which is FIFO order, so the batched evaluators can replay
-the scalar float accumulation term by term: closeness sums integer
-drops per lane (order-free, exact via one ``np.bincount``), harmonic
-computes all ``1.0/new - old_term`` terms vectorized (elementwise IEEE
-arithmetic equals CPython's) and then adds them sequentially in
-emission order, and the generic kernel feeds ``gain_weight`` the same
-``(old, new)`` stream the scalar loop would.  The result:
-``batch_*_eval(sources, ...)`` returns the *bitwise same*
-``(gain, updates)`` pairs as ``B`` scalar ``*_eval`` calls, one numpy
-pass per frontier level instead of one Python loop iteration per edge.
+**Vector gain scan.**  The pruned gain scan *also* vectorizes, despite
+its emission-order contract: :meth:`CSRTraversal._vector_scan` runs one
+pruned BFS as one numpy pass per frontier level and reconstructs the
+scalar emission order exactly.  The trick is the same first-occurrence
+gather :mod:`repro.core.block_refine` proved out: within one level the
+ragged ``np.repeat`` row gather visits parents in frontier order and
+neighbors in row order — precisely the scalar FIFO discovery order — so
+deduping same-level rediscoveries by *first occurrence* (a linear
+reversed scatter-claim, not a sort) leaves the per-level emission
+sequence identical to the scalar ``_scan``.  Levels concatenate
+level-major, which is FIFO order, so :meth:`CSRTraversal._vector_eval`
+replays the scalar float accumulation term by term: closeness sums
+integer drops (order-free, exact), harmonic computes every
+``1.0/new - old_term`` term vectorized (elementwise IEEE arithmetic
+equals CPython's) and then adds them sequentially in emission order,
+and the generic kernel feeds ``gain_weight`` the same ``(old, new)``
+stream the scalar loop would.
+
+**Adaptive single-candidate kernel.**  After round 0 a pruned scan
+usually touches only the few vertices a candidate would move closer,
+and there the vector scan's ~10 numpy calls per level cost more than
+the scalar loop.  :meth:`CSRTraversal.adaptive_eval` runs the scalar
+scan under an edge-visit budget (:data:`SCAN_EDGE_BUDGET`) and hands
+only scans that run past it to the vector scan.  The lazy (CELF)
+driver scores every scan after round 0 this way.
 
 **Round-0 kernel.**  With the group still empty every gain scan is a
 plain BFS and every vertex at level ``L`` contributes the same term, so
@@ -68,15 +71,6 @@ plain BFS and every vertex at level ``L`` contributes the same term, so
 histogram.  It gets all of them from one bitset multi-source BFS — 64
 sources per machine word, one gather and one ``bitwise_or.reduceat``
 per level — and replays each lane's scalar fold from the histogram.
-
-**Adaptive single-candidate kernel.**  After round 0 a pruned scan
-usually touches only the few vertices a candidate would move closer,
-and there the vector plane's ~10 numpy calls per level cost more than
-the scalar loop.  :meth:`CSRTraversal.adaptive_eval` runs the scalar
-scan under an edge-visit budget (:data:`SCAN_EDGE_BUDGET`) and hands
-only scans that run past it to the one-lane vector kernel.  The lazy
-(CELF) driver scores every scan after round 0 this way; the eager
-driver batches ``B`` lanes per vector pass.
 """
 
 from __future__ import annotations
@@ -85,74 +79,32 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as _np
 
-from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 
-__all__ = [
-    "CSRTraversal",
-    "choose_gain_batch",
-    "make_batch_evaluator",
-    "make_evaluator",
-    "resolve_gain_batch",
-    "validate_gain_batch",
-]
+__all__ = ["CSRTraversal", "make_evaluator"]
 
-#: ``auto`` batching never engages below this vertex count: the scalar
-#: kernels' per-call overhead is already negligible there, and batch=1
-#: keeps the legacy code path (and its test coverage) exact.
-GAIN_BATCH_MIN_VERTICES = 256
-
-#: Soft budget on ``B * n`` emission cells per auto-sized kernel call
-#: (the per-call concatenated emission arrays are the only allocation
-#: that scales with ``B``).  ``auto`` lane counts are ``budget // n``
-#: capped at :data:`GAIN_BATCH_MAX_LANES`.
-GAIN_BATCH_CELL_BUDGET = 1 << 23
-
-#: Auto-sizing lane cap.  It sizes only the eager driver's lanes: the
-#: lazy driver treats any ``B > 1`` as "use the vector kernels" (bitset
-#: round 0, :meth:`CSRTraversal.adaptive_eval` in the drain) and never
-#: batches lanes.  Fitted when ``B`` still sized the lazy drain's
-#: speculation: on R-MAT scale 10 (k=8), copying-model n=400 (k 2-4)
-#: and kron_large (k=16) widths 8-16 were fastest, 64 was 10-30% slower
-#: and 2-4 lost at the small sizes.
-GAIN_BATCH_MAX_LANES = 8
+#: Soft budget on the words one level of the round-0 bitset BFS
+#: gathers: :meth:`CSRTraversal.first_round_gains` chunks its sources so
+#: that the ``(2m, W)`` neighbor-mask gather stays within it.
+ROUND0_CELL_BUDGET = 1 << 23
 
 #: Edge-visit budget of :meth:`CSRTraversal.adaptive_eval`: a gain scan
 #: that visits more edges than this is handed from the scalar loop to
-#: the one-lane vectorized kernel.  Fitted on the CELF drain of
-#: group_rmat, copying-model n=400 graphs and kron_large (table in
+#: the vector scan.  Fitted on the CELF drain of group_rmat,
+#: copying-model n=400 graphs and kron_large (table in
 #: ``docs/centrality-kernels.md``).
 SCAN_EDGE_BUDGET = 1024
 
-#: Hard cap on ``B * n`` cells for *explicit* batch requests: an
-#: oversized ``--gain-batch`` is clamped, never allowed to materialize
-#: arbitrarily large per-call emission arrays.
-GAIN_BATCH_CELL_CAP = 1 << 24
 
-#: memoryview/array format codes mapped to numpy dtypes for zero-copy
-#: ndarray views over ``array`` snapshots.
-_FORMAT_DTYPES = {
-    "i": "int32",
-    "I": "uint32",
-    "l": "int64",
-    "L": "uint64",
-    "q": "int64",
-    "Q": "uint64",
-}
+def _as_ndarray(buf):
+    """``buf`` as an integer ndarray.
 
-
-def _ndarray_view(buf):
-    """``buf`` as a zero-copy integer ndarray, or ``None`` if impossible."""
-    if isinstance(buf, _np.ndarray):
-        return buf
-    try:
-        mv = memoryview(buf)
-    except TypeError:
-        return None
-    dtype = _FORMAT_DTYPES.get(mv.format)
-    if dtype is None:
-        return None
-    return _np.frombuffer(mv, dtype=dtype)
+    ``np.asarray`` reads the buffer protocol, so ndarrays and typed
+    ``array`` snapshots come back zero-copy; plain sequences are copied
+    (an empty one to ``int64``, not numpy's default ``float64``).
+    """
+    arr = _np.asarray(buf)
+    return arr if arr.dtype.kind in "iu" else arr.astype(_np.int64)
 
 
 def _sequential_sum(terms) -> float:
@@ -190,8 +142,8 @@ class CSRTraversal:
         "_nd_indices",
         "_nd_indptr64",
         "_nd_dist",
-        "_batch_block",
-        "_batch_claim",
+        "_vec_dist",
+        "_vec_claim",
         "_claim_tick",
         "_new_dist",
         "_queue",
@@ -215,33 +167,27 @@ class CSRTraversal:
         #: Lazily cached per-row list views of ``_flat`` — hot loops
         #: iterate plain lists; untouched rows cost nothing.
         self._rows: list = [None] * n
-        # Zero-copy ndarray views for the vectorized full-BFS kernels.
-        self._nd_indptr = _ndarray_view(indptr)
-        self._nd_indices = _ndarray_view(indices)
+        # ndarray views for the vectorized kernels.
+        self._nd_indptr = _as_ndarray(indptr)
+        self._nd_indices = _as_ndarray(indices)
         # Lazily allocated vector scratch, reused across calls: the
-        # widened indptr, the full-BFS distance array, and the flat
-        # (B, n) distance block of the batched gain kernel.
+        # widened indptr, the full-BFS distance array, and the distance
+        # and claim cells of the vector gain scan.
         self._nd_indptr64 = None
         self._nd_dist = None
-        self._batch_block = None
-        self._batch_claim = None
+        self._vec_dist = None
+        self._vec_claim = None
         self._claim_tick = 1
         self._new_dist = [-2] * n
         self._queue = [0] * n
-        #: Vectorized kernel passes run so far: one per ``_batch_scan``
-        #: call and one per bitset chunk of :meth:`first_round_gains`.
+        #: Vectorized kernel passes run so far: one per vector gain scan
+        #: and one per bitset chunk of :meth:`first_round_gains`.
         self.vector_dispatches = 0
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRTraversal":
         indptr, indices = graph.to_csr()
         return cls(indptr, indices)
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the batched gain plane is available (ndarray views
-        over the CSR buffers)."""
-        return self._nd_indptr is not None
 
     def _row(self, u: int) -> list:
         row = self._rows[u]
@@ -256,19 +202,15 @@ class CSRTraversal:
     # ------------------------------------------------------------------
     def bfs_distances(self, source: int) -> list[int]:
         """Distances from ``source``; ``-1`` if unreachable."""
-        if self._nd_indptr is not None:
-            return self._frontier_distances((source,))
-        return self._scalar_distances((source,))
+        return self._frontier_distances((source,))
 
     def multi_source_distances(self, sources: Iterable[int]) -> list[int]:
         """``dist[v] = min over s in sources of d(v, s)``; ``-1`` unreachable."""
-        if self._nd_indptr is not None:
-            return self._frontier_distances(sources)
-        return self._scalar_distances(sources)
+        return self._frontier_distances(sources)
 
     def _indptr64(self):
         """``indptr`` as int64, widened once and cached (row math needs
-        int64 to survive ``lane * n`` key arithmetic and large cumsums)."""
+        int64 to survive large cumsums)."""
         cached = self._nd_indptr64
         if cached is None:
             nd = self._nd_indptr
@@ -325,6 +267,8 @@ class CSRTraversal:
         return dist.tolist()
 
     def _scalar_distances(self, sources: Iterable[int]) -> list[int]:
+        """Scalar FIFO multi-source BFS: the test oracle of
+        :meth:`_frontier_distances`."""
         queue = self._queue
         dist = [-1] * self.n
         tail = 0
@@ -544,292 +488,123 @@ class CSRTraversal:
         return gain, updates
 
     # ------------------------------------------------------------------
-    # Batched gain plane: B pruned-BFS lanes per numpy pass
+    # Vector gain scan: one pruned BFS, one numpy pass per level
     # ------------------------------------------------------------------
-    def _scan_block(self):
-        """The per-lane distance scratch: ``n`` int32 cells, all ``-2``.
+    def _vec_scratch(self):
+        """The vector scan's ``(dist, claim)`` scratch, allocated once.
 
-        Callers must restore every touched cell to ``-2`` before moving
-        to the next lane (:meth:`_batch_scan` does) — the all-clean
-        invariant is what makes reuse O(touched) instead of O(n) per
-        lane.  One lane's working set is ~``4n`` bytes, small enough to
-        stay cache-resident; this is why the scan loops lanes in Python
-        instead of keying a flat ``(B, n)`` block by ``lane*n + vertex``
-        (measured: the wide block's gather/scatter working set grows
-        with ``B`` past cache and loses to the *scalar* loop at
-        million-edge scale).
+        ``dist`` holds ``n`` int32 cells, all ``-2`` between scans: each
+        scan restores exactly the cells it touched, which keeps reuse
+        O(touched) instead of O(n), and ~``4n`` bytes stay
+        cache-resident.  ``claim`` backs the first-occurrence dedupe and
+        is never cleaned: entries carry a monotone per-scatter tick, so
+        a stale value from an earlier level or scan can never collide
+        with the current pass's positions.
         """
-        block = self._batch_block
-        if block is None:
-            block = _np.full(max(1, self.n), -2, dtype=_np.int32)
-            self._batch_block = block
-        return block
+        if self._vec_dist is None:
+            size = max(1, self.n)
+            self._vec_dist = _np.full(size, -2, dtype=_np.int32)
+            self._vec_claim = _np.zeros(size, dtype=_np.int64)
+        return self._vec_dist, self._vec_claim
 
-    def _scan_claim(self):
-        """The ``n``-cell claim scratch of the first-occurrence dedupe
-        (see :meth:`_batch_scan`).
+    def _vector_scan(self, source: int, current):
+        """Run the pruned BFS from ``source`` as one numpy pass per level.
 
-        Never cleaned: entries carry a monotone per-scatter tick, so a
-        stale value from an earlier lane, level or call can never
-        collide with the current pass's positions.
-        """
-        claim = self._batch_claim
-        if claim is None:
-            claim = _np.zeros(max(1, self.n), dtype=_np.int64)
-            self._batch_claim = claim
-        return claim
-
-    def _as_current(self, current):
-        """``current`` as an int32 ndarray (no copy when it already is).
-
-        int32 halves the gather bandwidth of the hot admission test;
-        distances are bounded by ``n``, which the cell caps keep far
-        below the int32 range.
-        """
-        return _np.asarray(current, dtype=_np.int32)
-
-    def _batch_scan(self, sources, current):
-        """Run one vectorized pruned BFS per source lane.
-
-        Returns ``(lanes, verts, news)`` integer emission arrays,
-        concatenated lane-major.  The subsequence of entries belonging
-        to lane ``b`` lists exactly the vertices lane ``b``'s scalar
-        :meth:`_scan` would emit, in the same order: levels concatenate
-        level-major (FIFO order), and within a level the masked ragged
-        ``np.repeat`` row gather visits (parent in frontier order) ×
-        (neighbor in row order) — the scalar discovery order — with
-        same-level rediscoveries removed by keeping each vertex's
-        *first* occurrence.  Lanes are mutually unordered in the scalar
-        semantics (each is an independent traversal), so looping them in
-        Python costs nothing in fidelity and keeps every gather/scatter
-        inside one lane's ``n``-cell scratch — cache-resident, where a
-        flat ``(B, n)`` block keyed by ``lane*n + vertex`` measured
-        slower than the scalar loop at million-edge scale.
+        Returns ``(verts, news)``: exactly the vertices the scalar
+        :meth:`_scan` would emit, in the same order, with their new
+        distances.  Levels concatenate level-major (FIFO order), and
+        within a level the masked ragged ``np.repeat`` row gather visits
+        (parent in frontier order) × (neighbor in row order) — the
+        scalar discovery order — with same-level rediscoveries removed
+        by keeping each vertex's *first* occurrence.
 
         The dedupe is linear, not a sort: every admitted occurrence
         scatters its stream position into the claim scratch *in
         reversed order* (so the first occurrence lands last and wins
         numpy's last-write-wins fancy assignment), then a gather keeps
-        exactly the occurrences whose position made it in.  The claim
-        values ride a monotone tick, so the scratch never needs
-        cleaning.  ``np.unique`` here would re-sort the whole frontier
-        expansion every level — O(T log T) on up to ``m`` keys — and
-        measured 3x slower than the scalar loop at the million-edge
-        scale this plane exists for.
+        exactly the occurrences whose position made it in.
+        ``np.unique`` here would re-sort the whole frontier expansion
+        every level — O(T log T) on up to ``m`` keys — and measured 3x
+        slower than the scalar loop at million-edge scale.
 
-        ``current`` must be an int32 ndarray (``_as_current``).  Lanes
-        whose source is already in the committed set (``current`` 0 or
-        negative-but-reached) emit nothing, matching the scalar
-        short-circuit.
+        ``current`` must be an int32 ndarray, and ``source`` must not be
+        in the committed set (:meth:`adaptive_eval`'s scalar scan
+        answers those without a hand-off).
         """
         self.vector_dispatches += 1
         indptr = self._indptr64()
         indices = self._nd_indices
-        block = self._scan_block()
-        claim = self._scan_claim()
-        # Round 0 (no committed distances: `current` all -1) admits on
-        # the visited test alone, skipping the per-candidate gather.
-        prune = bool((current != -1).any())
-        emit_lanes = []
-        emit_verts = []
-        emit_news = []
-        for b, s in enumerate(sources):
-            s = int(s)
-            c = int(current[s])
-            if not (c == -1 or c > 0):
-                continue
-            f = _np.array([s], dtype=_np.int64)
-            block[s] = 0
-            lane_verts = [f]
-            lane_news = [_np.zeros(1, dtype=_np.int32)]
-            level = 0
-            while f.size:
-                level += 1
-                starts = indptr[f]
-                counts = indptr[f + 1] - starts
-                if not int(counts.sum()):
-                    break
-                cum = _np.cumsum(counts)
-                slots = _np.repeat(starts - (cum - counts), counts)
-                slots += _np.arange(slots.size, dtype=_np.int64)
-                # One explicit widening beats the intp cast every fancy
-                # index below would otherwise redo.
-                targets = indices[slots].astype(_np.int64, copy=False)
-                # Scalar admission test: not yet seen by this lane, and
-                # strictly closer than the committed-set distance.
-                mask = block[targets] == -2
-                if prune:
-                    cur = current[targets]
-                    mask &= (cur == -1) | (cur > level)
-                if not mask.any():
-                    break
-                targets = targets[mask]
-                # Linear first-occurrence dedupe (see docstring).
-                tick = self._claim_tick
-                pos = _np.arange(
-                    tick, tick + targets.size, dtype=_np.int64
-                )
-                self._claim_tick = tick + targets.size
-                claim[targets[::-1]] = pos[::-1]
-                f = targets[claim[targets] == pos]
-                block[f] = level
-                lane_verts.append(f)
-                lane_news.append(_np.full(f.size, level, dtype=_np.int32))
-            verts = _np.concatenate(lane_verts)
-            # Restore the all-clean invariant before the next lane.
-            block[verts] = -2
-            emit_lanes.append(_np.full(verts.size, b, dtype=_np.int32))
-            emit_verts.append(verts)
-            emit_news.append(_np.concatenate(lane_news))
-        if not emit_lanes:
-            return (
-                _np.empty(0, dtype=_np.int32),
-                _np.empty(0, dtype=_np.int64),
-                _np.empty(0, dtype=_np.int32),
-            )
-        return (
-            _np.concatenate(emit_lanes),
-            _np.concatenate(emit_verts),
-            _np.concatenate(emit_news),
-        )
+        block, claim = self._vec_scratch()
+        f = _np.array([source], dtype=_np.int64)
+        block[source] = 0
+        verts = [f]
+        news = [_np.zeros(1, dtype=_np.int32)]
+        level = 0
+        while f.size:
+            level += 1
+            starts = indptr[f]
+            counts = indptr[f + 1] - starts
+            if not int(counts.sum()):
+                break
+            cum = _np.cumsum(counts)
+            slots = _np.repeat(starts - (cum - counts), counts)
+            slots += _np.arange(slots.size, dtype=_np.int64)
+            # One explicit widening beats the intp cast every fancy
+            # index below would otherwise redo.
+            targets = indices[slots].astype(_np.int64, copy=False)
+            # Scalar admission test: not yet seen by this scan, and
+            # strictly closer than the committed-set distance.
+            cur = current[targets]
+            mask = (block[targets] == -2) & ((cur == -1) | (cur > level))
+            if not mask.any():
+                break
+            targets = targets[mask]
+            # Linear first-occurrence dedupe (see docstring).
+            tick = self._claim_tick
+            pos = _np.arange(tick, tick + targets.size, dtype=_np.int64)
+            self._claim_tick = tick + targets.size
+            claim[targets[::-1]] = pos[::-1]
+            f = targets[claim[targets] == pos]
+            block[f] = level
+            verts.append(f)
+            news.append(_np.full(f.size, level, dtype=_np.int32))
+        verts = _np.concatenate(verts)
+        # Restore the all-clean invariant for the next scan.
+        block[verts] = -2
+        return verts, _np.concatenate(news)
 
-    def _lane_order(self, lanes, num_lanes: int):
-        """Stable per-lane grouping of the emission arrays.
+    def _vector_eval(self, source, current, objective, collect):
+        """:meth:`_vector_scan` folded into ``(gain, updates)``, bitwise
+        equal to the scalar ``*_eval`` of :func:`make_evaluator`.
 
-        Returns ``(order, bounds)``: ``order`` permutes the emission
-        arrays lane-major (stable, so per-lane emission order is
-        preserved) and lane ``b`` occupies ``order[bounds[b]:bounds[b+1]]``.
+        Closeness drops are integers, so their int64 sum converted once
+        equals the scalar sum.  Harmonic terms (``1.0/new - old_term``)
+        are elementwise, so numpy float64 reproduces CPython bit for
+        bit; only the *sum* is order-sensitive, and it runs sequentially
+        over the emission-ordered terms (:func:`_sequential_sum`).  Any
+        other objective gets its ``gain_weight`` called per term, in
+        emission order.
         """
-        order = _np.argsort(lanes, kind="stable")
-        counts = _np.bincount(lanes, minlength=num_lanes)
-        bounds = _np.zeros(num_lanes + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=bounds[1:])
-        return order, bounds
-
-    def batch_improvements(self, sources, current) -> list[list[tuple]]:
-        """Per-lane materialized ``(v, old, new)`` streams.
-
-        ``batch_improvements([s1, .., sB], cur)[b]`` equals
-        ``improvements(s_b, cur)`` element for element — the
-        differential contract the batch plane is tested against.
-        """
-        sources = list(sources)
-        if not sources:
-            return []
-        current = self._as_current(current)
-        lanes, verts, news = self._batch_scan(sources, current)
+        verts, news = self._vector_scan(source, current)
         olds = current[verts]
-        order, bounds = self._lane_order(lanes, len(sources))
-        sv = verts[order].tolist()
-        so = olds[order].tolist()
-        sn = news[order].tolist()
-        out = []
-        for b in range(len(sources)):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            out.append(
-                [(sv[i], so[i], sn[i]) for i in range(lo, hi)]
-            )
-        return out
-
-    def batch_closeness_eval(
-        self, sources, current, penalty: int, collect: bool = True
-    ) -> list[tuple[float, Optional[list[tuple[int, int]]]]]:
-        """``closeness_eval`` for B sources in one vectorized pass.
-
-        Farness drops are integers, and integer-valued float sums are
-        exact in any order (every partial sum stays an integer far below
-        2**53), so one weighted ``np.bincount`` per lane equals the
-        scalar emission-order accumulation bit for bit.
-        """
-        sources = list(sources)
-        if not sources:
-            return []
-        current = self._as_current(current)
-        lanes, verts, news = self._batch_scan(sources, current)
-        olds = current[verts]
-        contrib = _np.where(olds == -1, penalty, olds) - news
-        totals = _np.bincount(
-            lanes, weights=contrib, minlength=len(sources)
-        )
-        if not collect:
-            return [(float(t), None) for t in totals]
-        order, bounds = self._lane_order(lanes, len(sources))
-        sv = verts[order].tolist()
-        sn = news[order].tolist()
-        out = []
-        for b in range(len(sources)):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            out.append(
-                (float(totals[b]), list(zip(sv[lo:hi], sn[lo:hi])))
-            )
-        return out
-
-    def batch_harmonic_eval(
-        self, sources, current, collect: bool = True
-    ) -> list[tuple[float, Optional[list[tuple[int, int]]]]]:
-        """``harmonic_eval`` for B sources in one vectorized pass.
-
-        The per-term arithmetic (``1.0/new - old_term``) is elementwise,
-        so numpy float64 reproduces CPython bit for bit; only the *sum*
-        is order-sensitive, and it runs sequentially per lane over the
-        emission-ordered term list (:func:`_sequential_sum`) — exactly
-        the scalar ``gain += term`` chain, starting from the same ``0.0``.
-        """
-        sources = list(sources)
-        if not sources:
-            return []
-        current = self._as_current(current)
-        lanes, verts, news = self._batch_scan(sources, current)
-        olds = current[verts]
-        inv_old = _np.zeros(olds.size, dtype=_np.float64)
-        _np.divide(1.0, olds, out=inv_old, where=(olds != -1))
-        inv_new = _np.zeros(news.size, dtype=_np.float64)
-        _np.divide(1.0, news, out=inv_new, where=(news > 0))
-        terms = inv_new - inv_old
-        order, bounds = self._lane_order(lanes, len(sources))
-        st = terms[order]
-        if collect:
-            sv = verts[order].tolist()
-            sn = news[order].tolist()
-        out = []
-        for b in range(len(sources)):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            gain = _sequential_sum(st[lo:hi])
-            updates = list(zip(sv[lo:hi], sn[lo:hi])) if collect else None
-            out.append((gain, updates))
-        return out
-
-    def batch_generic_eval(
-        self,
-        sources,
-        current,
-        weight: Callable[[int, int], float],
-        collect: bool = True,
-    ) -> list[tuple[float, Optional[list[tuple[int, int]]]]]:
-        """``generic_eval`` for B sources: one batched traversal, then
-        the scalar per-term ``gain_weight`` chain per lane (the weight
-        is arbitrary Python, so only the BFS vectorizes)."""
-        sources = list(sources)
-        if not sources:
-            return []
-        current = self._as_current(current)
-        lanes, verts, news = self._batch_scan(sources, current)
-        olds = current[verts]
-        order, bounds = self._lane_order(lanes, len(sources))
-        sv = verts[order].tolist()
-        so = olds[order].tolist()
-        sn = news[order].tolist()
-        out = []
-        for b in range(len(sources)):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
+        kernel = getattr(objective, "csr_kernel", None)
+        if kernel == "closeness":
+            drops = _np.where(olds == -1, objective.penalty, olds) - news
+            gain = float(drops.sum(dtype=_np.int64))
+        elif kernel == "harmonic":
+            inv_old = _np.zeros(olds.size, dtype=_np.float64)
+            _np.divide(1.0, olds, out=inv_old, where=(olds != -1))
+            inv_new = _np.zeros(news.size, dtype=_np.float64)
+            _np.divide(1.0, news, out=inv_new, where=(news > 0))
+            gain = _sequential_sum(inv_new - inv_old)
+        else:
+            weight = objective.gain_weight
             gain = 0.0
-            updates = [] if collect else None
-            for i in range(lo, hi):
-                gain += weight(so[i], sn[i])
-                if collect:
-                    updates.append((sv[i], sn[i]))
-            out.append((gain, updates))
-        return out
+            for old, new in zip(olds.tolist(), news.tolist()):
+                gain += weight(old, new)
+        if not collect:
+            return gain, None
+        return gain, list(zip(verts.tolist(), news.tolist()))
 
     # ------------------------------------------------------------------
     # Adaptive single-candidate gain: scalar first, vector past a budget
@@ -850,34 +625,24 @@ class CSRTraversal:
         Runs the scalar :meth:`_scan` with an edge-visit ``budget``.
         Pruned scans against a committed group usually stay small and
         finish scalar.  A scan that runs past the budget is abandoned
-        (scratch restored) and re-run on the one-lane vectorized kernel,
-        whose per-level numpy passes win once a scan is large.
+        (scratch restored) and re-run on the vector scan, whose
+        per-level numpy passes win once a scan is large.
         ``current_nd`` is ``current`` as an int32 ndarray (the vector
-        kernel's view of the same distances).
+        scan's view of the same distances).
         """
-        kernel = getattr(objective, "csr_kernel", None)
         count = self._scan(source, current, budget)
-        if count >= 0:
-            if kernel == "closeness":
-                return self._closeness_fold(
-                    count, current, objective.penalty, collect
-                )
-            if kernel == "harmonic":
-                return self._harmonic_fold(count, current, collect)
-            return self._generic_fold(
-                count, current, objective.gain_weight, collect
-            )
+        if count < 0:
+            return self._vector_eval(source, current_nd, objective, collect)
+        kernel = getattr(objective, "csr_kernel", None)
         if kernel == "closeness":
-            lane = self.batch_closeness_eval(
-                [source], current_nd, objective.penalty, collect
+            return self._closeness_fold(
+                count, current, objective.penalty, collect
             )
-        elif kernel == "harmonic":
-            lane = self.batch_harmonic_eval([source], current_nd, collect)
-        else:
-            lane = self.batch_generic_eval(
-                [source], current_nd, objective.gain_weight, collect
-            )
-        return lane[0]
+        if kernel == "harmonic":
+            return self._harmonic_fold(count, current, collect)
+        return self._generic_fold(
+            count, current, objective.gain_weight, collect
+        )
 
     # ------------------------------------------------------------------
     # Round-0 kernel: bitset multi-source BFS, 64 sources per word
@@ -915,8 +680,8 @@ class CSRTraversal:
                 return weight(-1, level)
 
         # Chunk lanes so one level's (2m, W) gather stays within the
-        # auto-sizing cell budget.
-        words = max(1, GAIN_BATCH_CELL_BUDGET // max(1, self._nd_indices.size))
+        # cell budget.
+        words = max(1, ROUND0_CELL_BUDGET // max(1, self._nd_indices.size))
         step = 64 * words
         gains: list[float] = []
         for lo in range(0, len(sources), step):
@@ -1012,91 +777,3 @@ def make_evaluator(trav: CSRTraversal, objective):
         return generic_eval(source, current, weight, collect)
 
     return evaluate
-
-
-def make_batch_evaluator(trav: CSRTraversal, objective):
-    """Bind ``objective`` to its batched CSR kernel, mirroring
-    :func:`make_evaluator`.
-
-    Returns ``batch_evaluate(sources, current, collect) ->
-    [(gain, updates), ...]`` (one pair per source lane, bitwise equal to
-    the scalar evaluator's output), or ``None`` when the batch plane is
-    unavailable (buffers without ndarray views) — callers fall back to
-    the scalar evaluator.
-    """
-    if not trav.supports_batch:
-        return None
-    kernel = getattr(objective, "csr_kernel", None)
-    if kernel == "closeness":
-        penalty = objective.penalty
-        batch_closeness = trav.batch_closeness_eval
-
-        def batch_evaluate(sources, current, collect=True):
-            return batch_closeness(sources, current, penalty, collect)
-
-        return batch_evaluate
-    if kernel == "harmonic":
-        return trav.batch_harmonic_eval
-    weight = objective.gain_weight
-    batch_generic = trav.batch_generic_eval
-
-    def batch_evaluate(sources, current, collect=True):
-        return batch_generic(sources, current, weight, collect)
-
-    return batch_evaluate
-
-
-def choose_gain_batch(num_vertices: int, pool_size: int) -> int:
-    """Auto-size the gain-batch lane count from n and the candidate pool.
-
-    Small graphs and single-candidate pools stay scalar (batch 1); past
-    :data:`GAIN_BATCH_MIN_VERTICES` the lane count is the cell budget
-    divided by n, capped at :data:`GAIN_BATCH_MAX_LANES` and the pool
-    size.  The width sizes the eager driver's lanes; for the lazy driver
-    any width above 1 just selects the vector kernels (bitset round 0,
-    :meth:`CSRTraversal.adaptive_eval` after it).  Cheap, deterministic,
-    and conservative at the boundaries.
-    """
-    if num_vertices < GAIN_BATCH_MIN_VERTICES or pool_size <= 1:
-        return 1
-    lanes = min(
-        GAIN_BATCH_MAX_LANES,
-        GAIN_BATCH_CELL_BUDGET // max(num_vertices, 1),
-        pool_size,
-    )
-    return max(1, int(lanes))
-
-
-def validate_gain_batch(gain_batch) -> None:
-    """Boundary validation for a ``gain_batch`` parameter.
-
-    Accepts ``"auto"`` or a positive int; anything else raises
-    :class:`~repro.errors.ParameterError` before any graph work starts.
-    """
-    if gain_batch == "auto":
-        return
-    if (
-        isinstance(gain_batch, bool)
-        or not isinstance(gain_batch, int)
-        or gain_batch < 1
-    ):
-        raise ParameterError(
-            f"gain_batch must be 'auto' or a positive int, got "
-            f"{gain_batch!r}"
-        )
-
-
-def resolve_gain_batch(
-    gain_batch, num_vertices: int, pool_size: int
-) -> int:
-    """The effective lane count for a greedy run.
-
-    ``"auto"`` defers to :func:`choose_gain_batch`; explicit requests
-    are honoured but clamped to the :data:`GAIN_BATCH_CELL_CAP` memory
-    guard.
-    """
-    validate_gain_batch(gain_batch)
-    if gain_batch == "auto":
-        return choose_gain_batch(num_vertices, pool_size)
-    cap = max(1, GAIN_BATCH_CELL_CAP // max(num_vertices, 1))
-    return max(1, min(int(gain_batch), cap))

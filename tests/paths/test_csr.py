@@ -7,22 +7,14 @@ against those references, because the lazy greedy engine's exactness
 proof leans on the kernels being *identical*, not just correct.
 """
 
+import numpy as np
 import pytest
 
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
-from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.bfs import bfs_distances, multi_source_distances
-from repro.paths.csr import (
-    GAIN_BATCH_MAX_LANES,
-    CSRTraversal,
-    choose_gain_batch,
-    make_batch_evaluator,
-    make_evaluator,
-    resolve_gain_batch,
-    validate_gain_batch,
-)
+from repro.paths.csr import CSRTraversal, make_evaluator
 from repro.paths.truncated import improvements
 
 
@@ -170,103 +162,108 @@ class TestEvaluators:
             assert gain == expected
 
 
-class TestBatchPlane:
-    """The batched gain plane must replay the scalar kernels bit for bit."""
+class StreamRecorder:
+    """A generic objective (no ``csr_kernel`` tag) that records the
+    ``(old, new)`` stream it is fed and weighs every term 0."""
 
-    def batch_trav(self, graph):
-        trav = CSRTraversal.from_graph(graph)
-        if not trav.supports_batch:
-            pytest.skip("batch plane needs numpy ndarray CSR views")
-        return trav
+    name = "stream-recorder"
+
+    def __init__(self):
+        self.stream = []
+
+    def gain_weight(self, old, new):
+        self.stream.append((old, new))
+        return 0.0
+
+
+def vector_improvements(trav, source, current):
+    """The vector scan's ``(v, old, new)`` stream.
+
+    ``adaptive_eval`` with budget 0 hands every scan that visits an
+    edge to the vector scan; the recorder sees the ``(old, new)`` terms
+    in the order the fold consumes them, and ``collect=True`` returns
+    the ``(v, new)`` updates in emission order.
+    """
+    recorder = StreamRecorder()
+    current_nd = np.array(current, dtype=np.int32)
+    _gain, updates = trav.adaptive_eval(
+        source, current, current_nd, recorder, True, budget=0
+    )
+    assert len(updates) == len(recorder.stream)
+    out = []
+    for (v, new), (old, new_seen) in zip(updates, recorder.stream):
+        assert new == new_seen
+        out.append((v, old, new))
+    return out
+
+
+class TestBatchPlane:
+    """The vector gain scan (``_vector_scan``, reached through
+    ``adaptive_eval`` with budget 0) must replay the scalar kernels bit
+    for bit, emission order included."""
 
     @pytest.mark.parametrize("group", [[], [0], [0, 33], [5, 11, 20]])
     def test_batch_improvements_matches_scalar(self, karate, group):
-        trav = self.batch_trav(karate)
+        trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, group)
-        sources = [u for u in karate.vertices()]
-        streams = trav.batch_improvements(sources, current)
-        for u, stream in zip(sources, streams):
-            assert stream == trav.improvements(u, current)
+        for u in karate.vertices():
+            assert vector_improvements(trav, u, current) == (
+                trav.improvements(u, current)
+            )
+        # Every source outside the group has an edge, so every one of
+        # them ran the vector scan.
+        assert trav.vector_dispatches == karate.num_vertices - len(group)
 
     def test_batch_evaluators_bitwise(self, karate):
-        trav = self.batch_trav(karate)
+        trav = CSRTraversal.from_graph(karate)
         for group in ([], [0], [0, 33, 5]):
             current = dist_after(karate, group)
+            current_nd = np.array(current, dtype=np.int32)
             for objective in (
                 ClosenessObjective(karate),
                 HarmonicObjective(),
             ):
                 evaluate = make_evaluator(trav, objective)
-                batch_evaluate = make_batch_evaluator(trav, objective)
-                sources = [
-                    u for u in karate.vertices() if current[u] != 0
-                ]
-                for collect in (True, False):
-                    results = batch_evaluate(sources, current, collect)
-                    for u, (gain, updates) in zip(sources, results):
+                for u in karate.vertices():
+                    for collect in (True, False):
+                        gain, updates = trav.adaptive_eval(
+                            u, current, current_nd, objective, collect,
+                            budget=0,
+                        )
                         sg, su = evaluate(u, current, collect)
-                        assert gain == sg  # bitwise, not approx
+                        assert gain.hex() == sg.hex()  # bitwise
                         assert updates == su
 
     def test_batch_scan_leaves_block_clean(self, karate):
-        # The (B, n) distance block's all-clean invariant is what lets
-        # calls reuse it without a full wipe; two identical calls must
-        # agree, and a full-BFS interleave must not perturb them.
-        trav = self.batch_trav(karate)
+        # The distance scratch's all-clean invariant is what lets scans
+        # reuse it without a full wipe; two identical scans must agree,
+        # and a full-BFS interleave must not perturb them.
+        trav = CSRTraversal.from_graph(karate)
         current = [-1] * karate.num_vertices
-        first = trav.batch_improvements([0, 1, 2], current)
+        first = [vector_improvements(trav, u, current) for u in (0, 1, 2)]
+        assert bool((trav._vec_dist == -2).all())
         trav.bfs_distances(0)
-        assert trav.batch_improvements([0, 1, 2], current) == first
-
-    def test_duplicate_sources_are_independent_lanes(self, p6):
-        trav = self.batch_trav(p6)
-        current = [-1] * 6
-        a, b = trav.batch_improvements([3, 3], current)
-        assert a == b == trav.improvements(3, current)
+        assert [
+            vector_improvements(trav, u, current) for u in (0, 1, 2)
+        ] == first
 
     def test_empty_sources(self, karate):
-        trav = self.batch_trav(karate)
-        assert trav.batch_improvements([], [-1] * 34) == []
+        # A source already in the committed set emits nothing and never
+        # reaches the vector scan; no sources score nothing.
+        trav = CSRTraversal.from_graph(karate)
+        current = dist_after(karate, [7])
+        assert vector_improvements(trav, 7, current) == []
+        assert trav.vector_dispatches == 0
+        assert trav.first_round_gains([], HarmonicObjective()) == []
 
     def test_disconnected_lanes(self, disconnected):
-        trav = self.batch_trav(disconnected)
-        current = dist_after(disconnected, [0])
-        sources = list(disconnected.vertices())
-        streams = trav.batch_improvements(sources, current)
-        for u, stream in zip(sources, streams):
-            assert stream == trav.improvements(u, current)
-
-
-class TestGainBatchSizing:
-    def test_small_graphs_stay_scalar(self):
-        assert choose_gain_batch(10, 100) == 1
-
-    def test_single_candidate_stays_scalar(self):
-        assert choose_gain_batch(10_000, 1) == 1
-
-    def test_large_graph_caps_at_max_lanes(self):
-        assert choose_gain_batch(10_000, 10_000) == GAIN_BATCH_MAX_LANES
-
-    def test_pool_bounds_lanes(self):
-        assert choose_gain_batch(10_000, 7) == 7
-
-    def test_validate_rejects_junk(self):
-        for bad in (0, -3, 2.5, True, "fast", None):
-            with pytest.raises(ParameterError):
-                validate_gain_batch(bad)
-        validate_gain_batch("auto")
-        validate_gain_batch(64)
-
-    def test_resolve_honours_explicit_batch(self):
-        assert resolve_gain_batch(5, 1000, 100) == 5
-        # Explicit requests are clamped by the cell-cap memory guard.
-        assert resolve_gain_batch(10**9, 1 << 20, 10**9) <= (1 << 24)
-
-    def test_resolve_auto_matches_choose(self):
-        assert resolve_gain_batch("auto", 10_000, 500) in (
-            1,
-            choose_gain_batch(10_000, 500),
-        )
+        trav = CSRTraversal.from_graph(disconnected)
+        for group in ([], [0], [0, 3]):
+            current = dist_after(disconnected, group)
+            for u in disconnected.vertices():
+                assert vector_improvements(trav, u, current) == (
+                    trav.improvements(u, current)
+                )
 
 
 class TestConstruction:

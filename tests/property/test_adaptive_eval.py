@@ -2,7 +2,7 @@
 
 :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval` runs the scalar
 pruned scan under an edge-visit budget and hands scans that run past it
-to the one-lane vectorized kernel.  Whichever path runs, it must return
+to the vector scan.  Whichever path runs, it must return
 the *bitwise same* ``(gain, updates)`` as the scalar ``*_eval`` of
 :func:`~repro.paths.csr.make_evaluator`, and leave every scratch buffer
 clean for the next traversal.  The budget is forced to 0 (every scan
@@ -29,7 +29,7 @@ from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.core.api import group_centrality_maximize, neighborhood_skyline
 from repro.graph.generators import copying_power_law, kronecker_graph
 from repro.paths.bfs import multi_source_distances
-from repro.paths.csr import CSRTraversal, make_batch_evaluator, make_evaluator
+from repro.paths.csr import CSRTraversal, make_evaluator
 from tests.conftest import graphs
 
 COMMON = settings(
@@ -83,8 +83,8 @@ def assert_same(got, want):
 
 def assert_scratch_clean(trav):
     assert all(d == -2 for d in trav._new_dist)
-    if trav._batch_block is not None:
-        assert bool((trav._batch_block == -2).all())
+    if trav._vec_dist is not None:
+        assert bool((trav._vec_dist == -2).all())
 
 
 def handoffs_at_zero_budget(graph, current):
@@ -157,13 +157,12 @@ def compensated_sum(iterable, start=0):
 
 
 def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
-    # A graph whose harmonic lanes have many inexact terms, so a
+    # A graph whose harmonic scans have many inexact terms, so a
     # compensated sum and the scalar fold disagree in the last bits.
     g = kronecker_graph(8, 6, seed=11)
     objective = HarmonicObjective()
     trav = CSRTraversal.from_graph(g)
     evaluate = make_evaluator(trav, objective)
-    batch_evaluate = make_batch_evaluator(trav, objective)
     current = committed(g, 3)
     current_nd = np.array(current, dtype=np.int32)
     sources = list(g.vertices())
@@ -182,13 +181,15 @@ def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
         for terms, w in zip(folded_terms, want)
     )
     monkeypatch.setattr(builtins, "sum", compensated_sum)
-    batched = [gain for gain, _ in batch_evaluate(sources, current_nd, False)]
-    adaptive = [
+    # Budget 0 sends every scan that visits an edge to the vector scan,
+    # whose harmonic fold is the one a compensated sum could change.
+    trav.vector_dispatches = 0
+    vector = [
         trav.adaptive_eval(u, current, current_nd, objective, budget=0)[0]
         for u in sources
     ]
-    assert [x.hex() for x in batched] == [w.hex() for w in want]
-    assert [x.hex() for x in adaptive] == [w.hex() for w in want]
+    assert trav.vector_dispatches == len(handoffs_at_zero_budget(g, current))
+    assert [x.hex() for x in vector] == [w.hex() for w in want]
 
 
 BENCH_GRAPHS = [

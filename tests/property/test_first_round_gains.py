@@ -10,9 +10,8 @@ several words), across lane chunks, and on graphs with isolated
 vertices and several components.  Equality is on ``float.hex`` so a
 last-bit drift or a ``-0.0`` for ``0.0`` fails.
 
-The end-to-end leg pins the default greedy (lazy, auto lanes, so the
-bitset round 0) to the eager driver with scalar kernels on R-MAT graphs
-of scale 7 to 10.
+The end-to-end leg pins the default greedy (lazy, so the bitset round
+0) to the scalar eager driver on R-MAT graphs of scale 7 to 10.
 """
 
 import pytest
@@ -138,12 +137,12 @@ def test_source_counts_across_words_and_chunks(
     trav = CSRTraversal.from_graph(g)
     if small_budget:
         # One word (64 lanes) per chunk: 65+ sources cross a boundary.
-        saved = csr_module.GAIN_BATCH_CELL_BUDGET
-        csr_module.GAIN_BATCH_CELL_BUDGET = 1
+        saved = csr_module.ROUND0_CELL_BUDGET
+        csr_module.ROUND0_CELL_BUDGET = 1
         try:
             got = trav.first_round_gains(sources, objective)
         finally:
-            csr_module.GAIN_BATCH_CELL_BUDGET = saved
+            csr_module.ROUND0_CELL_BUDGET = saved
     else:
         got = trav.first_round_gains(sources, objective)
     assert_bitwise(got, want)
@@ -155,7 +154,7 @@ def test_chunk_boundary_with_monkeypatched_budget(monkeypatch):
     for measure in ("closeness", "harmonic", "generic"):
         objective = make_objective(g, measure)
         want = scalar_gains(g, sources, objective)
-        monkeypatch.setattr(csr_module, "GAIN_BATCH_CELL_BUDGET", 1)
+        monkeypatch.setattr(csr_module, "ROUND0_CELL_BUDGET", 1)
         got = CSRTraversal.from_graph(g).first_round_gains(sources, objective)
         monkeypatch.undo()
         assert_bitwise(got, want)
@@ -183,7 +182,6 @@ def test_default_lazy_equals_scalar_eager_on_rmat(scale, measure):
         measure=measure,
         skyline=skyline,
         strategy="eager",
-        gain_batch=1,
     )
     assert lazy.strategy == "lazy"
     assert lazy.group == eager.group
