@@ -1,24 +1,35 @@
-"""Before/after benchmark for the block-vectorized refine kernel.
+"""Before/after benchmark for the vectorized filter and refine phases.
 
-For each instance (default: ``kron_large``) this computes the skyline
-two ways on the same graph:
+For each instance (default: ``kron_large``) this runs two legs on the
+same graph.
+
+Filter leg (``bench="filter_vector"``):
+
+* ``scalar_filter_phase`` — the paper's Alg. 2 as a scalar loop: the
+  **before** row and the reference the vectorized pass is pinned to;
+* ``filter_phase`` — the **after** row (the production pass).
+
+Refine leg (``bench="refine_vector"``), the skyline computed two ways:
 
 * ``filter_refine`` — the paper's sequential bloom Alg. 3: the
   **before** row and the ground truth the block kernel is pinned to;
 * ``filter_refine_block`` — the **after** row (the ``auto`` default).
 
-The block result is asserted bit-for-bit equal (skyline, dominator,
-candidates) to the bloom baseline *before* any timing row is recorded,
-so a speedup number can never paper over a wrong answer.  Refine-phase
-wall time is the end-to-end wall minus a separately timed filter phase
-(both algorithms run the identical filter pass).
+Each after result is asserted bit-for-bit equal to its before result
+(candidates, dominator and the filter counters; skyline, dominator and
+candidates for the skyline) *before* any timing row is recorded, so a
+speedup number can never paper over a wrong answer.  Refine-phase wall
+time is the end-to-end wall minus the separately timed filter pass the
+algorithm runs (bloom Alg. 3 runs the scalar filter, the block kernel
+the vectorized one).
 
-Rows go into ``BENCH_skyline.json`` at the repo root as
-``bench="refine_vector"`` entries (merge-write, same as every other
-harness script); the ``after`` row carries the measured
-``refine_speedup`` and the block kernel's counters.  On the default
-``kron_large`` instance the run **fails** unless the block kernel's
-refine phase is at least ``MIN_SPEEDUP``× faster than the before row.
+Rows go into ``BENCH_skyline.json`` at the repo root (merge-write,
+same as every other harness script); the after rows carry the measured
+``filter_speedup`` / ``refine_speedup`` and the counters.  On the
+default ``kron_large`` instance the run **fails** unless the block
+kernel's refine phase is at least ``MIN_SPEEDUP``× faster than the
+before row, and the vectorized filter at least ``MIN_FILTER_SPEEDUP``×
+faster than the scalar one.
 
 Usage::
 
@@ -33,7 +44,7 @@ import time
 
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
-from repro.core.filter_phase import filter_phase
+from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.core.filter_refine import filter_refine_sky
 from repro.harness.benchjson import (
     BENCH_FILENAME,
@@ -48,6 +59,11 @@ DEFAULT_INSTANCES = ("kron_large",)
 #: instances; override per-run with ``REPRO_MIN_REFINE_SPEEDUP``.
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_REFINE_SPEEDUP", "2.0"))
 
+#: Acceptance floor for the filter-phase speedup on the default
+#: instances.  Three runs on kron_large (2-vCPU x86-64 VM, Python 3.11,
+#: numpy 2.4, counters on) measured 3.2x, 3.3x and 3.4x.
+MIN_FILTER_SPEEDUP = 2.0
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -59,35 +75,91 @@ def _assert_identical(result, ref, name: str, kernel: str) -> None:
     )
 
 
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - t0
+
+
+def run_filter_leg(
+    graph, name: str, enforce_speedup: bool
+) -> tuple[float, float, list[dict]]:
+    """Scalar vs vectorized filter, asserted identical; returns both
+    wall times and the two rows."""
+    c_scalar, c_vector = SkylineCounters(), SkylineCounters()
+    scalar, t_scalar = _timed(
+        lambda: scalar_filter_phase(graph, counters=c_scalar)
+    )
+    vector, t_vector = _timed(lambda: filter_phase(graph, counters=c_vector))
+    assert vector[0] == scalar[0], f"{name}: filter candidates"
+    assert vector[1] == scalar[1], f"{name}: filter dominator"
+    assert c_vector == c_scalar, f"{name}: filter counters"
+    speedup = t_scalar / max(t_vector, 1e-9)
+    print(
+        f"{name}: filter scalar {t_scalar:.2f}s vector {t_vector:.2f}s "
+        f"=> {speedup:.1f}x; |C|={len(scalar[0])}, candidates, "
+        "dominator and counters bit-for-bit identical"
+    )
+    if enforce_speedup:
+        assert speedup >= MIN_FILTER_SPEEDUP, (
+            f"{name}: vector filter speedup {speedup:.2f}x is below the "
+            f"{MIN_FILTER_SPEEDUP}x acceptance floor"
+        )
+    common = {
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "candidate_size": len(scalar[0]),
+    }
+    rows = [
+        bench_entry(
+            bench="filter_vector",
+            instance=name,
+            algorithm="scalar_filter_phase",
+            wall_s=t_scalar,
+            counters=c_scalar.as_dict(),
+            extra={**common, "variant": "before"},
+        ),
+        bench_entry(
+            bench="filter_vector",
+            instance=name,
+            algorithm="filter_phase",
+            wall_s=t_vector,
+            counters=c_vector.as_dict(),
+            extra={
+                **common,
+                "variant": "after",
+                "filter_speedup": round(speedup, 2),
+            },
+        ),
+    ]
+    return t_scalar, t_vector, rows
+
+
 def run_one(name: str, enforce_speedup: bool) -> list[dict]:
     graph = load(name)
+    t_filter_before, t_filter_after, filter_rows = run_filter_leg(
+        graph, name, enforce_speedup
+    )
 
-    t0 = time.perf_counter()
-    filter_phase(graph)
-    t_filter = time.perf_counter() - t0
-
-    before_counters = SkylineCounters()
-    t0 = time.perf_counter()
-    ref = filter_refine_sky(graph, counters=before_counters)
-    t_before = time.perf_counter() - t0
-
-    after_counters = SkylineCounters()
-    t0 = time.perf_counter()
-    after = filter_refine_block_sky(graph, counters=after_counters)
-    t_after = time.perf_counter() - t0
+    before_counters, after_counters = SkylineCounters(), SkylineCounters()
+    ref, t_before = _timed(
+        lambda: filter_refine_sky(graph, counters=before_counters)
+    )
+    after, t_after = _timed(
+        lambda: filter_refine_block_sky(graph, counters=after_counters)
+    )
     _assert_identical(after, ref, name, "block")
 
-    refine_before = max(t_before - t_filter, 1e-9)
-    refine_after = max(t_after - t_filter, 1e-9)
+    refine_before = max(t_before - t_filter_before, 1e-9)
+    refine_after = max(t_after - t_filter_after, 1e-9)
     speedup = refine_before / refine_after
-    rejects = after_counters.extra.get("core_pretest_rejects", 0)
 
     print(
         f"{name}: n={graph.num_vertices} m={graph.num_edges} "
         f"|C|={len(ref.candidates)} |R|={len(ref.skyline)} "
-        f"filter {t_filter:.2f}s refine before {refine_before:.2f}s "
-        f"(bloom) after {refine_after:.2f}s "
-        f"=> {speedup:.1f}x; core pretest rejected {rejects} entries; "
+        f"refine before {refine_before:.2f}s (bloom) after "
+        f"{refine_after:.2f}s => {speedup:.1f}x; "
+        f"{after_counters.pair_tests} block pair tests; "
         "all outputs bit-for-bit identical to sequential bloom"
     )
     if enforce_speedup:
@@ -101,9 +173,8 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
         "num_edges": graph.num_edges,
         "skyline_size": len(ref.skyline),
         "candidate_size": len(ref.candidates),
-        "filter_s": round(t_filter, 3),
     }
-    return [
+    return filter_rows + [
         bench_entry(
             bench="refine_vector",
             instance=name,
@@ -113,6 +184,7 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
             extra={
                 **common,
                 "variant": "before",
+                "filter_s": round(t_filter_before, 3),
                 "refine_s": round(refine_before, 3),
                 "refine_path": "bloom",
             },
@@ -126,9 +198,9 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
             extra={
                 **common,
                 "variant": "after",
+                "filter_s": round(t_filter_after, 3),
                 "refine_s": round(refine_after, 3),
                 "refine_speedup": round(speedup, 2),
-                "core_pretest_rejects": rejects,
             },
         ),
     ]
@@ -138,9 +210,9 @@ def main(argv) -> int:
     instances = tuple(argv) or DEFAULT_INSTANCES
     entries = []
     for name in instances:
-        # The speedup floor is an acceptance gate for the large tier;
+        # The speedup floors are acceptance gates for the large tier;
         # explicitly requested small instances still record their rows
-        # (the block kernel is not expected to win at toy sizes).
+        # (the vector kernels are not expected to win at toy sizes).
         entries.extend(run_one(name, name in DEFAULT_INSTANCES))
     path = os.path.join(REPO_ROOT, BENCH_FILENAME)
     write_bench_json(path, entries)

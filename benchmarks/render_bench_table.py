@@ -146,44 +146,55 @@ def render_substrate(entries) -> str:
 
 
 def render_refine_vector(entries) -> str:
-    """Block-kernel before/after table (``refine_vector`` entries).
+    """Filter and refine before/after table (``filter_vector`` and
+    ``refine_vector`` entries).
 
-    One row per instance: candidate count, the before row's refine wall
-    (annotated with the path that ran: the bloom Alg. 3), the block
-    kernel's refine wall, and the measured speedup.  Returns ``""``
-    when ``bench_refine_vector.py`` has not been run yet.
+    One row per instance: candidate count, the scalar and vectorized
+    filter walls, the before row's refine wall (annotated with the path
+    that ran: the bloom Alg. 3), the block kernel's refine wall, the
+    measured refine speedup and the block kernel's pair tests.  Returns
+    ``""`` when ``bench_refine_vector.py`` has not been run yet.
     """
     by_key = {
-        (e["instance"], e["algorithm"]): e
+        (e["bench"], e["instance"], e["algorithm"]): e
         for e in entries
-        if e["bench"] == "refine_vector"
+        if e["bench"] in ("filter_vector", "refine_vector")
     }
     rows = []
-    for name in sorted({k[0] for k in by_key}):
-        before = by_key.get((name, "FilterRefineSky"))
-        after = by_key.get((name, "FilterRefineSkyBlock"))
+    for name in sorted({k[1] for k in by_key}):
+        before = by_key.get(("refine_vector", name, "FilterRefineSky"))
+        after = by_key.get(("refine_vector", name, "FilterRefineSkyBlock"))
         if before is None or after is None:
             continue
+        scalar = by_key.get(("filter_vector", name, "scalar_filter_phase"))
+        vector = by_key.get(("filter_vector", name, "filter_phase"))
         b_extra = before.get("extra", {})
         a_extra = after.get("extra", {})
         ratio = a_extra.get(
             "refine_speedup",
             b_extra["refine_s"] / a_extra["refine_s"],
         )
+        filter_cells = (
+            f"{scalar['wall_s']:.2f} | {vector['wall_s']:.2f}"
+            if scalar is not None and vector is not None
+            else "? | ?"
+        )
         rows.append(
             f"| {name} | {a_extra.get('candidate_size', '?')} "
+            f"| {filter_cells} "
             f"| {b_extra['refine_s']:.2f} "
             f"({b_extra.get('refine_path', '?')}) "
             f"| {a_extra['refine_s']:.2f} | {ratio:.1f}x "
-            f"| {a_extra.get('core_pretest_rejects', '?')} |"
+            f"| {after.get('counters', {}).get('pair_tests', '?')} |"
         )
     if not rows:
         return ""
     return "\n".join(
         [
-            "| dataset | \\|C\\| | refine before (s) | refine block (s) "
-            "| speedup | core-pretest rejects |",
-            "|---|---|---|---|---|---|",
+            "| dataset | \\|C\\| | filter scalar (s) | filter vector (s) "
+            "| refine before (s) | refine block (s) | refine speedup "
+            "| block pair tests |",
+            "|---|---|---|---|---|---|---|---|",
             *rows,
         ]
     )

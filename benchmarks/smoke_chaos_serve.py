@@ -18,7 +18,9 @@ and asserts the resilience contract:
 * shutdown is clean: no orphaned child process.
 
 The headline numbers merge into ``BENCH_skyline.json`` as a
-``bench="chaos_serve"`` row so the CI artifact tracks availability,
+``bench="chaos_serve_smoke"`` row (its own bench name, so a smoke run
+replaces only its own row and leaves ``replay_chaos_serve.py``'s
+``chaos_serve`` rows alone) so the CI artifact tracks availability,
 rebuild count and p99-under-fault over time.  Fully seeded: a red run
 here replays identically with the same command locally.
 
@@ -119,7 +121,7 @@ def main() -> int:
     assert multiprocessing.active_children() == []
 
     entry = bench_entry(
-        bench="chaos_serve",
+        bench="chaos_serve_smoke",
         instance="+".join(GRAPHS),
         algorithm=f"smoke-chaos(n={NUM_REQUESTS})",
         wall_s=summary["wall_s"],

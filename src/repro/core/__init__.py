@@ -25,7 +25,7 @@ from repro.core.domination import (
     neighborhood_included,
     two_hop_neighbors,
 )
-from repro.core.filter_phase import filter_phase
+from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.join_sky import lc_join_sky
 from repro.core.layers import dominance_layers, layer_sets
@@ -57,6 +57,7 @@ __all__ = [
     "neighborhood_included",
     "two_hop_neighbors",
     "filter_phase",
+    "scalar_filter_phase",
     "filter_refine_block_sky",
     "filter_refine_sky",
     "lc_join_sky",

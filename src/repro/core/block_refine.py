@@ -17,7 +17,7 @@ list first, as in the LC-Join baseline.  A row holds
 ``deg(p(u)) ≤ Σ_{v∈N(u)} deg(v) / deg(u)`` entries, so the pivot
 gather is never larger than a full 2-hop gather and usually far
 smaller.  The skip ladder (self, degree, frozen filter-phase
-domination, core-number pretest) runs as boolean masks over the row,
+domination) runs as boolean masks over the row,
 and every surviving pair ``(u, w)`` is tested exactly with one
 vectorized ``searchsorted`` of the keys ``w·n + x``, ``x ∈ N(u)``, in
 the sorted CSR edge keys ``row·n + col``.  A pivot row lists each
@@ -55,23 +55,21 @@ that reproduce the sequential output bit for bit:
 So ``skyline`` / ``dominator`` / ``candidates`` are bit-for-bit the
 sequential bloom baseline's, which the differential suite pins.
 
-Core-number pretest
--------------------
-``N(u) ⊆ N(w)`` implies ``core(w) ≥ core(u)`` (see
-:mod:`repro.graph.cores`), so pairs failing it are rejected before the
-subset test.  The pretest never changes the accept set — it is pure
-work avoidance — and its per-entry reject tally surfaces as
-``counters.extra["core_pretest_rejects"]``.
+The pivot rows and the sorted edge keys come from the same
+:func:`~repro.graph.csr.edge_index` the filter phase uses.
 
 Counter semantics
 -----------------
 ``pair_tests`` counts the pivot-row pairs that reach the subset test
-and ``core_pretest_rejects`` the pivot-row entries the pretest drops,
-in both passes.  ``degree_skips`` and ``dominated_skips`` keep their
-full 2-hop meaning — every ``(v, w)`` visit a status or witness scan of
-the whole 2-hop neighborhood would skip — but are computed without that
-scan, from per-row degree-sorted prefix counts (one ``searchsorted``
-per visited row); uninstrumented runs skip that arithmetic.
+in both passes: every entry that survives the skip ladder.  That now
+includes the few dozen entries per R-MAT scale-10 graph a core-number
+pretest used to reject; the pretest was deleted because computing the
+core numbers cost more than the subset tests it saved.
+``degree_skips`` and ``dominated_skips`` keep their full 2-hop meaning
+— every ``(v, w)`` visit a status or witness scan of the whole 2-hop
+neighborhood would skip — but are computed without that scan, from
+per-row degree-sorted prefix counts (one ``searchsorted`` per visited
+row); uninstrumented runs skip that arithmetic.
 ``vertices_examined`` and ``dominations_found`` count one visit per
 candidate and one per domination; the skip tallies never undercount
 the sequential scan's.  ``bloom_*`` and ``nbr_checks`` stay zero.
@@ -89,8 +87,7 @@ from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.cores import core_decomposition
-from repro.graph.csr import csr_ndarrays
+from repro.graph.csr import budget_slices, edge_index, gather_rows
 
 __all__ = [
     "BLOCK_ENTRY_BUDGET",
@@ -106,36 +103,13 @@ __all__ = [
 BLOCK_ENTRY_BUDGET = 1 << 22
 
 
-def _ragged_gather(indices, starts, lens):
-    """Concatenate ``indices[starts[i] : starts[i] + lens[i]]`` rows."""
-    total = int(lens.sum())
-    if not total:
-        return _np.empty(0, dtype=indices.dtype)
-    offsets = _np.arange(total, dtype=_np.int64) - _np.repeat(
-        _np.cumsum(lens) - lens, lens
-    )
-    return indices[_np.repeat(starts, lens) + offsets]
-
-
-def _pivots(indptr, indices, deg, n: int):
-    """Each vertex's minimum-degree neighbor (ties to the smaller ID);
-    ``-1`` for isolated vertices."""
-    pivot = _np.full(n, -1, dtype=_np.int64)
-    rows = _np.flatnonzero(deg)
-    if rows.size:
-        # Rows are contiguous, so reducing from each non-empty row's
-        # start to the next one's covers exactly that row.
-        key = deg[indices] * n + indices
-        pivot[rows] = _np.minimum.reduceat(key, indptr[rows]) % n
-    return pivot
-
-
 class BlockRefineContext:
     """Shared ndarray state for block refine scans.
 
-    Built once per pass from the graph, the frozen filter-phase output
-    and the core numbers; the block scans only read it (apart from the lazily installed witness flags and
-    counter keys, which are themselves frozen once set).
+    Built once per pass from the graph and the frozen filter-phase
+    output; the block scans only read it (apart from the lazily
+    installed witness flags and counter keys, which are themselves
+    frozen once set).
     """
 
     __slots__ = (
@@ -144,11 +118,10 @@ class BlockRefineContext:
         "indices",
         "deg",
         "filter_ok",
-        "core",
         "cand",
         "pivot",
         "cost",
-        "edge_keys",
+        "edge_index",
         "entry_budget",
         "refine_dominated",
         "_skip_keys",
@@ -161,28 +134,24 @@ class BlockRefineContext:
         candidates: Sequence[int],
         dominator: Sequence[int],
         *,
-        cores=None,
         entry_budget: int = BLOCK_ENTRY_BUDGET,
     ):
-        indptr, indices = csr_ndarrays(graph)
+        index = self.edge_index = edge_index(graph)
         n = self.n = graph.num_vertices
-        self.indptr = indptr.astype(_np.int64, copy=False)
-        self.indices = indices
-        self.deg = self.indptr[1:] - self.indptr[:-1]
+        self.indptr = index.indptr
+        self.indices = index.indices
+        self.deg = index.deg
         dom = _np.asarray(dominator, dtype=_np.int64)
         self.filter_ok = dom == _np.arange(n, dtype=_np.int64)
-        if cores is None:
-            cores = core_decomposition(graph).core
-        self.core = _np.asarray(cores, dtype=_np.int64)
         self.cand = _np.asarray(candidates, dtype=_np.int64)
-        self.pivot = _pivots(self.indptr, indices, self.deg, n)
+        # Each vertex's minimum-degree neighbor (ties to the smaller
+        # ID) heads its degree-ordered row; -1 for isolated vertices.
+        self.pivot = _np.full(n, -1, dtype=_np.int64)
+        rows = _np.flatnonzero(self.deg)
+        self.pivot[rows] = index.by_degree[self.indptr[rows]]
         # Subset-test lookups per candidate, the quantity block sizing
         # budgets (isolated vertices cost nothing: deg(u) = 0).
         self.cost = self.deg * self.deg[self.pivot]
-        # Sorted rows make ``row·n + col`` globally ascending.
-        self.edge_keys = (
-            _np.repeat(_np.arange(n, dtype=_np.int64), self.deg) * n + indices
-        )
         self.entry_budget = entry_budget
         #: Status-pass output as per-vertex flags; installed once by
         #: :meth:`ensure_refine_dominated` before any witness scan.
@@ -202,17 +171,16 @@ class BlockRefineContext:
     def skip_keys(self):
         """``(stride, all_keys, dominated_keys)`` for the skip tallies.
 
-        Each CSR entry ``(v, w)`` becomes ``v·stride + deg(w)``, sorted —
-        i.e. every row sorted by neighbor degree — over all entries and
-        over the entries whose ``w`` the filter phase dominated.  Built
-        on the first instrumented scan only.
+        Each CSR entry ``(v, w)`` becomes ``v·stride + deg(w)``, in the
+        degree-ordered rows' order — hence ascending — over all entries
+        and over the entries whose ``w`` the filter phase dominated.
+        Built on the first instrumented scan only.
         """
         if self._skip_keys is None:
+            index = self.edge_index
             stride = int(self.deg.max(initial=0)) + 1
-            keys = self.edge_keys // self.n * stride + self.deg[self.indices]
-            dominated = keys[~self.filter_ok[self.indices]]
-            keys.sort()
-            dominated.sort()
+            keys = index.row * stride + self.deg[index.by_degree]
+            dominated = keys[~self.filter_ok[index.by_degree]]
             self._skip_keys = (stride, keys, dominated)
         return self._skip_keys
 
@@ -222,29 +190,12 @@ class BlockRefineContext:
         if self._refine_rows is None:
             keep = self.refine_dominated[self.indices]
             counts = _np.bincount(
-                self.edge_keys[keep] // self.n, minlength=self.n
+                self.edge_index.row[keep], minlength=self.n
             )
             indptr = _np.zeros(self.n + 1, dtype=_np.int64)
             _np.cumsum(counts, out=indptr[1:])
             self._refine_rows = (indptr, self.indices[keep])
         return self._refine_rows
-
-
-def _block_bounds(cost: "object", budget: int) -> list[tuple[int, int]]:
-    """Split ``range(len(cost))`` greedily so each block's Σcost ≤ budget
-    (always at least one item per block)."""
-    bounds: list[tuple[int, int]] = []
-    if not len(cost):
-        return bounds
-    cum = _np.cumsum(cost)
-    start = 0
-    while start < len(cost):
-        limit = (cum[start - 1] if start else 0) + budget
-        end = int(_np.searchsorted(cum, limit, side="right"))
-        end = max(end, start + 1)
-        bounds.append((start, end))
-        start = end
-    return bounds
 
 
 def _smallest_settling(
@@ -256,7 +207,7 @@ def _smallest_settling(
     found = _np.full(len(us), -1, dtype=_np.int64)
     pivot = ctx.pivot[us]
     row_lens = _np.where(pivot >= 0, deg[pivot], 0)
-    w = _ragged_gather(indices, indptr[pivot], row_lens)
+    w = gather_rows(indices, indptr[pivot], row_lens)
     if not w.size:
         return found
     entry = _np.repeat(_np.arange(len(us), dtype=_np.int64), row_lens)
@@ -265,12 +216,6 @@ def _smallest_settling(
     mask = (w != u) & (deg[w] >= deg_us[entry]) & ctx.filter_ok[w]
     if witness:
         mask &= ~((w < u) & ctx.refine_dominated[w])
-    core_ok = ctx.core[w] >= ctx.core[u]
-    if stats is not NULL_COUNTERS:
-        stats.extra["core_pretest_rejects"] = stats.extra.get(
-            "core_pretest_rejects", 0
-        ) + int(_np.count_nonzero(mask & ~core_ok))
-    mask &= core_ok
     pair_u = entry[mask]
     pair_w = w[mask].astype(_np.int64)
     stats.pair_tests += int(pair_u.size)
@@ -279,12 +224,10 @@ def _smallest_settling(
 
     # N(u) ⊆ N(w): every key w·n + x, x ∈ N(u), is a CSR edge key.
     lens = deg_us[pair_u]
-    keys = _np.repeat(pair_w * n, lens) + _ragged_gather(
+    keys = _np.repeat(pair_w * n, lens) + gather_rows(
         indices, indptr[us[pair_u]], lens
     )
-    edge_keys = ctx.edge_keys
-    pos = _np.searchsorted(edge_keys, keys)
-    hit = edge_keys[_np.minimum(pos, len(edge_keys) - 1)] == keys
+    hit = ctx.edge_index.has_keys(keys)
     accept = _np.logical_and.reduceat(hit, _np.cumsum(lens) - lens)
     settle = accept & ((deg[pair_w] > lens) | (pair_w < us[pair_u]))
     settled_u, settled_w = pair_u[settle], pair_w[settle]
@@ -304,7 +247,7 @@ def _tally_skips(
     stride, keys, dominated_keys = ctx.skip_keys()
     deg = ctx.deg
     lens = deg[us]
-    v = _ragged_gather(ctx.indices, ctx.indptr[us], lens).astype(_np.int64)
+    v = gather_rows(ctx.indices, ctx.indptr[us], lens).astype(_np.int64)
     row = v * stride
     bound = row + _np.repeat(lens, lens)
     # Row v's entries with deg(w) < deg(u) (u itself never is one).
@@ -322,7 +265,7 @@ def _tally_skips(
         # Plus the refine-dominated w < u with deg(w) >= deg(u).
         r_indptr, r_indices = ctx.refine_rows()
         r_lens = r_indptr[v + 1] - r_indptr[v]
-        w = _ragged_gather(r_indices, r_indptr[v], r_lens)
+        w = gather_rows(r_indices, r_indptr[v], r_lens)
         u = _np.repeat(_np.repeat(us, lens), r_lens)
         stats.dominated_skips += int(
             _np.count_nonzero((w < u) & (deg[w] >= deg[u]))
@@ -334,7 +277,7 @@ def _scan(
 ):
     """:func:`_smallest_settling` over ``us`` in budget-sized blocks."""
     found = _np.empty(len(us), dtype=_np.int64)
-    for lo, hi in _block_bounds(ctx.cost[us], ctx.entry_budget):
+    for lo, hi in budget_slices(ctx.cost[us], ctx.entry_budget):
         block = us[lo:hi]
         found[lo:hi] = _smallest_settling(ctx, block, witness, stats)
         if stats is not NULL_COUNTERS:
@@ -392,8 +335,8 @@ def block_refine_pass(
     :func:`~repro.core.filter_refine.bloom_refine_pass` for the block
     kernel: takes the filter phase's output and writes each dominated
     candidate's sequential witness.  Instrumented runs also record
-    ``core_pretest_rejects`` and ``block_rescans`` (the candidates the
-    witness pass rescanned) in ``stats.extra``.
+    ``block_rescans`` (the candidates the witness pass rescanned) in
+    ``stats.extra``.
     """
     ctx = BlockRefineContext(
         graph, candidates, dominator, entry_budget=entry_budget
@@ -403,7 +346,6 @@ def block_refine_pass(
     for u, w in block_witness_chunk(ctx, dominated, stats):
         dominator[u] = w
     if stats is not NULL_COUNTERS:
-        stats.extra.setdefault("core_pretest_rejects", 0)
         stats.extra["block_rescans"] = len(dominated)
 
 

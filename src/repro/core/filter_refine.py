@@ -2,7 +2,8 @@
 
 Two phases:
 
-1. **Filter** (:func:`~repro.core.filter_phase.filter_phase`): prune
+1. **Filter** (:func:`~repro.core.filter_phase.scalar_filter_phase`,
+   the scalar Alg. 2 reference): prune
    every vertex with an edge-constrained dominator; the survivors form
    the candidate set ``C ⊇ R`` (Lemma 1).
 2. **Refine**: for each candidate ``u``, look for a *plain* dominator
@@ -27,9 +28,10 @@ When a dominator ``w`` survives all checks: strict domination
 (``deg(w) > deg(u)``) removes ``u`` and stops its scan; mutual inclusion
 (equal degrees) applies the ID tie-break and continues scanning.
 
-This is the reference refine: the production default runs the same
-filter phase with the block kernel of :mod:`repro.core.block_refine`,
-and the differential suites pin the two to each other bit for bit.
+This is the reference refine: the production default runs the
+vectorized filter pass with the block kernel of
+:mod:`repro.core.block_refine`, and the differential suites pin the two
+to each other bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional
 
 from repro.bloom.vertex_filters import VertexBloomIndex
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
-from repro.core.filter_phase import filter_phase
+from repro.core.filter_phase import scalar_filter_phase
 from repro.core.result import SkylineResult
 from repro.graph.adjacency import Graph
 
@@ -191,7 +193,7 @@ def filter_refine_sky(
     """
     stats = counters if counters is not None else NULL_COUNTERS
     n = graph.num_vertices
-    candidates, dominator = filter_phase(graph, counters=counters)
+    candidates, dominator = scalar_filter_phase(graph, counters=counters)
 
     blooms = VertexBloomIndex(
         graph,

@@ -1,22 +1,12 @@
-"""k-core decomposition — the degeneracy substrate for refine and clique.
+"""k-core decomposition — the degeneracy substrate for clique search.
 
 The k-core of a graph is its maximal subgraph of minimum degree ``k``;
 ``core(u)`` is the largest ``k`` whose core contains ``u`` (Batagelj &
-Zaveršnik, "Generalized Cores").  Two consumers in this package lean on
-the decomposition:
-
-* **Refine pretest.**  ``N(u) ⊆ N(w)`` implies ``core(w) ≥ core(u)``:
-  adding ``w`` to the ``core(u)``-core keeps the minimum degree at
-  ``core(u)`` (every neighbor of ``u`` inside the core is also a
-  neighbor of ``w``), so ``w`` sits in that core too.  A candidate's
-  core number therefore bounds its possible dominators, and the block
-  refine kernel (:mod:`repro.core.block_refine`) rejects pairs with
-  ``core(w) < core(u)`` before paying for the inclusion test.
-* **Clique ordering and bounds.**  The peel order is a degeneracy
-  ordering (right-neighborhoods of size at most the degeneracy), and a
-  clique of size ``s`` forces ``core(v) ≥ s - 1`` on every member —
-  the work-avoidance bound :mod:`repro.clique.mcbrb` prunes roots and
-  candidates with.
+Zaveršnik, "Generalized Cores").  The clique code leans on it: the peel
+order is a degeneracy ordering (right-neighborhoods of size at most the
+degeneracy), and a clique of size ``s`` forces ``core(v) ≥ s - 1`` on
+every member — the work-avoidance bound :mod:`repro.clique.mcbrb`
+prunes roots and candidates with.
 
 The decomposition is computed by **round-based batch peeling** rather
 than the classic one-vertex-at-a-time bucket queue: at level ``k``,
@@ -39,7 +29,7 @@ from typing import NamedTuple
 import numpy as _np
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import csr_ndarrays
+from repro.graph.csr import csr_ndarrays, gather_rows
 
 __all__ = ["CoreDecomposition", "core_decomposition"]
 
@@ -87,16 +77,8 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
             core[batch] = k
             order[pos : pos + batch.size] = batch
             pos += batch.size
-            lens = row_len[batch]
-            total = int(lens.sum())
-            if not total:
-                batch = _np.empty(0, dtype=_np.int64)
-                continue
-            # Ragged gather of the batch's neighbor rows in one shot.
-            offsets = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                _np.cumsum(lens) - lens, lens
-            )
-            nbrs = indices[_np.repeat(indptr[batch], lens) + offsets]
+            # The batch's neighbor rows in one gather.
+            nbrs = gather_rows(indices, indptr[batch], row_len[batch])
             touched, counts = _np.unique(nbrs, return_counts=True)
             deg[touched] -= counts
             # Only vertices whose degree just crossed the level can join

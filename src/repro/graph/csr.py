@@ -11,8 +11,9 @@ unchanged.  What the array backing buys:
   :meth:`~repro.graph.adjacency.Graph.to_csr` returns the same arrays
   back, zero-copy.
 * **Vectorized whole-graph scans** — ``degrees()`` is one ``np.diff``,
-  and the filter phase (:mod:`repro.core.filter_phase`) runs its bulk
-  neighborhood-inclusion pretests directly over :meth:`csr_arrays`.
+  and the filter phase and the block refine kernel run their
+  neighborhood-inclusion tests over the CSR arrays, through one shared
+  :func:`edge_index` (sorted edge keys and degree-ordered rows).
 * **List-speed scalar loops** — ``neighbors(u)`` materializes a row
   into a plain tuple on first touch and caches it, so the
   refine/clique/greedy inner loops never pay numpy's per-element boxing
@@ -24,7 +25,7 @@ immutability contract of the list-backed graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -33,9 +34,13 @@ from repro.graph.adjacency import Graph
 
 __all__ = [
     "CSRGraph",
+    "EdgeIndex",
     "as_csr",
+    "budget_slices",
     "csr_ndarrays",
     "csr_from_edge_arrays",
+    "edge_index",
+    "gather_rows",
     "graph_from_edge_arrays",
 ]
 
@@ -211,6 +216,86 @@ def csr_ndarrays(graph: Graph):
         return graph.csr_arrays()
     indptr, indices = graph.to_csr()
     return _np.asarray(indptr), _np.asarray(indices)
+
+
+class EdgeIndex(NamedTuple):
+    """Whole-graph ndarray views for vectorized neighborhood-inclusion
+    tests; see :func:`edge_index`."""
+
+    #: Row offsets, ``int64``.
+    indptr: object
+    #: The CSR column array (each row ascending).
+    indices: object
+    #: ``deg[u]``, ``int64``.
+    deg: object
+    #: The row (source vertex) of every CSR slot, ``int64``.
+    row: object
+    #: ``row·n + col`` per slot — globally ascending, because rows are
+    #: sorted — so ``w·n + x`` is an edge iff ``searchsorted`` finds it.
+    keys: object
+    #: ``indices`` with every row reordered by neighbor degree, ties to
+    #: the smaller ID: ``by_degree[indptr[u]]`` is ``u``'s rarest
+    #: neighbor, the one any superset of ``N(u)`` is least likely to hold.
+    by_degree: object
+
+    def has_keys(self, queries):
+        """Per ``w·n + x`` query: is ``(w, x)`` an edge?  (An edgeless
+        graph takes no queries.)"""
+        keys = self.keys
+        pos = _np.searchsorted(keys, queries)
+        return keys[_np.minimum(pos, len(keys) - 1)] == queries
+
+
+def edge_index(graph: Graph) -> EdgeIndex:
+    """Sorted edge keys and degree-ordered rows of ``graph``.
+
+    The one place the filter phase and the block refine kernel build
+    their shared arrays.  Cost: a few passes over the ``2m`` slots, one
+    sort of ``n`` degrees and one value sort of ``2m`` keys below ``n²``.
+    """
+    indptr, indices = csr_ndarrays(graph)
+    n = len(indptr) - 1
+    indptr = indptr.astype(_np.int64, copy=False)
+    deg = indptr[1:] - indptr[:-1]
+    row = _np.repeat(_np.arange(n, dtype=_np.int64), deg)
+    base = row * n
+    # Rank every vertex by (degree, ID); sorting the keys row·n + rank
+    # then orders each row by neighbor degree, ties to the smaller ID.
+    by_rank = _np.argsort(deg, kind="stable")
+    rank = _np.empty(n, dtype=_np.int64)
+    rank[by_rank] = _np.arange(n, dtype=_np.int64)
+    ranked = _np.sort(base + rank[indices])
+    ranked -= base
+    return EdgeIndex(
+        indptr, indices, deg, row, base + indices, by_rank[ranked]
+    )
+
+
+def gather_rows(indices, starts, lens):
+    """Concatenate the rows ``indices[starts[i] : starts[i] + lens[i]]``."""
+    total = int(lens.sum())
+    if not total:
+        return _np.empty(0, dtype=indices.dtype)
+    offsets = _np.arange(total, dtype=_np.int64) - _np.repeat(
+        _np.cumsum(lens) - lens, lens
+    )
+    return indices[_np.repeat(starts, lens) + offsets]
+
+
+def budget_slices(cost, budget: int) -> list[tuple[int, int]]:
+    """Split ``range(len(cost))`` greedily into ``(lo, hi)`` slices whose
+    summed ``cost`` stays within ``budget`` (at least one item each)."""
+    bounds: list[tuple[int, int]] = []
+    if not len(cost):
+        return bounds
+    cum = _np.cumsum(cost)
+    start = 0
+    while start < len(cost):
+        limit = (cum[start - 1] if start else 0) + budget
+        end = max(int(_np.searchsorted(cum, limit, side="right")), start + 1)
+        bounds.append((start, end))
+        start = end
+    return bounds
 
 
 def csr_from_edge_arrays(n: int, us, vs):

@@ -23,12 +23,15 @@ Document shape (``schema`` version 1)::
       ]
     }
 
-Entries are keyed by ``(bench, instance, algorithm)``: merging a new
-batch replaces entries with matching keys and keeps the rest, so
+Entries are keyed by ``(bench, instance, algorithm)``.  Merging a new
+batch replaces *every* old entry of each ``(bench, instance)`` pair the
+batch measured — so a leg a benchmark no longer runs drops out on its
+next run — and carries over the entries of every other pair, so
 benchmark modules can each contribute their slice without clobbering
-one another, and re-runs update in place.  The entry list is kept
-sorted by key and floats are written as-is — the file is deterministic
-for deterministic measurements, and diff-friendly either way.
+one another, and a run over a subset of instances keeps the rest.
+The entry list is kept sorted by key and floats are written as-is —
+the file is deterministic for deterministic measurements, and
+diff-friendly either way.
 """
 
 from __future__ import annotations
@@ -89,8 +92,13 @@ def entry_key(entry: dict) -> tuple[str, str, str]:
 def merge_entries(
     existing: Iterable[dict], new: Iterable[dict]
 ) -> list[dict]:
-    """New entries replace same-key old ones; the rest carry over, sorted."""
-    merged = {entry_key(e): e for e in existing}
+    """``new`` replaces every old entry of the ``(bench, instance)``
+    pairs it holds; entries of other pairs carry over.  Sorted by key."""
+    new = list(new)
+    ran = {entry_key(e)[:2] for e in new}
+    merged = {
+        entry_key(e): e for e in existing if entry_key(e)[:2] not in ran
+    }
     for e in new:
         merged[entry_key(e)] = e
     return [merged[k] for k in sorted(merged)]

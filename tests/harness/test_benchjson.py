@@ -54,6 +54,27 @@ def test_merge_replaces_same_key_keeps_rest():
     assert [entry_key(e) for e in merged] == sorted(entry_key(e) for e in merged)
 
 
+def test_rerun_without_a_leg_drops_its_rows(tmp_path):
+    path = str(tmp_path / "BENCH_skyline.json")
+    write_bench_json(
+        path,
+        [
+            bench_entry(bench="b", instance="x", algorithm="a", wall_s=1.0),
+            bench_entry(bench="b", instance="x", algorithm="old", wall_s=2.0),
+            bench_entry(bench="c", instance="x", algorithm="a", wall_s=3.0),
+        ],
+    )
+    merged = write_bench_json(
+        path,
+        [bench_entry(bench="b", instance="x", algorithm="a", wall_s=4.0)],
+    )
+    assert [(entry_key(e), e["wall_s"]) for e in merged] == [
+        (("b", "x", "a"), 4.0),
+        (("c", "x", "a"), 3.0),
+    ]
+    assert load_bench_json(path) == merged
+
+
 def test_write_and_load_roundtrip(tmp_path):
     path = str(tmp_path / "BENCH_skyline.json")
     first = [bench_entry(bench="b", instance="x", algorithm="a", wall_s=1.0)]

@@ -51,18 +51,18 @@ def test_absorb_engine_counters_sums_and_labels():
     metrics = ServerMetrics()
     first = SkylineCounters()
     first.pair_tests = 5
-    first.extra["core_pretest_rejects"] = 2
+    first.extra["filter_pretest_rejects"] = 2
     first.extra["refine_path"] = "block"
     second = SkylineCounters()
     second.pair_tests = 7
-    second.extra["core_pretest_rejects"] = 1
+    second.extra["filter_pretest_rejects"] = 1
     second.extra["refine_path"] = "block"
     metrics.absorb_engine_counters(first)
     metrics.absorb_engine_counters(second)
     metrics.absorb_engine_counters(None)  # tolerated no-op
     engine = metrics.as_dict()["engine"]
     assert engine["counters"]["pair_tests"] == 12
-    assert engine["extra"]["core_pretest_rejects"] == 3
+    assert engine["extra"]["filter_pretest_rejects"] == 3
     assert engine["extra"]["refine_path=block"] == 2
 
 
