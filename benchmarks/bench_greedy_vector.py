@@ -49,7 +49,7 @@ from repro.harness.benchjson import (
     validate_file,
     write_bench_json,
 )
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
 from repro.workloads import load
 
 DEFAULT_INSTANCES = ("kron_large",)
@@ -74,9 +74,11 @@ def scalar_kernels():
     adaptive = CSRTraversal.adaptive_eval
 
     def scalar_first_round(self, sources, objective):
-        evaluate = make_evaluator(self, objective)
         empty = [-1] * self.n
-        return [evaluate(s, empty, False)[0] for s in sources]
+        return [
+            adaptive(self, s, empty, None, objective, budget=-1)[0]
+            for s in sources
+        ]
 
     def unbudgeted(self, *args, **kwargs):
         kwargs["budget"] = -1

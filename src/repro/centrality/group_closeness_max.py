@@ -40,7 +40,8 @@ class ClosenessObjective:
     """
 
     name = "group_closeness"
-    #: Specialized CSR gain kernel (see :func:`repro.paths.csr.make_evaluator`).
+    #: Specialized CSR gain fold (see
+    #: :meth:`repro.paths.csr.CSRTraversal.adaptive_eval`).
     csr_kernel = "closeness"
 
     def __init__(self, graph: Graph):

@@ -34,7 +34,8 @@ class HarmonicObjective:
     """Harmonic-sum gain weights for group harmonic."""
 
     name = "group_harmonic"
-    #: Specialized CSR gain kernel (see :func:`repro.paths.csr.make_evaluator`).
+    #: Specialized CSR gain fold (see
+    #: :meth:`repro.paths.csr.CSRTraversal.adaptive_eval`).
     csr_kernel = "harmonic"
 
     def gain_weight(self, old: int, new: int) -> float:

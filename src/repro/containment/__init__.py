@@ -4,13 +4,10 @@
 * :class:`~repro.containment.inverted.InvertedIndex` — element postings.
 * :class:`~repro.containment.lcjoin.ContainmentJoin` — rarest-first
   list-crosscutting containment join.
-* :class:`~repro.containment.trie.TrieJoin` — prefix-tree containment
-  join (the TT-Join-style alternative index family).
 """
 
 from repro.containment.inverted import InvertedIndex
 from repro.containment.lcjoin import ContainmentJoin
 from repro.containment.records import RecordSet
-from repro.containment.trie import TrieJoin
 
-__all__ = ["InvertedIndex", "ContainmentJoin", "RecordSet", "TrieJoin"]
+__all__ = ["InvertedIndex", "ContainmentJoin", "RecordSet"]

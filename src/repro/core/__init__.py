@@ -17,7 +17,6 @@ from repro.core.base_sky import base_sky
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.cset import base_cset_sky
-from repro.core.dynamic import DynamicSkyline
 from repro.core.domination import (
     dominates,
     edge_constrained_dominates,
@@ -30,11 +29,6 @@ from repro.core.filter_refine import filter_refine_sky
 from repro.core.join_sky import lc_join_sky
 from repro.core.layers import dominance_layers, layer_sets
 from repro.core.naive import naive_skyline
-from repro.core.partial_order import (
-    dominance_dag,
-    dominance_pairs,
-    maximal_elements,
-)
 from repro.core.result import SkylineResult
 from repro.core.two_hop import base_two_hop_sky
 from repro.core.verify import SkylineVerificationError, verify_skyline
@@ -50,7 +44,6 @@ __all__ = [
     "base_sky",
     "SkylineCounters",
     "base_cset_sky",
-    "DynamicSkyline",
     "dominates",
     "edge_constrained_dominates",
     "edge_constrained_included",
@@ -64,9 +57,6 @@ __all__ = [
     "dominance_layers",
     "layer_sets",
     "naive_skyline",
-    "dominance_dag",
-    "dominance_pairs",
-    "maximal_elements",
     "SkylineResult",
     "base_two_hop_sky",
     "SkylineVerificationError",

@@ -42,11 +42,6 @@ from repro.graph.metrics import (
 )
 from repro.graph.sampling import sample_edges, sample_prefix, sample_vertices
 from repro.graph.stats import GraphStats, degree_histogram, graph_stats
-from repro.graph.twins import (
-    false_twin_classes,
-    true_twin_classes,
-    twin_representatives,
-)
 from repro.graph.threshold import (
     creation_sequence,
     is_threshold_graph,
@@ -86,9 +81,6 @@ __all__ = [
     "creation_sequence",
     "is_threshold_graph",
     "threshold_graph",
-    "false_twin_classes",
-    "true_twin_classes",
-    "twin_representatives",
     "degree_histogram",
     "graph_stats",
     "validate_graph",

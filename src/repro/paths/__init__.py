@@ -6,9 +6,8 @@ from repro.paths.bfs import (
     eccentricity,
     multi_source_distances,
 )
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
 from repro.paths.distances import distance, set_distance, set_distance_profile
-from repro.paths.labeling import DistanceOracle
 from repro.paths.truncated import gain_sum, improvements
 
 __all__ = [
@@ -17,8 +16,6 @@ __all__ = [
     "eccentricity",
     "multi_source_distances",
     "CSRTraversal",
-    "make_evaluator",
-    "DistanceOracle",
     "distance",
     "set_distance",
     "set_distance_profile",

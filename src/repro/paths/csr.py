@@ -32,7 +32,7 @@ of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
 
 That ordering guarantee is what makes the gain kernels bit-for-bit
 compatible with the eager driver: gains are float sums, and floating-
-point addition is not associative, so the specialized evaluators below
+point addition is not associative, so the scalar folds below
 replicate :mod:`repro.paths.truncated` + ``gain_weight`` term by term
 in the same order with the same arithmetic — closeness accumulates
 integer farness drops (exact in either representation), harmonic adds
@@ -75,13 +75,13 @@ per level — and replays each lane's scalar fold from the histogram.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as _np
 
 from repro.graph.adjacency import Graph
 
-__all__ = ["CSRTraversal", "make_evaluator"]
+__all__ = ["CSRTraversal"]
 
 #: Soft budget on the words one level of the round-0 bitset BFS
 #: gathers: :meth:`CSRTraversal.first_round_gains` chunks its sources so
@@ -344,42 +344,6 @@ class CSRTraversal:
                 tail += 1
         return tail
 
-    def improvements(
-        self, source: int, current: Sequence[int]
-    ) -> list[tuple[int, int, int]]:
-        """Materialized ``(v, old, new)`` stream of the pruned BFS.
-
-        Equal, element for element, to
-        ``list(repro.paths.truncated.improvements(graph, source, current))``.
-        """
-        count = self._scan(source, current)
-        new_dist = self._new_dist
-        queue = self._queue
-        out = []
-        for i in range(count):
-            v = queue[i]
-            new = new_dist[v]
-            new_dist[v] = -2
-            out.append((v, current[v], new))
-        return out
-
-    def closeness_eval(
-        self,
-        source: int,
-        current: Sequence[int],
-        penalty: int,
-        collect: bool = True,
-    ) -> tuple[float, Optional[list[tuple[int, int]]]]:
-        """Farness-drop gain of adding ``source``; optionally the updates.
-
-        Every term is an integer, and integer-valued floats sum exactly,
-        so accumulating in int and converting once equals the eager
-        driver's float-by-float sum bit for bit.
-        """
-        return self._closeness_fold(
-            self._scan(source, current), current, penalty, collect
-        )
-
     def _closeness_fold(self, count, current, penalty, collect):
         """Sweep a finished :meth:`_scan` (``count`` improved vertices)
         into the closeness gain; restores ``_new_dist``."""
@@ -404,22 +368,6 @@ class CSRTraversal:
                 old = current[v]
                 total += (penalty if old == -1 else old) - new
         return float(total), updates
-
-    def harmonic_eval(
-        self,
-        source: int,
-        current: Sequence[int],
-        collect: bool = True,
-    ) -> tuple[float, Optional[list[tuple[int, int]]]]:
-        """Harmonic-delta gain of adding ``source``; optionally the updates.
-
-        The accumulation replicates ``HarmonicObjective.gain_weight``
-        term by term — ``1.0/new - old_term`` as one expression — in
-        emission order, so the float result is the eager driver's.
-        """
-        return self._harmonic_fold(
-            self._scan(source, current), current, collect
-        )
 
     def _harmonic_fold(self, count, current, collect):
         """Sweep a finished :meth:`_scan` into the harmonic gain."""
@@ -452,18 +400,6 @@ class CSRTraversal:
                 else:
                     gain += 1.0 / new - old_term
         return gain, updates
-
-    def generic_eval(
-        self,
-        source: int,
-        current: Sequence[int],
-        weight: Callable[[int, int], float],
-        collect: bool = True,
-    ) -> tuple[float, Optional[list[tuple[int, int]]]]:
-        """Gain under an arbitrary ``gain_weight``; optionally the updates."""
-        return self._generic_fold(
-            self._scan(source, current), current, weight, collect
-        )
 
     def _generic_fold(self, count, current, weight, collect):
         """Sweep a finished :meth:`_scan` into a ``gain_weight`` sum."""
@@ -575,7 +511,7 @@ class CSRTraversal:
 
     def _vector_eval(self, source, current, objective, collect):
         """:meth:`_vector_scan` folded into ``(gain, updates)``, bitwise
-        equal to the scalar ``*_eval`` of :func:`make_evaluator`.
+        equal to the scalar fold of :meth:`adaptive_eval`.
 
         Closeness drops are integers, so their int64 sum converted once
         equals the scalar sum.  Harmonic terms (``1.0/new - old_term``)
@@ -619,16 +555,25 @@ class CSRTraversal:
         *,
         budget: int = SCAN_EDGE_BUDGET,
     ) -> tuple[float, Optional[list[tuple[int, int]]]]:
-        """``(gain, updates)`` of adding ``source``, bitwise equal to
-        ``make_evaluator(self, objective)(source, current, collect)``.
+        """``(gain, updates)`` of adding ``source`` to the committed set
+        whose distances are ``current``.
 
         Runs the scalar :meth:`_scan` with an edge-visit ``budget``.
         Pruned scans against a committed group usually stay small and
         finish scalar.  A scan that runs past the budget is abandoned
         (scratch restored) and re-run on the vector scan, whose
-        per-level numpy passes win once a scan is large.
+        per-level numpy passes win once a scan is large; both return
+        the same ``(gain, updates)`` bit for bit.
         ``current_nd`` is ``current`` as an int32 ndarray (the vector
-        scan's view of the same distances).
+        scan's view of the same distances).  A negative ``budget`` is no
+        budget: the scan always finishes scalar and ``current_nd`` is
+        never read, so ``adaptive_eval(u, current, None, objective,
+        collect, budget=-1)`` is the scalar reference kernel.
+
+        Objectives advertise a specialized fold via a ``csr_kernel``
+        class attribute (``"closeness"`` carries its unreachable-penalty
+        in a public ``penalty`` attribute); anything else is folded by
+        calling ``objective.gain_weight`` per improvement.
         """
         count = self._scan(source, current, budget)
         if count < 0:
@@ -649,7 +594,7 @@ class CSRTraversal:
     # ------------------------------------------------------------------
     def first_round_gains(self, sources, objective) -> list[float]:
         """Empty-group gain of every source, bitwise equal to the scalar
-        ``*_eval(source, [-1] * n)`` of :func:`make_evaluator`.
+        ``adaptive_eval(source, [-1] * n, None, objective, budget=-1)``.
 
         With no committed set the pruned scan is a plain BFS, and every
         vertex a source reaches at level ``L`` contributes the same term
@@ -748,32 +693,3 @@ class CSRTraversal:
             frontier = reached
         return _np.stack(hist, axis=1)
 
-
-def make_evaluator(trav: CSRTraversal, objective):
-    """Bind ``objective`` to its fastest CSR kernel.
-
-    Returns ``evaluate(source, current, collect) -> (gain, updates)``.
-    Objectives advertise a specialized kernel via a ``csr_kernel`` class
-    attribute (``"closeness"`` carries its unreachable-penalty in a
-    public ``penalty`` attribute); anything else falls back to the
-    generic kernel driving ``objective.gain_weight`` per improvement —
-    still one traversal, just with a Python call per term.
-    """
-    kernel = getattr(objective, "csr_kernel", None)
-    if kernel == "closeness":
-        penalty = objective.penalty
-        closeness_eval = trav.closeness_eval
-
-        def evaluate(source, current, collect=True):
-            return closeness_eval(source, current, penalty, collect)
-
-        return evaluate
-    if kernel == "harmonic":
-        return trav.harmonic_eval
-    weight = objective.gain_weight
-    generic_eval = trav.generic_eval
-
-    def evaluate(source, current, collect=True):
-        return generic_eval(source, current, weight, collect)
-
-    return evaluate

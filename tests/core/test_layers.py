@@ -1,10 +1,15 @@
-"""Tests for the dominance-layer decomposition."""
+"""Tests for the dominance-layer decomposition and its pair enumeration."""
 
 import pytest
 
 from repro.core.domination import dominates, two_hop_neighbors
 from repro.core.filter_refine import filter_refine_sky
-from repro.core.layers import dominance_layers, layer_sets
+from repro.core.layers import (
+    _dominance_dag,
+    _dominance_pairs,
+    dominance_layers,
+    layer_sets,
+)
 from repro.graph.adjacency import Graph
 from repro.graph.generators import (
     complete_graph,
@@ -81,3 +86,31 @@ class TestLayers:
             else:
                 pytest.fail("layer value without a supporting dominator")
         assert length == depth
+
+
+class TestDominancePairs:
+    """The pair enumeration the layers are built on: every domination
+    relationship, not just the ones a depth can see."""
+
+    def test_matches_pairwise_predicate(self):
+        for seed in range(6):
+            g = erdos_renyi(22, 0.2, seed=seed)
+            expected = {
+                (w, u)
+                for u in g.vertices()
+                for w in two_hop_neighbors(g, u)
+                if dominates(g, w, u)
+            }
+            assert set(_dominance_pairs(g)) == expected, seed
+
+    def test_dag_transitively_closed(self):
+        for seed in range(5):
+            g = copying_power_law(40, 2.5, 0.85, seed=seed)
+            closed = {u: set(vs) for u, vs in _dominance_dag(g).items()}
+            for u, direct in closed.items():
+                for v in direct:
+                    assert closed[v] <= direct, (seed, u, v)
+            for u in g.vertices():
+                for w in two_hop_neighbors(g, u):
+                    if dominates(g, w, u):
+                        assert u in closed[w], (seed, w, u)

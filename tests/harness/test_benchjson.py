@@ -1,7 +1,9 @@
 """Unit tests for the BENCH_skyline.json reader/writer."""
 
+import glob
 import json
 import os
+import re
 
 from repro.harness.benchjson import (
     SCHEMA_VERSION,
@@ -12,6 +14,10 @@ from repro.harness.benchjson import (
     validate_entry,
     validate_file,
     write_bench_json,
+)
+
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
 
@@ -206,3 +212,20 @@ class TestValidateFile:
             {"schema": SCHEMA_VERSION, "entries": [good, {"bench": 3}]},
         )
         assert any(p.startswith("entries[1]") for p in validate_file(path))
+
+
+def test_committed_rows_have_a_writer():
+    # A row no script writes any more can never be refreshed or dropped
+    # by a re-run (merge_entries carries it over), so it would outlive
+    # the code it measured.  Writers name their bench either inline
+    # (``bench="x"``) or through a module constant (``BENCH = "x"``).
+    written = set()
+    for script in glob.glob(os.path.join(REPO_ROOT, "benchmarks", "*.py")):
+        with open(script, encoding="utf-8") as fh:
+            written.update(
+                re.findall(r'\bbench\s*=\s*"([^"]+)"', fh.read(), re.I)
+            )
+    committed = load_bench_json(os.path.join(REPO_ROOT, "BENCH_skyline.json"))
+    assert committed
+    orphans = sorted({e["bench"] for e in committed} - written)
+    assert not orphans, f"rows no benchmarks/*.py script writes: {orphans}"

@@ -14,7 +14,7 @@ from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
 from repro.paths.bfs import bfs_distances, multi_source_distances
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
 from repro.paths.truncated import improvements
 
 
@@ -23,6 +23,50 @@ def dist_after(graph, group):
     if not group:
         return [-1] * graph.num_vertices
     return multi_source_distances(graph, group)
+
+
+def scalar_eval(trav, source, current, objective, collect=True):
+    """The scalar kernel: ``adaptive_eval`` with no edge budget, which
+    never hands off, so the vector view of ``current`` is never read."""
+    return trav.adaptive_eval(
+        source, current, None, objective, collect, budget=-1
+    )
+
+
+class StreamRecorder:
+    """A generic objective (no ``csr_kernel`` tag) that records the
+    ``(old, new)`` stream it is fed and weighs every term 0."""
+
+    name = "stream-recorder"
+
+    def __init__(self):
+        self.stream = []
+
+    def gain_weight(self, old, new):
+        self.stream.append((old, new))
+        return 0.0
+
+
+def scan_improvements(trav, source, current, budget=-1):
+    """The ``(v, old, new)`` stream of one ``adaptive_eval`` scan.
+
+    The recorder sees the ``(old, new)`` terms in the order the fold
+    consumes them, and ``collect=True`` returns the ``(v, new)`` updates
+    in emission order.  The default ``budget=-1`` keeps the scan on the
+    scalar ``_scan``; ``budget=0`` hands every scan that visits an edge
+    to the vector scan.
+    """
+    recorder = StreamRecorder()
+    current_nd = None if budget < 0 else np.array(current, dtype=np.int32)
+    _gain, updates = trav.adaptive_eval(
+        source, current, current_nd, recorder, True, budget=budget
+    )
+    assert len(updates) == len(recorder.stream)
+    out = []
+    for (v, new), (old, new_seen) in zip(updates, recorder.stream):
+        assert new == new_seen
+        out.append((v, old, new))
+    return out
 
 
 class TestFullBfs:
@@ -58,7 +102,7 @@ class TestFullBfs:
         # truncated traversals must not leak between calls.
         trav = CSRTraversal.from_graph(karate)
         first = trav.bfs_distances(0)
-        trav.improvements(33, [-1] * karate.num_vertices)
+        scan_improvements(trav, 33, [-1] * karate.num_vertices)
         trav.multi_source_distances([1, 2])
         assert trav.bfs_distances(0) == first
         assert all(d == -2 for d in trav._new_dist)
@@ -71,12 +115,12 @@ class TestImprovements:
         current = dist_after(karate, group)
         for u in karate.vertices():
             expected = list(improvements(karate, u, current))
-            assert trav.improvements(u, current) == expected
+            assert scan_improvements(trav, u, current) == expected
 
     def test_source_in_group_empty(self, karate):
         trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, [7])
-        assert trav.improvements(7, current) == []
+        assert scan_improvements(trav, 7, current) == []
         assert all(d == -2 for d in trav._new_dist)
 
     def test_disconnected_components(self, disconnected):
@@ -85,15 +129,15 @@ class TestImprovements:
             current = dist_after(disconnected, group)
             for u in disconnected.vertices():
                 expected = list(improvements(disconnected, u, current))
-                assert trav.improvements(u, current) == expected
+                assert scan_improvements(trav, u, current) == expected
 
     def test_scratch_reset_between_sources(self, karate):
         trav = CSRTraversal.from_graph(karate)
         current = [-1] * karate.num_vertices
         # Same source twice: a dirty new_dist buffer would prune the
         # second call down to nothing.
-        first = trav.improvements(0, current)
-        assert trav.improvements(0, current) == first
+        first = scan_improvements(trav, 0, current)
+        assert scan_improvements(trav, 0, current) == first
 
 
 class TestEvaluators:
@@ -108,7 +152,6 @@ class TestEvaluators:
         trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, group)
         for _name, objective in self.objective_cases(karate):
-            evaluate = make_evaluator(trav, objective)
             weight = objective.gain_weight
             for u in karate.vertices():
                 expected_gain = 0.0
@@ -116,7 +159,7 @@ class TestEvaluators:
                 for v, old, new in improvements(karate, u, current):
                     expected_gain += weight(old, new)
                     expected_updates.append((v, new))
-                gain, updates = evaluate(u, current, True)
+                gain, updates = scalar_eval(trav, u, current, objective)
                 assert gain == expected_gain  # bitwise, not approx
                 assert updates == expected_updates
 
@@ -124,10 +167,11 @@ class TestEvaluators:
         trav = CSRTraversal.from_graph(karate)
         current = [-1] * karate.num_vertices
         for _name, objective in self.objective_cases(karate):
-            evaluate = make_evaluator(trav, objective)
             for u in (0, 16, 33):
-                gain_c, updates = evaluate(u, current, True)
-                gain_n, none = evaluate(u, current, False)
+                gain_c, updates = scalar_eval(trav, u, current, objective)
+                gain_n, none = scalar_eval(
+                    trav, u, current, objective, False
+                )
                 assert gain_n == gain_c
                 assert none is None
                 assert updates
@@ -143,58 +187,21 @@ class TestEvaluators:
                 return 1.0
 
         trav = CSRTraversal.from_graph(p6)
-        evaluate = make_evaluator(trav, WeirdObjective())
-        gain, updates = evaluate(0, [-1] * 6, True)
+        gain, updates = scalar_eval(trav, 0, [-1] * 6, WeirdObjective())
         assert gain == 6.0
         assert len(updates) == 6
 
     def test_harmonic_disconnected_bitwise(self, disconnected):
         trav = CSRTraversal.from_graph(disconnected)
         objective = HarmonicObjective()
-        evaluate = make_evaluator(trav, objective)
         current = dist_after(disconnected, [0])
         weight = objective.gain_weight
         for u in disconnected.vertices():
             expected = 0.0
             for _v, old, new in improvements(disconnected, u, current):
                 expected += weight(old, new)
-            gain, _updates = evaluate(u, current, True)
+            gain, _updates = scalar_eval(trav, u, current, objective)
             assert gain == expected
-
-
-class StreamRecorder:
-    """A generic objective (no ``csr_kernel`` tag) that records the
-    ``(old, new)`` stream it is fed and weighs every term 0."""
-
-    name = "stream-recorder"
-
-    def __init__(self):
-        self.stream = []
-
-    def gain_weight(self, old, new):
-        self.stream.append((old, new))
-        return 0.0
-
-
-def vector_improvements(trav, source, current):
-    """The vector scan's ``(v, old, new)`` stream.
-
-    ``adaptive_eval`` with budget 0 hands every scan that visits an
-    edge to the vector scan; the recorder sees the ``(old, new)`` terms
-    in the order the fold consumes them, and ``collect=True`` returns
-    the ``(v, new)`` updates in emission order.
-    """
-    recorder = StreamRecorder()
-    current_nd = np.array(current, dtype=np.int32)
-    _gain, updates = trav.adaptive_eval(
-        source, current, current_nd, recorder, True, budget=0
-    )
-    assert len(updates) == len(recorder.stream)
-    out = []
-    for (v, new), (old, new_seen) in zip(updates, recorder.stream):
-        assert new == new_seen
-        out.append((v, old, new))
-    return out
 
 
 class TestBatchPlane:
@@ -207,8 +214,8 @@ class TestBatchPlane:
         trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, group)
         for u in karate.vertices():
-            assert vector_improvements(trav, u, current) == (
-                trav.improvements(u, current)
+            assert scan_improvements(trav, u, current, budget=0) == (
+                scan_improvements(trav, u, current)
             )
         # Every source outside the group has an edge, so every one of
         # them ran the vector scan.
@@ -223,14 +230,15 @@ class TestBatchPlane:
                 ClosenessObjective(karate),
                 HarmonicObjective(),
             ):
-                evaluate = make_evaluator(trav, objective)
                 for u in karate.vertices():
                     for collect in (True, False):
                         gain, updates = trav.adaptive_eval(
                             u, current, current_nd, objective, collect,
                             budget=0,
                         )
-                        sg, su = evaluate(u, current, collect)
+                        sg, su = scalar_eval(
+                            trav, u, current, objective, collect
+                        )
                         assert gain.hex() == sg.hex()  # bitwise
                         assert updates == su
 
@@ -240,11 +248,13 @@ class TestBatchPlane:
         # and a full-BFS interleave must not perturb them.
         trav = CSRTraversal.from_graph(karate)
         current = [-1] * karate.num_vertices
-        first = [vector_improvements(trav, u, current) for u in (0, 1, 2)]
+        first = [
+            scan_improvements(trav, u, current, budget=0) for u in (0, 1, 2)
+        ]
         assert bool((trav._vec_dist == -2).all())
         trav.bfs_distances(0)
         assert [
-            vector_improvements(trav, u, current) for u in (0, 1, 2)
+            scan_improvements(trav, u, current, budget=0) for u in (0, 1, 2)
         ] == first
 
     def test_empty_sources(self, karate):
@@ -252,7 +262,7 @@ class TestBatchPlane:
         # reaches the vector scan; no sources score nothing.
         trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, [7])
-        assert vector_improvements(trav, 7, current) == []
+        assert scan_improvements(trav, 7, current, budget=0) == []
         assert trav.vector_dispatches == 0
         assert trav.first_round_gains([], HarmonicObjective()) == []
 
@@ -261,8 +271,8 @@ class TestBatchPlane:
         for group in ([], [0], [0, 3]):
             current = dist_after(disconnected, group)
             for u in disconnected.vertices():
-                assert vector_improvements(trav, u, current) == (
-                    trav.improvements(u, current)
+                assert scan_improvements(trav, u, current, budget=0) == (
+                    scan_improvements(trav, u, current)
                 )
 
 
@@ -278,4 +288,4 @@ class TestConstruction:
         g = Graph.from_edges(1, [])
         trav = CSRTraversal.from_graph(g)
         assert trav.bfs_distances(0) == [0]
-        assert trav.improvements(0, [-1]) == [(0, -1, 0)]
+        assert scan_improvements(trav, 0, [-1]) == [(0, -1, 0)]

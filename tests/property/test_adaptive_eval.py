@@ -3,8 +3,8 @@
 :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval` runs the scalar
 pruned scan under an edge-visit budget and hands scans that run past it
 to the vector scan.  Whichever path runs, it must return
-the *bitwise same* ``(gain, updates)`` as the scalar ``*_eval`` of
-:func:`~repro.paths.csr.make_evaluator`, and leave every scratch buffer
+the *bitwise same* ``(gain, updates)`` as the unbudgeted scalar kernel
+(``budget=-1``, which never hands off), and leave every scratch buffer
 clean for the next traversal.  The budget is forced to 0 (every scan
 with an edge hands off), to a huge value (none does) and to random
 values, against the committed distance vector of a random group.
@@ -29,7 +29,8 @@ from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.core.api import group_centrality_maximize, neighborhood_skyline
 from repro.graph.generators import copying_power_law, kronecker_graph
 from repro.paths.bfs import multi_source_distances
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
+from repro.paths.truncated import improvements
 from tests.conftest import graphs
 
 COMMON = settings(
@@ -76,6 +77,13 @@ def committed(graph, seed):
     return multi_source_distances(graph, group)
 
 
+def scalar_eval(trav, source, current, objective, collect=False):
+    """The scalar reference: no edge budget, so never a hand-off."""
+    return trav.adaptive_eval(
+        source, current, None, objective, collect, budget=-1
+    )
+
+
 def assert_same(got, want):
     assert got[0].hex() == want[0].hex()
     assert got[1] == want[1]
@@ -107,7 +115,6 @@ def handoffs_at_zero_budget(graph, current):
 def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
     objective = make_objective(g, measure)
     trav = CSRTraversal.from_graph(g)
-    evaluate = make_evaluator(trav, objective)
     current = committed(g, seed)
     current_nd = np.array(current, dtype=np.int32)
     rng = random.Random(seed)
@@ -121,7 +128,8 @@ def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
                 u, current, current_nd, objective, collect, budget=budget
             )
             assert_scratch_clean(trav)
-            assert_same(got, evaluate(u, current, collect))
+            want = scalar_eval(trav, u, current, objective, collect)
+            assert_same(got, want)
 
 
 @COMMON
@@ -162,16 +170,15 @@ def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
     g = kronecker_graph(8, 6, seed=11)
     objective = HarmonicObjective()
     trav = CSRTraversal.from_graph(g)
-    evaluate = make_evaluator(trav, objective)
     current = committed(g, 3)
     current_nd = np.array(current, dtype=np.int32)
     sources = list(g.vertices())
-    want = [evaluate(u, current, False)[0] for u in sources]
+    want = [scalar_eval(trav, u, current, objective)[0] for u in sources]
     folded_terms = []
     for u in sources:
         terms = [
             (1.0 / new if new else 0.0) - (1.0 / old if old != -1 else 0.0)
-            for _v, old, new in trav.improvements(u, current)
+            for _v, old, new in improvements(g, u, current)
         ]
         folded_terms.append(terms)
     # The patched sum must really differ from the fold somewhere, or

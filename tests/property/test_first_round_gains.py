@@ -3,8 +3,8 @@
 :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` scores every
 source of an empty group with one bit-parallel BFS and replays each
 lane's scalar fold from its level histogram.  It must return the
-*bitwise same* float as the scalar ``closeness_eval`` /
-``harmonic_eval`` / ``generic_eval`` on an all-``-1`` distance vector,
+*bitwise same* float as the scalar closeness / harmonic / generic fold
+(``adaptive_eval`` with ``budget=-1``) on an all-``-1`` distance vector,
 for every source count (one lane, one word, one word plus one lane,
 several words), across lane chunks, and on graphs with isolated
 vertices and several components.  Equality is on ``float.hex`` so a
@@ -24,7 +24,7 @@ from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.core.api import group_centrality_maximize, neighborhood_skyline
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi, kronecker_graph
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
 from tests.conftest import graphs
 
 COMMON = settings(
@@ -60,9 +60,11 @@ def make_objective(graph, measure):
 
 def scalar_gains(graph, sources, objective):
     trav = CSRTraversal.from_graph(graph)
-    evaluate = make_evaluator(trav, objective)
     empty = [-1] * graph.num_vertices
-    return [evaluate(s, empty, False)[0] for s in sources]
+    return [
+        trav.adaptive_eval(s, empty, None, objective, budget=-1)[0]
+        for s in sources
+    ]
 
 
 def assert_bitwise(got, want):

@@ -31,7 +31,7 @@ from repro.centrality.lazy_greedy import lazy_greedy_maximize
 from repro.core.api import neighborhood_skyline
 from repro.core.counters import SkylineCounters
 from repro.graph.adjacency import Graph
-from repro.paths.csr import CSRTraversal, make_evaluator
+from repro.paths.csr import CSRTraversal
 from repro.workloads import load, names
 from tests.conftest import graphs
 
@@ -83,9 +83,11 @@ def scalar_kernels():
     adaptive = CSRTraversal.adaptive_eval
 
     def scalar_first_round(self, sources, objective):
-        evaluate = make_evaluator(self, objective)
         empty = [-1] * self.n
-        return [evaluate(s, empty, False)[0] for s in sources]
+        return [
+            adaptive(self, s, empty, None, objective, budget=-1)[0]
+            for s in sources
+        ]
 
     def unbudgeted(self, *args, **kwargs):
         kwargs["budget"] = -1

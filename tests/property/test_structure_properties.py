@@ -1,4 +1,4 @@
-"""Property tests for the structural extras: threshold, twins, approx, layers."""
+"""Property tests for the structural extras: threshold, approx, layers."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,6 @@ from repro.graph.threshold import (
     is_threshold_graph,
     threshold_graph,
 )
-from repro.graph.twins import false_twin_classes, true_twin_classes
 from tests.conftest import graphs, power_law_graphs
 
 COMMON = settings(
@@ -62,23 +61,6 @@ def test_recognition_agrees_with_totality(g):
         if u != v
     )
     assert is_threshold_graph(g) == total
-
-
-@COMMON
-@given(graphs())
-def test_twin_classes_partition(g):
-    for classes in (false_twin_classes(g), true_twin_classes(g)):
-        seen = sorted(v for cls in classes for v in cls)
-        assert seen == list(g.vertices())
-
-
-@COMMON
-@given(graphs())
-def test_true_twin_members_adjacent(g):
-    for cls in true_twin_classes(g):
-        for i, u in enumerate(cls):
-            for v in cls[i + 1 :]:
-                assert g.has_edge(u, v)
 
 
 @COMMON

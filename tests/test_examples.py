@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
 )
@@ -43,10 +41,3 @@ def test_karate_case_study():
     out = run_example("karate_case_study.py")
     assert "skyline: 15 vertices (44%)" in out
     assert "bombing_proxy" in out
-
-
-@pytest.mark.parametrize("script", ["dynamic_monitoring.py"])
-def test_dynamic_monitoring(script):
-    out = run_example(script)
-    assert "strategies agreed on every one" in out
-    assert "layer 1:" in out

@@ -116,23 +116,6 @@ class TestCrossLayerConsistency:
         dominated = wikitalk.num_vertices - result.size
         assert counters.dominations_found == dominated
 
-    def test_partial_order_matches_skyline(self):
-        from repro.core import maximal_elements
-
-        g = load("bombing_proxy")
-        assert maximal_elements(g) == filter_refine_sky(g).skyline
-
-    def test_independent_set_on_registry_graph(self):
-        from repro.apps import (
-            is_independent_set,
-            near_maximum_independent_set,
-        )
-
-        g = load("bombing_proxy")
-        result = near_maximum_independent_set(g)
-        assert is_independent_set(g, result)
-        assert len(result) >= 10
-
 
 class TestDeterminism:
     def test_skyline_stable_across_processes(self):
