@@ -12,7 +12,9 @@ reproducible request-for-request:
   honoring each request's arrival offset, and record per-request
   status + latency;
 * :func:`summarize` — p50/p99 latency, status counts, rejection and
-  expiry rates from the recorded outcomes.
+  expiry rates from the recorded outcomes;
+* :func:`live_engine_threads` — the clean-shutdown check: the engine
+  threads still alive after a server stopped.
 
 Latency here is the full client round-trip (connect + queue wait +
 service + response), which is what a caller of the service observes.
@@ -21,6 +23,7 @@ service + response), which is what a caller of the service observes.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -250,3 +253,12 @@ def summarize(outcomes, wall_s: float) -> dict:
         "p99_ms": 1000.0 * _percentile(latencies, 99),
         "statuses": {str(k): v for k, v in sorted(statuses.items())},
     }
+
+
+def live_engine_threads() -> list[str]:
+    """Names of live serving engine threads; empty once servers stop."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-serve-engine")
+    ]

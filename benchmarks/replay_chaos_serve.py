@@ -26,7 +26,8 @@ Both profiles assert the full self-healing contract:
   result for its exact parameters (graphs are immutable, so the
   degraded cache can never be stale-wrong, only stale-marked);
 * queue accounting is conserved (enqueued == dequeued + expired);
-* shutdown is clean: no orphaned child process.
+* shutdown is clean: no orphaned child process and no engine thread
+  left alive.
 
 Usage::
 
@@ -44,6 +45,7 @@ import sys
 from _serve_trace import (
     direct_references,
     generate_trace,
+    live_engine_threads,
     replay,
     summarize,
     verify_200s,
@@ -67,16 +69,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AVAILABILITY_FLOOR = 0.95
 CHAOS_RATE = 0.15
 
-#: Supervision tuned for a dense replay: fast retries, a breaker that
-#: opens after 3 straight failures but re-probes in a quarter second,
-#: and a rebuild budget the trace cannot exhaust (pinning is an
-#: operator state, not a benchmark outcome).
+#: Supervision tuned for a dense replay: two immediate retries and a
+#: breaker that opens after 3 straight failures but re-probes in a
+#: quarter second.
 SUPERVISION = dict(
     query_deadline_s=30.0,
     max_query_retries=2,
-    backoff_base_s=0.005,
-    backoff_cap_s=0.05,
-    max_session_rebuilds=10_000,
     breaker_threshold=3,
     breaker_cooldown_s=0.25,
 )
@@ -99,7 +97,7 @@ def run_profile(profile, graphs, num_requests, seed, references):
         port=0,
         queue_capacity=num_requests,
         batch_max=8,
-        supervision=SupervisionConfig(seed=seed, **SUPERVISION),
+        supervision=SupervisionConfig(**SUPERVISION),
     )
     with ServerThread(registry, config, fault_plan=fault_plan) as handle:
         outcomes, wall_s = replay(
@@ -109,6 +107,7 @@ def run_profile(profile, graphs, num_requests, seed, references):
 
     # Nothing survives the context manager, fault plan or not.
     assert multiprocessing.active_children() == []
+    assert live_engine_threads() == []
 
     summary = summarize(outcomes, wall_s)
     queue = metrics["queue"]

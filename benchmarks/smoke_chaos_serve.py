@@ -15,7 +15,8 @@ and asserts the resilience contract:
 * faults genuinely fired and were healed: injected-fault and rebuild
   counters are non-zero in ``/metrics``;
 * queue accounting is conserved: enqueued == dequeued + expired;
-* shutdown is clean: no orphaned child process.
+* shutdown is clean: no orphaned child process and no engine thread
+  left alive.
 
 The headline numbers merge into ``BENCH_skyline.json`` as a
 ``bench="chaos_serve_smoke"`` row (its own bench name, so a smoke run
@@ -38,6 +39,7 @@ import sys
 from _serve_trace import (
     direct_references,
     generate_trace,
+    live_engine_threads,
     replay,
     summarize,
     verify_200s,
@@ -79,12 +81,8 @@ def main() -> int:
         batch_max=8,
         supervision=SupervisionConfig(
             query_deadline_s=30.0,
-            backoff_base_s=0.005,
-            backoff_cap_s=0.05,
-            max_session_rebuilds=10_000,
             breaker_threshold=3,
             breaker_cooldown_s=0.25,
-            seed=SEED,
         ),
     )
     with ServerThread(registry, config, fault_plan=fault_plan) as handle:
@@ -119,6 +117,7 @@ def main() -> int:
 
     # Clean shutdown: nothing survives the context manager.
     assert multiprocessing.active_children() == []
+    assert live_engine_threads() == []
 
     entry = bench_entry(
         bench="chaos_serve_smoke",

@@ -13,7 +13,8 @@ service-level contract:
   a few milliseconds;
 * ``/metrics`` accounting is conserved: enqueued == dequeued, zero
   rejected/expired, engine counters flowed through;
-* shutdown is clean: no orphaned child process.
+* shutdown is clean: no orphaned child process and no engine thread
+  left alive.
 
 Usage::
 
@@ -25,7 +26,12 @@ from __future__ import annotations
 import multiprocessing
 import sys
 
-from _serve_trace import generate_trace, replay, summarize
+from _serve_trace import (
+    generate_trace,
+    live_engine_threads,
+    replay,
+    summarize,
+)
 
 from repro.serve import GraphRegistry, ServeConfig, ServerThread
 
@@ -64,6 +70,7 @@ def main() -> int:
 
     # Clean shutdown: nothing survives the context manager.
     assert multiprocessing.active_children() == []
+    assert live_engine_threads() == []
 
     print(
         f"serve smoke: {NUM_REQUESTS} requests, all 200, "

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
 
+from repro.core.deadline import check as check_deadline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.truncated import improvements
@@ -130,6 +131,7 @@ def greedy_maximize(
     weight = objective.gain_weight
 
     for _round in range(k):
+        check_deadline()
         active = [u for u in pool if not in_group[u]]
         if not active:
             # Pool exhausted (k > |pool|): fall back to the full vertex

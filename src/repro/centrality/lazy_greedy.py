@@ -59,6 +59,7 @@ from typing import Iterable, Optional
 import numpy as _np
 
 from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
+from repro.core.deadline import check as check_deadline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.csr import CSRTraversal
@@ -114,6 +115,7 @@ def lazy_greedy_maximize(
     heap: list[tuple[float, int, int]] = []
 
     for round_no in range(k):
+        check_deadline()
         if not heap:
             # (Re)build: first round, or the pool ran dry last round —
             # mirror the eager driver's fallback to all of V \ S.

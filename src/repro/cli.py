@@ -297,7 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_requests=args.max_requests,
             supervision=SupervisionConfig(
                 query_deadline_s=args.query_deadline,
-                max_session_rebuilds=args.max_session_rebuilds,
                 breaker_threshold=args.breaker_threshold,
                 breaker_cooldown_s=args.breaker_cooldown,
                 degraded_cache=not args.no_degraded_cache,
@@ -537,19 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         metavar="SECONDS",
         help=(
-            "per-query engine watchdog deadline: a query running "
-            "longer is abandoned and the session rebuilt (default: 60)"
-        ),
-    )
-    p_srv.add_argument(
-        "--max-session-rebuilds",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "lifetime session-rebuild budget per graph; once spent the "
-            "graph's breaker pins open — stuck-open, operator action "
-            "(default: 8)"
+            "per-query engine deadline: a query still running stops "
+            "at its next checkpoint and is answered 503, with no "
+            "retry and its cached skyline kept (default: 60)"
         ),
     )
     p_srv.add_argument(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.clique.ordering import degeneracy_ordering
+from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
 from repro.graph.cores import core_decomposition
 
@@ -156,6 +157,7 @@ def mc_brb(graph: Graph) -> list[int]:
         right = [v for v in right if core[v] >= floor]
         if len(right) + 1 <= len(best):
             continue
+        check_deadline()
         _bb_colored(adjacency, [u], right, best)
     return sorted(best)
 

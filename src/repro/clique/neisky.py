@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.clique.mcbrb import _bb_colored, greedy_heuristic_clique
 from repro.core.api import neighborhood_skyline
+from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
 
 __all__ = ["neisky_mc"]
@@ -57,5 +58,6 @@ def neisky_mc(
         candidates = [
             v for v in graph.neighbors(u) if degree(v) >= floor
         ]
+        check_deadline()
         _bb_colored(adjacency, [u], candidates, best)
     return sorted(best)

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from repro.clique.mcbrb import max_clique_with_root, mc_brb
 from repro.clique.neisky import neisky_mc
 from repro.core.api import neighborhood_skyline
+from repro.core.deadline import check as check_deadline
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -53,6 +54,7 @@ def _round_winner(
     best: Optional[tuple[int, ...]] = None
     best_root = -1
     for u in sorted(roots, key=lambda v: (-graph.degree(v), v)):
+        check_deadline()
         clique = tuple(
             max_clique_with_root(graph, u, adjacency=adjacency)
         )

@@ -163,7 +163,6 @@ def serve(
     request_timeout_s: Optional[float] = 30.0,
     max_requests: Optional[int] = None,
     query_deadline_s: Optional[float] = 60.0,
-    max_session_rebuilds: int = 8,
     breaker_threshold: int = 3,
     breaker_cooldown_s: float = 1.0,
     degraded_cache: bool = True,
@@ -176,12 +175,14 @@ def serve(
     gets one :class:`EngineSession` skyline cache; ``skyline`` / ``group`` /
     ``clique`` queries are served over HTTP through a bounded priority
     queue with per-request deadlines and 429 backpressure.  The server
-    is self-healing: a per-query watchdog (``query_deadline_s``) and
-    per-graph circuit breakers (``breaker_threshold`` /
-    ``breaker_cooldown_s``) rebuild failed sessions (up to
-    ``max_session_rebuilds`` per graph) and degrade one broken graph —
-    cached skyline marked ``degraded: true`` when ``degraded_cache`` —
-    without touching the others.  ``fault_plan`` injects a
+    is self-healing: a query still running at ``query_deadline_s``
+    stops at its next checkpoint (a greedy round, a clique root, a
+    refine block) and is answered 503 with ``Retry-After``; an engine
+    exception drops the graph's skyline cache and the query is retried
+    at once; per-graph circuit breakers (``breaker_threshold`` /
+    ``breaker_cooldown_s``) degrade one failing graph — cached skyline
+    marked ``degraded: true`` when ``degraded_cache`` — without
+    touching the others.  ``fault_plan`` injects a
     :class:`~repro.harness.faults.ServeFaultPlan` for chaos harness
     runs.  See :mod:`repro.serve` and ``docs/serving.md``; the CLI
     equivalent is ``repro serve``.  Returns the process exit code.
@@ -209,7 +210,6 @@ def serve(
             max_requests=max_requests,
             supervision=SupervisionConfig(
                 query_deadline_s=query_deadline_s,
-                max_session_rebuilds=max_session_rebuilds,
                 breaker_threshold=breaker_threshold,
                 breaker_cooldown_s=breaker_cooldown_s,
                 degraded_cache=degraded_cache,

@@ -83,6 +83,7 @@ from typing import Optional, Sequence
 import numpy as _np
 
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
+from repro.core.deadline import check as check_deadline
 from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
@@ -278,6 +279,7 @@ def _scan(
     """:func:`_smallest_settling` over ``us`` in budget-sized blocks."""
     found = _np.empty(len(us), dtype=_np.int64)
     for lo, hi in budget_slices(ctx.cost[us], ctx.entry_budget):
+        check_deadline()
         block = us[lo:hi]
         found[lo:hi] = _smallest_settling(ctx, block, witness, stats)
         if stats is not NULL_COUNTERS:

@@ -44,8 +44,9 @@ class ServeFaultPlan:
         (dropping its cached skyline) out from under the query, then
         raise — a poisoned session the supervisor must rebuild.
     ``"hang"``
-        sleep :attr:`hang_seconds` before running — meant to blow the
-        per-query deadline so the watchdog abandons the query.
+        sleep :attr:`hang_seconds` before running, in slices that
+        check the query deadline — meant to blow the deadline, so the
+        query is answered 503 without a retry or a rebuild.
     ``"slow"``
         sleep :attr:`slow_seconds`, then run normally — latency jitter
         that must *not* trip recovery under a sane deadline.

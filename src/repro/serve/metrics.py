@@ -103,7 +103,6 @@ class ServerMetrics:
         self.breaker_transitions: Counter = Counter()  # (graph, old->new)
         self.degraded: Counter = Counter()  # (graph, kind) -> n
         self.injected_faults: Counter = Counter()  # (graph, kind) -> n
-        self.abandoned_queries_total = 0  # hangs reclaimed by watchdog
 
     # -- recording -----------------------------------------------------
     def record_request(self, kind: str, status: int) -> None:
@@ -129,10 +128,6 @@ class ServerMetrics:
     def record_injected_fault(self, graph: str, kind: str) -> None:
         """Count one chaos-plan fault performed on the engine thread."""
         self.injected_faults[(graph, kind)] += 1
-
-    def record_abandoned_query(self) -> None:
-        """Count one hung query abandoned by the per-query watchdog."""
-        self.abandoned_queries_total += 1
 
     def record_batch(self, size: int) -> None:
         """Count one worker dispatch cycle of ``size`` requests."""
@@ -201,6 +196,5 @@ class ServerMetrics:
                         self.injected_faults.items()
                     )
                 },
-                "abandoned_queries_total": self.abandoned_queries_total,
             },
         }

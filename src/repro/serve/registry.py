@@ -102,8 +102,6 @@ class GraphEntry:
     #: supervisor (:mod:`repro.serve.supervision`); ``None`` outside a
     #: supervised server.
     breaker: Optional[object] = field(default=None, repr=False)
-    #: Sessions torn down and rebuilt by the supervisor for this graph.
-    rebuilds_total: int = 0
     _last_good_skyline: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -146,17 +144,12 @@ class GraphEntry:
             "vertices": self.graph.num_vertices,
             "edges": self.graph.num_edges,
             "skyline_cached": self.session.cached,
-            "rebuilds": self.rebuilds_total,
         }
 
     def close_session(self) -> None:
         """Drop the session's skyline cache (idempotent).  The next
         query recomputes it; the degraded path keeps its own copy."""
         self.session.close()
-
-    def close(self) -> None:
-        """Drop the skyline cache (idempotent; registry close path)."""
-        self.close_session()
 
 
 class GraphRegistry:
@@ -216,10 +209,6 @@ class GraphRegistry:
                 f"{list(self.names())}"
             ) from None
 
-    def describe(self) -> list[dict]:
-        """One describe() row per registered graph (the /graphs body)."""
-        return [self._entries[n].describe() for n in self.names()]
-
     def close(self) -> None:
         """Close every entry.  Idempotent; safe to call twice."""
         with self._lock:
@@ -228,7 +217,7 @@ class GraphRegistry:
             self._closed = True
             entries = list(self._entries.values())
         for entry in entries:
-            entry.close()
+            entry.close_session()
 
 
 # ---------------------------------------------------------------------

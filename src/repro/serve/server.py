@@ -20,13 +20,13 @@ Architecture (one process, one event loop, one engine thread)::
   are single-caller objects, so all graph work serializes on that
   thread while the loop stays responsive.  Per-request deadlines bound
   the *queue wait*; once dispatched, a request runs under the
-  supervisor's per-query watchdog deadline.  An engine failure never
-  kills the server: the supervisor rebuilds the graph's session
-  (dropping its skyline cache), retries with seeded
-  backoff, and — once a graph's circuit breaker opens — degrades that
-  one graph (cached skyline marked ``degraded: true``, 503 +
-  ``Retry-After`` otherwise) while every other graph serves at full
-  fidelity.
+  supervisor's cooperative per-query deadline: the engine stops at its
+  next checkpoint past it and the request is answered 503.  An engine
+  failure never kills the server: the supervisor rebuilds the graph's
+  session (dropping its skyline cache), retries at once, and — once a
+  graph's circuit breaker opens — degrades that one graph (cached
+  skyline marked ``degraded: true``, 503 + ``Retry-After`` otherwise)
+  while every other graph serves at full fidelity.
 
 Results travel through futures as plain ``("ok", payload)`` /
 ``("degraded", payload)`` / ``("error", status, detail[, headers])``
@@ -88,8 +88,8 @@ class ServeConfig:
     #: Serve at most this many ``/query`` requests, then shut down
     #: (``None`` = forever).  Smoke tests and the CLI's --max-requests.
     max_requests: Optional[int] = None
-    #: Self-healing policy: watchdog deadline, retry budget, session
-    #: rebuild budget, circuit-breaker thresholds, degraded cache.
+    #: Self-healing policy: query deadline, retry count,
+    #: circuit-breaker thresholds, degraded cache.
     supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
 
     def validate(self) -> None:
@@ -315,9 +315,11 @@ class SkylineServer:
             )
         if path == "/graphs":
             if method == "GET":
-                return json_response(
-                    200, {"graphs": self.registry.describe()}
-                )
+                rows = [
+                    self._describe_graph(self.registry.entry(name))
+                    for name in self.registry.names()
+                ]
+                return json_response(200, {"graphs": rows})
             if method == "POST":
                 return await self._handle_register(request)
             return json_response(
@@ -391,7 +393,15 @@ class SkylineServer:
             return json_response(status, {"error": str(exc)})
         except ReproError as exc:
             return json_response(400, {"error": str(exc)})
-        return json_response(200, {"registered": entry.describe()})
+        return json_response(
+            200, {"registered": self._describe_graph(entry)}
+        )
+
+    def _describe_graph(self, entry) -> dict:
+        """One /graphs row: the entry's own row plus its rebuild count."""
+        row = entry.describe()
+        row["rebuilds"] = self.metrics.rebuilds[entry.name]
+        return row
 
     async def _handle_query(self, request: HttpRequest) -> bytes:
         try:

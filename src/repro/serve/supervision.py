@@ -1,9 +1,9 @@
 """Self-healing supervision for the serving layer.
 
-A long-lived server must survive its engine: a single engine-thread
+A long-lived server must survive its engine: an engine-thread
 exception, a poisoned :class:`~repro.core.api.EngineSession`, or a
-hung query must degrade one graph's answers, never kill the process.
-Three pieces:
+query that runs past its deadline must degrade one graph's answers,
+never kill the process.  Three pieces:
 
 :class:`CircuitBreaker`
     A per-graph health state machine (``closed → open → half_open``)
@@ -15,21 +15,20 @@ Three pieces:
     uncacheable kinds) without touching an engine.  After a cooldown
     the breaker goes half-open and admits exactly one *probe* query;
     a probe success closes the breaker, a probe failure re-opens it.
+    A persistent fault therefore costs one probe per cooldown.
 
 :class:`EngineSupervisor`
     Owns the server's single engine thread (a one-worker executor) and
-    wraps every dispatch: per-query deadline via ``asyncio.wait_for``
-    (the watchdog), a heartbeat the ``/health`` endpoint reads, bounded
-    retries with seeded exponential backoff, and — on any engine
-    failure — a teardown-and-rebuild of the failed graph's session
-    (``EngineSession.close`` drops its cached skyline, so the retry
-    recomputes it).  A hung query is *abandoned*:
-    the executor is replaced so serving continues, the stale thread is
-    fenced by a cancel token, and the query is retried or answered 503.
-    Rebuilds are budgeted per graph (``max_session_rebuilds``); an
-    exhausted budget pins the breaker open — the documented
-    "stuck-open" state an operator must resolve (see
-    ``docs/serving.md``).
+    wraps every dispatch: a cooperative per-query deadline
+    (:mod:`repro.core.deadline`) around the engine call, a heartbeat
+    the ``/health`` endpoint reads, and — on an engine exception — a
+    teardown of the failed graph's session (``EngineSession.close``
+    drops its cached skyline) followed by an immediate retry.  A query
+    past its deadline stops itself at the engine's next checkpoint
+    with :class:`~repro.core.deadline.DeadlineExceeded` and is answered
+    503 + ``Retry-After``: no retry (a rerun against the same deadline
+    would hold the one engine thread, and every graph behind it, even
+    longer) and no rebuild (the cached skyline is not poisoned).
 
 :class:`~repro.harness.faults.ServeFaultPlan`
     The chaos counterpart: deterministic serve-level fault injection
@@ -47,13 +46,15 @@ loop without new exception plumbing.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from random import Random
 from typing import Callable, Optional
 
+from repro.core.deadline import DeadlineExceeded
+from repro.core.deadline import check as check_deadline
+from repro.core.deadline import deadline
 from repro.errors import ParameterError
 from repro.harness.faults import ServeFaultPlan
 from repro.serve.registry import GraphEntry, execute_query
@@ -75,17 +76,12 @@ class SupervisionConfig:
     """Self-healing policy knobs, bundled so one object rides ServeConfig.
 
     ``query_deadline_s``
-        Per-query engine deadline (the watchdog); ``None`` disables the
-        timer and only exceptions trigger recovery.
+        Per-query engine deadline.  The engine stops at its next
+        checkpoint past it (a greedy round, a clique root, a refine
+        block) and the query is answered 503; ``None`` disables it.
     ``max_query_retries``
-        Engine re-attempts per query before it is answered 503.
-    ``backoff_base_s`` / ``backoff_cap_s`` / ``seed``
-        Exponential backoff before a retry, jittered from ``seed`` so
-        recovery timing replays deterministically.
-    ``max_session_rebuilds``
-        Lifetime session-rebuild budget *per graph*; once exhausted the
-        graph's breaker is pinned open (stuck-open, operator action
-        required) and no further engine work is attempted for it.
+        Immediate re-attempts, each on a rebuilt session, after an
+        engine exception before the query is answered 503.
     ``breaker_threshold``
         Consecutive engine failures on one graph that open its breaker.
     ``breaker_cooldown_s``
@@ -98,10 +94,6 @@ class SupervisionConfig:
 
     query_deadline_s: Optional[float] = 60.0
     max_query_retries: int = 2
-    backoff_base_s: float = 0.01
-    backoff_cap_s: float = 0.25
-    seed: int = 0
-    max_session_rebuilds: int = 8
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 1.0
     degraded_cache: bool = True
@@ -116,11 +108,6 @@ class SupervisionConfig:
         if self.max_query_retries < 0:
             raise ParameterError(
                 f"max_query_retries must be >= 0, got {self.max_query_retries}"
-            )
-        if self.max_session_rebuilds < 0:
-            raise ParameterError(
-                "max_session_rebuilds must be >= 0, got "
-                f"{self.max_session_rebuilds}"
             )
         if self.breaker_threshold < 1:
             raise ParameterError(
@@ -149,9 +136,6 @@ class CircuitBreaker:
     * ``half_open``: exactly one probe runs on the engine; concurrent
       queries stay degraded.  Probe success closes the breaker, probe
       failure re-opens it (fresh cooldown).
-
-    A *pinned* breaker (:meth:`pin_open`) is permanently open — the
-    rebuild-budget-exhausted state; only an operator restart clears it.
     """
 
     def __init__(
@@ -173,7 +157,6 @@ class CircuitBreaker:
         self._state = "closed"
         self._opened_at = 0.0
         self._probe_in_flight = False
-        self.pinned_reason: Optional[str] = None
         self.consecutive_failures = 0
         # -- lifetime counters (surfaced via /metrics and /health) -----
         self.failures_total = 0
@@ -193,7 +176,6 @@ class CircuitBreaker:
         """The current state, applying the lazy open→half_open step."""
         if (
             self._state == "open"
-            and self.pinned_reason is None
             and self._clock() - self._opened_at >= self.cooldown_s
         ):
             self._transition("half_open")
@@ -228,11 +210,11 @@ class CircuitBreaker:
         """Give the probe slot back without a verdict.
 
         For exits that say nothing about engine health — a client
-        parameter error, a query abandoned mid-recovery, task
-        cancellation at shutdown.  The breaker stays ``half_open`` and
-        the next :meth:`admit` becomes the probe; without this the slot
-        would leak and pin the breaker half-open (every query degraded)
-        forever.  No-op unless a probe is actually in flight.
+        parameter error, task cancellation at shutdown.  The breaker
+        stays ``half_open`` and the next :meth:`admit` becomes the
+        probe; without this the slot would leak and pin the breaker
+        half-open (every query degraded) forever.  No-op unless a probe
+        is actually in flight.
         """
         self._probe_in_flight = False
 
@@ -253,26 +235,15 @@ class CircuitBreaker:
             self._opened_at = self._clock()
             self._transition("open")
 
-    def pin_open(self, reason: str) -> None:
-        """Pin the breaker open permanently (stuck-open; operator action)."""
-        self.pinned_reason = reason
-        self._probe_in_flight = False
-        if self._state != "open":
-            self.opens_total += 1
-            self._opened_at = self._clock()
-            self._transition("open")
-
     # -- introspection -------------------------------------------------
     def retry_after_s(self) -> float:
         """Seconds until the next probe is possible (>= 1 for headers)."""
-        if self.pinned_reason is not None:
-            return max(1.0, self.cooldown_s)
         remaining = self.cooldown_s - (self._clock() - self._opened_at)
         return max(1.0, remaining)
 
     def describe(self) -> dict:
         """The /health row for this breaker (state + counters)."""
-        doc = {
+        return {
             "state": self.state(),
             "consecutive_failures": self.consecutive_failures,
             "threshold": self.threshold,
@@ -283,18 +254,16 @@ class CircuitBreaker:
             "probe_failures_total": self.probe_failures_total,
             "degraded_total": self.degraded_total,
         }
-        if self.pinned_reason is not None:
-            doc["pinned"] = self.pinned_reason
-        return doc
 
 
 class Heartbeat:
     """The engine thread's pulse, read lock-free by ``/health``.
 
-    The engine thread beats at query start and finish; the watchdog
+    The engine thread beats at query start and finish; the stall
     verdict (``stalled``) is computed at read time against the
-    per-query deadline, so a wedged engine is visible from the outside
-    even while the in-flight ``wait_for`` is still counting down.
+    per-query deadline, so a query past its deadline but not yet at
+    its next checkpoint (or wedged in code that has none) is visible
+    from the outside.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
@@ -343,10 +312,6 @@ class Heartbeat:
         }
 
 
-class _AbandonedQuery(Exception):
-    """Raised inside a fenced engine thread after its query was abandoned."""
-
-
 class EngineSupervisor:
     """The server's supervised engine thread plus per-graph breakers.
 
@@ -368,20 +333,11 @@ class EngineSupervisor:
         self.metrics = metrics
         self.fault_plan = fault_plan
         self._clock = clock
-        self._rng = Random(config.seed)
         self.heartbeat = Heartbeat(clock)
-        self._executor = self._new_executor()
-        self._abandoned: list = []  # executors replaced after a hang
-        self._dispatches: Counter = Counter()  # graph -> engine dispatches
-        self._closed = False
-
-    @staticmethod
-    def _new_executor():
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine"
         )
+        self._dispatches: Counter = Counter()  # graph -> engine dispatches
 
     # -- breakers ------------------------------------------------------
     def breaker_for(self, entry: GraphEntry) -> CircuitBreaker:
@@ -428,61 +384,62 @@ class EngineSupervisor:
                 index = self._dispatches[entry.name]
                 fault = self.fault_plan.fault_for(entry.name, index)
             self._dispatches[entry.name] += 1
-            cancelled = threading.Event()
             try:
-                result = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self._executor,
-                        self._run_query,
-                        entry,
-                        kind,
-                        params,
-                        fault,
-                        cancelled,
-                    ),
-                    timeout=self.config.query_deadline_s,
+                result = await loop.run_in_executor(
+                    self._executor,
+                    self._run_query,
+                    entry,
+                    kind,
+                    params,
+                    fault,
                 )
-            except asyncio.TimeoutError:
-                cancelled.set()
-                self._abandon_executor()
-                # The fenced thread skips its own heartbeat updates once
-                # the token is set, so settle the books here: the engine
-                # is idle again (a fresh executor) and the abandoned
-                # query is finished as far as /health is concerned.
-                self.heartbeat.finish_query()
-                failure = f"query exceeded {self.config.query_deadline_s}s deadline"
-                self.metrics.record_engine_failure(entry.name, "hang")
             except ParameterError as exc:
                 # Client error: no breaker charge, no rebuild, no retry
                 # — and no probe verdict, so free the slot if held.
                 breaker.release_probe()
                 return ("error", 400, str(exc))
-            except _AbandonedQuery:
-                # Stale fenced thread; the query was already answered.
-                breaker.release_probe()
-                return ("error", 503, "query abandoned during recovery")
             except asyncio.CancelledError:
                 # Shutdown/interrupt cancellation, not an engine verdict:
                 # don't charge the breaker or tear the session down.
                 breaker.release_probe()
                 raise
+            except DeadlineExceeded:
+                # The engine stopped itself at the deadline.  Its
+                # session is intact, so nothing is rebuilt, and a rerun
+                # against the same deadline would only hold the engine
+                # thread longer, so nothing is retried either.
+                retry = False
+                failure = (
+                    f"query exceeded its {self.config.query_deadline_s}s "
+                    "deadline"
+                )
+                self.metrics.record_engine_failure(
+                    entry.name, DeadlineExceeded.__name__
+                )
             except BaseException as exc:
+                # An engine exception may have left the session's cache
+                # inconsistent: drop it, and retry on the rebuilt one.
+                retry = True
                 failure = f"{type(exc).__name__}: {exc}"
                 self.metrics.record_engine_failure(
                     entry.name, type(exc).__name__
                 )
+                entry.close_session()
+                self.metrics.record_rebuild(entry.name)
             else:
                 breaker.record_success()
                 if kind == "skyline":
                     entry.note_good_skyline(result)
                 return ("ok", result)
 
-            # -- engine failure: heal, then retry / degrade / give up --
             breaker.record_failure()
-            rebuilt = self._rebuild_session(entry, breaker)
-            if not rebuilt or breaker.state() == "open":
+            if breaker.state() == "open":
                 return self._degraded_outcome(entry, breaker, kind, failure)
-            if closing() or attempt >= self.config.max_query_retries:
+            if (
+                not retry
+                or closing()
+                or attempt >= self.config.max_query_retries
+            ):
                 return (
                     "error",
                     503,
@@ -491,29 +448,20 @@ class EngineSupervisor:
                     {"Retry-After": "1"},
                 )
             attempt += 1
-            await asyncio.sleep(self._backoff_s(attempt))
 
     # -- engine-thread body --------------------------------------------
-    def _run_query(self, entry, kind, params, fault, cancelled) -> dict:
-        """Everything that runs on the engine thread, fenced + faulted."""
-        if cancelled.is_set():
-            raise _AbandonedQuery(entry.name)
+    def _run_query(self, entry, kind, params, fault) -> dict:
+        """Everything that runs on the engine thread, under the deadline."""
         self.heartbeat.start_query(entry.name, kind)
         try:
-            if fault is not None:
-                self._perform_serve_fault(fault, entry, cancelled)
-            if cancelled.is_set():
-                raise _AbandonedQuery(entry.name)
-            return execute_query(entry, kind, params)
+            with deadline(self.config.query_deadline_s):
+                if fault is not None:
+                    self._perform_serve_fault(fault, entry)
+                return execute_query(entry, kind, params)
         finally:
-            # A tripped cancel token means the supervisor already
-            # abandoned this query (and settled the heartbeat itself);
-            # a beat from this stale thread would clobber whatever the
-            # replacement executor is now running.
-            if not cancelled.is_set():
-                self.heartbeat.finish_query()
+            self.heartbeat.finish_query()
 
-    def _perform_serve_fault(self, kind, entry, cancelled) -> None:
+    def _perform_serve_fault(self, kind, entry) -> None:
         """Misbehave as the serve plan dictates (see ServeFaultPlan)."""
         plan = self.fault_plan
         self.metrics.record_injected_fault(entry.name, kind)
@@ -530,51 +478,14 @@ class EngineSupervisor:
             seconds = (
                 plan.hang_seconds if kind == "hang" else plan.slow_seconds
             )
-            # Sleep in short slices so an abandoned hang exits promptly
-            # instead of pinning a zombie thread for the full duration.
-            deadline = time.monotonic() + seconds
-            while time.monotonic() < deadline:
-                if cancelled.is_set():
-                    raise _AbandonedQuery(entry.name)
-                time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
+            # Sleep in slices with a checkpoint each, so the deadline
+            # stops a hang the way it stops real engine work.
+            until = time.monotonic() + seconds
+            while (left := until - time.monotonic()) > 0:
+                check_deadline()
+                time.sleep(min(0.05, left))
             return
         raise ValueError(f"unknown serve fault kind {kind!r}")
-
-    # -- healing -------------------------------------------------------
-    def _rebuild_session(self, entry: GraphEntry, breaker) -> bool:
-        """Tear down the entry's session (drops its cache); budget-checked.
-
-        Returns ``False`` when the graph's rebuild budget is exhausted,
-        in which case the breaker is pinned open and the caller must
-        stop attempting engine work for this graph.
-        """
-        entry.close_session()  # idempotent; drops the skyline cache
-        if entry.rebuilds_total >= self.config.max_session_rebuilds:
-            if breaker.pinned_reason is None:
-                breaker.pin_open(
-                    f"session rebuild budget exhausted "
-                    f"({self.config.max_session_rebuilds})"
-                )
-            return False
-        entry.rebuilds_total += 1
-        self.metrics.record_rebuild(entry.name)
-        return True
-
-    def _abandon_executor(self) -> None:
-        """Replace the engine executor after a hang; fence the old thread."""
-        old = self._executor
-        self._executor = self._new_executor()
-        old.shutdown(wait=False)
-        self._abandoned.append(old)
-        self.metrics.record_abandoned_query()
-
-    def _backoff_s(self, attempt: int) -> float:
-        """Seeded-jitter exponential backoff."""
-        base = min(
-            self.config.backoff_cap_s,
-            self.config.backoff_base_s * 2 ** (attempt - 1),
-        )
-        return base * (0.5 + 0.5 * self._rng.random())
 
     def _degraded_outcome(self, entry, breaker, kind, failure=None) -> tuple:
         """The open-breaker answer: cached skyline or 503 + Retry-After."""
@@ -607,30 +518,10 @@ class EngineSupervisor:
                 for name in registry.names()
                 if registry.entry(name).breaker is not None
             },
-            "rebuilds": {
-                name: registry.entry(name).rebuilds_total
-                for name in registry.names()
-                if registry.entry(name).rebuilds_total
-            },
+            "rebuilds": dict(sorted(self.metrics.rebuilds.items())),
         }
 
-    def close(self, *, abandon_timeout_s: float = 5.0) -> None:
-        """Shut the engine thread(s) down.  Idempotent.
-
-        The live executor drains synchronously (it is idle by the time
-        the server calls this).  Abandoned executors may still carry a
-        fenced hung thread; each gets a bounded join so a zombie sleep
-        cannot wedge shutdown past ``abandon_timeout_s``.
-        """
-        if self._closed:
-            return
-        self._closed = True
+    def close(self) -> None:
+        """Join the engine thread (idle by the time the server calls
+        this; a running query stops at its deadline).  Idempotent."""
         self._executor.shutdown(wait=True)
-        deadline = time.monotonic() + abandon_timeout_s
-        for old in self._abandoned:
-            waiter = threading.Thread(
-                target=old.shutdown, kwargs={"wait": True}, daemon=True
-            )
-            waiter.start()
-            waiter.join(max(0.0, deadline - time.monotonic()))
-        self._abandoned.clear()

@@ -1,0 +1,77 @@
+"""Tests for the cooperative per-thread deadline (:mod:`repro.core.deadline`).
+
+The checkpoint tests run each instrumented loop under an already-passed
+deadline, so every one of them must raise at its first checkpoint; a
+loop that lost its ``check()`` would run to completion instead.
+"""
+
+import threading
+
+import pytest
+
+from repro.centrality import base_gc
+from repro.centrality.greedy import greedy_maximize
+from repro.centrality.group_closeness_max import ClosenessObjective
+from repro.clique import base_topk_mcc, mc_brb, neisky_mc
+from repro.core.block_refine import filter_refine_block_sky
+from repro.core.deadline import DeadlineExceeded, check, deadline
+from repro.graph.generators import erdos_renyi
+
+
+def test_no_deadline_is_a_no_op():
+    check()
+    with deadline(None):
+        check()
+
+
+def test_check_raises_once_passed_and_restores_on_exit():
+    with deadline(60.0):
+        check()
+        with deadline(0.0):
+            with pytest.raises(DeadlineExceeded):
+                check()
+        check()  # the outer 60 s deadline is back
+    check()  # and none at all after the outer block
+
+
+def test_deadline_is_per_thread():
+    outcome = []
+
+    def other():
+        try:
+            check()
+            outcome.append("ok")
+        except DeadlineExceeded:
+            outcome.append("raised")
+
+    with deadline(0.0):
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join()
+    assert outcome == ["ok"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda g: filter_refine_block_sky(g), id="block_refine"),
+        pytest.param(lambda g: base_gc(g, 3), id="lazy_greedy"),
+        pytest.param(
+            lambda g: greedy_maximize(g, 3, ClosenessObjective(g)),
+            id="eager_greedy",
+        ),
+        pytest.param(lambda g: mc_brb(g), id="mc_brb"),
+        pytest.param(
+            lambda g: neisky_mc(g, skyline=tuple(range(g.num_vertices))),
+            id="neisky_mc",
+        ),
+        pytest.param(lambda g: base_topk_mcc(g, 2), id="topk"),
+    ],
+)
+def test_every_checkpoint_fires(run, karate):
+    graph = erdos_renyi(80, 0.25, seed=3)
+    for g in (karate, graph):
+        run(g)  # no deadline: runs to completion
+    with deadline(0.0):
+        with pytest.raises(DeadlineExceeded):
+            run(graph)

@@ -8,7 +8,7 @@ model over the same fake clock, asserting after every step:
 * **legal transitions only** — the state is always one of
   closed/open/half-open, and every observed edge is one of
   ``closed→open``, ``open→half_open``, ``half_open→open``,
-  ``half_open→closed`` (plus ``→open`` pins);
+  ``half_open→closed``;
 * **probe accounting** — half-open admits exactly one engine probe at
   a time; every concurrent admit degrades, and the probe's verdict
   (and nothing else) decides the next state;
@@ -18,9 +18,7 @@ model over the same fake clock, asserting after every step:
   result can never be served without the marker;
 * **threshold discipline** — the breaker opens exactly when
   ``threshold`` consecutive engine failures accumulate, and a success
-  resets the streak;
-* **pinning** — a pinned breaker never leaves ``open`` no matter how
-  far the clock advances.
+  resets the streak.
 
 Deterministic (injected clock), so every failure shrinks to a tiny
 transition trace.
@@ -33,7 +31,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -74,7 +71,6 @@ class BreakerMachine(RuleBasedStateMachine):
         self.m_failures = 0  # consecutive engine failures
         self.m_probe = False
         self.m_opened_at = 0.0
-        self.m_pinned = False
         self.m_degraded = 0
 
     # -- model mechanics ----------------------------------------------
@@ -82,7 +78,6 @@ class BreakerMachine(RuleBasedStateMachine):
         """The model's view of state(), applying open→half_open."""
         if (
             self.m_state == "open"
-            and not self.m_pinned
             and self.clock.now - self.m_opened_at >= COOLDOWN
         ):
             self.m_state = "half_open"
@@ -144,14 +139,6 @@ class BreakerMachine(RuleBasedStateMachine):
     def advance(self, seconds):
         self.clock.now += seconds
 
-    @precondition(lambda self: not self.m_pinned)
-    @rule()
-    def pin(self):
-        self.breaker.pin_open("model pin")
-        self.m_pinned = True
-        self.m_probe = False
-        self.m_state = "open"
-
     # -- invariants ----------------------------------------------------
     @invariant()
     def states_agree(self):
@@ -162,9 +149,7 @@ class BreakerMachine(RuleBasedStateMachine):
     def only_legal_edges(self):
         for old, new in self.edges:
             assert old != new
-            assert (old, new) in LEGAL_EDGES or (
-                new == "open"  # pin may jump from any state
-            )
+            assert (old, new) in LEGAL_EDGES
 
     @invariant()
     def degraded_is_marked(self):
@@ -181,12 +166,6 @@ class BreakerMachine(RuleBasedStateMachine):
     @invariant()
     def failure_streak_agrees(self):
         assert self.breaker.consecutive_failures == self.m_failures
-
-    @invariant()
-    def pinned_stays_open(self):
-        if self.m_pinned:
-            assert self.breaker.state() == "open"
-            assert self.breaker.pinned_reason is not None
 
     @invariant()
     def describe_is_jsonable(self):

@@ -11,7 +11,9 @@ real sockets, with faults injected through `harness/faults.py`:
   answers 503 with ``Retry-After``, the *other* hosted graph keeps
   serving at full fidelity, and after the cooldown a probe re-closes
   the breaker;
-* hangs are reclaimed by the per-query watchdog;
+* a hang, and a real over-deadline query, stop at the query deadline:
+  503 + ``Retry-After``, no retry, no rebuild, no engine work left
+  running, and the graph's cached skyline still serves;
 * ``POST /graphs`` registration failures are 4xx with one clear line
   (corrupt file, duplicate name), never a server-killing traceback;
 * shutdown under fault — mid-chaos stop(), and SIGTERM to a real
@@ -27,11 +29,14 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.core.api import neighborhood_skyline
 from repro.core.filter_refine import filter_refine_sky
+from repro.graph.generators import barabasi_albert
 from repro.harness.faults import ServeFaultPlan
 from repro.serve import GraphRegistry, ServeConfig, ServerThread
 from repro.serve.supervision import SupervisionConfig
@@ -48,10 +53,8 @@ def _registry(*names):
 def _config(**supervision_overrides):
     base = dict(
         max_query_retries=2,
-        backoff_base_s=0.001,
         breaker_threshold=2,
         breaker_cooldown_s=0.2,
-        max_session_rebuilds=50,
     )
     base.update(supervision_overrides)
     return ServeConfig(
@@ -113,9 +116,11 @@ def test_transient_fault_serves_bitforbit_200(kind):
         _, health = handle.request("GET", "/health")
         assert health["breakers"]["karate"]["state"] == "closed"
         assert health["rebuilds"] == {"karate": 1}
+        _, graphs = handle.request("GET", "/graphs")
+        assert graphs["graphs"][0]["rebuilds"] == 1
 
 
-def test_hang_reclaimed_by_watchdog_then_serves():
+def test_hang_answers_503_then_serves():
     plan = ServeFaultPlan.single("hang", "karate", 0, hang_seconds=10.0)
     direct = filter_refine_sky(load("karate"))
     with ServerThread(
@@ -123,13 +128,80 @@ def test_hang_reclaimed_by_watchdog_then_serves():
         _config(query_deadline_s=0.3),
         fault_plan=plan,
     ) as handle:
+        status, headers, doc = _raw_request(
+            handle, {"graph": "karate", "kind": "skyline"}
+        )
+        assert status == 503, doc
+        assert headers["Retry-After"] == "1"
+        assert "deadline" in doc["error"]
         doc = _query(handle, {"graph": "karate", "kind": "skyline"})
         assert tuple(doc["result"]["skyline"]) == direct.skyline
         _, metrics = handle.request("GET", "/metrics")
-        assert metrics["supervision"]["abandoned_queries_total"] == 1
         assert metrics["supervision"]["engine_failures"] == {
-            "karate:hang": 1
+            "karate:DeadlineExceeded": 1
         }
+        assert metrics["supervision"]["rebuilds"] == {}
+
+
+def _engine_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-serve-engine")
+    ]
+
+
+def test_over_deadline_query_leaves_no_zombie_work():
+    """A real query past its deadline (a k=500 Base greedy on a
+    3000-vertex graph, no fault plan) stops at the next greedy round:
+    503 + Retry-After, no engine thread still busy one check interval
+    later, and the skyline cache it never touched keeps serving."""
+    graph = barabasi_albert(3000, 4, seed=1)
+    registry = GraphRegistry(workers=1)
+    registry.register("ba", graph, source="generated")
+    deadline_s = 0.2
+    with ServerThread(
+        registry, _config(query_deadline_s=deadline_s)
+    ) as handle:
+        _query(handle, {"graph": "ba", "kind": "skyline"})
+        started = time.monotonic()
+        status, headers, doc = _raw_request(
+            handle,
+            {"graph": "ba", "kind": "group", "k": 500, "use_skyline": False},
+        )
+        elapsed = time.monotonic() - started
+        assert status == 503, doc
+        assert int(headers["Retry-After"]) >= 1
+        assert "deadline" in doc["error"]
+        # The unbounded query takes seconds; the deadline cut it at the
+        # first greedy-round boundary past 0.2 s (generous for CI).
+        assert elapsed < deadline_s + 2.0
+
+        time.sleep(0.05)  # one check interval: a greedy round here
+        _, health = handle.request("GET", "/health")
+        assert health["engine"]["busy"] is False
+        assert (
+            health["engine"]["queries_started"]
+            == health["engine"]["queries_finished"]
+        )
+        assert len(_engine_threads()) == 1  # no abandoned executors
+
+        _, graphs = handle.request("GET", "/graphs")
+        (row,) = graphs["graphs"]
+        assert row["skyline_cached"] is True
+        assert row["rebuilds"] == 0
+        _, metrics = handle.request("GET", "/metrics")
+        assert metrics["supervision"]["engine_failures"] == {
+            "ba:DeadlineExceeded": 1
+        }
+        assert metrics["supervision"]["rebuilds"] == {}
+
+        doc = _query(handle, {"graph": "ba", "kind": "skyline"})
+        direct = neighborhood_skyline(graph)
+        assert doc["result"]["skyline"] == list(direct.skyline)
+        assert doc["result"]["dominator"] == list(direct.dominator)
+        assert doc["result"]["candidate_size"] == direct.candidate_size
+    assert _engine_threads() == []
 
 
 # ---------------------------------------------------------------------
@@ -327,8 +399,6 @@ def test_sigterm_with_open_breaker_exits_zero(tmp_path):
             "1",
             "--breaker-cooldown",
             "30",
-            "--max-session-rebuilds",
-            "2",
         ],
         stdout=port_file.open("wb"),
         stderr=subprocess.STDOUT,
@@ -360,8 +430,8 @@ def test_sigterm_with_open_breaker_exits_zero(tmp_path):
             finally:
                 conn.close()
 
-        # Open the breaker (threshold 1, every dispatch faults) and pin
-        # it via the exhausted rebuild budget.
+        # Open the breaker (threshold 1, every dispatch faults; the
+        # 30 s cooldown keeps it open until SIGTERM).
         statuses = [query()[0] for _ in range(4)]
         assert 503 in statuses
         # SIGTERM mid-fault: graceful drain, exit 0.

@@ -165,11 +165,9 @@ def test_metrics_schema(server):
         "breaker_transitions",
         "degraded",
         "injected_faults",
-        "abandoned_queries_total",
     } == set(doc["supervision"])
     # A healthy server has healed nothing.
     assert doc["supervision"]["rebuilds"] == {}
-    assert doc["supervision"]["abandoned_queries_total"] == 0
     for histogram in (doc["queue_wait"], doc["service_time"]):
         assert {"count", "sum_s", "buckets"} <= set(histogram)
         assert histogram["count"] >= 1
@@ -189,6 +187,7 @@ def test_graphs_listing(server):
     assert karate["vertices"] == 34
     assert karate["edges"] == 78
     assert karate["source"] == "dataset:karate"
+    assert karate["rebuilds"] == 0
 
 
 # ---------------------------------------------------------------------

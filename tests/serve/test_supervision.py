@@ -3,24 +3,27 @@
 Three surfaces:
 
 * :class:`CircuitBreaker` as a pure state machine over an injected
-  clock — transitions, single-probe accounting, pinning, counters (the
+  clock — transitions, single-probe accounting, counters (the
   Hypothesis model-based sweep lives in ``test_breaker_stateful.py``);
 * :class:`Heartbeat` — the /health stall verdict;
 * :class:`EngineSupervisor` end-to-end against a *real*
   :class:`GraphEntry` with deterministic injected faults: transient
   faults heal (retry → bit-for-bit result + rebuilt session),
   persistent faults open the breaker (degraded cached skyline for
-  ``skyline``, 503 + ``Retry-After`` for uncacheable kinds), hangs are
-  abandoned by the watchdog, client errors never charge the breaker,
-  and an exhausted rebuild budget pins the breaker open.
+  ``skyline``, 503 + ``Retry-After`` for uncacheable kinds) and then
+  cost one probe per cooldown, a hang stops at the query deadline
+  (503, no retry, no rebuild), and client errors never charge the
+  breaker.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
+from repro.core.filter_refine import filter_refine_sky
 from repro.errors import ParameterError
 from repro.harness.faults import ServeFaultPlan
 from repro.serve.metrics import ServerMetrics
@@ -53,7 +56,6 @@ def test_config_validate_rejects_bad_knobs():
     for bad in (
         SupervisionConfig(query_deadline_s=0),
         SupervisionConfig(max_query_retries=-1),
-        SupervisionConfig(max_session_rebuilds=-1),
         SupervisionConfig(breaker_threshold=0),
         SupervisionConfig(breaker_cooldown_s=-0.5),
     ):
@@ -134,16 +136,6 @@ def test_breaker_release_probe_frees_the_slot_without_a_verdict():
     assert breaker.state() == "closed" and breaker.admit() == "engine"
 
 
-def test_breaker_pin_open_is_permanent():
-    clock = FakeClock()
-    breaker = CircuitBreaker(1, 1.0, clock=clock)
-    breaker.pin_open("rebuild budget exhausted (0)")
-    clock.advance(1000.0)
-    assert breaker.state() == "open"  # no half-open for a pinned breaker
-    assert breaker.admit() == "degraded"
-    assert breaker.describe()["pinned"].startswith("rebuild budget")
-
-
 def test_breaker_retry_after_floor():
     clock = FakeClock()
     breaker = CircuitBreaker(1, 30.0, clock=clock)
@@ -219,14 +211,13 @@ def test_transient_fault_heals_with_bitforbit_retry():
     """Fault on dispatch 0 → rebuild + retry → the exact direct result."""
     plan = ServeFaultPlan.single("engine-exception", "karate", 0)
     registry, supervisor, metrics = _supervised(
-        SupervisionConfig(backoff_base_s=0.001), fault_plan=plan
+        SupervisionConfig(), fault_plan=plan
     )
     try:
         entry = registry.entry("karate")
         outcome = _run(supervisor.execute(entry, "skyline", {}))
         assert outcome[0] == "ok"
         assert metrics.rebuilds == {"karate": 1}
-        assert entry.rebuilds_total == 1
         assert metrics.engine_failures[("karate", "RuntimeError")] == 1
         assert entry.breaker.state() == "closed"  # success reset it
         assert entry.breaker.consecutive_failures == 0
@@ -239,13 +230,13 @@ def test_transient_fault_heals_with_bitforbit_retry():
 def test_poison_and_attach_faults_heal_too(kind):
     plan = ServeFaultPlan.single(kind, "karate", 0)
     registry, supervisor, metrics = _supervised(
-        SupervisionConfig(backoff_base_s=0.001), fault_plan=plan
+        SupervisionConfig(), fault_plan=plan
     )
     try:
         entry = registry.entry("karate")
         outcome = _run(supervisor.execute(entry, "skyline", {}))
         assert outcome[0] == "ok"
-        assert entry.rebuilds_total == 1
+        assert metrics.rebuilds == {"karate": 1}
     finally:
         supervisor.close()
         registry.close()
@@ -260,7 +251,7 @@ def test_slow_fault_is_not_a_failure():
         entry = registry.entry("karate")
         outcome = _run(supervisor.execute(entry, "skyline", {}))
         assert outcome[0] == "ok"
-        assert entry.rebuilds_total == 0
+        assert metrics.rebuilds == {}
         assert entry.breaker.consecutive_failures == 0
     finally:
         supervisor.close()
@@ -280,8 +271,6 @@ def test_persistent_fault_opens_breaker_and_degrades():
         max_query_retries=0,
         breaker_threshold=2,
         breaker_cooldown_s=10.0,
-        backoff_base_s=0.001,
-        max_session_rebuilds=100,
     )
     registry, supervisor, metrics = _supervised(
         config, fault_plan=plan, clock=clock
@@ -338,7 +327,7 @@ def test_parameter_error_never_charges_breaker():
         )
         assert outcome == ("error", 400, "k must be >= 0, got -1")
         assert entry.breaker.consecutive_failures == 0
-        assert entry.rebuilds_total == 0
+        assert metrics.rebuilds == {}
     finally:
         supervisor.close()
         registry.close()
@@ -404,62 +393,78 @@ def test_cancellation_propagates_without_charging_breaker():
         assert breaker._probe_in_flight is False
         assert breaker.state() == "half_open"
         assert breaker.failures_total == 1  # only the seeded failure
-        assert entry.rebuilds_total == 0
+        assert metrics.rebuilds == {}
     finally:
         supervisor.close()
         registry.close()
 
 
-def test_hang_is_abandoned_by_watchdog():
+def test_hang_answers_503_then_serves():
+    """A hang stops at the query deadline: 503 + Retry-After on the
+    first attempt, no retry, no rebuild; the next query is clean."""
     plan = ServeFaultPlan.single("hang", "karate", 0, hang_seconds=5.0)
-    config = SupervisionConfig(
-        query_deadline_s=0.3, max_query_retries=1, backoff_base_s=0.001
-    )
+    config = SupervisionConfig(query_deadline_s=0.3, max_query_retries=1)
     registry, supervisor, metrics = _supervised(config, fault_plan=plan)
     try:
         entry = registry.entry("karate")
+        started = time.monotonic()
         outcome = _run(supervisor.execute(entry, "skyline", {}))
-        # The hang was abandoned, the session rebuilt, the retry clean.
-        assert outcome[0] == "ok"
-        assert metrics.abandoned_queries_total == 1
-        assert metrics.engine_failures[("karate", "hang")] == 1
-        assert entry.rebuilds_total == 1
-        # The supervisor settled the abandoned query's heartbeat itself
-        # (hung + retry = 2 started, 2 finished) and the fenced stale
-        # thread must not beat again: /health shows idle, not a phantom
-        # in-flight query, and the counters stay conserved.
+        elapsed = time.monotonic() - started
+        assert outcome[:2] == ("error", 503)
+        assert "deadline" in outcome[2]
+        assert outcome[3] == {"Retry-After": "1"}
+        # One sliced-sleep checkpoint past the deadline, not 5 s.
+        assert elapsed < 2.0
+        assert supervisor._dispatches["karate"] == 1  # never retried
+        assert metrics.engine_failures == {("karate", "DeadlineExceeded"): 1}
+        assert metrics.rebuilds == {}
+        assert entry.breaker.consecutive_failures == 1
         snap = supervisor.heartbeat.snapshot(config.query_deadline_s)
         assert snap["busy"] is False and snap["graph"] is None
-        assert snap["queries_started"] == snap["queries_finished"] == 2
-        supervisor.close()  # joins the abandoned thread
-        assert supervisor.heartbeat.queries_finished == 2  # no stale beat
+        assert snap["queries_started"] == snap["queries_finished"] == 1
+
+        healed = _run(supervisor.execute(entry, "skyline", {}))
+        assert healed[0] == "ok"
+        assert healed[1]["skyline"] == list(
+            filter_refine_sky(load("karate")).skyline
+        )
+        assert entry.breaker.consecutive_failures == 0
     finally:
         supervisor.close()
         registry.close()
 
 
-def test_rebuild_budget_exhaustion_pins_breaker():
+def test_persistent_fault_costs_one_probe_per_cooldown():
+    """With no rebuild budget, the breaker alone bounds a graph that
+    always fails: once open, no query reaches the engine until the
+    cooldown passes, and then exactly one probe does."""
+    clock = FakeClock()
     plan = ServeFaultPlan.always("engine-exception", "karate")
     config = SupervisionConfig(
-        max_query_retries=0,
-        max_session_rebuilds=2,
-        breaker_threshold=100,  # budget, not breaker, is the limiter
-        backoff_base_s=0.001,
+        max_query_retries=0, breaker_threshold=2, breaker_cooldown_s=10.0
     )
-    registry, supervisor, metrics = _supervised(config, fault_plan=plan)
+    registry, supervisor, metrics = _supervised(
+        config, fault_plan=plan, clock=clock
+    )
     try:
         entry = registry.entry("karate")
-        for _ in range(3):
-            outcome = _run(supervisor.execute(entry, "skyline", {}))
-            assert outcome[0] == "error"
-        assert entry.rebuilds_total == 2  # budget spent
-        assert entry.breaker.pinned_reason is not None
+        for _ in range(2):
+            outcome = _run(supervisor.execute(entry, "group", {"k": 2}))
+            assert outcome[:2] == ("error", 503)
         assert entry.breaker.state() == "open"
-        # Pinned: no engine dispatch at all, straight to degraded/503.
-        before = supervisor._dispatches["karate"]
-        outcome = _run(supervisor.execute(entry, "skyline", {}))
-        assert outcome[0] == "error" and outcome[1] == 503
-        assert supervisor._dispatches["karate"] == before
+        assert supervisor._dispatches["karate"] == 2
+        for _ in range(5):  # inside the cooldown: nothing dispatched
+            outcome = _run(supervisor.execute(entry, "group", {"k": 2}))
+            assert outcome[:2] == ("error", 503)
+        assert supervisor._dispatches["karate"] == 2
+        clock.advance(10.0)
+        for _ in range(5):  # one probe, which fails and re-opens
+            outcome = _run(supervisor.execute(entry, "group", {"k": 2}))
+            assert outcome[:2] == ("error", 503)
+        assert supervisor._dispatches["karate"] == 3
+        assert entry.breaker.probe_failures_total == 1
+        assert entry.breaker.state() == "open"
+        assert metrics.rebuilds == {"karate": 3}
     finally:
         supervisor.close()
         registry.close()
@@ -468,9 +473,7 @@ def test_rebuild_budget_exhaustion_pins_breaker():
 def test_per_graph_isolation():
     """A persistently broken graph never degrades its neighbor."""
     plan = ServeFaultPlan.always("engine-exception", "karate")
-    config = SupervisionConfig(
-        max_query_retries=0, breaker_threshold=1, backoff_base_s=0.001
-    )
+    config = SupervisionConfig(max_query_retries=0, breaker_threshold=1)
     registry = GraphRegistry(workers=1)
     registry.register_spec("karate")
     registry.register_spec("bombing_proxy")
@@ -485,7 +488,7 @@ def test_per_graph_isolation():
             outcome = _run(supervisor.execute(healthy, "skyline", {}))
             assert outcome[0] == "ok"
         assert healthy.breaker.state() == "closed"
-        assert healthy.rebuilds_total == 0
+        assert metrics.rebuilds == {"karate": 1}
     finally:
         supervisor.close()
         registry.close()

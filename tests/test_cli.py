@@ -311,6 +311,14 @@ def test_serve_missing_file_is_one_line_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: cannot load graph")
 
 
+def test_rebuild_budget_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["serve", "--graph", "karate", "--max-session-rebuilds", "2"]
+        )
+    assert exc.value.code == 2
+
+
 def test_serve_validates_supervision_flags(capsys):
     code = main(
         [
@@ -341,8 +349,6 @@ def test_serve_supervision_flags_accepted(capsys):
             "0",
             "--query-deadline",
             "5",
-            "--max-session-rebuilds",
-            "4",
             "--breaker-threshold",
             "2",
             "--breaker-cooldown",
