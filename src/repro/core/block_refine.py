@@ -18,10 +18,11 @@ list first, as in the LC-Join baseline.  A row holds
 gather is never larger than a full 2-hop gather and usually far
 smaller.  The skip ladder (self, degree, frozen filter-phase
 domination) runs as boolean masks over the row,
-and every surviving pair ``(u, w)`` is tested exactly with one
-vectorized ``searchsorted`` of the keys ``w·n + x``, ``x ∈ N(u)``, in
-the sorted CSR edge keys ``row·n + col``.  A pivot row lists each
-vertex once, so no pair is tested twice.
+and every surviving pair ``(u, w)`` is tested exactly by looking the
+keys ``w·n + x``, ``x ∈ N(u)``, up in the hash set of the CSR edge
+keys ``row·n + col`` (:meth:`~repro.graph.csr.EdgeIndex.has_keys`):
+one vectorized lookup per block.  A pivot row lists each vertex once,
+so no pair is tested twice.
 
 The sequential refine loop of Alg. 3 looks order-dependent — it skips
 potential dominators ``w`` already refine-dominated — but the
@@ -55,8 +56,9 @@ that reproduce the sequential output bit for bit:
 So ``skyline`` / ``dominator`` / ``candidates`` are bit-for-bit the
 sequential bloom baseline's, which the differential suite pins.
 
-The pivot rows and the sorted edge keys come from the same
-:func:`~repro.graph.csr.edge_index` the filter phase uses.
+The pivot rows and the edge-key hash set come from the same
+:func:`~repro.graph.csr.edge_index` the filter phase uses:
+:func:`filter_refine_block_sky` builds it once and hands it to both.
 
 Counter semantics
 -----------------
@@ -88,7 +90,7 @@ from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import budget_slices, edge_index, gather_rows
+from repro.graph.csr import EdgeIndex, budget_slices, edge_index, gather_rows
 
 __all__ = [
     "BLOCK_ENTRY_BUDGET",
@@ -107,7 +109,8 @@ BLOCK_ENTRY_BUDGET = 1 << 22
 class BlockRefineContext:
     """Shared ndarray state for block refine scans.
 
-    Built once per pass from the graph and the frozen filter-phase
+    Built once per pass from the graph's
+    :func:`~repro.graph.csr.edge_index` and the frozen filter-phase
     output; the block scans only read it (apart from the lazily
     installed witness flags and counter keys, which are themselves
     frozen once set).
@@ -131,14 +134,14 @@ class BlockRefineContext:
 
     def __init__(
         self,
-        graph: Graph,
+        index: EdgeIndex,
         candidates: Sequence[int],
         dominator: Sequence[int],
         *,
         entry_budget: int = BLOCK_ENTRY_BUDGET,
     ):
-        index = self.edge_index = edge_index(graph)
-        n = self.n = graph.num_vertices
+        self.edge_index = index
+        n = self.n = len(index.deg)
         self.indptr = index.indptr
         self.indices = index.indices
         self.deg = index.deg
@@ -324,24 +327,25 @@ def block_witness_chunk(
 
 
 def block_refine_pass(
-    graph: Graph,
+    index: EdgeIndex,
     candidates: Sequence[int],
     dominator: list[int],
     stats: SkylineCounters,
     *,
     entry_budget: int = BLOCK_ENTRY_BUDGET,
-) -> None:
+) -> list[int]:
     """Run the block refine in place over ``dominator``.
 
     The counterpart of
     :func:`~repro.core.filter_refine.bloom_refine_pass` for the block
-    kernel: takes the filter phase's output and writes each dominated
-    candidate's sequential witness.  Instrumented runs also record
-    ``block_rescans`` (the candidates the witness pass rescanned) in
-    ``stats.extra``.
+    kernel: takes the graph's :func:`~repro.graph.csr.edge_index` and
+    the filter phase's output, writes each dominated candidate's
+    sequential witness and returns those candidates, ascending.
+    Instrumented runs also record ``block_rescans`` (the candidates
+    the witness pass rescanned) in ``stats.extra``.
     """
     ctx = BlockRefineContext(
-        graph, candidates, dominator, entry_budget=entry_budget
+        index, candidates, dominator, entry_budget=entry_budget
     )
     dominated = block_status_chunk(ctx, 0, len(candidates), stats)
     ctx.ensure_refine_dominated(dominated)
@@ -349,6 +353,7 @@ def block_refine_pass(
         dominator[u] = w
     if stats is not NULL_COUNTERS:
         stats.extra["block_rescans"] = len(dominated)
+    return dominated
 
 
 def filter_refine_block_sky(
@@ -361,25 +366,30 @@ def filter_refine_block_sky(
 
     Same filter phase, same result as
     :func:`~repro.core.filter_refine.filter_refine_sky` — bit for bit —
-    with the refine phase evaluated in vectorized blocks.
-    ``counters.extra["refine_path"]`` records ``"block"``.
+    with the refine phase evaluated in vectorized blocks.  Both phases
+    share one :func:`~repro.graph.csr.edge_index`, built here and
+    dropped on return.  ``counters.extra["refine_path"]`` records
+    ``"block"``.
     """
     if entry_budget <= 0:
         raise ParameterError(
             f"entry_budget must be positive, got {entry_budget}"
         )
     stats = counters if counters is not None else NULL_COUNTERS
-    n = graph.num_vertices
-    candidates, dominator = filter_phase(graph, counters=counters)
-    block_refine_pass(
-        graph, candidates, dominator, stats, entry_budget=entry_budget
+    index = edge_index(graph)
+    candidates, dominator = filter_phase(
+        graph, counters=counters, index=index
+    )
+    dominated = block_refine_pass(
+        index, candidates, dominator, stats, entry_budget=entry_budget
     )
     if counters is not None:
         counters.extra["refine_path"] = "block"
 
-    skyline = tuple(u for u in range(n) if dominator[u] == u)
+    # The skyline: the candidates the refine left undominated.
+    refined = set(dominated)
     return SkylineResult(
-        skyline=skyline,
+        skyline=tuple(u for u in candidates if u not in refined),
         dominator=tuple(dominator),
         candidates=tuple(candidates),
         algorithm="FilterRefineSkyBlock",

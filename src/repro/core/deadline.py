@@ -3,10 +3,11 @@
 A served query runs on one engine thread and must stop at its deadline
 instead of computing on after its caller gave up.  Python cannot stop
 a thread from outside, so the long loops cooperate: they call
-:func:`check` at coarse boundaries — each greedy round, each clique
-root searched, each budget slice of the block refine — and
-:func:`check` raises :class:`DeadlineExceeded` once the calling
-thread's deadline has passed.
+:func:`check` at coarse boundaries — each greedy round, each BFS
+level of greedy round 0, each clique root searched, each budget slice
+of the block refine — and :func:`check` raises
+:class:`DeadlineExceeded` once the calling thread's deadline has
+passed.
 
 No library function takes a deadline parameter.  The caller that owns
 the thread (the serving supervisor) wraps the call in

@@ -33,13 +33,11 @@ edge_index`):
 2. **Rarest-neighbour-first rejection** — each row ordered by neighbor
    degree (ties to the smaller ID, the order of block refine's pivots);
    for the first :data:`PROBE_ROUNDS` positions ``x`` of ``N(u)`` in
-   that order, every surviving edge ``(u, v)`` is tested at once with a
-   ``searchsorted`` of ``v·n + x`` in the sorted edge keys
-   ``row·n + col``.  A low-degree neighbor is the one a superset is
-   least likely to hold, so these rounds leave few edges.  The edges
-   are walked dominator-major (``v``, then ``u``), so consecutive keys
-   land in the same row of the key array: on ``kron_large`` one round's
-   lookups ran 6x faster than walking the edges ``u``-major.
+   that order, every surviving edge ``(u, v)`` is tested at once by
+   looking ``v·n + x`` up in the edge-key hash set
+   (:meth:`~repro.graph.csr.EdgeIndex.has_keys`).  A low-degree
+   neighbor is the one a superset is least likely to hold, so these
+   rounds leave few edges.
 3. **Exact test** — the full ``N(u) \\ {v} ⊆ N(v)`` lookup on the
    survivors, in chunks of at most :data:`FILTER_KEY_BUDGET` keys.
 4. **Ordered replay** — the scalar loop's writes, replayed in Python
@@ -144,14 +142,12 @@ def closed_inclusion_over_edge(graph: Graph, u: int, v: int) -> bool:
     return True
 
 
-def _edge_pretest(indptr, indices, *, row_dominates: bool = False):
+def _edge_pretest(indptr, indices):
     """Bulk necessary conditions for ``N[u] ⊆ N[v]``, one flag per CSR slot.
 
     For the directed edge stored at slot ``indptr[u] + j`` (``v`` being
     the ``j``-th neighbor of ``u``), the flag is ``True`` iff every
-    cheap necessary condition for ``v`` dominating ``u`` holds (with
-    ``row_dominates``, for ``u`` dominating ``v``: the flag of the
-    reverse edge, which the symmetric CSR stores at slot ``(v, u)``):
+    cheap necessary condition for ``v`` dominating ``u`` holds:
 
     * ``deg(v) >= deg(u)`` (a superset is at least as large);
     * ``min N[v] <= min N[u]`` and ``max N[v] >= max N[u]`` (a superset
@@ -180,8 +176,6 @@ def _edge_pretest(indptr, indices, *, row_dominates: bool = False):
     csum = prefix[indptr[1:]] - prefix[indptr[:-1]] + self_ids
 
     sub, dom = _np.repeat(self_ids, deg), indices
-    if row_dominates:
-        sub, dom = dom, sub
     ok = deg[dom] >= deg[sub]
     ok &= cmin[dom] <= cmin[sub]
     ok &= cmax[dom] >= cmax[sub]
@@ -267,16 +261,15 @@ def scalar_filter_phase(
 def _included_edges(index: EdgeIndex, live):
     """The edges ``(u, v)`` with ``N[u] ⊆ N[v]`` among the slots ``live``.
 
-    ``live`` holds ascending CSR slots ``(v, u)`` — row ``v``, the
-    potential dominator — that passed the pretest.  Walking the pairs
-    dominator-major keeps every lookup key ``v·n + x`` near the last
-    one, which makes the ``searchsorted`` calls cache-friendly.
-    Returns ``(u, v)`` arrays in CSR order (``u``, then ``v``, ascending).
+    ``live`` holds ascending CSR slots ``(u, v)`` — column ``v``, the
+    potential dominator — that passed the pretest.  Returns the
+    included ``(u, v)`` as arrays in CSR order (``u``, then ``v``,
+    ascending).
     """
     indptr, indices, deg, row = index[:4]
     n = len(deg)
-    v = row[live]
-    u = indices[live].astype(_np.int64)
+    u = row[live]
+    v = indices[live].astype(_np.int64)
     # Rarest-neighbour-first rejection: x ∈ N(u) \ {v} must be in N(v).
     for r in range(PROBE_ROUNDS):
         probe = _np.flatnonzero(deg[u] > r)
@@ -295,9 +288,7 @@ def _included_edges(index: EdgeIndex, live):
         owner = _np.repeat(v[lo:hi], cl)
         hit = (x == owner) | index.has_keys(owner * n + x)
         accept[lo:hi] = _np.logical_and.reduceat(hit, _np.cumsum(cl) - cl)
-    u, v = u[accept], v[accept]
-    order = _np.argsort(u * n + v)
-    return u[order], v[order]
+    return u[accept], v[accept]
 
 
 def _replay(dominator: list[int], us, vs, strict):
@@ -337,7 +328,10 @@ def _replay(dominator: list[int], us, vs, strict):
 
 
 def filter_phase(
-    graph: Graph, *, counters: Optional[SkylineCounters] = None
+    graph: Graph,
+    *,
+    counters: Optional[SkylineCounters] = None,
+    index: Optional[EdgeIndex] = None,
 ) -> tuple[list[int], list[int]]:
     """Compute the neighborhood candidates ``C`` and the dominator array.
 
@@ -345,19 +339,22 @@ def filter_phase(
     ``dominator[u] == u`` exactly for ``u ∈ C``.  For excluded vertices,
     ``dominator[u]`` is an adjacent vertex ``w`` with ``N[u] ⊆ N[w]``.
 
-    Vectorized over the CSR arrays on either backend; output and
-    counters are bit for bit :func:`scalar_filter_phase`'s (see the
-    module docstring).
+    Vectorized over the CSR arrays on either backend, with every edge
+    test a lookup in the edge-key hash set of ``index``, the graph's
+    :func:`~repro.graph.csr.edge_index` (built here when not given: a
+    caller that also runs the block refine passes the one it shares).
+    Output and counters are bit for bit :func:`scalar_filter_phase`'s
+    (see the module docstring).
     """
     n = graph.num_vertices
     dominator = list(range(n))
     if not n:
         return [], dominator
-    index = edge_index(graph)
+    if index is None:
+        index = edge_index(graph)
     indptr, indices, deg, row = index[:4]
-    # Slots (v, u) whose row v passes the pretest for dominating u.
-    live = _np.flatnonzero(_edge_pretest(indptr, indices, row_dominates=True))
-    us, vs = _included_edges(index, live)
+    pretest = _edge_pretest(indptr, indices)
+    us, vs = _included_edges(index, _np.flatnonzero(pretest))
     strict = deg[vs] > deg[us]
     dominated, unreached, breaks = _replay(
         dominator, us.tolist(), vs.tolist(), strict.tolist()
@@ -371,8 +368,10 @@ def filter_phase(
         ends = indptr[1:].copy()
         if breaks:
             broke, at = _np.array(breaks, dtype=_np.int64).T
-            # The break slot: where (u, v) sits in the sorted edge keys.
-            ends[broke] = _np.searchsorted(index.keys, broke * n + at) + 1
+            # The break slot: where (u, v) sits in the edge keys
+            # row·n + col, which ascend in CSR order.
+            keys = row * n + indices
+            ends[broke] = _np.searchsorted(keys, broke * n + at) + 1
         ends = ends[examined]
 
         def tally(flags) -> int:
@@ -386,7 +385,6 @@ def filter_phase(
         if getattr(graph, "csr_arrays", None) is None:
             counters.pair_tests += tally(degree_ok)
         else:
-            pretest = _edge_pretest(indptr, indices)
             counters.pair_tests += tally(pretest)
             counters.extra["filter_pretest_rejects"] = counters.extra.get(
                 "filter_pretest_rejects", 0

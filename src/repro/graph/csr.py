@@ -13,7 +13,7 @@ unchanged.  What the array backing buys:
 * **Vectorized whole-graph scans** — ``degrees()`` is one ``np.diff``,
   and the filter phase and the block refine kernel run their
   neighborhood-inclusion tests over the CSR arrays, through one shared
-  :func:`edge_index` (sorted edge keys and degree-ordered rows).
+  :func:`edge_index` (an edge-key hash set and degree-ordered rows).
 * **List-speed scalar loops** — ``neighbors(u)`` materializes a row
   into a plain tuple on first touch and caches it, so the
   refine/clique/greedy inner loops never pay numpy's per-element boxing
@@ -218,6 +218,55 @@ def csr_ndarrays(graph: Graph):
     return _np.asarray(indptr), _np.asarray(indices)
 
 
+#: Fibonacci multiplier, ``2⁶⁴ / φ`` rounded to odd: multiplying by it
+#: and keeping the top bits spreads runs of consecutive keys (one row's
+#: ``row·n + col``) evenly over the table.
+_FIBONACCI = _np.uint64(0x9E3779B97F4A7C15)
+
+#: Marks a free slot of the key table; no key ``row·n + col ≥ 0`` is it.
+_EMPTY = -1
+
+#: Key-table slots per edge key, before rounding up to a power of two:
+#: the table is at most a third full, so most lookups end at the first
+#: slot they read.
+_SLOTS_PER_KEY = 3
+
+
+def _home_slots(keys, size: int):
+    """Each key's first table slot: the top ``log₂ size`` bits of
+    ``key · 2⁶⁴/φ`` (``size`` a power of two, at least 2)."""
+    slots = keys.astype(_np.uint64)
+    slots *= _FIBONACCI
+    slots >>= _np.uint64(65 - size.bit_length())
+    return slots.view(_np.int64)
+
+
+def _key_table(keys):
+    """An open-addressing hash set of the distinct ``keys``.
+
+    Linear probing from :func:`_home_slots`, wrapping at the end of the
+    power-of-two table; free slots hold :data:`_EMPTY`.  Inserted in
+    vectorized rounds: every pending key writes its slot if that slot
+    is free, the keys that then read their own key back are placed,
+    and the rest (a slot already taken, or won by another key this
+    round) move one slot on.  So every slot between a key's home and
+    its place is taken before the key is placed, which is what a
+    lookup's stop-at-the-first-free-slot relies on.
+    """
+    size = 1 << max(1, (_SLOTS_PER_KEY * len(keys) - 1).bit_length())
+    mask = size - 1
+    table = _np.full(size, _EMPTY, dtype=_np.int64)
+    slots = _home_slots(keys, size)
+    while keys.size:
+        free = table[slots] == _EMPTY
+        table[slots[free]] = keys[free]
+        lost = table[slots] != keys
+        keys, slots = keys[lost], slots[lost]
+        slots += 1
+        slots &= mask
+    return table
+
+
 class EdgeIndex(NamedTuple):
     """Whole-graph ndarray views for vectorized neighborhood-inclusion
     tests; see :func:`edge_index`."""
@@ -230,28 +279,54 @@ class EdgeIndex(NamedTuple):
     deg: object
     #: The row (source vertex) of every CSR slot, ``int64``.
     row: object
-    #: ``row·n + col`` per slot — globally ascending, because rows are
-    #: sorted — so ``w·n + x`` is an edge iff ``searchsorted`` finds it.
-    keys: object
     #: ``indices`` with every row reordered by neighbor degree, ties to
     #: the smaller ID: ``by_degree[indptr[u]]`` is ``u``'s rarest
     #: neighbor, the one any superset of ``N(u)`` is least likely to hold.
     by_degree: object
+    #: The edge keys ``row·n + col`` as a linear-probing hash set
+    #: (:func:`_key_table`): a power of two ``int64`` slots, at least
+    #: :data:`_SLOTS_PER_KEY` per key, free ones ``-1``.
+    table: object
 
     def has_keys(self, queries):
-        """Per ``w·n + x`` query: is ``(w, x)`` an edge?  (An edgeless
-        graph takes no queries.)"""
-        keys = self.keys
-        pos = _np.searchsorted(keys, queries)
-        return keys[_np.minimum(pos, len(keys) - 1)] == queries
+        """Per ``w·n + x`` query (``0 ≤ w, x < n``): is ``(w, x)`` an
+        edge?
+
+        One gather of every query's home slot answers most of them: the
+        slot holds the key (a hit) or is free (a miss).  Only the few
+        queries whose slot holds another key walk on, one slot per
+        round, until they meet their key or a free slot.
+        """
+        table = self.table
+        queries = _np.asarray(queries, dtype=_np.int64)
+        slots = _home_slots(queries, len(table))
+        found = table[slots]
+        hit = found == queries
+        active = _np.flatnonzero(~hit & (found != _EMPTY))
+        slots = slots[active]
+        mask = len(table) - 1
+        while active.size:
+            slots += 1
+            slots &= mask
+            found = table[slots]
+            match = found == queries[active]
+            hit[active[match]] = True
+            more = ~match & (found != _EMPTY)
+            active, slots = active[more], slots[more]
+        return hit
 
 
 def edge_index(graph: Graph) -> EdgeIndex:
-    """Sorted edge keys and degree-ordered rows of ``graph``.
+    """The edge-key hash set and degree-ordered rows of ``graph``.
 
-    The one place the filter phase and the block refine kernel build
-    their shared arrays.  Cost: a few passes over the ``2m`` slots, one
-    sort of ``n`` degrees and one value sort of ``2m`` keys below ``n²``.
+    The filter phase and the block refine kernel share one: the caller
+    that runs both (:func:`~repro.core.block_refine.
+    filter_refine_block_sky`) builds it once and passes it to each.
+    Nothing caches it, so it lives for that one call.  Cost: a few
+    passes over the ``2m`` slots, one sort of ``n`` degrees, one value
+    sort of ``2m`` keys below ``n²`` and the hash-set inserts.  It
+    holds two ``2m`` ``int64`` arrays (``row``, ``by_degree``) and the
+    table of ``6m`` to ``12m`` ``int64`` slots.
     """
     indptr, indices = csr_ndarrays(graph)
     n = len(indptr) - 1
@@ -266,9 +341,10 @@ def edge_index(graph: Graph) -> EdgeIndex:
     rank[by_rank] = _np.arange(n, dtype=_np.int64)
     ranked = _np.sort(base + rank[indices])
     ranked -= base
-    return EdgeIndex(
-        indptr, indices, deg, row, base + indices, by_rank[ranked]
-    )
+    by_degree = by_rank[ranked]
+    del ranked  # one 2m array fewer alive while the table is built
+    base += indices
+    return EdgeIndex(indptr, indices, deg, row, by_degree, _key_table(base))
 
 
 def gather_rows(indices, starts, lens):

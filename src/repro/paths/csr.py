@@ -79,6 +79,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as _np
 
+from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
 
 __all__ = ["CSRTraversal"]
@@ -652,7 +653,9 @@ class CSRTraversal:
         row's masks together with one ``np.bitwise_or.reduceat``, and
         keep the bits not yet visited.  The work per level is ``2m * W``
         word operations for 64 lanes per word, against ``2m`` Python-
-        level edge visits per lane in the scalar scan.
+        level edge visits per lane in the scalar scan.  Each level is a
+        deadline checkpoint (:func:`repro.core.deadline.check`): one
+        chunk can hold the whole round-0 pool.
         """
         self.vector_dispatches += 1
         n = self.n
@@ -672,6 +675,7 @@ class CSRTraversal:
         visited = frontier.copy()
         hist = [_np.ones(num_lanes, dtype=_np.int64)]
         while rows.size:
+            check_deadline()
             reached = _np.zeros_like(frontier)
             reached[rows] = _np.bitwise_or.reduceat(
                 frontier[indices], row_starts, axis=0

@@ -15,7 +15,8 @@ from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.clique import base_topk_mcc, mc_brb, neisky_mc
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.deadline import DeadlineExceeded, check, deadline
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.paths.csr import CSRTraversal
 
 
 def test_no_deadline_is_a_no_op():
@@ -75,3 +76,17 @@ def test_every_checkpoint_fires(run, karate):
     with deadline(0.0):
         with pytest.raises(DeadlineExceeded):
             run(graph)
+
+
+def test_round_zero_checks_each_bfs_level():
+    # One chunk of the bitset BFS holds this whole pool, so only the
+    # per-level checkpoint inside it can stop greedy round 0.
+    graph = barabasi_albert(300, 4, seed=1)
+    trav = CSRTraversal.from_graph(graph)
+    objective = ClosenessObjective(graph)
+    sources = range(graph.num_vertices)
+    expected = trav.first_round_gains(sources, objective)
+    with deadline(0.0):
+        with pytest.raises(DeadlineExceeded):
+            trav.first_round_gains(sources, objective)
+    assert trav.first_round_gains(sources, objective) == expected

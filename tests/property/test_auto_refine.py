@@ -23,6 +23,7 @@ from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.naive import naive_skyline
+from repro.graph.csr import edge_index
 from repro.graph.generators import copying_power_law, kronecker_graph
 from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 
@@ -162,7 +163,7 @@ def assert_batched_passes_match_brute_force(g):
     tallies = brute_force_skip_tallies(g, candidates, dominator, dominated)
     for budget in (1, block_refine.BLOCK_ENTRY_BUDGET):
         ctx = BlockRefineContext(
-            g, candidates, dominator, entry_budget=budget
+            edge_index(g), candidates, dominator, entry_budget=budget
         )
         stats = SkylineCounters()
         assert block_status_chunk(ctx, 0, len(candidates), stats) == dominated
@@ -171,7 +172,7 @@ def assert_batched_passes_match_brute_force(g):
         assert (stats.degree_skips, stats.dominated_skips) == tallies
         # Uninstrumented scans reach the same verdicts.
         ctx = BlockRefineContext(
-            g, candidates, dominator, entry_budget=budget
+            edge_index(g), candidates, dominator, entry_budget=budget
         )
         assert (
             block_status_chunk(ctx, 0, len(candidates), NULL_COUNTERS)
