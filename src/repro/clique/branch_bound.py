@@ -6,9 +6,11 @@ branching over candidates and pruning with the trivial bound
 ``|H| + |X| ≤ |best|``.  This is the reference point the skyline-pruned
 solver is contrasted with — intentionally unsophisticated (no coloring,
 no degeneracy decomposition), so keep it away from large dense graphs.
+It is also the tests' oracle for the clique size the other solvers
+must reach.
 
-Also exported: :func:`bb_max_clique_in_sets`, the shared recursive core
-that the stronger solvers reuse with their own candidate sets.
+Also exported: :func:`bb_max_clique_in_sets`, its recursive core over
+set-based adjacency.
 """
 
 from __future__ import annotations

@@ -12,8 +12,22 @@ its load-bearing ingredients, each standard and exact:
 3. **Branch-reduce-and-bound** on each subproblem with a **greedy
    coloring bound**: candidates are colored, and a branch is cut when
    ``|H| + colors ≤ |best|`` (Tomita-style MCS bound);
-4. **Degree/core pruning** — subproblems whose candidate count cannot
-   beat the incumbent are skipped outright.
+4. **Core pruning** — a clique of size ``s`` needs core number
+   ``≥ s - 1`` on every member, so roots and candidates that cannot
+   beat the incumbent are dropped before their subproblem is built.
+
+One :func:`~repro.graph.cores.core_decomposition` per solver call feeds
+both the heuristic (its peel order) and the root loop (order and core
+numbers).  Each root's search numbers its candidates ``0..L-1`` in
+candidate order and gives every candidate a Python-int bitmask of its
+neighbours among them (:func:`_local_masks`).  The coloring then fills
+one class at a time: within a run of ascending positions the next
+vertex the class admits is the lowest bit not yet ruled out, and a
+subproblem's candidates are the lower classes masked by the branching
+vertex's neighbours (:func:`color_classes`, :func:`_expand`).  The
+search visits the same branches in the same order as the list-and-set
+search it replaced, so its output is the same vertex list, tie-breaks
+included (``tests/clique/test_golden.py`` pins the lists).
 
 The same bounded search is exposed as :func:`max_clique_with_root` for
 the skyline applications, which must search full (not right-restricted)
@@ -22,14 +36,36 @@ ego networks — see :mod:`repro.clique.neisky` for why.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Sequence, Union
 
-from repro.clique.ordering import degeneracy_ordering
 from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
 from repro.graph.cores import core_decomposition
 
 __all__ = ["mc_brb", "max_clique_with_root", "greedy_heuristic_clique"]
+
+#: Neighbor sets indexed by vertex: a list, or a :class:`NeighborSets`.
+Adjacency = Union[Sequence[set[int]], Mapping[int, set[int]]]
+
+#: Seeds the heuristic tries, from the dense end of the peel order: a
+#: handful is enough for a good bound and keeps it near-linear.
+HEURISTIC_SEEDS = 32
+
+
+class NeighborSets(dict):
+    """``N(u)`` as a set, built the first time ``u`` is looked up.
+
+    A solver that rejects most roots on core numbers never builds the
+    sets of the vertices it does not search.
+    """
+
+    def __init__(self, graph: Graph):
+        super().__init__()
+        self._neighbors = graph.neighbors
+
+    def __missing__(self, u: int) -> set[int]:
+        row = self[u] = set(self._neighbors(u))
+        return row
 
 
 def greedy_heuristic_clique(graph: Graph) -> list[int]:
@@ -40,96 +76,174 @@ def greedy_heuristic_clique(graph: Graph) -> list[int]:
     current clique.  Mirrors MC-BRB's heuristic phase closely enough to
     provide the strong initial bound the exact phase relies on.
     """
-    n = graph.num_vertices
-    if n == 0:
+    if graph.num_vertices == 0:
         return []
-    order, _k = degeneracy_ordering(graph)
-    rank = [0] * n
-    for pos, u in enumerate(order):
-        rank[u] = pos
+    return heuristic_clique(graph, core_decomposition(graph).order)
+
+
+def heuristic_clique(graph: Graph, order: Sequence[int]) -> list[int]:
+    """:func:`greedy_heuristic_clique` on a peel ``order`` already at hand."""
+    neighbors = graph.neighbors
+    # Every seed lies in the tail, and so does every vertex after it.
+    tail = order[-HEURISTIC_SEEDS:]
+    rank = {u: pos for pos, u in enumerate(tail)}
     best: list[int] = []
-    # Try a seed from the dense tail; a handful of seeds is enough for a
-    # good bound and keeps the heuristic near-linear.
-    for seed in reversed(order[-32:]):
-        clique = [seed]
-        members = {seed}
+    for seed in reversed(tail):
         # Candidates: neighbors later in the ordering, densest-first.
+        r = rank[seed]
         cands = sorted(
-            (v for v in graph.neighbors(seed) if rank[v] > rank[seed]),
-            key=lambda v: -rank[v],
+            (v for v in neighbors(seed) if rank.get(v, -1) > r),
+            key=rank.__getitem__,
+            reverse=True,
         )
+        clique = [seed]
+        # The candidates adjacent to every member so far.
+        common = set(cands)
         for v in cands:
-            if all(graph.has_edge(v, w) for w in clique):
+            if v in common:
                 clique.append(v)
-                members.add(v)
+                common.intersection_update(neighbors(v))
         if len(clique) > len(best):
             best = clique
     return sorted(best)
 
 
-def _color_sort(
-    candidates: list[int], adjacency: Sequence[set[int]]
-) -> tuple[list[int], list[int]]:
-    """Greedy coloring of ``candidates``; returns (vertices, colors).
+def _local_masks(
+    adjacency: Adjacency, candidates: Sequence[int]
+) -> list[int]:
+    """Neighbour bitmasks over the positions of ``candidates``.
 
-    Vertices come back ordered by color class (ascending), so iterating
-    from the end visits the highest upper bounds first — the standard
-    Tomita branching order.  ``colors[i]`` is the 1-based color of
-    ``vertices[i]``, an upper bound on the clique size within the prefix.
+    Bit ``j`` of ``masks[i]`` is set iff ``candidates[i]`` and
+    ``candidates[j]`` are adjacent.  Set intersections walk the smaller
+    side, so a candidate costs ``O(min(deg, len(candidates)))``.
     """
-    color_classes: list[list[int]] = []
+    members = set(candidates)
+    bit = {v: 1 << j for j, v in enumerate(candidates)}.__getitem__
+    masks = []
     for v in candidates:
-        adj_v = adjacency[v]
-        for cls in color_classes:
-            if not any(w in adj_v for w in cls):
-                cls.append(v)
-                break
+        nbrs = adjacency[v]
+        if members.isdisjoint(nbrs):
+            masks.append(0)
         else:
-            color_classes.append([v])
-    ordered: list[int] = []
-    colors: list[int] = []
-    for color, cls in enumerate(color_classes, start=1):
-        for v in cls:
-            ordered.append(v)
-            colors.append(color)
-    return ordered, colors
+            masks.append(sum(map(bit, nbrs & members)))
+    return masks
 
 
-def _bb_colored(
-    adjacency: Sequence[set[int]],
+def color_classes(
+    runs: list[int], masks: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidates in ``runs``, class by class.
+
+    Candidates are local positions, and ``masks[v]`` is ``v``'s
+    neighbour mask.  The candidate order is given as ``runs``: nonempty
+    bitmasks, each read in ascending position, one after the other.
+    Each class is filled by one pass over the still-uncolored candidates
+    in that order, admitting a vertex when it has no neighbour in the
+    class so far.  Within a run the next admissible vertex is the lowest
+    bit not yet ruled out, so a run costs one step per admitted vertex.
+    This yields exactly the classes of first-fit coloring by vertex in
+    candidate order.
+
+    Returns ``(pieces, ends)``: class ``c`` (1-based) is
+    ``pieces[ends[c - 2] : ends[c - 1]]`` (from 0 for ``c = 1``), its
+    members as runs in candidate order.
+    """
+    pieces: list[int] = []
+    ends: list[int] = []
+    while runs:
+        blocked = 0  # neighbours of the class's members so far
+        left = []
+        for run in runs:
+            free = run & ~blocked
+            if free:
+                piece = 0
+                while free:
+                    low = free & -free
+                    piece |= low
+                    nbrs = masks[low.bit_length() - 1]
+                    blocked |= nbrs
+                    free &= ~nbrs
+                    free ^= low
+                pieces.append(piece)
+                run ^= piece
+            if run:
+                left.append(run)
+        ends.append(len(pieces))
+        runs = left
+    return pieces, ends
+
+
+def _expand(
+    masks: Sequence[int],
+    members: Sequence[int],
     clique: list[int],
-    candidates: list[int],
+    runs: list[int],
     best: list[int],
-    floor: int = 0,
+    floor: int,
 ) -> None:
     """Branch and bound with the greedy-coloring upper bound.
 
-    ``floor`` acts as an external incumbent size: branches that cannot
-    exceed ``max(len(best), floor)`` are cut, and nothing smaller than
-    ``floor`` is ever recorded.  Callers with a bound from elsewhere
-    (e.g. a clique found at a different root) pass it here.
+    ``runs`` are the candidates, local positions into ``members`` (the
+    root's candidate list) in the form :func:`color_classes` takes;
+    ``clique`` holds vertex IDs.  Candidates are branched on from the
+    last of the highest color class backwards (Tomita's order), and a
+    vertex of color ``c`` is cut when ``|clique| + c`` cannot exceed
+    ``max(len(best), floor)``.  Its subproblem's candidates are the
+    candidates before it that are its neighbours: those of the lower
+    classes, since its own class holds none.  Nothing smaller than
+    ``floor`` is ever recorded.
     """
+    pieces, ends = color_classes(runs, masks)
+    size = len(clique)
     incumbent = max(len(best), floor)
+    end = len(pieces)
+    for color in range(len(ends), 0, -1):
+        start = ends[color - 2] if color > 1 else 0
+        lower = pieces[:start]
+        for k in range(end - 1, start - 1, -1):
+            piece = pieces[k]
+            while piece:
+                if size + color <= incumbent:
+                    return  # every remaining vertex has an even smaller bound
+                v = piece.bit_length() - 1
+                piece ^= 1 << v
+                nbrs = masks[v]
+                clique.append(members[v])
+                sub = []
+                for run in lower:
+                    if run & nbrs:
+                        sub.append(run & nbrs)
+                if sub:
+                    _expand(masks, members, clique, sub, best, floor)
+                    incumbent = max(len(best), floor)
+                elif size + 1 > incumbent:
+                    best[:] = clique
+                    incumbent = size + 1
+                clique.pop()
+        end = start
+
+
+def search_root(
+    adjacency: Adjacency,
+    root: int,
+    candidates: Sequence[int],
+    best: list[int],
+    floor: int = 0,
+) -> None:
+    """Record in ``best`` the largest clique of ``root`` plus ``candidates``.
+
+    ``candidates`` must all be neighbours of ``root``.  Only a clique
+    larger than ``max(len(best), floor)`` is recorded; callers with a
+    bound from elsewhere (e.g. a clique found at a different root) pass
+    it as ``floor``.
+    """
     if not candidates:
-        if len(clique) > incumbent:
-            best[:] = clique
+        if 1 > max(len(best), floor):
+            best[:] = [root]
         return
-    ordered, colors = _color_sort(candidates, adjacency)
-    for i in range(len(ordered) - 1, -1, -1):
-        incumbent = max(len(best), floor)
-        if len(clique) + colors[i] <= incumbent:
-            return  # every remaining vertex has an even smaller bound
-        v = ordered[i]
-        adj_v = adjacency[v]
-        clique.append(v)
-        _bb_colored(
-            adjacency,
-            clique,
-            [w for w in ordered[:i] if w in adj_v],
-            best,
-            floor,
-        )
-        clique.pop()
+    masks = _local_masks(adjacency, candidates)
+    everyone = (1 << len(candidates)) - 1
+    _expand(masks, candidates, [root], [everyone], best, floor)
 
 
 def mc_brb(graph: Graph) -> list[int]:
@@ -137,20 +251,22 @@ def mc_brb(graph: Graph) -> list[int]:
     n = graph.num_vertices
     if n == 0:
         return []
-    best = greedy_heuristic_clique(graph)
     core, order, _k = core_decomposition(graph)
-    rank = [0] * n
-    for pos, u in enumerate(order):
-        rank[u] = pos
-    adjacency = [set(graph.neighbors(u)) for u in range(n)]
+    best = heuristic_clique(graph, order)
+    neighbors = graph.neighbors
+    adjacency = NeighborSets(graph)
+    # The roots visited so far: u's right-neighborhood is its neighbors
+    # not yet visited.
+    visited = bytearray(n)
     for u in order:
+        visited[u] = 1
         # Core reduction: every member of a clique of size s has core
         # number >= s - 1, so a root (or candidate) with
         # core(v) + 1 <= |best| cannot appear in anything better.  This
         # subsumes the old degree filter (core(v) <= deg(v)).
         if core[u] + 1 <= len(best):
             continue
-        right = [v for v in graph.neighbors(u) if rank[v] > rank[u]]
+        right = [v for v in neighbors(u) if not visited[v]]
         if len(right) + 1 <= len(best):
             continue
         floor = len(best)
@@ -158,7 +274,7 @@ def mc_brb(graph: Graph) -> list[int]:
         if len(right) + 1 <= len(best):
             continue
         check_deadline()
-        _bb_colored(adjacency, [u], right, best)
+        search_root(adjacency, u, right, best)
     return sorted(best)
 
 
@@ -167,20 +283,19 @@ def max_clique_with_root(
     root: int,
     *,
     lower_bound: int = 0,
-    adjacency: Optional[Sequence[set[int]]] = None,
+    adjacency: Adjacency | None = None,
 ) -> list[int]:
     """The largest clique containing ``root`` (``MC(root)``), sorted.
 
     ``lower_bound`` prunes branches that cannot beat an incumbent from a
     different root, in which case the returned clique may be *smaller*
     than ``MC(root)`` (possibly just ``[root]``) — exactly the contract
-    the top-k search wants.  Pass ``adjacency`` (list of neighbor sets)
-    to amortize its construction across many roots.
+    the top-k search wants.  Pass ``adjacency`` (neighbor sets indexed
+    by vertex, e.g. a list or a :class:`NeighborSets`) to amortize its
+    construction across many roots.
     """
     if adjacency is None:
-        adjacency = [set(graph.neighbors(u)) for u in graph.vertices()]
+        adjacency = NeighborSets(graph)
     best: list[int] = []
-    _bb_colored(
-        adjacency, [root], list(graph.neighbors(root)), best, lower_bound
-    )
+    search_root(adjacency, root, graph.neighbors(root), best, lower_bound)
     return sorted(best) if best else [root]

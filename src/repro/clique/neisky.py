@@ -11,18 +11,26 @@ So instead of rooting the branch-and-bound at every vertex, ``NeiSkyMC``
 roots it only at skyline vertices, each with the *full* ego network
 ``N(u)`` as candidates — full, not right-restricted as in plain MC-BRB,
 because the leftmost member of the optimal clique need not itself be a
-skyline vertex.  Roots that cannot beat the incumbent
-(``deg(u) + 1 ≤ |best|``) are skipped.
+skyline vertex.
+
+A root ``u`` with ``core(u) + 1 ≤ |best|`` is skipped before its ego
+network is built: every clique through ``u`` has at most
+``core(u) + 1`` vertices (Batagelj & Zaveršnik), so its search could
+record nothing, and skipping it cannot change the result.  One peel
+feeds both this test and the heuristic's initial clique.  On the n=400
+copying-model graphs ``repro-sky serve`` hosts in its benchmark, the
+heuristic already finds ω and no root survives.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.clique.mcbrb import _bb_colored, greedy_heuristic_clique
+from repro.clique.mcbrb import NeighborSets, heuristic_clique, search_root
 from repro.core.api import neighborhood_skyline
 from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
+from repro.graph.cores import core_decomposition
 
 __all__ = ["neisky_mc"]
 
@@ -43,21 +51,25 @@ def neisky_mc(
         return []
     if skyline is None:
         skyline = neighborhood_skyline(graph).skyline
-    best = greedy_heuristic_clique(graph)
-    adjacency = [set(graph.neighbors(u)) for u in range(n)]
-    degree = graph.degree
+    core, order, _k = core_decomposition(graph)
+    best = heuristic_clique(graph, order)
+    # The core test below, applied before any root set-up.
+    roots = [u for u in skyline if core[u] + 1 > len(best)]
+    if not roots:
+        return sorted(best)
+    degree = graph.degrees()
+    neighbors = graph.neighbors
+    adjacency = NeighborSets(graph)
     # Densest roots first so the incumbent grows quickly.
-    for u in sorted(skyline, key=degree, reverse=True):
-        if degree(u) + 1 <= len(best):
+    for u in sorted(roots, key=degree.__getitem__, reverse=True):
+        if core[u] + 1 <= len(best):
             continue
         # Candidate reduction: a member of a clique beating the
         # incumbent needs degree >= |best| (it has |best| clique
         # neighbors).  This trims the low-degree periphery out of hub
         # ego networks, the full-ego analogue of MC-BRB's reductions.
         floor = len(best)
-        candidates = [
-            v for v in graph.neighbors(u) if degree(v) >= floor
-        ]
+        candidates = [v for v in neighbors(u) if degree[v] >= floor]
         check_deadline()
-        _bb_colored(adjacency, [u], candidates, best)
+        search_root(adjacency, u, candidates, best)
     return sorted(best)

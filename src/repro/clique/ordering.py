@@ -8,13 +8,13 @@ sparse graphs (the structural insight behind MC-BRB's ego-network
 decomposition).
 
 Both entry points delegate to the round-based batch peel of
-:mod:`repro.graph.cores` — vectorized over the CSR ndarrays when numpy
-is available, with an identical-schedule pure-Python fallback — which
-replaced the scalar Matula–Beck bucket loops that used to live here.
-The peel order differs from the old lazy-deletion order (batches peel
-ID-ascending instead of popping the newest bucket entry) but is equally
-a degeneracy ordering, and core numbers and degeneracy are unchanged
-(they are properties of the graph, not of the schedule).
+:mod:`repro.graph.cores`, vectorized over the CSR ndarrays on every
+graph backend (the test suite replays its schedule in pure Python as
+the oracle).  Batches peel ID-ascending; any such schedule gives a
+degeneracy ordering, and core numbers and degeneracy are properties of
+the graph, not of the schedule.  The solvers of :mod:`repro.clique`
+call :func:`~repro.graph.cores.core_decomposition` directly, once per
+call, to get order and core numbers from one peel.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ __all__ = ["base_topk_mcc", "neisky_topk_mcc"]
 
 def _round_winner(
     graph: Graph,
+    degree: Sequence[int],
     adjacency: Sequence[set[int]],
     roots: Sequence[int],
     selected: set[tuple[int, ...]],
@@ -53,7 +54,7 @@ def _round_winner(
     """
     best: Optional[tuple[int, ...]] = None
     best_root = -1
-    for u in sorted(roots, key=lambda v: (-graph.degree(v), v)):
+    for u in sorted(roots, key=lambda v: (-degree[v], v)):
         check_deadline()
         clique = tuple(
             max_clique_with_root(graph, u, adjacency=adjacency)
@@ -73,13 +74,14 @@ def base_topk_mcc(graph: Graph, k: int) -> list[list[int]]:
         return []
     if k == 1:
         return [mc_brb(graph)]
+    degree = graph.degrees()
     adjacency = [set(graph.neighbors(u)) for u in graph.vertices()]
     all_roots = list(graph.vertices())
     selected: list[list[int]] = []
     selected_keys: set[tuple[int, ...]] = set()
     while len(selected) < k:
         clique, _root = _round_winner(
-            graph, adjacency, all_roots, selected_keys
+            graph, degree, adjacency, all_roots, selected_keys
         )
         if clique is None:
             break
@@ -116,13 +118,14 @@ def neisky_topk_mcc(
         if d != v:
             dominatees.setdefault(d, []).append(v)
 
-    adjacency = [set(graph.neighbors(u)) for u in range(n)]
+    degree = graph.degrees()
+    adjacency = [set(graph.neighbors(u)) for u in graph.vertices()]
     roots: set[int] = set(skyline_result.skyline)
     selected: list[list[int]] = []
     selected_keys: set[tuple[int, ...]] = set()
     while len(selected) < k:
         clique, root = _round_winner(
-            graph, adjacency, sorted(roots), selected_keys
+            graph, degree, adjacency, sorted(roots), selected_keys
         )
         if clique is None:
             # Current roots exhausted: let every root's dominatees in and

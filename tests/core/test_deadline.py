@@ -9,9 +9,10 @@ import threading
 
 import pytest
 
-from repro.centrality import base_gc
+from repro.centrality import base_gc, lazy_greedy
 from repro.centrality.greedy import greedy_maximize
 from repro.centrality.group_closeness_max import ClosenessObjective
+from repro.centrality.lazy_greedy import DRAIN_CHECK_INTERVAL
 from repro.clique import base_topk_mcc, mc_brb, neisky_mc
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.deadline import DeadlineExceeded, check, deadline
@@ -90,3 +91,29 @@ def test_round_zero_checks_each_bfs_level():
         with pytest.raises(DeadlineExceeded):
             trav.first_round_gains(sources, objective)
     assert trav.first_round_gains(sources, objective) == expected
+
+
+def test_celf_drain_checks_every_interval(monkeypatch):
+    """The drain checks the deadline once per DRAIN_CHECK_INTERVAL stale
+    pops: count the gain-only scans between two checkpoints."""
+    graph = barabasi_albert(600, 4, seed=1)
+    expected = base_gc(graph, 4)
+    scans = [0]
+    gaps = []
+    scan = CSRTraversal.adaptive_eval
+
+    def counting_scan(self, source, current, current_nd, objective, collect=False):
+        scans[0] += not collect
+        return scan(self, source, current, current_nd, objective, collect)
+
+    def counting_check():
+        gaps.append(scans[0])
+        scans[0] = 0
+
+    monkeypatch.setattr(CSRTraversal, "adaptive_eval", counting_scan)
+    monkeypatch.setattr(lazy_greedy, "check_deadline", counting_check)
+    assert base_gc(graph, 4) == expected
+    # Rounds 1-3 drain hundreds of stale entries each, so the steady
+    # interval is reached, and never exceeded.
+    assert sum(gaps) > 3 * DRAIN_CHECK_INTERVAL
+    assert max(gaps + scans) == DRAIN_CHECK_INTERVAL

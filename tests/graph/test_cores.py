@@ -1,5 +1,6 @@
 """Unit tests for the k-core decomposition (``repro.graph.cores``)."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.graph.adjacency import Graph
@@ -8,6 +9,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
+    kronecker_graph,
     path_graph,
     star_graph,
 )
@@ -103,7 +105,13 @@ def batch_peel_oracle(g: Graph) -> CoreDecomposition:
     entry for entry what :func:`core_decomposition` does over the CSR
     arrays, so it pins the peel *order*, not only the core numbers.
     """
+    return batch_peel_schedule(g)[0]
+
+
+def batch_peel_schedule(g: Graph) -> tuple[CoreDecomposition, int]:
+    """:func:`batch_peel_oracle` plus the number of cascade rounds."""
     n = g.num_vertices
+    rounds = 0
     deg = list(g.degrees())
     alive = [True] * n
     core = [0] * n
@@ -113,6 +121,7 @@ def batch_peel_oracle(g: Graph) -> CoreDecomposition:
         k = max(k, min(deg[u] for u in range(n) if alive[u]))
         batch = [u for u in range(n) if alive[u] and deg[u] <= k]
         while batch:
+            rounds += 1
             for u in batch:
                 alive[u] = False
                 core[u] = k
@@ -124,7 +133,7 @@ def batch_peel_oracle(g: Graph) -> CoreDecomposition:
             for v, cnt in touched.items():
                 deg[v] -= cnt
             batch = sorted(v for v in touched if alive[v] and deg[v] <= k)
-    return CoreDecomposition(core, order, max(core) if n else 0)
+    return CoreDecomposition(core, order, max(core) if n else 0), rounds
 
 
 @COMMON
@@ -142,3 +151,30 @@ def test_karate_csr_matches_list():
     assert core_decomposition(g) == core_decomposition(
         CSRGraph.from_graph(g)
     )
+
+
+@pytest.mark.parametrize(
+    "name, build, min_rounds",
+    [
+        # kron_large's peel runs 114 cascade rounds, an R-MAT scale-10
+        # graph 57; a path peels two vertices per round from its ends.
+        ("rmat10", lambda: kronecker_graph(10, 8, seed=3), 50),
+        ("path240", lambda: path_graph(240), 110),
+        (
+            "rmat8_with_tail",
+            lambda: Graph.from_edges(
+                456,
+                list(kronecker_graph(8, 8, seed=7).edges())
+                + [(u, u + 1) for u in range(255, 455)],
+            ),
+            100,
+        ),
+    ],
+)
+def test_backends_agree_on_long_cascades(name, build, min_rounds):
+    """The bincount rounds keep the schedule over a hundred cascades."""
+    g = build()
+    slow, rounds = batch_peel_schedule(g)
+    assert rounds >= min_rounds
+    assert core_decomposition(g) == slow
+    assert core_decomposition(CSRGraph.from_graph(g)) == slow
