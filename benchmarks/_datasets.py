@@ -15,6 +15,10 @@ session.  Three families:
   correspondingly.
 * ``scalability_instance(axis, fraction)`` — the Exp-7 LiveJournal
   subsamples along the ``n`` and ``ρ`` axes.
+
+The lazy greedy memoizes each vertex's empty-group gain on the graph
+object, so a timed lazy leg on a cached instance would time memo hits
+left by an earlier leg; :func:`cold_copy` gives each leg its own object.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.graph.adjacency import Graph
+from repro.graph.csr import CSRGraph
 from repro.graph.components import largest_connected_component
 from repro.graph.sampling import sample_edges, sample_prefix, sample_vertices
 from repro.workloads import load
@@ -46,6 +51,20 @@ _CENTRALITY_PARAMS = {
     "livejournal_sim": (2.4, 0.85, 206),
 }
 _CENTRALITY_N = 900
+
+
+def cold_copy(graph: Graph) -> Graph:
+    """An equal graph object on the same backend with no round-0 memo.
+
+    Zero-copy for a :class:`CSRGraph`; a list-backed graph is rebuilt
+    from its ``to_csr()`` snapshot, which is built on the copy too, so
+    the timed run starts where the cached instance would.
+    """
+    if isinstance(graph, CSRGraph):
+        return CSRGraph.from_arrays(*graph.csr_arrays())
+    copy = Graph.from_csr(*graph.to_csr())
+    copy.to_csr()
+    return copy
 
 
 @lru_cache(maxsize=None)

@@ -243,9 +243,9 @@ def render_large_tier(entries) -> str:
 def render_greedy_vector(entries) -> str:
     """Greedy vector-kernel before/after table (``greedy_vector`` rows).
 
-    One row per instance: pool shape, the eager reference wall, and the
-    scalar-kernel and default lazy walls with the measured speedup.
-    Returns ``""`` when
+    One row per instance: pool shape, the eager reference wall, the
+    scalar-kernel and default lazy walls with the measured speedup, and
+    the default's repeated (round-0 memo warm) wall.  Returns ``""`` when
     ``bench_greedy_vector.py`` has not been run yet.
     """
     by_inst = {}
@@ -266,19 +266,21 @@ def render_greedy_vector(entries) -> str:
             "speedup_vs_scalar", before["wall_s"] / after["wall_s"]
         )
         eager_cell = f"{ref['wall_s']:.1f}" if ref is not None else "?"
+        warm = group.get("warm")
+        warm_cell = f"{warm['wall_s']:.1f}" if warm is not None else "?"
         rows.append(
             f"| {name} | {a_extra.get('k', '?')} "
             f"| {a_extra.get('pool_size', '?')} | {eager_cell} "
             f"| {before['wall_s']:.1f} | {after['wall_s']:.1f} "
-            f"| {ratio:.1f}x |"
+            f"| {ratio:.1f}x | {warm_cell} |"
         )
     if not rows:
         return ""
     return "\n".join(
         [
             "| dataset | k | pool | eager (s) | lazy scalar (s) "
-            "| lazy batched (s) | speedup |",
-            "|---|---|---|---|---|---|---|",
+            "| lazy batched (s) | speedup | lazy warm (s) |",
+            "|---|---|---|---|---|---|---|---|",
             *rows,
         ]
     )

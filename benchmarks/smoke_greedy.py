@@ -13,6 +13,10 @@ and the whole run must finish inside ``REPRO_SMOKE_GREEDY_BUDGET``
 seconds (default 120) so a perf regression in the smoke tier fails CI
 instead of quietly stretching it.
 
+Each lazy run gets its own graph object (:func:`_datasets.cold_copy`):
+the lazy engine memoizes round-0 gains on the graph, so NeiSkyGC-lazy
+after BaseGC-lazy on one object would time memo hits.
+
 Exit status is non-zero on any mismatch, so the CI step fails loudly.
 
 Usage::
@@ -26,6 +30,7 @@ import os
 import sys
 import time
 
+from _datasets import cold_copy
 from repro.centrality import base_gc, base_gh, neisky_gc
 from repro.harness.benchjson import (
     BENCH_FILENAME,
@@ -72,8 +77,9 @@ def run(instances) -> list[dict]:
             t_eager, eager = _timed(
                 lambda r=runner: r(graph, SMOKE_K, strategy="eager")
             )
+            cold = cold_copy(graph)
             t_lazy, lazy = _timed(
-                lambda r=runner: r(graph, SMOKE_K, strategy="lazy")
+                lambda r=runner: r(cold, SMOKE_K, strategy="lazy")
             )
             _check_pair(name, label, eager, lazy)
             entries.append(

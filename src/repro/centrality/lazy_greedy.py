@@ -1,7 +1,7 @@
 """Lazy-greedy (CELF) driver for group-centrality maximization.
 
 Same contract as :func:`repro.centrality.greedy.greedy_maximize` — same
-group, same gains, same tie-breaks, bit for bit — with three stacked
+group, same gains, same tie-breaks, bit for bit — with four stacked
 optimizations.  It is the default schedule of every group-closeness and
 group-harmonic entry point; the eager driver stays as the reference
 it is tested against.
@@ -42,7 +42,22 @@ it is tested against.
    ``lanes_short_circuited`` (always 0, kept for readers of the
    counter).
 
-``evaluations`` counts gain evaluations actually performed;
+4. **Round-0 memo.**  A round-0 gain is the candidate's own closeness
+   or harmonic sum: a property of the graph, the same for every ``k``,
+   pool and repeat.  Graphs are immutable, so the driver keeps these
+   gains on the graph object (``Graph._round0``: one float64 array of
+   length ``n`` per ``(csr_kernel, penalty)``, NaN while unscored), and
+   round 0 runs the bitset kernel only on the scope's unscored
+   vertices.  It fills a copy and publishes it with one assignment, so
+   an exception inside the kernel (a deadline, a fault) leaves the memo
+   as it was and another thread never reads a half-written array.
+   Objectives without a ``csr_kernel`` tag bypass it, and the eager
+   driver never reads it.  A memo hit shows only as fewer
+   ``batch_rounds``.
+
+``evaluations`` counts the gain evaluations of the lazy schedule, round
+0 charged ``len(scope)`` whether its gains came from the kernel or the
+memo, so it is the same on a first and a repeated call;
 ``evaluations_saved`` is the eager schedule's count over the same pool
 minus that, so ``evaluations + evaluations_saved`` always equals the
 eager driver's ``evaluations`` for the same inputs.  (The one uncounted
@@ -72,6 +87,33 @@ __all__ = ["lazy_greedy_maximize", "run_greedy"]
 #: re-scores over 3,000 candidates), so a served query stops within a
 #: few milliseconds of its deadline instead of after the whole drain.
 DRAIN_CHECK_INTERVAL = 32
+
+
+def _empty_group_gains(graph, trav, scope, objective) -> list[float]:
+    """Round-0 gains of ``scope``, through the graph's round-0 memo.
+
+    Only the vertices the memo has not scored yet run the bitset
+    kernel.  The filled-in array replaces the old one in a single
+    assignment, so a deadline or fault inside the kernel leaves the
+    memo as it was, and a reader never sees a half-written array.
+    """
+    kernel = getattr(objective, "csr_kernel", None)
+    if kernel not in ("closeness", "harmonic"):
+        return trav.first_round_gains(scope, objective)
+    if graph._round0 is None:
+        graph._round0 = {}
+    memo = graph._round0
+    key = (kernel, getattr(objective, "penalty", None))
+    known = memo.get(key)
+    if known is None:
+        known = _np.full(graph.num_vertices, _np.nan)
+    scope_nd = _np.asarray(scope, dtype=_np.int64)
+    missing = scope_nd[_np.isnan(known[scope_nd])]
+    if missing.size:
+        filled = known.copy()
+        filled[missing] = trav.first_round_gains(missing.tolist(), objective)
+        memo[key] = known = filled
+    return known[scope_nd].tolist()
 
 
 def lazy_greedy_maximize(
@@ -133,10 +175,10 @@ def lazy_greedy_maximize(
                     break
             eager_evaluations += len(scope)
             evaluations += len(scope)
-            # With nothing committed yet every scan is a plain BFS,
-            # which the bitset round-0 kernel runs 64 sources per word.
+            # With nothing committed yet every scan is a plain BFS: a
+            # property of the graph, memoized on it per objective.
             if not group:
-                gain_vec = trav.first_round_gains(scope, objective)
+                gain_vec = _empty_group_gains(graph, trav, scope, objective)
             else:
                 gain_vec = [evaluate(u, False)[0] for u in scope]
             # max() keeps the first maximum: the eager smallest-ID

@@ -16,11 +16,15 @@ the ``j``-th clique:
   the root set (by Lemma 6 their cliques are no larger than ``u``'s, so
   they only become interesting once ``u``'s clique is consumed).  At
   ``k = 1`` it degenerates to ``NeiSkyMC`` plus the skyline cost.
+  Each root's ``MC(u)`` is searched once per call and reused by later
+  rounds.
 
 Within a round every root's ``MC(u)`` is computed *exactly* (no
 incumbent floor) — the base variant is deliberately the "straightforward
 method" of the paper, which is what makes its cost grow with both ``n``
-and ``k`` and gives the skyline-rooted variant its Fig. 9 advantage.
+and ``k`` and gives the skyline-rooted variant its Fig. 9 advantage; the
+base variant also re-searches every root in every round, as the paper's
+baseline does.
 Roots are visited densest-first for deterministic tie-breaking.
 """
 
@@ -45,20 +49,27 @@ def _round_winner(
     adjacency: Sequence[set[int]],
     roots: Sequence[int],
     selected: set[tuple[int, ...]],
+    known: Optional[dict[int, tuple[int, ...]]] = None,
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """Largest unselected clique rooted in ``roots`` plus its root.
 
     Computes ``MC(u)`` exactly for every root (densest-first for
-    deterministic ties).  Returns ``(None, -1)`` when every root's
-    clique was already selected.
+    deterministic ties).  ``known``, when given, memoizes ``MC(u)``
+    across rounds: with no floor the search depends on ``u`` alone.
+    Returns ``(None, -1)`` when every root's clique was already
+    selected.
     """
     best: Optional[tuple[int, ...]] = None
     best_root = -1
     for u in sorted(roots, key=lambda v: (-degree[v], v)):
         check_deadline()
-        clique = tuple(
-            max_clique_with_root(graph, u, adjacency=adjacency)
-        )
+        clique = None if known is None else known.get(u)
+        if clique is None:
+            clique = tuple(
+                max_clique_with_root(graph, u, adjacency=adjacency)
+            )
+            if known is not None:
+                known[u] = clique
         if clique in selected:
             continue
         if best is None or (-len(clique), clique) < (-len(best), best):
@@ -123,9 +134,10 @@ def neisky_topk_mcc(
     roots: set[int] = set(skyline_result.skyline)
     selected: list[list[int]] = []
     selected_keys: set[tuple[int, ...]] = set()
+    known: dict[int, tuple[int, ...]] = {}
     while len(selected) < k:
         clique, root = _round_winner(
-            graph, degree, adjacency, sorted(roots), selected_keys
+            graph, degree, adjacency, sorted(roots), selected_keys, known
         )
         if clique is None:
             # Current roots exhausted: let every root's dominatees in and

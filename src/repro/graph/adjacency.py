@@ -41,7 +41,7 @@ class Graph:
     stay on top of plain lists.
     """
 
-    __slots__ = ("_adj", "_m", "_csr")
+    __slots__ = ("_adj", "_m", "_csr", "_round0")
 
     def __init__(self, adjacency: list[list[int]], num_edges: int):
         # Not part of the public API: use from_edges / GraphBuilder.
@@ -54,6 +54,9 @@ class Graph:
         ]
         self._m = num_edges
         self._csr: tuple[array, array] | None = None
+        #: Memoized empty-group greedy gains, created on first use by
+        #: :mod:`repro.centrality.lazy_greedy` (see its module docstring).
+        self._round0: dict | None = None
 
     # ------------------------------------------------------------------
     # Constructors

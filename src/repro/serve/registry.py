@@ -232,6 +232,13 @@ def _int_param(params: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
+def _bool_param(params: dict, key: str, default: bool) -> bool:
+    value = params.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
     """Run one query on ``entry``; a JSON-able result.
 
@@ -269,7 +276,7 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
                 f"unknown group measure {measure!r}; choose 'closeness' "
                 "or 'harmonic'"
             )
-        use_skyline = bool(params.get("use_skyline", True))
+        use_skyline = _bool_param(params, "use_skyline", True)
         counters = SkylineCounters()
         if use_skyline:
             run = neisky_gc if measure == "closeness" else neisky_gh
@@ -293,7 +300,7 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
         from repro.clique import base_topk_mcc, mc_brb, neisky_mc, neisky_topk_mcc
 
         top_k = _int_param(params, "top_k", 1, 1)
-        use_skyline = bool(params.get("use_skyline", True))
+        use_skyline = _bool_param(params, "use_skyline", True)
         counters = SkylineCounters()
         if not use_skyline:
             cliques = (

@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.clique import topk
 from repro.clique.mcbrb import mc_brb
 from repro.clique.topk import base_topk_mcc, neisky_topk_mcc
 from repro.clique.verify import is_clique
 from repro.core.filter_refine import filter_refine_sky
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.generators import complete_graph, erdos_renyi
+from repro.graph.generators import (
+    complete_graph,
+    copying_power_law,
+    erdos_renyi,
+)
 from repro.workloads.synthetic import plant_cliques
 
 
@@ -106,3 +111,44 @@ class TestNeiskyTopk:
 
     def test_empty_graph(self):
         assert neisky_topk_mcc(Graph.from_edges(0, []), 2) == []
+
+
+def _count_rooted_searches(monkeypatch) -> list[int]:
+    """Record the root of every ``max_clique_with_root`` call."""
+    roots: list[int] = []
+    search = topk.max_clique_with_root
+
+    def counting(graph, root, **kwargs):
+        roots.append(root)
+        return search(graph, root, **kwargs)
+
+    monkeypatch.setattr(topk, "max_clique_with_root", counting)
+    return roots
+
+
+class TestRootedSearchCount:
+    """NeiSkyTopkMCC searches each root once per call; BaseTopkMCC
+    re-searches every vertex in every round, as the paper's baseline."""
+
+    def test_neisky_searches_each_root_once(self, monkeypatch):
+        g = copying_power_law(400, seed=19)
+        roots = _count_rooted_searches(monkeypatch)
+        # Without the per-call memo this call ran 493 searches.
+        assert neisky_topk_mcc(g, 3) == [
+            [0, 1, 2, 3, 4], [1, 23, 306], [1, 68, 90]
+        ]
+        assert len(roots) == len(set(roots)) == 185
+
+    def test_memo_does_not_outlive_the_call(self, monkeypatch):
+        g = copying_power_law(400, seed=19)
+        roots = _count_rooted_searches(monkeypatch)
+        neisky_topk_mcc(g, 2)
+        first = len(roots)
+        neisky_topk_mcc(g, 2)
+        assert len(roots) == 2 * first == 2 * 182
+
+    def test_base_recomputes_every_round(self, monkeypatch):
+        g = erdos_renyi(30, 0.3, seed=4)
+        roots = _count_rooted_searches(monkeypatch)
+        cliques = base_topk_mcc(g, 3)
+        assert len(roots) == len(cliques) * g.num_vertices

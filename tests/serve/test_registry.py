@@ -122,6 +122,40 @@ def test_execute_query_validates_parameters():
         registry.close()
 
 
+@pytest.mark.parametrize("kind", ["group", "clique"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [], "true"])
+def test_use_skyline_must_be_boolean(kind, value):
+    # bool("false") is True: a truthiness cast would silently run the
+    # skyline variant for {"use_skyline": "false"}.
+    registry = GraphRegistry()
+    try:
+        entry = registry.register("karate", load("karate"))
+        with pytest.raises(
+            ParameterError, match="use_skyline must be true or false"
+        ):
+            execute_query(entry, kind, {"use_skyline": value})
+    finally:
+        registry.close()
+
+
+@pytest.mark.parametrize("kind", ["group", "clique"])
+def test_use_skyline_booleans_pick_the_variant(kind):
+    registry = GraphRegistry()
+    try:
+        entry = registry.register("karate", load("karate"))
+        for flag in (True, False):
+            doc = execute_query(entry, kind, {"use_skyline": flag})
+            assert doc["use_skyline"] is flag
+        if kind == "group":
+            n = entry.graph.num_vertices
+            assert execute_query(entry, kind, {"use_skyline": False})[
+                "pool_size"
+            ] == n
+            assert execute_query(entry, kind, {})["pool_size"] < n
+    finally:
+        registry.close()
+
+
 # -- load failure diagnosability (PR 9, satellite 1) -------------------
 def test_corrupt_snapshot_fails_with_clear_parameter_error(tmp_path):
     corrupt = tmp_path / "corrupt.rsky"

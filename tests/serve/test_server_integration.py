@@ -218,6 +218,11 @@ def test_bad_inputs_are_400(server):
         {"graph": "karate", "kind": "group", "k": -3},
         expect=400,
     )
+    _query(
+        server,
+        {"graph": "karate", "kind": "group", "use_skyline": "false"},
+        expect=400,
+    )
 
 
 def test_unknown_route_404_and_wrong_method_405(server):
