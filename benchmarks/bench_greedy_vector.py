@@ -81,7 +81,7 @@ def scalar_kernels():
     adaptive = CSRTraversal.adaptive_eval
 
     def scalar_first_round(self, sources, objective):
-        empty = [-1] * self.n
+        empty = [self.n] * self.n  # the scalar scan's "unreachable"
         return [
             adaptive(self, s, empty, None, objective, budget=-1)[0]
             for s in sources

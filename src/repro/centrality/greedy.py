@@ -25,6 +25,7 @@ quantities the paper compares in Example 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
 
@@ -33,7 +34,12 @@ from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.truncated import improvements
 
-__all__ = ["GainObjective", "GreedyResult", "greedy_maximize"]
+__all__ = [
+    "GainObjective",
+    "GreedyResult",
+    "candidate_pool",
+    "greedy_maximize",
+]
 
 
 class GainObjective(Protocol):
@@ -77,6 +83,32 @@ class GreedyResult:
         return sum(self.gains)
 
 
+def candidate_pool(candidates: Optional[Iterable[int]], n: int) -> list[int]:
+    """The sorted, deduplicated candidate pool; all of ``V`` for ``None``.
+
+    Every candidate must be an integer vertex ID in ``[0, n)`` (numpy
+    integers included); a ``bool``, float or string is rejected with a
+    one-line :class:`~repro.errors.ParameterError`.
+    """
+    if candidates is None:
+        return list(range(n))
+    pool = set()
+    for u in candidates:
+        if type(u) is not int:  # bool is a subclass: it lands here too
+            try:
+                if isinstance(u, bool):
+                    raise TypeError
+                u = operator.index(u)
+            except TypeError:
+                raise ParameterError(
+                    f"candidate {u!r} is not an integer vertex ID"
+                ) from None
+        if not (0 <= u < n):
+            raise ParameterError(f"candidate {u} out of range")
+        pool.add(u)
+    return sorted(pool)
+
+
 def greedy_maximize(
     graph: Graph,
     k: int,
@@ -115,13 +147,7 @@ def greedy_maximize(
         raise ParameterError(f"group size k must be >= 0, got {k}")
     n = graph.num_vertices
     k = min(k, n)
-    if candidates is None:
-        pool = list(range(n))
-    else:
-        pool = sorted(set(candidates))
-        for u in pool:
-            if not (0 <= u < n):
-                raise ParameterError(f"candidate {u} out of range")
+    pool = candidate_pool(candidates, n)
 
     in_group = bytearray(n)
     dist = [-1] * n  # d(v, S); -1 = infinity while S is empty

@@ -19,9 +19,13 @@ it is tested against.
    exactly the eager scan's first-strict-maximum rule.
 
 2. **CSR kernels.**  Evaluations run on a
-   :class:`~repro.paths.csr.CSRTraversal` — flat-array truncated BFS
-   with preallocated scratch reused across the whole run — instead of
-   the per-call generator machinery of :mod:`repro.paths.truncated`.
+   :class:`~repro.paths.csr.CSRTraversal` — truncated BFS over the
+   graph's own neighbour tuples with preallocated scratch reused across
+   the whole run — instead of the per-call generator machinery of
+   :mod:`repro.paths.truncated`.  The scalar scan works on the driver's
+   distance list itself (``n`` for unreachable): it lowers the vertices
+   it reaches in place and restores them in the sweep that folds the
+   gain.
 
 3. **Vector kernels.**  Round 0, scored against an empty group, runs
    on the bitset multi-source BFS of
@@ -73,7 +77,12 @@ from typing import Iterable, Optional
 
 import numpy as _np
 
-from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
+from repro.centrality.greedy import (
+    GainObjective,
+    GreedyResult,
+    candidate_pool,
+    greedy_maximize,
+)
 from repro.core.deadline import check as check_deadline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -82,9 +91,9 @@ from repro.paths.csr import CSRTraversal
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 
 #: Stale pops of the CELF drain between two deadline checks.  A pop
-#: costs one gain scan (about 0.06 ms on average in the first drains of
+#: costs one gain scan (about 0.04 ms on average in the first drains of
 #: ``base_gc(barabasi_albert(3000, 4, seed=1), k)``, where one drain
-#: re-scores over 3,000 candidates), so a served query stops within a
+#: re-scores about 1,000 candidates), so a served query stops within a
 #: few milliseconds of its deadline instead of after the whole drain.
 DRAIN_CHECK_INTERVAL = 32
 
@@ -136,23 +145,17 @@ def lazy_greedy_maximize(
         raise ParameterError(f"group size k must be >= 0, got {k}")
     n = graph.num_vertices
     k = min(k, n)
-    if candidates is None:
-        pool = list(range(n))
-    else:
-        pool = sorted(set(candidates))
-        for u in pool:
-            if not (0 <= u < n):
-                raise ParameterError(f"candidate {u} out of range")
+    pool = candidate_pool(candidates, n)
 
     in_group = bytearray(n)
-    dist = [-1] * n  # d(v, S); -1 = infinity while S is empty
+    dist = [n] * n  # d(v, S); n = infinity (the scalar scan's sentinel)
     group: list[int] = []
     gains: list[float] = []
     evaluations = 0
     eager_evaluations = 0  # what the eager schedule would have spent
     trav = CSRTraversal.from_graph(graph)
     # The vector kernels index the committed distances as an int32
-    # ndarray, kept in step with `dist` at every commit.
+    # ndarray (-1 = infinity), kept in step with `dist` at every commit.
     dist_nd = _np.full(n, -1, dtype=_np.int32)
 
     def evaluate(u: int, collect: bool):
@@ -214,8 +217,8 @@ def lazy_greedy_maximize(
             # Against an empty group the winner improves every vertex it
             # reaches to its BFS distance, so the vectorized full BFS is
             # the commit.
-            dist = trav.bfs_distances(best_u)
-            dist_nd[:] = dist
+            dist_nd[:] = trav.bfs_distances(best_u)
+            dist = _np.where(dist_nd < 0, n, dist_nd).tolist()
         else:
             # Scans ship gains only; re-derive the winner's update list
             # (uncounted: this candidate's evaluation was charged above).

@@ -14,21 +14,22 @@ and accepts either CSR buffer shape the graph backends produce:
 ``array`` snapshots of the list-backed graph or the ``int32`` ndarrays
 of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
 
-* **one flat Python-int list** of the neighbor IDs (``tolist()`` — one
-  pass, no per-access boxing ever again) plus per-row slice views
-  materialized lazily and cached, so the scalar traversal loops iterate
-  plain lists at C speed while a run that scans a fraction of the
-  graph only pays for the rows it touches;
+* **the graph's own neighbour tuples** (the storage
+  :meth:`~repro.graph.adjacency.Graph.neighbors` hands out; a
+  ``CSRGraph`` materializes a row on first use and keeps it), so the
+  scalar loops iterate plain tuples, a run that scans a fraction of the
+  graph only pays for the rows it touches, and every later traversal
+  of the same graph object reuses them;
 * **ndarray views** of ``indptr``/``indices`` (zero-copy over both
   backends' buffers), which back the vectorized kernels — the full BFS
   of :meth:`bfs_distances` / :meth:`multi_source_distances`
   (distances are order-independent, so it returns exactly the scalar
   kernel's values), the vector gain scan and the round-0 kernel;
-* two preallocated scratch buffers reused across evaluations:
-  ``new_dist`` (tentative distances, ``-2`` meaning untouched) and
-  ``queue`` (a flat FIFO whose prefix, after a traversal, lists the
-  improved vertices **in the exact order** the generator version yields
-  them — source first, then FIFO discovery order over sorted rows).
+* two preallocated scratch lists reused across evaluations: ``queue``
+  (a flat FIFO whose prefix, after a traversal, lists the improved
+  vertices **in the exact order** the generator version yields them —
+  source first, then FIFO discovery order over sorted rows) and
+  ``olds`` (each queued vertex's distance before the scan).
 
 That ordering guarantee is what makes the gain kernels bit-for-bit
 compatible with the eager driver: gains are float sums, and floating-
@@ -39,6 +40,14 @@ integer farness drops (exact in either representation), harmonic adds
 ``1.0/new - old_term`` as one fused expression exactly as
 :class:`~repro.centrality.group_harmonic_max.HarmonicObjective` does.
 
+**One-array scalar scan.**  The scalar gain scan of
+:meth:`CSRTraversal.adaptive_eval` keeps no tentative-distance array of
+its own: it lowers the committed distance list in place (``n`` standing
+for "unreachable"), so one comparison per edge both skips vertices this
+scan already reached and prunes those the candidate does not move
+closer.  One sweep over ``queue`` then folds the gain in emission order
+and restores the list from ``olds``.
+
 **Vector gain scan.**  The pruned gain scan *also* vectorizes, despite
 its emission-order contract: :meth:`CSRTraversal._vector_scan` runs one
 pruned BFS as one numpy pass per frontier level and reconstructs the
@@ -48,7 +57,7 @@ ragged ``np.repeat`` row gather visits parents in frontier order and
 neighbors in row order — precisely the scalar FIFO discovery order — so
 deduping same-level rediscoveries by *first occurrence* (a linear
 reversed scatter-claim, not a sort) leaves the per-level emission
-sequence identical to the scalar ``_scan``.  Levels concatenate
+sequence identical to the scalar scan.  Levels concatenate
 level-major, which is FIFO order, so :meth:`CSRTraversal._vector_eval`
 replays the scalar float accumulation term by term: closeness sums
 integer drops (order-free, exact), harmonic computes every
@@ -136,9 +145,8 @@ class CSRTraversal:
         "n",
         "indptr",
         "indices",
-        "_starts",
-        "_flat",
         "_rows",
+        "_neighbors",
         "_nd_indptr",
         "_nd_indices",
         "_nd_indptr64",
@@ -146,28 +154,29 @@ class CSRTraversal:
         "_vec_dist",
         "_vec_claim",
         "_claim_tick",
-        "_new_dist",
+        "_olds",
         "_queue",
         "vector_dispatches",
     )
 
-    def __init__(self, indptr: Sequence[int], indices: Sequence[int]):
+    def __init__(
+        self,
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        graph: Optional[Graph] = None,
+    ):
         n = len(indptr) - 1
         self.n = n
         self.indptr = indptr
         self.indices = indices
-        # One normalization pass: plain Python ints for the scalar
-        # loops (array and ndarray both support tolist()).
-        self._starts = (
-            indptr.tolist() if hasattr(indptr, "tolist") else list(indptr)
-        )
-        self._flat = (
-            indices.tolist() if hasattr(indices, "tolist")
-            else list(indices)
-        )
-        #: Lazily cached per-row list views of ``_flat`` — hot loops
-        #: iterate plain lists; untouched rows cost nothing.
-        self._rows: list = [None] * n
+        if graph is None:
+            graph = Graph.from_csr(indptr, indices)
+        # The scalar loops iterate the graph's own neighbour tuples:
+        # ``_rows[u]`` is ``None`` until a lazy backend (CSRGraph) has
+        # materialized it, and ``_neighbors(u)`` fills it in place, so
+        # every traversal of one graph object shares the rows.
+        self._rows = graph._adj
+        self._neighbors = graph.neighbors
         # ndarray views for the vectorized kernels.
         self._nd_indptr = _as_ndarray(indptr)
         self._nd_indices = _as_ndarray(indices)
@@ -179,7 +188,7 @@ class CSRTraversal:
         self._vec_dist = None
         self._vec_claim = None
         self._claim_tick = 1
-        self._new_dist = [-2] * n
+        self._olds = [0] * n
         self._queue = [0] * n
         #: Vectorized kernel passes run so far: one per vector gain scan
         #: and one per bitset chunk of :meth:`first_round_gains`.
@@ -188,15 +197,7 @@ class CSRTraversal:
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRTraversal":
         indptr, indices = graph.to_csr()
-        return cls(indptr, indices)
-
-    def _row(self, u: int) -> list:
-        row = self._rows[u]
-        if row is None:
-            starts = self._starts
-            row = self._flat[starts[u] : starts[u + 1]]
-            self._rows[u] = row
-        return row
+        return cls(indptr, indices, graph)
 
     # ------------------------------------------------------------------
     # Full BFS (CSR rebuilds of repro.paths.bfs)
@@ -286,143 +287,13 @@ class CSRTraversal:
             next_level = dist[u] + 1
             row = rows[u]
             if row is None:
-                row = self._row(u)
+                row = self._neighbors(u)
             for v in row:
                 if dist[v] == -1:
                     dist[v] = next_level
                     queue[tail] = v
                     tail += 1
         return dist
-
-    # ------------------------------------------------------------------
-    # Truncated gain BFS (CSR rebuild of repro.paths.truncated)
-    # ------------------------------------------------------------------
-    def _scan(
-        self, source: int, current: Sequence[int], budget: int = -1
-    ) -> int:
-        """Run the pruned BFS; return the number of improved vertices.
-
-        On return ``_queue[:count]`` lists the improved vertices in
-        emission order and ``_new_dist`` holds their new distances.  The
-        caller must sweep the prefix and restore ``_new_dist`` to ``-2``
-        for every listed vertex before the next traversal.
-
-        A non-negative ``budget`` caps the edge visits (the summed row
-        lengths of the dequeued vertices): a scan that would run past it
-        is abandoned, its ``_new_dist`` cells restored, and ``-1``
-        returned.
-        """
-        cur_src = current[source]
-        if cur_src != -1 and cur_src <= 0:
-            return 0  # source already in S: nothing can improve
-        rows = self._rows
-        new_dist = self._new_dist
-        queue = self._queue
-        new_dist[source] = 0
-        queue[0] = source
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            next_level = new_dist[u] + 1
-            row = rows[u]
-            if row is None:
-                row = self._row(u)
-            if budget >= 0:
-                budget -= len(row)
-                if budget < 0:
-                    for i in range(tail):
-                        new_dist[queue[i]] = -2
-                    return -1
-            for v in row:
-                if new_dist[v] != -2:
-                    continue
-                cur = current[v]
-                if cur != -1 and cur <= next_level:
-                    continue
-                new_dist[v] = next_level
-                queue[tail] = v
-                tail += 1
-        return tail
-
-    def _closeness_fold(self, count, current, penalty, collect):
-        """Sweep a finished :meth:`_scan` (``count`` improved vertices)
-        into the closeness gain; restores ``_new_dist``."""
-        updates = [] if collect else None
-        total = 0
-        new_dist = self._new_dist
-        queue = self._queue
-        if collect:
-            append = updates.append
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                old = current[v]
-                total += (penalty if old == -1 else old) - new
-                append((v, new))
-        else:
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                old = current[v]
-                total += (penalty if old == -1 else old) - new
-        return float(total), updates
-
-    def _harmonic_fold(self, count, current, collect):
-        """Sweep a finished :meth:`_scan` into the harmonic gain."""
-        updates = [] if collect else None
-        gain = 0.0
-        new_dist = self._new_dist
-        queue = self._queue
-        if collect:
-            append = updates.append
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                old = current[v]
-                old_term = 0.0 if old == -1 else 1.0 / old
-                if new == 0:
-                    gain += -old_term
-                else:
-                    gain += 1.0 / new - old_term
-                append((v, new))
-        else:
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                old = current[v]
-                old_term = 0.0 if old == -1 else 1.0 / old
-                if new == 0:
-                    gain += -old_term
-                else:
-                    gain += 1.0 / new - old_term
-        return gain, updates
-
-    def _generic_fold(self, count, current, weight, collect):
-        """Sweep a finished :meth:`_scan` into a ``gain_weight`` sum."""
-        updates = [] if collect else None
-        gain = 0.0
-        new_dist = self._new_dist
-        queue = self._queue
-        if collect:
-            append = updates.append
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                gain += weight(current[v], new)
-                append((v, new))
-        else:
-            for i in range(count):
-                v = queue[i]
-                new = new_dist[v]
-                new_dist[v] = -2
-                gain += weight(current[v], new)
-        return gain, updates
 
     # ------------------------------------------------------------------
     # Vector gain scan: one pruned BFS, one numpy pass per level
@@ -447,13 +318,14 @@ class CSRTraversal:
     def _vector_scan(self, source: int, current):
         """Run the pruned BFS from ``source`` as one numpy pass per level.
 
-        Returns ``(verts, news)``: exactly the vertices the scalar
-        :meth:`_scan` would emit, in the same order, with their new
-        distances.  Levels concatenate level-major (FIFO order), and
-        within a level the masked ragged ``np.repeat`` row gather visits
-        (parent in frontier order) × (neighbor in row order) — the
-        scalar discovery order — with same-level rediscoveries removed
-        by keeping each vertex's *first* occurrence.
+        Returns ``(verts, news)``: exactly the vertices the scalar scan
+        of :meth:`adaptive_eval` would emit, in the same order, with
+        their new distances.  Levels concatenate level-major (FIFO
+        order), and within a level the masked ragged ``np.repeat`` row
+        gather visits (parent in frontier order) × (neighbor in row
+        order) — the scalar discovery order — with same-level
+        rediscoveries removed by keeping each vertex's *first*
+        occurrence.
 
         The dedupe is linear, not a sort: every admitted occurrence
         scatters its stream position into the claim scratch *in
@@ -549,7 +421,7 @@ class CSRTraversal:
     def adaptive_eval(
         self,
         source: int,
-        current: Sequence[int],
+        current: list[int],
         current_nd,
         objective,
         collect: bool = False,
@@ -559,43 +431,109 @@ class CSRTraversal:
         """``(gain, updates)`` of adding ``source`` to the committed set
         whose distances are ``current``.
 
-        Runs the scalar :meth:`_scan` with an edge-visit ``budget``.
-        Pruned scans against a committed group usually stay small and
-        finish scalar.  A scan that runs past the budget is abandoned
-        (scratch restored) and re-run on the vector scan, whose
-        per-level numpy passes win once a scan is large; both return
-        the same ``(gain, updates)`` bit for bit.
-        ``current_nd`` is ``current`` as an int32 ndarray (the vector
-        scan's view of the same distances).  A negative ``budget`` is no
-        budget: the scan always finishes scalar and ``current_nd`` is
-        never read, so ``adaptive_eval(u, current, None, objective,
-        collect, budget=-1)`` is the scalar reference kernel.
+        ``current`` is ``d(v, S)`` as a list with ``n`` standing for
+        "unreachable"; ``current_nd`` is the same distances as an int32
+        ndarray with ``-1`` for unreachable (the vector scan's view).
+
+        The scalar pruned BFS works on ``current`` itself: an admitted
+        vertex is lowered in place and its old value saved in ``_olds``,
+        aligned with ``_queue``.  BFS levels only grow, so a vertex this
+        scan already lowered holds at most the next level, and one test
+        per edge, ``current[v] > next_level``, both skips it and prunes
+        the vertices the candidate does not move closer.  A single sweep
+        over the emission order then folds the gain and restores
+        ``current``.  The queue lists the improved vertices in exactly
+        the order :func:`repro.paths.truncated.improvements` yields
+        them, so the fold replays ``gain_weight`` term by term.
+
+        ``budget`` caps the edge visits (the summed row lengths of the
+        dequeued vertices): a scan that runs past it is abandoned,
+        ``current`` restored, and the candidate re-run on the vector
+        scan, whose per-level numpy passes win once a scan is large;
+        both return the same ``(gain, updates)`` bit for bit.  A
+        negative ``budget`` is no budget: the scan always finishes
+        scalar and ``current_nd`` is never read, so
+        ``adaptive_eval(u, current, None, objective, collect,
+        budget=-1)`` is the scalar reference kernel.
 
         Objectives advertise a specialized fold via a ``csr_kernel``
         class attribute (``"closeness"`` carries its unreachable-penalty
         in a public ``penalty`` attribute); anything else is folded by
-        calling ``objective.gain_weight`` per improvement.
+        calling ``objective.gain_weight`` per improvement, with ``-1``
+        for an unreachable old distance.
         """
-        count = self._scan(source, current, budget)
-        if count < 0:
-            return self._vector_eval(source, current_nd, objective, collect)
+        n = self.n
+        d = current
+        if d[source] == 0:
+            return 0.0, ([] if collect else None)  # source already in S
+        if budget < 0:
+            # No budget: a scan visits each row at most once, so it
+            # never spends more than every edge.
+            budget = len(self._nd_indices)
+        rows = self._rows
+        queue = self._queue
+        olds = self._olds
+        olds[0] = d[source]
+        d[source] = 0
+        queue[0] = source
+        head, tail = 0, 1
+        while head < tail:
+            u = queue[head]
+            head += 1
+            next_level = d[u] + 1
+            row = rows[u]
+            if row is None:
+                row = self._neighbors(u)
+            budget -= len(row)
+            if budget < 0:
+                for i in range(tail):
+                    d[queue[i]] = olds[i]
+                return self._vector_eval(
+                    source, current_nd, objective, collect
+                )
+            for v in row:
+                if d[v] > next_level:
+                    olds[tail] = d[v]
+                    d[v] = next_level
+                    queue[tail] = v
+                    tail += 1
+        updates = [(v, d[v]) for v in queue[:tail]] if collect else None
         kernel = getattr(objective, "csr_kernel", None)
         if kernel == "closeness":
-            return self._closeness_fold(
-                count, current, objective.penalty, collect
-            )
+            penalty = objective.penalty
+            total = 0
+            for i in range(tail):
+                v = queue[i]
+                old = olds[i]
+                total += (penalty if old == n else old) - d[v]
+                d[v] = old
+            return float(total), updates
         if kernel == "harmonic":
-            return self._harmonic_fold(count, current, collect)
-        return self._generic_fold(
-            count, current, objective.gain_weight, collect
-        )
+            # The source (new distance 0) only removes its old term.
+            old = olds[0]
+            gain = 0.0 + -(0.0 if old == n else 1.0 / old)
+            d[source] = old
+            for i in range(1, tail):
+                v = queue[i]
+                old = olds[i]
+                gain += 1.0 / d[v] - (0.0 if old == n else 1.0 / old)
+                d[v] = old
+            return gain, updates
+        weight = objective.gain_weight
+        gain = 0.0
+        for i in range(tail):
+            v = queue[i]
+            old = olds[i]
+            gain += weight(-1 if old == n else old, d[v])
+            d[v] = old
+        return gain, updates
 
     # ------------------------------------------------------------------
     # Round-0 kernel: bitset multi-source BFS, 64 sources per word
     # ------------------------------------------------------------------
     def first_round_gains(self, sources, objective) -> list[float]:
         """Empty-group gain of every source, bitwise equal to the scalar
-        ``adaptive_eval(source, [-1] * n, None, objective, budget=-1)``.
+        ``adaptive_eval(source, [n] * n, None, objective, budget=-1)``.
 
         With no committed set the pruned scan is a plain BFS, and every
         vertex a source reaches at level ``L`` contributes the same term

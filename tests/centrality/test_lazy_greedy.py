@@ -8,6 +8,7 @@ counter invariant ``evaluations + evaluations_saved == eager
 evaluations`` is what the benchmarks report, so it is pinned here too.
 """
 
+import numpy as np
 import pytest
 
 from repro.centrality.greedy import GreedyResult, greedy_maximize
@@ -161,6 +162,39 @@ class TestValidation:
             run_greedy(
                 karate, 2, ClosenessObjective(karate), strategy="bogus"
             )
+
+    @pytest.mark.parametrize("strategy", ["lazy", "eager"])
+    @pytest.mark.parametrize("neisky", [neisky_gc, neisky_gh])
+    @pytest.mark.parametrize(
+        "skyline, shown",
+        [
+            ((1.5, 2), "1.5"),  # used to index a bytearray: raw TypeError
+            (("a",), "'a'"),  # used to fail sorting: raw TypeError
+            ((True, 2), "True"),  # used to return group=(True,)
+            ((np.True_, 2), "True"),
+            ((2, np.float64(3.0)), "3.0"),
+        ],
+    )
+    def test_non_integer_candidate_is_a_one_line_error(
+        self, karate, strategy, neisky, skyline, shown
+    ):
+        with pytest.raises(ParameterError) as info:
+            neisky(karate, 1, skyline=skyline, strategy=strategy)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "not an integer vertex ID" in message
+        assert shown in message
+
+    @pytest.mark.parametrize("strategy", ["lazy", "eager"])
+    def test_numpy_integer_candidates_accepted(self, karate, strategy):
+        plain = neisky_gc(karate, 2, skyline=(0, 5, 33), strategy=strategy)
+        for skyline in (
+            np.array([0, 5, 33]),
+            (np.int32(0), np.uint16(5), np.int64(33)),
+        ):
+            result = neisky_gc(karate, 2, skyline=skyline, strategy=strategy)
+            assert result == plain
+            assert all(type(u) is int for u in result.group)
 
 class TestGroupBetweennessLazy:
     @pytest.fixture

@@ -13,24 +13,44 @@ import pytest
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
+from repro.graph.csr import as_csr
 from repro.paths.bfs import bfs_distances, multi_source_distances
 from repro.paths.csr import CSRTraversal
 from repro.paths.truncated import improvements
 
 
 def dist_after(graph, group):
-    """The eager driver's distance vector ``d(v, S)`` for group ``S``."""
+    """The eager driver's distance vector ``d(v, S)`` for group ``S``
+    (``-1`` for unreachable)."""
     if not group:
         return [-1] * graph.num_vertices
     return multi_source_distances(graph, group)
 
 
+def scan_dist(current):
+    """``current`` in the scalar scan's convention: ``n`` for
+    unreachable instead of ``-1``."""
+    n = len(current)
+    return [n if d == -1 else d for d in current]
+
+
+def restored_eval(trav, source, current, current_nd, objective, collect,
+                  budget):
+    """One ``adaptive_eval`` on the scan's view of ``current``, asserting
+    the scan hands its distance list back exactly as it found it."""
+    dist = scan_dist(current)
+    before = list(dist)
+    result = trav.adaptive_eval(
+        source, dist, current_nd, objective, collect, budget=budget
+    )
+    assert dist == before
+    return result
+
+
 def scalar_eval(trav, source, current, objective, collect=True):
     """The scalar kernel: ``adaptive_eval`` with no edge budget, which
     never hands off, so the vector view of ``current`` is never read."""
-    return trav.adaptive_eval(
-        source, current, None, objective, collect, budget=-1
-    )
+    return restored_eval(trav, source, current, None, objective, collect, -1)
 
 
 class StreamRecorder:
@@ -48,18 +68,19 @@ class StreamRecorder:
 
 
 def scan_improvements(trav, source, current, budget=-1):
-    """The ``(v, old, new)`` stream of one ``adaptive_eval`` scan.
+    """The ``(v, old, new)`` stream of one ``adaptive_eval`` scan, for a
+    ``current`` with ``-1`` for unreachable (as the stream reports it).
 
     The recorder sees the ``(old, new)`` terms in the order the fold
     consumes them, and ``collect=True`` returns the ``(v, new)`` updates
     in emission order.  The default ``budget=-1`` keeps the scan on the
-    scalar ``_scan``; ``budget=0`` hands every scan that visits an edge
+    scalar scan; ``budget=0`` hands every scan that visits an edge
     to the vector scan.
     """
     recorder = StreamRecorder()
     current_nd = None if budget < 0 else np.array(current, dtype=np.int32)
-    _gain, updates = trav.adaptive_eval(
-        source, current, current_nd, recorder, True, budget=budget
+    _gain, updates = restored_eval(
+        trav, source, current, current_nd, recorder, True, budget
     )
     assert len(updates) == len(recorder.stream)
     out = []
@@ -102,10 +123,12 @@ class TestFullBfs:
         # truncated traversals must not leak between calls.
         trav = CSRTraversal.from_graph(karate)
         first = trav.bfs_distances(0)
-        scan_improvements(trav, 33, [-1] * karate.num_vertices)
+        n = karate.num_vertices
+        dist = [n] * n
+        trav.adaptive_eval(33, dist, None, HarmonicObjective(), budget=-1)
+        assert dist == [n] * n
         trav.multi_source_distances([1, 2])
         assert trav.bfs_distances(0) == first
-        assert all(d == -2 for d in trav._new_dist)
 
 
 class TestImprovements:
@@ -120,8 +143,8 @@ class TestImprovements:
     def test_source_in_group_empty(self, karate):
         trav = CSRTraversal.from_graph(karate)
         current = dist_after(karate, [7])
+        # scan_improvements asserts the distance list comes back intact.
         assert scan_improvements(trav, 7, current) == []
-        assert all(d == -2 for d in trav._new_dist)
 
     def test_disconnected_components(self, disconnected):
         trav = CSRTraversal.from_graph(disconnected)
@@ -134,8 +157,8 @@ class TestImprovements:
     def test_scratch_reset_between_sources(self, karate):
         trav = CSRTraversal.from_graph(karate)
         current = [-1] * karate.num_vertices
-        # Same source twice: a dirty new_dist buffer would prune the
-        # second call down to nothing.
+        # Same source twice: a distance list left lowered would prune
+        # the second call down to nothing.
         first = scan_improvements(trav, 0, current)
         assert scan_improvements(trav, 0, current) == first
 
@@ -232,9 +255,9 @@ class TestBatchPlane:
             ):
                 for u in karate.vertices():
                     for collect in (True, False):
-                        gain, updates = trav.adaptive_eval(
-                            u, current, current_nd, objective, collect,
-                            budget=0,
+                        gain, updates = restored_eval(
+                            trav, u, current, current_nd, objective,
+                            collect, 0,
                         )
                         sg, su = scalar_eval(
                             trav, u, current, objective, collect
@@ -283,6 +306,31 @@ class TestConstruction:
         auto = CSRTraversal.from_graph(karate)
         assert manual.n == auto.n == karate.num_vertices
         assert list(manual.indices) == list(auto.indices)
+        current = dist_after(karate, [0, 33])
+        for u in karate.vertices():
+            assert scan_improvements(manual, u, current) == (
+                scan_improvements(auto, u, current)
+            )
+
+    def test_rows_come_from_the_graph(self, karate):
+        # A list-backed graph hands over its own neighbour tuples.
+        trav = CSRTraversal.from_graph(karate)
+        for u in karate.vertices():
+            assert trav._rows[u] is karate.neighbors(u)
+
+    def test_traversals_of_one_csr_graph_share_rows(self, karate):
+        g = as_csr(Graph.from_csr(*karate.to_csr()))
+        first = CSRTraversal.from_graph(g)
+        n = g.num_vertices
+        for u in g.vertices():
+            first.adaptive_eval(u, [n] * n, None, HarmonicObjective(),
+                                budget=-1)
+        rows = [g.neighbors(u) for u in g.vertices()]
+        second = CSRTraversal.from_graph(g)
+        assert all(
+            second._rows[u] is row and first._rows[u] is row
+            for u, row in enumerate(rows)
+        )
 
     def test_singleton_graph(self):
         g = Graph.from_edges(1, [])

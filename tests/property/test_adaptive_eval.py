@@ -2,12 +2,14 @@
 
 :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval` runs the scalar
 pruned scan under an edge-visit budget and hands scans that run past it
-to the vector scan.  Whichever path runs, it must return
-the *bitwise same* ``(gain, updates)`` as the unbudgeted scalar kernel
-(``budget=-1``, which never hands off), and leave every scratch buffer
-clean for the next traversal.  The budget is forced to 0 (every scan
-with an edge hands off), to a huge value (none does) and to random
-values, against the committed distance vector of a random group.
+to the vector scan.  Whichever path runs, it must return the *bitwise
+same* ``(gain, updates)`` as the unbudgeted scalar kernel
+(``budget=-1``, which never hands off), hand its distance list back
+exactly as it found it (the scalar scan lowers it in place), and leave
+the vector scratch clean for the next traversal.  The budget is forced
+to 0 (every scan with an edge hands off), to a huge value (none does)
+and to random values, against the committed distance vector of a
+random group.
 
 Two more legs pin what the lazy (CELF) driver builds on the evaluator:
 the harmonic fold stays the scalar left-to-right chain even when the
@@ -68,7 +70,8 @@ def make_objective(graph, measure):
 
 
 def committed(graph, seed):
-    """``d(v, S)`` for a random group ``S`` (all ``-1`` when empty)."""
+    """``d(v, S)`` for a random group ``S``, ``-1`` for unreachable (all
+    ``-1`` when empty)."""
     rng = random.Random(seed)
     n = graph.num_vertices
     group = rng.sample(range(n), rng.randint(0, min(4, n)))
@@ -77,10 +80,17 @@ def committed(graph, seed):
     return multi_source_distances(graph, group)
 
 
+def scan_dist(current):
+    """``current`` in the scalar scan's convention: ``n`` for
+    unreachable instead of ``-1``."""
+    n = len(current)
+    return [n if d == -1 else d for d in current]
+
+
 def scalar_eval(trav, source, current, objective, collect=False):
     """The scalar reference: no edge budget, so never a hand-off."""
     return trav.adaptive_eval(
-        source, current, None, objective, collect, budget=-1
+        source, scan_dist(current), None, objective, collect, budget=-1
     )
 
 
@@ -89,8 +99,8 @@ def assert_same(got, want):
     assert got[1] == want[1]
 
 
-def assert_scratch_clean(trav):
-    assert all(d == -2 for d in trav._new_dist)
+def assert_restored(trav, dist, before):
+    assert dist == before
     if trav._vec_dist is not None:
         assert bool((trav._vec_dist == -2).all())
 
@@ -117,6 +127,8 @@ def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
     trav = CSRTraversal.from_graph(g)
     current = committed(g, seed)
     current_nd = np.array(current, dtype=np.int32)
+    dist = scan_dist(current)
+    before = list(dist)
     rng = random.Random(seed)
     for u in g.vertices():
         if budget_kind == "random":
@@ -125,9 +137,9 @@ def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
             budget = budget_kind
         for collect in (False, True):
             got = trav.adaptive_eval(
-                u, current, current_nd, objective, collect, budget=budget
+                u, dist, current_nd, objective, collect, budget=budget
             )
-            assert_scratch_clean(trav)
+            assert_restored(trav, dist, before)
             want = scalar_eval(trav, u, current, objective, collect)
             assert_same(got, want)
 
@@ -143,8 +155,9 @@ def test_budget_zero_hands_off_and_huge_budget_never(g, seed):
         (NO_HANDOFF, []),
     ):
         trav = CSRTraversal.from_graph(g)
+        dist = scan_dist(current)
         for u in g.vertices():
-            trav.adaptive_eval(u, current, current_nd, objective,
+            trav.adaptive_eval(u, dist, current_nd, objective,
                                budget=budget)
         assert trav.vector_dispatches == len(expected)
 
@@ -191,8 +204,9 @@ def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
     # Budget 0 sends every scan that visits an edge to the vector scan,
     # whose harmonic fold is the one a compensated sum could change.
     trav.vector_dispatches = 0
+    dist = scan_dist(current)
     vector = [
-        trav.adaptive_eval(u, current, current_nd, objective, budget=0)[0]
+        trav.adaptive_eval(u, dist, current_nd, objective, budget=0)[0]
         for u in sources
     ]
     assert trav.vector_dispatches == len(handoffs_at_zero_budget(g, current))

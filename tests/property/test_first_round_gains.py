@@ -4,8 +4,8 @@
 source of an empty group with one bit-parallel BFS and replays each
 lane's scalar fold from its level histogram.  It must return the
 *bitwise same* float as the scalar closeness / harmonic / generic fold
-(``adaptive_eval`` with ``budget=-1``) on an all-``-1`` distance vector,
-for every source count (one lane, one word, one word plus one lane,
+(``adaptive_eval`` with ``budget=-1``) on an all-unreachable distance
+vector, for every source count (one lane, one word, one word plus one lane,
 several words), across lane chunks, and on graphs with isolated
 vertices and several components.  Equality is on ``float.hex`` so a
 last-bit drift or a ``-0.0`` for ``0.0`` fails.
@@ -60,7 +60,8 @@ def make_objective(graph, measure):
 
 def scalar_gains(graph, sources, objective):
     trav = CSRTraversal.from_graph(graph)
-    empty = [-1] * graph.num_vertices
+    n = graph.num_vertices
+    empty = [n] * n  # nothing reachable: the scan's ``n`` sentinel
     return [
         trav.adaptive_eval(s, empty, None, objective, budget=-1)[0]
         for s in sources

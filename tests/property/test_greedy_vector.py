@@ -83,7 +83,7 @@ def scalar_kernels():
     adaptive = CSRTraversal.adaptive_eval
 
     def scalar_first_round(self, sources, objective):
-        empty = [-1] * self.n
+        empty = [self.n] * self.n  # the scalar scan's "unreachable"
         return [
             adaptive(self, s, empty, None, objective, budget=-1)[0]
             for s in sources
@@ -112,7 +112,7 @@ def vector_eager(graph, k, objective):
     scan (``adaptive_eval`` with budget 0)."""
     n = graph.num_vertices
     trav = CSRTraversal.from_graph(graph)
-    dist = [-1] * n
+    dist = [n] * n  # n = unreachable for the scalar scan, -1 for dist_nd
     dist_nd = np.full(n, -1, dtype=np.int32)
     group, gains = [], []
     for _round in range(min(k, n)):
