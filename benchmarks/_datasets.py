@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.components import largest_connected_component
 from repro.graph.sampling import sample_edges, sample_prefix, sample_vertices
 from repro.workloads import load
@@ -54,17 +53,11 @@ _CENTRALITY_N = 900
 
 
 def cold_copy(graph: Graph) -> Graph:
-    """An equal graph object on the same backend with no round-0 memo.
+    """An equal graph object with no round-0 memo and no built rows.
 
-    Zero-copy for a :class:`CSRGraph`; a list-backed graph is rebuilt
-    from its ``to_csr()`` snapshot, which is built on the copy too, so
-    the timed run starts where the cached instance would.
+    Zero-copy: the copy wraps the same CSR arrays.
     """
-    if isinstance(graph, CSRGraph):
-        return CSRGraph.from_arrays(*graph.csr_arrays())
-    copy = Graph.from_csr(*graph.to_csr())
-    copy.to_csr()
-    return copy
+    return Graph.from_arrays(*graph.csr_arrays())
 
 
 @lru_cache(maxsize=None)

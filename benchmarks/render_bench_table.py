@@ -97,54 +97,6 @@ def render_greedy(entries) -> str:
     return "\n".join(lines)
 
 
-#: The two vectorized phases of the csr_substrate bench, with the
-#: (list, csr) algorithm names each phase's rows carry.
-_SUBSTRATE_PHASES = (
-    ("filter", "filter_phase_list", "filter_phase_csr"),
-    ("bfs", "bfs_list", "bfs_csr"),
-)
-
-
-def render_substrate(entries) -> str:
-    """List-backed vs CSR substrate table (``csr_substrate`` entries).
-
-    One row per (instance, phase); speedup comes from the CSR row's
-    ``extra`` (recorded at measurement time).  Returns ``""`` when no
-    substrate rows exist yet.
-    """
-    by_key = {
-        (e["instance"], e["algorithm"]): e
-        for e in entries
-        if e["bench"] == "csr_substrate"
-    }
-    instances = sorted({k[0] for k in by_key})
-    rows = []
-    for name in instances:
-        for phase, list_alg, csr_alg in _SUBSTRATE_PHASES:
-            before = by_key.get((name, list_alg))
-            after = by_key.get((name, csr_alg))
-            if before is None or after is None:
-                continue
-            extra = after.get("extra", {})
-            ratio = extra.get(
-                "speedup_vs_list", before["wall_s"] / after["wall_s"]
-            )
-            rows.append(
-                f"| {name} | {extra.get('num_edges', '?')} | {phase} "
-                f"| {before['wall_s']:.2f} | {after['wall_s']:.2f} "
-                f"| {ratio:.1f}x |"
-            )
-    if not rows:
-        return ""
-    return "\n".join(
-        [
-            "| dataset | edges | phase | list (s) | CSR (s) | speedup |",
-            "|---|---|---|---|---|---|",
-            *rows,
-        ]
-    )
-
-
 def render_refine_vector(entries) -> str:
     """Filter and refine before/after table (``filter_vector`` and
     ``refine_vector`` entries).
@@ -302,10 +254,6 @@ def main() -> int:
     if greedy:
         print()
         print(greedy)
-    substrate = render_substrate(entries)
-    if substrate:
-        print()
-        print(substrate)
     refine_vector = render_refine_vector(entries)
     if refine_vector:
         print()

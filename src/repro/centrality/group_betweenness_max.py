@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.centrality.betweenness import sp_counts_from
+from repro.centrality.greedy import candidate_pool
 from repro.core.api import neighborhood_skyline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -248,7 +249,13 @@ def neisky_gb(
     skyline: Optional[tuple[int, ...]] = None,
     strategy: str = "eager",
 ) -> GroupBetweennessResult:
-    """Greedy group-betweenness restricted to the neighborhood skyline."""
+    """Greedy group-betweenness restricted to the neighborhood skyline.
+
+    A given ``skyline`` is validated like any greedy candidate pool
+    (:func:`~repro.centrality.greedy.candidate_pool`): integer vertex
+    IDs in ``[0, n)``, deduplicated and sorted.
+    """
     if skyline is None:
         skyline = neighborhood_skyline(graph).skyline
-    return _greedy_gb(graph, k, sorted(skyline), strategy)
+    pool = candidate_pool(skyline, graph.num_vertices)
+    return _greedy_gb(graph, k, pool, strategy)

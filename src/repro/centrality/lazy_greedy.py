@@ -153,7 +153,7 @@ def lazy_greedy_maximize(
     gains: list[float] = []
     evaluations = 0
     eager_evaluations = 0  # what the eager schedule would have spent
-    trav = CSRTraversal.from_graph(graph)
+    trav = CSRTraversal(graph)
     # The vector kernels index the committed distances as an int32
     # ndarray (-1 = infinity), kept in step with `dist` at every commit.
     dist_nd = _np.full(n, -1, dtype=_np.int32)

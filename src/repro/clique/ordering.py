@@ -8,8 +8,8 @@ sparse graphs (the structural insight behind MC-BRB's ego-network
 decomposition).
 
 Both entry points delegate to the round-based batch peel of
-:mod:`repro.graph.cores`, vectorized over the CSR ndarrays on every
-graph backend (the test suite replays its schedule in pure Python as
+:mod:`repro.graph.cores`, vectorized over the graph's CSR ndarrays
+(the test suite replays its schedule in pure Python as
 the oracle).  Batches peel ID-ascending; any such schedule gives a
 degeneracy ordering, and core numbers and degeneracy are properties of
 the graph, not of the schedule.  The solvers of :mod:`repro.clique`

@@ -61,11 +61,10 @@ Counters keep the scalar loop's meaning and are computed only when a
 dominated before the scan reached them.  ``degree_skips``,
 ``pair_tests`` and ``filter_pretest_rejects`` are prefix sums of
 per-slot flags over each examined row, up to and including the slot of
-its strict domination, where the scalar loop breaks.  As in the scalar
-pass, ``filter_pretest_rejects`` is reported on a
-:class:`~repro.graph.csr.CSRGraph` only; on a list-backed graph the
-pretest's rejections count as ``pair_tests``, the merges the scalar
-loop runs there.
+its strict domination, where the scalar loop breaks.  A slot that
+passes the degree skip but fails the bulk pretest counts under
+``filter_pretest_rejects``, never under ``pair_tests``: ``pair_tests``
+counts only the exact inclusion merges the scalar loop runs.
 
 Worst-case cost of the scalar pass is
 ``O(Σ_{(u,v) ∈ E} (deg u + deg v))``; the paper states ``O(m)``, which
@@ -193,26 +192,20 @@ def scalar_filter_phase(
     ``dominator[u] == u`` exactly for ``u ∈ C``.  For excluded vertices,
     ``dominator[u]`` is an adjacent vertex ``w`` with ``N[u] ⊆ N[w]``.
 
-    On a :class:`~repro.graph.csr.CSRGraph` the pair scan is preceded by
-    the vectorized :func:`_edge_pretest`, which eliminates most exact
-    inclusion merges in bulk; the surviving pairs run the same scalar
-    test in the same order, so candidates and dominators are identical
-    to the list-backed path.  Pretest eliminations are tallied under
-    ``counters.extra["filter_pretest_rejects"]``.
+    The pair scan is preceded by the vectorized :func:`_edge_pretest`,
+    which eliminates most exact inclusion merges in bulk; the surviving
+    pairs run the exact scalar test in scan order.  Pretest eliminations
+    are tallied under ``counters.extra["filter_pretest_rejects"]``.
     """
     stats = counters if counters is not None else NULL_COUNTERS
     n = graph.num_vertices
     dominator = list(range(n))
     deg = graph.degrees()
 
-    csr_arrays = getattr(graph, "csr_arrays", None)
-    pretest = None
-    row_start = None
-    if csr_arrays is not None and n:
-        indptr, indices = csr_arrays()
-        # bytes index at C speed in the scan (0/1 per slot).
-        pretest = _edge_pretest(indptr, indices).tobytes()
-        row_start = indptr.tolist()
+    indptr, indices = graph.csr_arrays()
+    # bytes index at C speed in the scan (0/1 per slot).
+    pretest = _edge_pretest(indptr, indices).tobytes()
+    row_start = indptr.tolist()
     pretest_rejects = 0
 
     for u in range(n):
@@ -220,14 +213,14 @@ def scalar_filter_phase(
             continue
         stats.vertices_examined += 1
         deg_u = deg[u]
-        base = row_start[u] if pretest is not None else 0
+        base = row_start[u]
         for j, v in enumerate(graph.neighbors(u)):
             deg_v = deg[v]
             if deg_v < deg_u:
                 # N[u] ⊆ N[v] would force deg(v) >= deg(u).
                 stats.degree_skips += 1
                 continue
-            if pretest is not None and not pretest[base + j]:
+            if not pretest[base + j]:
                 # A bulk necessary condition already failed: the exact
                 # merge below could only confirm the rejection.
                 pretest_rejects += 1
@@ -249,7 +242,7 @@ def scalar_filter_phase(
                     stats.dominations_found += 1
                     break
 
-    if pretest is not None and counters is not None:
+    if n and counters is not None:
         stats.extra["filter_pretest_rejects"] = (
             stats.extra.get("filter_pretest_rejects", 0) + pretest_rejects
         )
@@ -339,7 +332,7 @@ def filter_phase(
     ``dominator[u] == u`` exactly for ``u ∈ C``.  For excluded vertices,
     ``dominator[u]`` is an adjacent vertex ``w`` with ``N[u] ⊆ N[w]``.
 
-    Vectorized over the CSR arrays on either backend, with every edge
+    Vectorized over the graph's CSR arrays, with every edge
     test a lookup in the edge-key hash set of ``index``, the graph's
     :func:`~repro.graph.csr.edge_index` (built here when not given: a
     caller that also runs the block refine passes the one it shares).
@@ -382,13 +375,10 @@ def filter_phase(
         degree_ok = deg[indices] >= deg[row]
         counters.vertices_examined += int(starts.size)
         counters.degree_skips += tally(~degree_ok)
-        if getattr(graph, "csr_arrays", None) is None:
-            counters.pair_tests += tally(degree_ok)
-        else:
-            counters.pair_tests += tally(pretest)
-            counters.extra["filter_pretest_rejects"] = counters.extra.get(
-                "filter_pretest_rejects", 0
-            ) + tally(degree_ok & ~pretest)
+        counters.pair_tests += tally(pretest)
+        counters.extra["filter_pretest_rejects"] = counters.extra.get(
+            "filter_pretest_rejects", 0
+        ) + tally(degree_ok & ~pretest)
 
     in_c = _np.ones(n, dtype=bool)
     in_c[dominated] = False

@@ -4,7 +4,7 @@ Text edge lists cost a full parse — integer conversion, dedup, CSR
 assembly — every time a graph is opened.  For the million-edge workload
 tier that parse dominates end-to-end benchmark time, so converted
 graphs are stored as raw CSR bytes that :func:`read_binary_graph` maps
-straight into a :class:`~repro.graph.csr.CSRGraph` via ``np.memmap``:
+straight into a :class:`~repro.graph.adjacency.Graph` via ``np.memmap``:
 opening costs no parse and no copy, only one vectorized validation pass
 over the arrays.
 
@@ -18,8 +18,8 @@ Layout (all fields little-endian)::
     24      4*(n+1)           indptr   (int32)
     24+...  4*(2*m)           indices  (int32, rows sorted ascending)
 
-The arrays are exactly the ``int32`` snapshot :meth:`~repro.graph.csr.
-CSRGraph.csr_arrays` exposes, so ``write → read`` round-trips to an
+The arrays are exactly the ``int32`` pair :meth:`~repro.graph.adjacency.
+Graph.csr_arrays` exposes, so ``write → read`` round-trips to an
 identical graph and a memmap-loaded graph feeds the vectorized filter
 phase, the refine kernels and the traversal kernels without any
 conversion.
@@ -43,7 +43,6 @@ import numpy as _np
 
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 
 __all__ = [
     "BINARY_MAGIC",
@@ -81,14 +80,12 @@ def is_binary_graph(path: PathLike) -> bool:
 def write_binary_graph(graph: Graph, path: PathLike) -> int:
     """Serialize ``graph`` to ``path``; returns the bytes written.
 
-    Any :class:`~repro.graph.adjacency.Graph` works — list-backed
-    graphs are snapshotted through their CSR memo first.  Writes are
+    The graph's own CSR arrays are written as they are.  Writes are
     atomic-ish: data lands in ``path + ".tmp"`` and is renamed over the
     target, so a crashed convert never leaves a half-written file that
     still carries a valid magic.
     """
-    csr = CSRGraph.from_graph(graph)
-    indptr, indices = csr.csr_arrays()
+    indptr, indices = graph.csr_arrays()
     header = _HEADER.pack(
         BINARY_MAGIC, BINARY_VERSION, graph.num_vertices, graph.num_edges
     )
@@ -104,8 +101,8 @@ def write_binary_graph(graph: Graph, path: PathLike) -> int:
     return total
 
 
-def read_binary_graph(path: PathLike) -> CSRGraph:
-    """Open a binary graph as a memmap-backed :class:`CSRGraph`.
+def read_binary_graph(path: PathLike) -> Graph:
+    """Open a binary graph as a memmap-backed :class:`Graph`.
 
     The arrays are read-only ``np.memmap`` views — nothing is copied at
     open time.  Validation reads both arrays once (linear in the file,
@@ -186,13 +183,13 @@ def read_binary_graph(path: PathLike) -> CSRGraph:
         )
     if m:
         _check_rows_and_symmetry(label, n, indptr, indices)
-    return CSRGraph.from_arrays(indptr, indices)
+    return Graph.from_arrays(indptr, indices)
 
 
 def _check_rows_and_symmetry(label, n, indptr, indices) -> None:
     """Reject unsorted rows, loops and one-way edges.
 
-    The kernels trust the CSR snapshot (:meth:`CSRGraph.from_arrays`),
+    The kernels trust the CSR snapshot (:meth:`Graph.from_arrays`),
     so a row out of order or an edge stored in one direction only would
     be answered silently — and a skyline verifier reading the same
     adjacency would agree with it.  With edge keys ``u*n + v`` in file

@@ -8,7 +8,10 @@ vertex count is not known up front.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
+
+import numpy as _np
 
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
@@ -71,10 +74,9 @@ class GraphBuilder:
 
     def build(self) -> Graph:
         """Freeze the accumulated edges into an immutable :class:`Graph`."""
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return Graph._from_sorted_adjacency(adj, len(self._edges))
+        flat = _np.fromiter(
+            chain.from_iterable(self._edges),
+            dtype=_np.int64,
+            count=2 * len(self._edges),
+        )
+        return Graph.from_edge_arrays(self._n, flat[0::2], flat[1::2])

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as _np
 
 from repro.graph.adjacency import Graph
-from repro.graph.csr import csr_ndarrays, gather_rows
+from repro.graph.csr import gather_rows
 
 __all__ = ["CoreDecomposition", "core_decomposition"]
 
@@ -51,7 +51,7 @@ class CoreDecomposition(NamedTuple):
     vertices in peel order (a valid degeneracy ordering: every vertex
     has at most ``degeneracy`` neighbors later in the order);
     ``degeneracy`` equals ``max(core)`` (0 on the empty graph).  Both
-    sequences hold plain Python ints on every graph backend.
+    sequences hold plain Python ints.
     """
 
     core: list[int]
@@ -62,12 +62,12 @@ class CoreDecomposition(NamedTuple):
 def core_decomposition(graph: Graph) -> CoreDecomposition:
     """Peel ``graph`` completely; see :class:`CoreDecomposition`.
 
-    Vectorized over the CSR arrays on either graph backend.
+    Vectorized over the graph's CSR arrays.
     """
     n = graph.num_vertices
     if n == 0:
         return CoreDecomposition([], [], 0)
-    indptr, indices = csr_ndarrays(graph)
+    indptr, indices = graph.csr_arrays()
     indptr = indptr.astype(_np.int64, copy=False)
     # row_len stays the structural CSR row length (it sizes the ragged
     # gathers); deg is the residual degree the peel decrements.

@@ -53,14 +53,13 @@ def _check_n(n: int) -> None:
 def empty_graph(n: int) -> Graph:
     """``n`` isolated vertices, no edges."""
     _check_n(n)
-    return Graph._from_sorted_adjacency([[] for _ in range(n)], 0)
+    return Graph.from_edges(n, ())
 
 
 def complete_graph(n: int) -> Graph:
     """The clique ``K_n`` (Fig. 2a: ``|R| = |C| = 1``)."""
     _check_n(n)
-    adj = [[v for v in range(n) if v != u] for u in range(n)]
-    return Graph._from_sorted_adjacency(adj, n * (n - 1) // 2)
+    return Graph.from_edge_arrays(n, *_np.triu_indices(n, 1))
 
 
 def path_graph(n: int) -> Graph:
@@ -351,21 +350,19 @@ def barabasi_albert(
 # The million-edge workload tier needs graphs that materialize in
 # seconds, which rules out the per-edge Python loops above.  These three
 # generators assemble endpoint arrays with numpy and hand them to
-# :func:`repro.graph.csr.graph_from_edge_arrays`, so the result is a
-# CSR-backed graph from the start — no adjacency lists are ever built.
+# :meth:`repro.graph.adjacency.Graph.from_edge_arrays`, so no Python
+# adjacency lists are ever built.
 # All are deterministic given ``seed`` (``np.random.default_rng``).
 
 
 def _edges_from_endpoints(n: int, us, vs) -> Graph:
-    """Drop loops, dedupe both orientations, build the CSR graph."""
-    from repro.graph.csr import graph_from_edge_arrays
-
+    """Drop loops, dedupe both orientations, build the graph."""
     keep = us != vs
     us, vs = us[keep], vs[keep]
     lo = _np.minimum(us, vs)
     hi = _np.maximum(us, vs)
     codes = _np.unique(lo * _np.int64(n) + hi)
-    return graph_from_edge_arrays(n, codes // n, codes % n)
+    return Graph.from_edge_arrays(n, codes // n, codes % n)
 
 
 def kronecker_graph(

@@ -21,8 +21,7 @@ ID-based tie-break of Definition 2 stays deterministic.
 Parsing is streaming: edges accumulate into one flat machine-typed
 buffer as lines are read (no intermediate list of pair tuples, so peak
 memory is the edge array itself), then the dedupe/compaction/CSR
-assembly happens vectorized and the result is a
-:class:`~repro.graph.csr.CSRGraph`.
+assembly happens vectorized, straight into the graph's CSR arrays.
 
 Hostile input fails with one :class:`~repro.errors.GraphFormatError`
 naming the file and the 1-based line: bytes that are not UTF-8, IDs
@@ -40,7 +39,6 @@ import numpy as _np
 
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph, graph_from_edge_arrays
 
 __all__ = ["load_graph", "read_edge_list", "read_konect", "write_edge_list"]
 
@@ -176,7 +174,7 @@ def _is_utf8(line: str) -> bool:
 
 def _assemble_csr(
     endpoints: array, label: str, compact: bool, allow_duplicates: bool
-) -> CSRGraph:
+) -> Graph:
     """Vectorized compaction + dedupe + CSR build of parsed endpoints."""
     flat = _np.frombuffer(endpoints, dtype=_np.int64)
     us, vs = flat[0::2], flat[1::2]
@@ -201,7 +199,7 @@ def _assemble_csr(
         raise GraphFormatError(
             f"{label}: duplicate edge ({c // n}, {c % n})"
         )
-    return graph_from_edge_arrays(n, codes // n, codes % n)
+    return Graph.from_edge_arrays(n, codes // n, codes % n)
 
 
 def read_konect(source: PathOrFile, **kwargs) -> Graph:

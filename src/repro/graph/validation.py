@@ -7,7 +7,8 @@ graphs through untrusted code paths.  It verifies:
 * adjacency rows are strictly sorted (sorted + duplicate-free),
 * the relation is symmetric,
 * no self-loops,
-* the stored edge count matches the adjacency lists.
+* the edge count (half the stored entries) matches the rows, so no
+  entry lies outside them.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Flat-array CSR BFS kernels for greedy marginal-gain evaluation.
 
-The list-based kernels in :mod:`repro.paths.bfs` and
+The scalar kernels in :mod:`repro.paths.bfs` and
 :mod:`repro.paths.truncated` are fine for one-shot queries, but the
 greedy group-centrality drivers call them thousands of times per run —
 one truncated BFS per candidate per round.  At that call rate the
@@ -8,20 +8,17 @@ per-evaluation overheads dominate: a fresh ``new_dist`` list and deque
 per call, a generator suspension plus tuple allocation per improved
 vertex, and a Python-level ``gain_weight`` call per improvement.
 
-:class:`CSRTraversal` removes all three.  It is built once per run (or
-from the graph's :meth:`~repro.graph.adjacency.Graph.to_csr` snapshot
-and accepts either CSR buffer shape the graph backends produce:
-``array`` snapshots of the list-backed graph or the ``int32`` ndarrays
-of :class:`~repro.graph.csr.CSRGraph`.  Internally it keeps:
+:class:`CSRTraversal` removes all three.  It is built once per run
+from one :class:`~repro.graph.adjacency.Graph` and keeps:
 
 * **the graph's own neighbour tuples** (the storage
-  :meth:`~repro.graph.adjacency.Graph.neighbors` hands out; a
-  ``CSRGraph`` materializes a row on first use and keeps it), so the
-  scalar loops iterate plain tuples, a run that scans a fraction of the
-  graph only pays for the rows it touches, and every later traversal
-  of the same graph object reuses them;
-* **ndarray views** of ``indptr``/``indices`` (zero-copy over both
-  backends' buffers), which back the vectorized kernels — the full BFS
+  :meth:`~repro.graph.adjacency.Graph.neighbors` hands out, built on
+  first use and kept), so the scalar loops iterate plain tuples, a run
+  that scans a fraction of the graph only pays for the rows it touches,
+  and every later traversal of the same graph object reuses them;
+* **the graph's ``int32`` CSR arrays** (zero-copy,
+  :meth:`~repro.graph.adjacency.Graph.csr_arrays`), which back the
+  vectorized kernels — the full BFS
   of :meth:`bfs_distances` / :meth:`multi_source_distances`
   (distances are order-independent, so it returns exactly the scalar
   kernel's values), the vector gain scan and the round-0 kernel;
@@ -84,7 +81,7 @@ per level — and replays each lane's scalar fold from the histogram.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as _np
 
@@ -106,17 +103,6 @@ ROUND0_CELL_BUDGET = 1 << 23
 SCAN_EDGE_BUDGET = 1024
 
 
-def _as_ndarray(buf):
-    """``buf`` as an integer ndarray.
-
-    ``np.asarray`` reads the buffer protocol, so ndarrays and typed
-    ``array`` snapshots come back zero-copy; plain sequences are copied
-    (an empty one to ``int64``, not numpy's default ``float64``).
-    """
-    arr = _np.asarray(buf)
-    return arr if arr.dtype.kind in "iu" else arr.astype(_np.int64)
-
-
 def _sequential_sum(terms) -> float:
     """The scalar ``gain = 0.0; gain += t`` chain over a float64 array.
 
@@ -134,7 +120,7 @@ def _sequential_sum(terms) -> float:
 
 
 class CSRTraversal:
-    """Reusable BFS workspace over a CSR snapshot of one graph.
+    """Reusable BFS workspace over the CSR arrays of one graph.
 
     Instances are cheap to query but stateful: the scratch buffers are
     reused by every call, so a single traversal must finish before the
@@ -143,8 +129,6 @@ class CSRTraversal:
 
     __slots__ = (
         "n",
-        "indptr",
-        "indices",
         "_rows",
         "_neighbors",
         "_nd_indptr",
@@ -159,27 +143,17 @@ class CSRTraversal:
         "vector_dispatches",
     )
 
-    def __init__(
-        self,
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        graph: Optional[Graph] = None,
-    ):
-        n = len(indptr) - 1
+    def __init__(self, graph: Graph):
+        n = graph.num_vertices
         self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        if graph is None:
-            graph = Graph.from_csr(indptr, indices)
         # The scalar loops iterate the graph's own neighbour tuples:
-        # ``_rows[u]`` is ``None`` until a lazy backend (CSRGraph) has
-        # materialized it, and ``_neighbors(u)`` fills it in place, so
-        # every traversal of one graph object shares the rows.
-        self._rows = graph._adj
+        # ``_rows[u]`` is ``None`` until the graph has built it, and
+        # ``_neighbors(u)`` fills it in place, so every traversal of one
+        # graph object shares the rows.
+        self._rows = graph._rows
         self._neighbors = graph.neighbors
-        # ndarray views for the vectorized kernels.
-        self._nd_indptr = _as_ndarray(indptr)
-        self._nd_indices = _as_ndarray(indices)
+        # The CSR arrays back the vectorized kernels.
+        self._nd_indptr, self._nd_indices = graph.csr_arrays()
         # Lazily allocated vector scratch, reused across calls: the
         # widened indptr, the full-BFS distance array, and the distance
         # and claim cells of the vector gain scan.
@@ -193,11 +167,6 @@ class CSRTraversal:
         #: Vectorized kernel passes run so far: one per vector gain scan
         #: and one per bitset chunk of :meth:`first_round_gains`.
         self.vector_dispatches = 0
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "CSRTraversal":
-        indptr, indices = graph.to_csr()
-        return cls(indptr, indices, graph)
 
     # ------------------------------------------------------------------
     # Full BFS (CSR rebuilds of repro.paths.bfs)
@@ -213,12 +182,9 @@ class CSRTraversal:
     def _indptr64(self):
         """``indptr`` as int64, widened once and cached (row math needs
         int64 to survive large cumsums)."""
-        cached = self._nd_indptr64
-        if cached is None:
-            nd = self._nd_indptr
-            cached = nd if nd.dtype == _np.int64 else nd.astype(_np.int64)
-            self._nd_indptr64 = cached
-        return cached
+        if self._nd_indptr64 is None:
+            self._nd_indptr64 = self._nd_indptr.astype(_np.int64)
+        return self._nd_indptr64
 
     def _dist_scratch(self):
         """The reusable full-BFS distance array, reset to all ``-1``."""

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.errors import DatasetNotFoundError, ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import as_csr
 from repro.graph.generators import (
     configuration_model,
     copying_power_law,
@@ -326,8 +325,6 @@ def load(name: str) -> Graph:
 
     Loaders are pure and seeded, and graphs are immutable, so results
     are memoized — repeated loads (CLI listings, test fixtures, bench
-    modules) share one instance per dataset.  When numpy is available
-    the graph comes back on the CSR substrate (:func:`~repro.graph.csr.
-    as_csr`) — identical results, vectorized whole-graph scans.
+    modules) share one instance per dataset.
     """
-    return as_csr(spec(name).load())
+    return spec(name).load()

@@ -96,6 +96,27 @@ class TestGreedyVariants:
         with pytest.raises(ParameterError):
             base_gb(path_graph(4), -2)
 
+    @pytest.mark.parametrize("strategy", ["eager", "lazy"])
+    @pytest.mark.parametrize(
+        "skyline, message",
+        [
+            ((40,), "candidate 40 out of range"),  # used to return (40,)
+            ((1.5, 2), "candidate 1.5 is not an integer vertex ID"),
+            ((True, 2), "candidate True is not an integer vertex ID"),
+        ],
+    )
+    def test_bad_skyline_candidate_is_a_one_line_error(
+        self, karate, strategy, skyline, message
+    ):
+        with pytest.raises(ParameterError) as info:
+            neisky_gb(karate, 1, skyline=skyline, strategy=strategy)
+        assert str(info.value) == message
+
+    def test_skyline_is_deduplicated(self, karate):
+        assert neisky_gb(karate, 2, skyline=(33, 0, 33)) == neisky_gb(
+            karate, 2, skyline=(0, 33)
+        )
+
     def test_final_score_empty(self):
         result = base_gb(path_graph(3), 0)
         assert result.final_score == 0.0

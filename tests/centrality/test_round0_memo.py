@@ -26,7 +26,6 @@ from repro.core.api import neighborhood_skyline
 from repro.core.counters import SkylineCounters
 from repro.core.deadline import DeadlineExceeded, deadline
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
     copying_power_law,
@@ -41,7 +40,7 @@ MEASURES = ("closeness", "harmonic")
 
 def fresh(graph: Graph) -> Graph:
     """An equal graph object with nothing memoized on it."""
-    return Graph.from_csr(*graph.to_csr())
+    return Graph.from_arrays(*graph.csr_arrays())
 
 
 def objective_for(graph, measure):
@@ -104,9 +103,7 @@ GRAPHS = {
     "karate": karate_club,
     "power_law": lambda: copying_power_law(60, 2.5, 0.85, seed=7),
     "er_isolated": lambda: with_isolated(erdos_renyi(40, 0.05, seed=3), 3),
-    "csr_power_law": lambda: CSRGraph.from_graph(
-        copying_power_law(50, 2.3, 0.9, seed=11)
-    ),
+    "csr_power_law": lambda: copying_power_law(50, 2.3, 0.9, seed=11),
 }
 
 
@@ -179,7 +176,7 @@ def test_memo_holds_exactly_the_scored_vertices(measure):
     memo = g._round0[key]
     scored = np.flatnonzero(~np.isnan(memo)).tolist()
     assert scored == [4, 9, 17]
-    expected = CSRTraversal.from_graph(fresh(g)).first_round_gains(
+    expected = CSRTraversal(fresh(g)).first_round_gains(
         [4, 9, 17], objective
     )
     assert [float(x).hex() for x in memo[scored]] == [

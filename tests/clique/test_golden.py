@@ -33,7 +33,6 @@ from repro.clique.neisky import neisky_mc
 from repro.clique.topk import base_topk_mcc, neisky_topk_mcc
 from repro.clique.verify import is_clique, is_maximal_clique
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.generators import copying_power_law, erdos_renyi, kronecker_graph
 from repro.graph.karate import karate_club
 
@@ -76,8 +75,8 @@ CORPUS = _corpus()
 
 
 @lru_cache(maxsize=None)
-def corpus_graph(name: str) -> CSRGraph:
-    return CSRGraph.from_graph(CORPUS[name]())
+def corpus_graph(name: str) -> Graph:
+    return CORPUS[name]()
 
 
 def solve_all(graph: Graph) -> dict:
@@ -94,12 +93,6 @@ def solve_all(graph: Graph) -> dict:
         "base_topk": [base_topk_mcc(graph, k) for k in TOP_KS],
         "neisky_topk": [neisky_topk_mcc(graph, k) for k in TOP_KS],
     }
-
-
-@lru_cache(maxsize=None)
-def plain_graph(name: str) -> Graph:
-    """The list-backed copy, whose ``has_edge`` the checks call often."""
-    return CORPUS[name]()
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +142,6 @@ def test_heuristic_lists(name):
     assert is_clique(g, clique)
 
 
-@pytest.mark.parametrize("name", ["karate", "gnp36_p0.5_s0", "coin48_s2131"])
-def test_list_backend_agrees(name):
-    g = plain_graph(name)
-    want = golden()[name]
-    assert mc_brb(g) == want["mc_brb"]
-    assert neisky_mc(g) == want["neisky_mc"]
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_rooted_lists(name):
     g = corpus_graph(name)
@@ -165,7 +150,7 @@ def test_rooted_lists(name):
     assert got == golden()[name]["rooted"]
     for u, clique in enumerate(got):
         assert u in clique
-        assert is_clique(plain_graph(name), clique)
+        assert is_clique(g, clique)
         # Maximal: no vertex is adjacent to every member.
         assert not set.intersection(*(adjacency[v] for v in clique))
     assert max(map(len, got)) == omega(name)
@@ -187,10 +172,7 @@ def test_topk_lists(name, variant):
 def write_fixture() -> None:
     out = {}
     for name in NAMES:
-        results = solve_all(corpus_graph(name))
-        # The pinned lists must not depend on the graph backend.
-        assert solve_all(CORPUS[name]()) == results, name
-        out[name] = results
+        out[name] = solve_all(corpus_graph(name))
     lines = [f"  {json.dumps(n)}: {json.dumps(out[n], separators=(',', ':'))}" for n in NAMES]
     FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

@@ -83,7 +83,7 @@ def test_round_zero_checks_each_bfs_level():
     # One chunk of the bitset BFS holds this whole pool, so only the
     # per-level checkpoint inside it can stop greedy round 0.
     graph = barabasi_albert(300, 4, seed=1)
-    trav = CSRTraversal.from_graph(graph)
+    trav = CSRTraversal(graph)
     objective = ClosenessObjective(graph)
     sources = range(graph.num_vertices)
     expected = trav.first_round_gains(sources, objective)

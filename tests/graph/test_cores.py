@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.graph.adjacency import Graph
 from repro.graph.cores import CoreDecomposition, core_decomposition
-from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -62,7 +61,7 @@ def assert_valid_decomposition(g: Graph, dec: CoreDecomposition) -> None:
     for u in range(n):
         right = sum(1 for v in g.neighbors(u) if rank[v] > rank[u])
         assert right <= dec.degeneracy
-    # Plain Python ints on every backend (worker payloads require it).
+    # Plain Python ints, not numpy scalars (JSON payloads require them).
     assert all(type(c) is int for c in dec.core)
     assert all(type(u) is int for u in dec.order)
     assert type(dec.degeneracy) is int
@@ -140,17 +139,8 @@ def batch_peel_schedule(g: Graph) -> tuple[CoreDecomposition, int]:
 @given(graphs())
 def test_backends_agree_exactly(g):
     """The vectorized peel and the pure-Python schedule are identical —
-    same cores, same order, same degeneracy — on list and CSR backends."""
-    slow = batch_peel_oracle(g)
-    assert core_decomposition(g) == slow
-    assert core_decomposition(CSRGraph.from_graph(g)) == slow
-
-
-def test_karate_csr_matches_list():
-    g = karate_club()
-    assert core_decomposition(g) == core_decomposition(
-        CSRGraph.from_graph(g)
-    )
+    same cores, same order, same degeneracy."""
+    assert core_decomposition(g) == batch_peel_oracle(g)
 
 
 @pytest.mark.parametrize(
@@ -177,4 +167,3 @@ def test_backends_agree_on_long_cascades(name, build, min_rounds):
     slow, rounds = batch_peel_schedule(g)
     assert rounds >= min_rounds
     assert core_decomposition(g) == slow
-    assert core_decomposition(CSRGraph.from_graph(g)) == slow

@@ -13,7 +13,6 @@ import pytest
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
-from repro.graph.csr import as_csr
 from repro.paths.bfs import bfs_distances, multi_source_distances
 from repro.paths.csr import CSRTraversal
 from repro.paths.truncated import improvements
@@ -92,36 +91,36 @@ def scan_improvements(trav, source, current, budget=-1):
 
 class TestFullBfs:
     def test_path(self, p6):
-        trav = CSRTraversal.from_graph(p6)
+        trav = CSRTraversal(p6)
         assert trav.bfs_distances(0) == bfs_distances(p6, 0)
 
     def test_every_source_matches(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         for src in karate.vertices():
             assert trav.bfs_distances(src) == bfs_distances(karate, src)
 
     def test_disconnected_marks_unreachable(self, disconnected):
-        trav = CSRTraversal.from_graph(disconnected)
+        trav = CSRTraversal(disconnected)
         for src in disconnected.vertices():
             assert trav.bfs_distances(src) == bfs_distances(
                 disconnected, src
             )
 
     def test_multi_source(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         for sources in ([5], [0, 33], [0, 16, 33], []):
             assert trav.multi_source_distances(
                 sources
             ) == multi_source_distances(karate, sources)
 
     def test_multi_source_duplicates(self, p6):
-        trav = CSRTraversal.from_graph(p6)
+        trav = CSRTraversal(p6)
         assert trav.multi_source_distances([2, 2]) == bfs_distances(p6, 2)
 
     def test_buffer_reuse_across_calls(self, karate):
         # The queue buffer is shared state; interleaving full and
         # truncated traversals must not leak between calls.
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         first = trav.bfs_distances(0)
         n = karate.num_vertices
         dist = [n] * n
@@ -134,20 +133,20 @@ class TestFullBfs:
 class TestImprovements:
     @pytest.mark.parametrize("group", [[], [0], [0, 33], [5, 11, 20]])
     def test_matches_generator_kernel(self, karate, group):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = dist_after(karate, group)
         for u in karate.vertices():
             expected = list(improvements(karate, u, current))
             assert scan_improvements(trav, u, current) == expected
 
     def test_source_in_group_empty(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = dist_after(karate, [7])
         # scan_improvements asserts the distance list comes back intact.
         assert scan_improvements(trav, 7, current) == []
 
     def test_disconnected_components(self, disconnected):
-        trav = CSRTraversal.from_graph(disconnected)
+        trav = CSRTraversal(disconnected)
         for group in ([], [0], [0, 3]):
             current = dist_after(disconnected, group)
             for u in disconnected.vertices():
@@ -155,7 +154,7 @@ class TestImprovements:
                 assert scan_improvements(trav, u, current) == expected
 
     def test_scratch_reset_between_sources(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = [-1] * karate.num_vertices
         # Same source twice: a distance list left lowered would prune
         # the second call down to nothing.
@@ -172,7 +171,7 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("group", [[], [0], [0, 33, 5]])
     def test_gain_matches_weight_sum(self, karate, group):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = dist_after(karate, group)
         for _name, objective in self.objective_cases(karate):
             weight = objective.gain_weight
@@ -187,7 +186,7 @@ class TestEvaluators:
                 assert updates == expected_updates
 
     def test_collect_false_same_gain(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = [-1] * karate.num_vertices
         for _name, objective in self.objective_cases(karate):
             for u in (0, 16, 33):
@@ -209,13 +208,13 @@ class TestEvaluators:
                 """Count improved vertices, nothing else."""
                 return 1.0
 
-        trav = CSRTraversal.from_graph(p6)
+        trav = CSRTraversal(p6)
         gain, updates = scalar_eval(trav, 0, [-1] * 6, WeirdObjective())
         assert gain == 6.0
         assert len(updates) == 6
 
     def test_harmonic_disconnected_bitwise(self, disconnected):
-        trav = CSRTraversal.from_graph(disconnected)
+        trav = CSRTraversal(disconnected)
         objective = HarmonicObjective()
         current = dist_after(disconnected, [0])
         weight = objective.gain_weight
@@ -234,7 +233,7 @@ class TestBatchPlane:
 
     @pytest.mark.parametrize("group", [[], [0], [0, 33], [5, 11, 20]])
     def test_batch_improvements_matches_scalar(self, karate, group):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = dist_after(karate, group)
         for u in karate.vertices():
             assert scan_improvements(trav, u, current, budget=0) == (
@@ -245,7 +244,7 @@ class TestBatchPlane:
         assert trav.vector_dispatches == karate.num_vertices - len(group)
 
     def test_batch_evaluators_bitwise(self, karate):
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         for group in ([], [0], [0, 33, 5]):
             current = dist_after(karate, group)
             current_nd = np.array(current, dtype=np.int32)
@@ -269,7 +268,7 @@ class TestBatchPlane:
         # The distance scratch's all-clean invariant is what lets scans
         # reuse it without a full wipe; two identical scans must agree,
         # and a full-BFS interleave must not perturb them.
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = [-1] * karate.num_vertices
         first = [
             scan_improvements(trav, u, current, budget=0) for u in (0, 1, 2)
@@ -283,14 +282,14 @@ class TestBatchPlane:
     def test_empty_sources(self, karate):
         # A source already in the committed set emits nothing and never
         # reaches the vector scan; no sources score nothing.
-        trav = CSRTraversal.from_graph(karate)
+        trav = CSRTraversal(karate)
         current = dist_after(karate, [7])
         assert scan_improvements(trav, 7, current, budget=0) == []
         assert trav.vector_dispatches == 0
         assert trav.first_round_gains([], HarmonicObjective()) == []
 
     def test_disconnected_lanes(self, disconnected):
-        trav = CSRTraversal.from_graph(disconnected)
+        trav = CSRTraversal(disconnected)
         for group in ([], [0], [0, 3]):
             current = dist_after(disconnected, group)
             for u in disconnected.vertices():
@@ -301,11 +300,11 @@ class TestBatchPlane:
 
 class TestConstruction:
     def test_from_graph_matches_manual(self, karate):
-        indptr, indices = karate.to_csr()
-        manual = CSRTraversal(indptr, indices)
-        auto = CSRTraversal.from_graph(karate)
+        # A graph wrapped around the same arrays, with no rows built.
+        manual = CSRTraversal(Graph.from_arrays(*karate.csr_arrays()))
+        auto = CSRTraversal(karate)
         assert manual.n == auto.n == karate.num_vertices
-        assert list(manual.indices) == list(auto.indices)
+        assert np.shares_memory(manual._nd_indices, auto._nd_indices)
         current = dist_after(karate, [0, 33])
         for u in karate.vertices():
             assert scan_improvements(manual, u, current) == (
@@ -313,20 +312,23 @@ class TestConstruction:
             )
 
     def test_rows_come_from_the_graph(self, karate):
-        # A list-backed graph hands over its own neighbour tuples.
-        trav = CSRTraversal.from_graph(karate)
+        # The graph hands over its own neighbour-tuple list, which it
+        # fills on first touch.
+        trav = CSRTraversal(karate)
+        assert trav._rows is karate._rows
         for u in karate.vertices():
-            assert trav._rows[u] is karate.neighbors(u)
+            row = karate.neighbors(u)
+            assert trav._rows[u] is row
 
     def test_traversals_of_one_csr_graph_share_rows(self, karate):
-        g = as_csr(Graph.from_csr(*karate.to_csr()))
-        first = CSRTraversal.from_graph(g)
+        g = Graph.from_arrays(*karate.csr_arrays())
+        first = CSRTraversal(g)
         n = g.num_vertices
         for u in g.vertices():
             first.adaptive_eval(u, [n] * n, None, HarmonicObjective(),
                                 budget=-1)
         rows = [g.neighbors(u) for u in g.vertices()]
-        second = CSRTraversal.from_graph(g)
+        second = CSRTraversal(g)
         assert all(
             second._rows[u] is row and first._rows[u] is row
             for u, row in enumerate(rows)
@@ -334,6 +336,6 @@ class TestConstruction:
 
     def test_singleton_graph(self):
         g = Graph.from_edges(1, [])
-        trav = CSRTraversal.from_graph(g)
+        trav = CSRTraversal(g)
         assert trav.bfs_distances(0) == [0]
         assert scan_improvements(trav, 0, [-1]) == [(0, -1, 0)]

@@ -124,7 +124,7 @@ def handoffs_at_zero_budget(graph, current):
 )
 def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
     objective = make_objective(g, measure)
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     current = committed(g, seed)
     current_nd = np.array(current, dtype=np.int32)
     dist = scan_dist(current)
@@ -154,7 +154,7 @@ def test_budget_zero_hands_off_and_huge_budget_never(g, seed):
         (0, handoffs_at_zero_budget(g, current)),
         (NO_HANDOFF, []),
     ):
-        trav = CSRTraversal.from_graph(g)
+        trav = CSRTraversal(g)
         dist = scan_dist(current)
         for u in g.vertices():
             trav.adaptive_eval(u, dist, current_nd, objective,
@@ -182,7 +182,7 @@ def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
     # compensated sum and the scalar fold disagree in the last bits.
     g = kronecker_graph(8, 6, seed=11)
     objective = HarmonicObjective()
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     current = committed(g, 3)
     current_nd = np.array(current, dtype=np.int32)
     sources = list(g.vertices())

@@ -1,19 +1,20 @@
-"""Differential suite: the numpy CSR substrate vs the list-backed graph.
+"""Differential suite for the CSR graph and its binary format.
 
-The tentpole invariant of the CSR substrate is *bit-for-bit
-equivalence*: every algorithm must produce identical output on a
-:class:`CSRGraph` and on the list-backed :class:`Graph` it was built
-from — same skylines, same dominator arrays, same counters where the
-code path is shared, same greedy groups, same BFS distances.  These
-tests pin that invariant on random graphs (both the uniform and the
-power-law regime, the latter exercising the filter pretest's reject
-branch heavily) and pin the binary on-disk format's round-trip and
-corruption behavior.
+One graph class stores every graph as two ``int32`` CSR arrays, however
+it was built.  These tests pin that the constructors agree (equal,
+hash-equal graphs with identical skylines and counters), that every
+query agrees with a plain-Python reading of the arrays, that the
+vectorized kernels reproduce their scalar references on random graphs
+(both the uniform and the power-law regime, the latter exercising the
+filter pretest's reject branch heavily) and on every registered
+dataset, and that the binary on-disk format round-trips and rejects
+corrupt files.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import struct
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.centrality import neisky_gc, neisky_gh
 from repro.core import SkylineCounters, neighborhood_skyline
-from repro.core.filter_phase import filter_phase
+from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
 from repro.graph.binfmt import (
@@ -32,115 +33,180 @@ from repro.graph.binfmt import (
     read_binary_graph,
     write_binary_graph,
 )
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.builder import GraphBuilder
+from repro.graph.generators import copying_power_law
+from repro.graph.io import read_edge_list
+from repro.graph.karate import karate_club
 from repro.paths.bfs import bfs_distances, multi_source_distances
 from repro.paths.csr import CSRTraversal
 from repro.workloads import load, names
 
 from tests.conftest import graphs, power_law_graphs
 
+#: Edge sets built through every constructor: ``(n, edges)``.  The
+#: largest vertex of each has an edge, so ``read_edge_list`` without
+#: compaction sees all ``n`` vertices.
+EDGE_SETS = {
+    "karate": lambda: (34, list(karate_club().edges())),
+    "isolated": lambda: (12, [(0, 11), (2, 5), (5, 11), (2, 11), (7, 9)]),
+    "power_law": lambda: (
+        300,
+        list(copying_power_law(300, 2.5, 0.85, seed=5).edges()),
+    ),
+}
+
+
+def _from_edges(n, edges, tmp_path):
+    # Shuffled, with every other edge reversed.
+    pairs = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+    random.Random(n).shuffle(pairs)
+    return Graph.from_edges(n, pairs)
+
+
+def _builder(n, edges, tmp_path):
+    builder = GraphBuilder(n)
+    builder.add_edges(edges)
+    builder.add_edges((v, u) for u, v in edges)  # repeats are ignored
+    return builder.build()
+
+
+def _induced_subgraph(n, edges, tmp_path):
+    # The edge set at the even vertices of a supergraph whose odd
+    # vertices form a path tied to every even one.
+    extra = [(2 * u + 1, 2 * u + 3) for u in range(n - 1)]
+    extra += [(2 * u, 2 * u + 1) for u in range(n)]
+    supergraph = Graph.from_edges(
+        2 * n, [(2 * u, 2 * v) for u, v in edges] + extra
+    )
+    sub, mapping = supergraph.induced_subgraph(range(0, 2 * n, 2))
+    assert mapping == list(range(0, 2 * n, 2))
+    return sub
+
+
+def _read_edge_list(n, edges, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    return read_edge_list(path, compact=False)
+
+
+def _read_binary_graph(n, edges, tmp_path):
+    path = tmp_path / "g.rsky"
+    write_binary_graph(Graph.from_edges(n, edges), path)
+    return read_binary_graph(path)
+
+
+CONSTRUCTORS = {
+    "from_edges": _from_edges,
+    "builder": _builder,
+    "induced_subgraph": _induced_subgraph,
+    "read_edge_list": _read_edge_list,
+    "read_binary_graph": _read_binary_graph,
+}
+
+
+def _skyline_run(graph, algorithm):
+    counters = SkylineCounters()
+    result = neighborhood_skyline(graph, algorithm, counters=counters)
+    return result.skyline, result.candidates, result.dominator, counters
+
+
+class TestConstructorsAgree:
+    @pytest.mark.parametrize("edge_set", sorted(EDGE_SETS))
+    @pytest.mark.parametrize("build", sorted(CONSTRUCTORS))
+    def test_same_edges_same_graph(self, tmp_path, build, edge_set):
+        """Every constructor gives one graph: equal, hash-equal, with the
+        same skylines and counters on both the default kernel and the
+        paper's Alg. 3 (``filter_pretest_rejects`` included)."""
+        n, edges = EDGE_SETS[edge_set]()
+        reference = Graph.from_edges(n, edges)
+        g = CONSTRUCTORS[build](n, edges, tmp_path)
+        assert type(g) is Graph
+        assert g == reference and hash(g) == hash(reference)
+        assert g.num_edges == len(edges)
+        for algorithm in ("auto", "filter_refine"):
+            got = _skyline_run(g, algorithm)
+            want = _skyline_run(reference, algorithm)
+            assert got == want
+            if edges:
+                assert "filter_pretest_rejects" in got[3].extra
+
+
 class TestGraphProtocolEquivalence:
     @given(graphs(max_vertices=18))
     def test_protocol_queries_match(self, g):
-        csr = CSRGraph.from_graph(g)
-        assert csr.num_vertices == g.num_vertices
-        assert csr.num_edges == g.num_edges
-        assert csr.degrees() == g.degrees()
-        for u in g.vertices():
-            assert csr.degree(u) == g.degree(u)
-            assert tuple(csr.neighbors(u)) == tuple(g.neighbors(u))
-            assert csr.closed_neighborhood(u) == g.closed_neighborhood(u)
-        for u in g.vertices():
-            for v in g.vertices():
+        """Every query agrees with a plain-Python reading of the arrays."""
+        indptr, indices = (a.tolist() for a in g.csr_arrays())
+        n = len(indptr) - 1
+        rows = [indices[indptr[u] : indptr[u + 1]] for u in range(n)]
+        assert g.num_vertices == len(g) == n
+        assert 2 * g.num_edges == len(indices)
+        assert g.degrees() == [len(row) for row in rows]
+        for u in range(n):
+            assert g.degree(u) == len(rows[u])
+            assert list(g.neighbors(u)) == rows[u]
+            assert g.closed_neighborhood(u) == sorted(rows[u] + [u])
+            for v in range(n):
                 if u != v:
-                    assert csr.has_edge(u, v) == g.has_edge(u, v)
-        assert csr == g
-        assert sorted(csr.edges()) == sorted(g.edges())
-
-    @given(graphs(max_vertices=16))
-    def test_to_csr_is_zero_copy(self, g):
-        csr = CSRGraph.from_graph(g)
-        indptr, indices = csr.csr_arrays()
-        snap = csr.to_csr()
-        assert snap[0] is indptr
-        assert snap[1] is indices
-        assert not indptr.flags.writeable
-        assert not indices.flags.writeable
+                    assert g.has_edge(u, v) == (v in rows[u])
+        edges = list(g.edges())
+        assert edges == [(u, v) for u in range(n) for v in rows[u] if u < v]
+        assert all(type(u) is int and type(v) is int for u, v in edges)
 
     def test_neighbors_are_immutable(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        csr = CSRGraph.from_graph(g)
-        row = csr.neighbors(1)
+        row = g.neighbors(1)
         with pytest.raises(TypeError):
             row[0] = 99
-        # The list path hands out tuples too.
-        with pytest.raises(TypeError):
-            g.neighbors(1)[0] = 99
-
-    def test_neighbors_array_is_readonly_slice(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        csr = CSRGraph.from_graph(g)
-        row = csr.neighbors_array(0)
-        assert row.tolist() == [1, 2, 3]
+        indptr, indices = g.csr_arrays()
         with pytest.raises(ValueError):
-            row[0] = 9
+            indices[0] = 9
 
 
 class TestSkylineEquivalence:
     @settings(deadline=None)
     @given(power_law_graphs(max_vertices=48))
     def test_filter_phase_identical(self, g):
-        csr = CSRGraph.from_graph(g)
-        list_counters = SkylineCounters()
-        csr_counters = SkylineCounters()
-        cand_list, dom_list = filter_phase(g, counters=list_counters)
-        cand_csr, dom_csr = filter_phase(csr, counters=csr_counters)
-        assert cand_list == cand_csr
-        assert dom_list == dom_csr
-        # The pretest may skip exact merges but never changes decisions:
-        # degree skips fire before it, so that counter stays shared.
-        assert list_counters.degree_skips == csr_counters.degree_skips
-        assert (
-            list_counters.dominations_found == csr_counters.dominations_found
-        )
-        rejects = csr_counters.extra.get("filter_pretest_rejects", 0)
-        assert (
-            csr_counters.pair_tests + rejects == list_counters.pair_tests
-        )
+        """The vectorized filter phase against its scalar reference:
+        candidates, dominators and every counter."""
+        scalar_counters = SkylineCounters()
+        vector_counters = SkylineCounters()
+        want = scalar_filter_phase(g, counters=scalar_counters)
+        assert filter_phase(g, counters=vector_counters) == want
+        assert vector_counters == scalar_counters
+        if g.num_edges:
+            assert "filter_pretest_rejects" in vector_counters.extra
 
     @settings(deadline=None)
     @given(power_law_graphs(max_vertices=40))
     def test_all_algorithms_identical(self, g):
-        csr = CSRGraph.from_graph(g)
+        reference = neighborhood_skyline(g, algorithm="naive")
         for algorithm in ("filter_refine", "auto"):
-            r_list = neighborhood_skyline(g, algorithm=algorithm)
-            r_csr = neighborhood_skyline(csr, algorithm=algorithm)
-            assert r_list.skyline == r_csr.skyline
-            assert r_list.dominator == r_csr.dominator
-            assert r_list.candidates == r_csr.candidates
+            result = neighborhood_skyline(g, algorithm=algorithm)
+            assert result.skyline == reference.skyline
 
     @pytest.mark.parametrize("name", names())
     def test_registered_datasets_identical(self, name):
-        """The acceptance bar: every registry dataset, both backends."""
-        csr = load(name)
-        assert isinstance(csr, CSRGraph)
-        listg = Graph.from_edges(csr.num_vertices, csr.edges())
-        r_list = neighborhood_skyline(listg)
-        r_csr = neighborhood_skyline(csr)
-        assert r_list.skyline == r_csr.skyline
-        assert r_list.dominator == r_csr.dominator
-        assert r_list.candidates == r_csr.candidates
+        """Every registry dataset: the default kernel and the paper's
+        Alg. 3 agree on skyline, candidates and dominators."""
+        g = load(name)
+        fast = neighborhood_skyline(g)
+        paper = neighborhood_skyline(g, algorithm="filter_refine")
+        assert fast.skyline == paper.skyline
+        assert fast.dominator == paper.dominator
+        assert fast.candidates == paper.candidates
 
     @settings(deadline=None)
     @given(graphs(max_vertices=14))
     def test_greedy_groups_identical(self, g):
-        csr = CSRGraph.from_graph(g)
+        """The lazy greedy against the eager reference driver."""
         for run in (neisky_gc, neisky_gh):
-            r_list = run(g, 3)
-            r_csr = run(csr, 3)
-            assert r_list.group == r_csr.group
-            assert r_list.gains == r_csr.gains
-            assert r_list.evaluations == r_csr.evaluations
+            lazy = run(g, 3)
+            eager = run(g, 3, strategy="eager")
+            assert lazy.group == eager.group
+            assert lazy.gains == eager.gains
+            assert lazy.evaluations + lazy.evaluations_saved == (
+                eager.evaluations
+            )
 
 
 class TestTraversalEquivalence:
@@ -148,22 +214,21 @@ class TestTraversalEquivalence:
     def test_bfs_distances_match(self, g):
         if g.num_vertices == 0:
             return
-        trav = CSRTraversal.from_graph(as_csr(g))
+        trav = CSRTraversal(g)
         for s in g.vertices():
             assert trav.bfs_distances(s) == bfs_distances(g, s)
 
     @given(graphs(max_vertices=16))
     def test_multi_source_matches(self, g):
         n = g.num_vertices
-        trav = CSRTraversal.from_graph(as_csr(g))
+        trav = CSRTraversal(g)
         for sources in ([], list(range(0, n, 3)), list(range(n))):
             assert trav.multi_source_distances(
                 sources
             ) == multi_source_distances(g, sources)
 
     def test_vectorized_and_scalar_kernels_agree(self, karate):
-        trav = CSRTraversal.from_graph(as_csr(karate))
-        assert trav._nd_indptr is not None
+        trav = CSRTraversal(karate)
         for s in karate.vertices():
             assert trav.bfs_distances(s) == trav._scalar_distances((s,))
 
@@ -176,7 +241,6 @@ class TestBinaryFormat:
         write_binary_graph(g, path)
         assert is_binary_graph(path)
         loaded = read_binary_graph(path)
-        assert isinstance(loaded, CSRGraph)
         assert loaded == g
         # The memmap-backed snapshot re-serializes to identical bytes.
         again = tmp_path_factory.mktemp("binfmt") / "h.rsky"

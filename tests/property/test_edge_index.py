@@ -24,7 +24,6 @@ from repro.core.filter_refine import filter_refine_sky
 from repro.graph.adjacency import Graph
 from repro.graph.csr import (
     _SLOTS_PER_KEY,
-    CSRGraph,
     EdgeIndex,
     _home_slots,
     _key_table,
@@ -54,20 +53,19 @@ def assert_has_keys_exact(g: Graph) -> None:
     """Every key ``0 … n² − 1`` answered as a set of edges answers it."""
     n = g.num_vertices
     edges = {(u, v) for u in range(n) for v in g.neighbors(u)}
-    for backend in (g, CSRGraph.from_graph(g)):
-        index = edge_index(backend)
-        table = index.table
-        size = len(table)
-        assert size >= 2 and size & (size - 1) == 0
-        assert size >= _SLOTS_PER_KEY * len(edges)
-        stored = np.sort(table[table != -1])
-        assert stored.tolist() == sorted(u * n + v for u, v in edges)
-        queries = np.arange(n * n, dtype=np.int64)
-        expected = [(int(q) // n, int(q) % n) in edges for q in queries]
-        assert index.has_keys(queries).tolist() == expected
-        # Order and repeats do not matter: reversed, doubled queries.
-        twice = np.concatenate([queries[::-1], queries])
-        assert index.has_keys(twice).tolist() == expected[::-1] + expected
+    index = edge_index(g)
+    table = index.table
+    size = len(table)
+    assert size >= 2 and size & (size - 1) == 0
+    assert size >= _SLOTS_PER_KEY * len(edges)
+    stored = np.sort(table[table != -1])
+    assert stored.tolist() == sorted(u * n + v for u, v in edges)
+    queries = np.arange(n * n, dtype=np.int64)
+    expected = [(int(q) // n, int(q) % n) in edges for q in queries]
+    assert index.has_keys(queries).tolist() == expected
+    # Order and repeats do not matter: reversed, doubled queries.
+    twice = np.concatenate([queries[::-1], queries])
+    assert index.has_keys(twice).tolist() == expected[::-1] + expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -163,38 +161,37 @@ def pivot_pair_tests(g, candidates, dominator, dominated) -> int:
 
 
 def assert_shared_index_matches_references(g: Graph) -> None:
-    for backend in (g, CSRGraph.from_graph(g)):
-        index = edge_index(backend)
-        c_scalar, c_filter = SkylineCounters(), SkylineCounters()
-        reference = scalar_filter_phase(backend, counters=c_scalar)
-        candidates, dominator = filter_phase(
-            backend, counters=c_filter, index=index
-        )
-        assert (candidates, dominator) == reference
-        assert c_filter == c_scalar
+    index = edge_index(g)
+    c_scalar, c_filter = SkylineCounters(), SkylineCounters()
+    reference = scalar_filter_phase(g, counters=c_scalar)
+    candidates, dominator = filter_phase(
+        g, counters=c_filter, index=index
+    )
+    assert (candidates, dominator) == reference
+    assert c_filter == c_scalar
 
-        frozen = list(dominator)
-        dominated, witnesses = brute_force_passes(g, candidates, frozen)
-        degree_skips, dominated_skips = brute_force_skip_tallies(
-            g, candidates, frozen, dominated
-        )
-        expected = SkylineCounters(
-            vertices_examined=len(candidates),
-            pair_tests=pivot_pair_tests(g, candidates, frozen, dominated),
-            degree_skips=degree_skips,
-            dominated_skips=dominated_skips,
-            dominations_found=len(dominated),
-            extra={"block_rescans": len(dominated)},
-        )
-        stats = SkylineCounters()
-        assert (
-            block_refine_pass(index, candidates, dominator, stats)
-            == dominated
-        )
-        assert stats == expected
-        for u, w in witnesses:
-            assert dominator[u] == w
-        assert tuple(dominator) == filter_refine_sky(backend).dominator
+    frozen = list(dominator)
+    dominated, witnesses = brute_force_passes(g, candidates, frozen)
+    degree_skips, dominated_skips = brute_force_skip_tallies(
+        g, candidates, frozen, dominated
+    )
+    expected = SkylineCounters(
+        vertices_examined=len(candidates),
+        pair_tests=pivot_pair_tests(g, candidates, frozen, dominated),
+        degree_skips=degree_skips,
+        dominated_skips=dominated_skips,
+        dominations_found=len(dominated),
+        extra={"block_rescans": len(dominated)},
+    )
+    stats = SkylineCounters()
+    assert (
+        block_refine_pass(index, candidates, dominator, stats)
+        == dominated
+    )
+    assert stats == expected
+    for u, w in witnesses:
+        assert dominator[u] == w
+    assert tuple(dominator) == filter_refine_sky(g).dominator
 
 
 @COMMON

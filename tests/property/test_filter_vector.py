@@ -3,9 +3,8 @@
 ``filter_phase`` must return the *same* candidates and dominator array
 as ``scalar_filter_phase``, the paper's Alg. 2 as a scalar loop, and
 the same filter counters (``vertices_examined``, ``degree_skips``,
-``pair_tests``, ``dominations_found`` and, on a ``CSRGraph``,
-``extra["filter_pretest_rejects"]``) — bit for bit, on both graph
-backends.  The graph families stress the replay's order-dependent
+``pair_tests``, ``dominations_found`` and
+``extra["filter_pretest_rejects"]``) — bit for bit.  The graph families stress the replay's order-dependent
 writes: twin classes (the ID tie-break and its ``elif`` branch), stars
 and cliques with pendants (strict dominations and early breaks),
 isolated vertices and the empty and one-vertex graphs.
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.generators import kronecker_graph, star_graph
 from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 
@@ -37,16 +35,15 @@ COMMON = settings(
 
 
 def assert_filter_matches(g: Graph) -> None:
-    """Vector pass == scalar reference on both backends."""
-    for backend in (g, CSRGraph.from_graph(g)):
-        c_ref, c_vec = SkylineCounters(), SkylineCounters()
-        ref = scalar_filter_phase(backend, counters=c_ref)
-        vec = filter_phase(backend, counters=c_vec)
-        assert vec[0] == ref[0]
-        assert vec[1] == ref[1]
-        assert c_vec == c_ref
-        # Uninstrumented runs give the same output.
-        assert filter_phase(backend) == ref
+    """Vector pass == scalar reference."""
+    c_ref, c_vec = SkylineCounters(), SkylineCounters()
+    ref = scalar_filter_phase(g, counters=c_ref)
+    vec = filter_phase(g, counters=c_vec)
+    assert vec[0] == ref[0]
+    assert vec[1] == ref[1]
+    assert c_vec == c_ref
+    # Uninstrumented runs give the same output.
+    assert filter_phase(g) == ref
 
 
 @st.composite

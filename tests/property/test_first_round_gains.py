@@ -59,7 +59,7 @@ def make_objective(graph, measure):
 
 
 def scalar_gains(graph, sources, objective):
-    trav = CSRTraversal.from_graph(graph)
+    trav = CSRTraversal(graph)
     n = graph.num_vertices
     empty = [n] * n  # nothing reachable: the scan's ``n`` sentinel
     return [
@@ -90,7 +90,7 @@ def disjoint_union(a, b):
 def test_all_sources_match_scalar(g, measure):
     objective = make_objective(g, measure)
     sources = list(range(g.num_vertices))
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     assert_bitwise(
         trav.first_round_gains(sources, objective),
         scalar_gains(g, sources, objective),
@@ -108,7 +108,7 @@ def test_isolated_vertices_and_components(a, b, extra, measure):
     g = with_isolated(disjoint_union(a, b), extra)
     objective = make_objective(g, measure)
     sources = list(range(g.num_vertices))
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     assert_bitwise(
         trav.first_round_gains(sources, objective),
         scalar_gains(g, sources, objective),
@@ -137,7 +137,7 @@ def test_source_counts_across_words_and_chunks(
     )
     objective = make_objective(g, measure)
     want = scalar_gains(g, sources, objective)
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     if small_budget:
         # One word (64 lanes) per chunk: 65+ sources cross a boundary.
         saved = csr_module.ROUND0_CELL_BUDGET
@@ -158,13 +158,13 @@ def test_chunk_boundary_with_monkeypatched_budget(monkeypatch):
         objective = make_objective(g, measure)
         want = scalar_gains(g, sources, objective)
         monkeypatch.setattr(csr_module, "ROUND0_CELL_BUDGET", 1)
-        got = CSRTraversal.from_graph(g).first_round_gains(sources, objective)
+        got = CSRTraversal(g).first_round_gains(sources, objective)
         monkeypatch.undo()
         assert_bitwise(got, want)
 
 
 def test_empty_and_edgeless():
-    trav = CSRTraversal.from_graph(Graph.from_edges(3, []))
+    trav = CSRTraversal(Graph.from_edges(3, []))
     assert trav.first_round_gains([], HarmonicObjective()) == []
     gains = trav.first_round_gains([0, 2], HarmonicObjective())
     assert [g.hex() for g in gains] == [(0.0).hex()] * 2

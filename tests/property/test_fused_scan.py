@@ -15,7 +15,7 @@ on ``float.hex`` and update lists exactly, for the closeness, harmonic
 and an untagged ``gain_weight`` objective, budgets 0 (every scan that
 visits an edge is abandoned), huge (none is) and random, ``collect`` on
 and off, every source including those already in the group, on graphs
-with isolated vertices and several components, on both graph backends.
+with isolated vertices and several components.
 After every finished and every abandoned scan the distance list must
 equal its pre-scan copy.
 """
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
-from repro.graph.csr import as_csr
 from repro.paths.bfs import multi_source_distances
 from repro.paths.csr import CSRTraversal
 from repro.paths.truncated import improvements
@@ -80,8 +79,7 @@ def multi_component_graphs(draw):
             (perm[u + offset], perm[v + offset]) for u, v in part.edges()
         ]
         offset += part.num_vertices
-    g = Graph.from_edges(n, edges)
-    return as_csr(g) if draw(st.booleans()) else g
+    return Graph.from_edges(n, edges)
 
 
 def reference(graph, source, current, weight):
@@ -117,7 +115,7 @@ def test_fused_scan_matches_the_eager_fold(g, measure, budget_kind, seed):
         objective = HarmonicObjective()
     else:
         objective = RecordingObjective()
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     abandoned = 0
     for u in g.vertices():
         budget = (
@@ -161,7 +159,7 @@ def test_source_in_group_scores_zero_and_touches_nothing(g, seed):
     current = multi_source_distances(g, group)
     dist = [n if d == -1 else d for d in current]
     before = list(dist)
-    trav = CSRTraversal.from_graph(g)
+    trav = CSRTraversal(g)
     for u in group:
         for objective in (ClosenessObjective(g), HarmonicObjective()):
             for budget in (0, -1):

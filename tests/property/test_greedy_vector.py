@@ -102,7 +102,7 @@ def scalar_kernels():
 def scalar_lazy(graph, k, objective, **kwargs):
     # A fresh graph object: an earlier default run on ``graph`` has
     # memoized its round-0 gains, which would skip the scalar round 0.
-    cold = Graph.from_csr(*graph.to_csr())
+    cold = Graph.from_arrays(*graph.csr_arrays())
     with scalar_kernels():
         return lazy_greedy_maximize(cold, k, objective, **kwargs)
 
@@ -111,7 +111,7 @@ def vector_eager(graph, k, objective):
     """The eager round loop with every candidate scored on the vector
     scan (``adaptive_eval`` with budget 0)."""
     n = graph.num_vertices
-    trav = CSRTraversal.from_graph(graph)
+    trav = CSRTraversal(graph)
     dist = [n] * n  # n = unreachable for the scalar scan, -1 for dist_nd
     dist_nd = np.full(n, -1, dtype=np.int32)
     group, gains = [], []

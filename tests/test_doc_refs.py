@@ -1,9 +1,13 @@
-"""Every backticked ``repro.…`` name and file path in the prose docs
-must resolve.
+"""Every backticked ``repro.…`` name and file path in the prose docs,
+and every backticked ``repro.…`` name in a package docstring, must
+resolve.
 
 A dotted name in README.md, DESIGN.md, EXPERIMENTS.md or ``docs/*.md``
-such as ```repro.core.layers``` or ```repro.graph.csr.CSRGraph``` must
-import as a module, or as a module followed by attributes.  A path
+such as ```repro.core.layers``` or ```repro.graph.csr.edge_index```
+must import as a module, or as a module followed by attributes.  So
+must a cross-reference in a module, class or function docstring under
+``src/repro`` (```:class:`~repro.graph.adjacency.Graph` ```), including
+one wrapped after a dot onto the next line.  A path
 such as ```serve/supervision.py``` or
 ```benchmarks/smoke_chaos_serve.py``` must name a file in the repo,
 relative to the repo root, ``src/`` or ``src/repro/``.  Glob patterns
@@ -13,6 +17,7 @@ when a module, symbol or file is deleted or renamed; a deleted file
 may still be named in history prose, just not in backticks.
 """
 
+import ast
 import glob
 import importlib
 import os
@@ -31,6 +36,21 @@ DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
 #: after the name inside the span (a call's ``(g)``) is ignored.
 NAME = re.compile(r"`(repro(?:\.[\w*]+)+)")
 
+#: The same in a docstring, where a Sphinx role may prefix ``~``.
+DOCSTRING_NAME = re.compile(r"`~?(repro(?:\.[\w*]+)+)")
+
+#: A dotted name wrapped after a dot: ``repro.graph.`` + newline +
+#: indent + ``adjacency.Graph`` reads as one name.
+WRAPPED_DOT = re.compile(r"\.\s*\n\s*")
+
+#: Every Python file of the package, relative to the repo root.
+SOURCES = sorted(
+    os.path.relpath(path, REPO_ROOT)
+    for path in glob.glob(
+        os.path.join(REPO_ROOT, "src", "repro", "**", "*.py"), recursive=True
+    )
+)
+
 #: A backtick span that opens with a relative file path: at least one
 #: ``/`` and a file extension; a ``::test`` suffix is ignored.
 PATH = re.compile(r"`([\w.-]+(?:/[\w.*-]+)+\.(?:py|md|json|toml|ya?ml|txt))")
@@ -47,6 +67,24 @@ def _doc_matches(doc, pattern):
 
 def doc_names(doc):
     return _doc_matches(doc, NAME)
+
+
+def docstring_names(source):
+    """The ``repro.…`` names cited in ``source``'s docstrings."""
+    with open(os.path.join(REPO_ROOT, source), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                names.update(
+                    DOCSTRING_NAME.findall(WRAPPED_DOT.sub(".", doc))
+                )
+    return sorted(name for name in names if "*" not in name)
 
 
 def doc_paths(doc):
@@ -87,6 +125,18 @@ def test_docs_name_repro_objects():
 def test_every_named_object_imports(doc):
     unresolved = [name for name in doc_names(doc) if not resolves(name)]
     assert not unresolved, f"{doc} names missing objects: {unresolved}"
+
+
+def test_docstrings_name_repro_objects():
+    assert sum(len(docstring_names(src)) for src in SOURCES) >= 100
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_docstring_name_imports(source):
+    unresolved = [
+        name for name in docstring_names(source) if not resolves(name)
+    ]
+    assert not unresolved, f"{source} docstrings name missing objects: {unresolved}"
 
 
 def test_docs_name_repo_paths():
