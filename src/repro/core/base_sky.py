@@ -54,12 +54,13 @@ def base_sky(
     count = [0] * n
     stamp = [-1] * n
     neighbors = graph.neighbors
+    deg = graph.degrees()
 
     for u in range(n):
         if dominator[u] != u:
             continue
         stats.vertices_examined += 1
-        deg_u = graph.degree(u)
+        deg_u = deg[u]
         strictly_dominated = False
         for v in neighbors(u):
             if strictly_dominated:
@@ -74,7 +75,7 @@ def base_sky(
                     continue
                 # N(u) ⊆ N[w]: u is neighborhood-included by w.
                 stats.pair_tests += 1
-                deg_w = graph.degree(w)
+                deg_w = deg[w]
                 if deg_w == deg_u:
                     # Mutual inclusion; the smaller ID dominates (Def. 2).
                     # The scan continues either way so the remaining
