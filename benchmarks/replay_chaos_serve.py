@@ -96,7 +96,6 @@ def run_profile(profile, graphs, num_requests, seed, references):
     config = ServeConfig(
         port=0,
         queue_capacity=num_requests,
-        batch_max=8,
         supervision=SupervisionConfig(**SUPERVISION),
     )
     with ServerThread(registry, config, fault_plan=fault_plan) as handle:

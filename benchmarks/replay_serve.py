@@ -41,19 +41,17 @@ from repro.serve import GraphRegistry, ServeConfig, ServerThread
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PROFILES = {
-    # name -> (queue_capacity, batch_max, timeout_s, gap_s, clients)
+    # name -> (queue_capacity, timeout_s, gap_s, clients)
     # steady: provisioned queue, paced arrivals — prices the overhead.
     # burst: 4x more concurrent clients than queue slots and near-zero
     # gaps, so the bounded queue must shed load (429/504 rows).
-    "steady": (128, 8, None, 0.02, 8),
-    "burst": (8, 4, 0.25, 0.002, 16),
+    "steady": (128, None, 0.02, 8),
+    "burst": (8, 0.25, 0.002, 16),
 }
 
 
-def run_profile(
-    name: str, graphs, num_requests: int, seed: int
-) -> tuple[dict, dict]:
-    capacity, batch_max, timeout_s, gap_s, clients = PROFILES[name]
+def run_profile(name: str, graphs, num_requests: int, seed: int) -> dict:
+    capacity, timeout_s, gap_s, clients = PROFILES[name]
     trace = generate_trace(
         graphs,
         num_requests,
@@ -64,15 +62,10 @@ def run_profile(
     registry = GraphRegistry()
     for graph in graphs:
         registry.register_spec(graph)
-    config = ServeConfig(
-        port=0, queue_capacity=capacity, batch_max=batch_max
-    )
+    config = ServeConfig(port=0, queue_capacity=capacity)
     with ServerThread(registry, config) as handle:
         outcomes, wall_s = replay(handle, trace, max_clients=clients)
-        _, metrics = handle.request("GET", "/metrics")
-    summary = summarize(outcomes, wall_s)
-    summary["batches"] = metrics["batches"]
-    return summary, metrics
+    return summarize(outcomes, wall_s)
 
 
 def main(argv=None) -> int:
@@ -87,9 +80,7 @@ def main(argv=None) -> int:
     instance = "+".join(args.graphs)
     entries = []
     for profile in PROFILES:
-        summary, _metrics = run_profile(
-            profile, args.graphs, args.requests, args.seed
-        )
+        summary = run_profile(profile, args.graphs, args.requests, args.seed)
         print(
             f"{profile}: {summary['ok']}/{summary['requests']} ok, "
             f"p50={summary['p50_ms']:.1f}ms p99={summary['p99_ms']:.1f}ms, "
@@ -114,7 +105,6 @@ def main(argv=None) -> int:
                     "rejected": summary["rejected"],
                     "expired": summary["expired"],
                     "rejection_rate": round(summary["rejection_rate"], 4),
-                    "batches": summary["batches"],
                 },
             )
         )

@@ -78,7 +78,6 @@ def main() -> int:
     config = ServeConfig(
         port=0,
         queue_capacity=NUM_REQUESTS,
-        batch_max=8,
         supervision=SupervisionConfig(
             query_deadline_s=30.0,
             breaker_threshold=3,

@@ -45,7 +45,7 @@ def main() -> int:
     registry = GraphRegistry()
     for name in GRAPHS:
         registry.register_spec(name)
-    config = ServeConfig(port=0, queue_capacity=NUM_REQUESTS, batch_max=8)
+    config = ServeConfig(port=0, queue_capacity=NUM_REQUESTS)
     with ServerThread(registry, config) as handle:
         status, health = handle.request("GET", "/health")
         assert status == 200 and health["status"] == "ok", health

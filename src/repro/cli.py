@@ -292,7 +292,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             queue_capacity=args.queue_capacity,
-            batch_max=args.batch_max,
             default_timeout_s=args.request_timeout,
             max_requests=args.max_requests,
             supervision=SupervisionConfig(
@@ -306,8 +305,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         def announce(server):
             print(
                 f"serving on http://{args.host}:{server.port} "
-                f"(queue={config.queue_capacity}, "
-                f"batch={config.batch_max})",
+                f"(queue={config.queue_capacity})",
                 flush=True,
             )
 
@@ -500,16 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "bounded request-queue depth; a full queue rejects with "
             "429 instead of growing (default: 64)"
-        ),
-    )
-    p_srv.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "max same-graph requests dispatched per batch "
-            "(default: 8)"
         ),
     )
     p_srv.add_argument(

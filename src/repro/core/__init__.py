@@ -11,7 +11,6 @@ from repro.core.api import (
     group_centrality_maximize,
     neighborhood_candidates,
     neighborhood_skyline,
-    serve,
 )
 from repro.core.base_sky import base_sky
 from repro.core.block_refine import filter_refine_block_sky
@@ -40,7 +39,6 @@ __all__ = [
     "group_centrality_maximize",
     "neighborhood_candidates",
     "neighborhood_skyline",
-    "serve",
     "base_sky",
     "SkylineCounters",
     "base_cset_sky",

@@ -29,7 +29,6 @@ __all__ = [
     "group_centrality_maximize",
     "EngineSession",
     "engine_session",
-    "serve",
     "ALGORITHMS",
 ]
 
@@ -151,73 +150,6 @@ def engine_session(graph: Graph, *, workers: int = 1) -> EngineSession:
     """
     validate_workers(workers)
     return EngineSession(graph)
-
-
-def serve(
-    graphs,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8321,
-    queue_capacity: int = 64,
-    batch_max: int = 8,
-    request_timeout_s: Optional[float] = 30.0,
-    max_requests: Optional[int] = None,
-    query_deadline_s: Optional[float] = 60.0,
-    breaker_threshold: int = 3,
-    breaker_cooldown_s: float = 1.0,
-    degraded_cache: bool = True,
-    fault_plan=None,
-) -> int:
-    """Skyline-as-a-service in one call (blocking).
-
-    ``graphs`` is an iterable of spec strings — a registry dataset name
-    (``"karate"``) or ``alias=path`` for an edge-list file.  Each graph
-    gets one :class:`EngineSession` skyline cache; ``skyline`` / ``group`` /
-    ``clique`` queries are served over HTTP through a bounded priority
-    queue with per-request deadlines and 429 backpressure.  The server
-    is self-healing: a query still running at ``query_deadline_s``
-    stops at its next checkpoint (a greedy round, a clique root, a
-    refine block) and is answered 503 with ``Retry-After``; an engine
-    exception drops the graph's skyline cache and the query is retried
-    at once; per-graph circuit breakers (``breaker_threshold`` /
-    ``breaker_cooldown_s``) degrade one failing graph — cached skyline
-    marked ``degraded: true`` when ``degraded_cache`` — without
-    touching the others.  ``fault_plan`` injects a
-    :class:`~repro.harness.faults.ServeFaultPlan` for chaos harness
-    runs.  See :mod:`repro.serve` and ``docs/serving.md``; the CLI
-    equivalent is ``repro serve``.  Returns the process exit code.
-    Imported lazily: the serving layer imports this module.
-    """
-    from repro.serve import (
-        GraphRegistry,
-        ServeConfig,
-        SupervisionConfig,
-        run_server,
-    )
-
-    registry = GraphRegistry()
-    try:
-        for spec in graphs:
-            registry.register_spec(spec)
-        if not len(registry):
-            raise ParameterError("serve needs at least one graph spec")
-        config = ServeConfig(
-            host=host,
-            port=port,
-            queue_capacity=queue_capacity,
-            batch_max=batch_max,
-            default_timeout_s=request_timeout_s,
-            max_requests=max_requests,
-            supervision=SupervisionConfig(
-                query_deadline_s=query_deadline_s,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown_s=breaker_cooldown_s,
-                degraded_cache=degraded_cache,
-            ),
-        )
-        return run_server(registry, config, fault_plan=fault_plan)
-    finally:
-        registry.close()
 
 
 def neighborhood_candidates(

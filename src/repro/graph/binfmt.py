@@ -168,7 +168,8 @@ def read_binary_graph(path: PathLike) -> Graph:
     # indices): every row range must be well-formed and every neighbor
     # a vertex, or the kernels would index out of bounds — or, for a
     # negative ID, silently wrap around and answer.
-    drops = _np.flatnonzero(_np.diff(indptr) < 0)
+    # Compare, do not subtract: an int32 difference can wrap around.
+    drops = _np.flatnonzero(indptr[1:] < indptr[:-1])
     if drops.size:
         u = int(drops[0])
         raise GraphFormatError(

@@ -1,4 +1,4 @@
-"""Measurement harness: timing, memory probes and report rendering."""
+"""Measurement harness: memory probes, bench rows and report rendering."""
 
 from repro.harness.benchjson import (
     bench_entry,
@@ -9,7 +9,6 @@ from repro.harness.benchjson import (
 from repro.harness.memory import format_bytes, measure_peak
 from repro.harness.runner import FigureReport
 from repro.harness.table import format_table
-from repro.harness.timer import Stopwatch, time_call
 
 __all__ = [
     "bench_entry",
@@ -20,6 +19,4 @@ __all__ = [
     "measure_peak",
     "FigureReport",
     "format_table",
-    "Stopwatch",
-    "time_call",
 ]

@@ -234,33 +234,6 @@ class CSRTraversal:
             frontier = fresh
         return dist.tolist()
 
-    def _scalar_distances(self, sources: Iterable[int]) -> list[int]:
-        """Scalar FIFO multi-source BFS: the test oracle of
-        :meth:`_frontier_distances`."""
-        queue = self._queue
-        dist = [-1] * self.n
-        tail = 0
-        for s in sources:
-            if dist[s] != 0:
-                dist[s] = 0
-                queue[tail] = s
-                tail += 1
-        head = 0
-        rows = self._rows
-        while head < tail:
-            u = queue[head]
-            head += 1
-            next_level = dist[u] + 1
-            row = rows[u]
-            if row is None:
-                row = self._neighbors(u)
-            for v in row:
-                if dist[v] == -1:
-                    dist[v] = next_level
-                    queue[tail] = v
-                    tail += 1
-        return dist
-
     # ------------------------------------------------------------------
     # Vector gain scan: one pruned BFS, one numpy pass per level
     # ------------------------------------------------------------------

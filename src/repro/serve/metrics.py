@@ -95,8 +95,6 @@ class ServerMetrics:
         self.service_time = LatencyHistogram()
         self.engine_counters: Counter = Counter()
         self.engine_extra: Counter = Counter()
-        self.batches_total = 0
-        self.batched_requests_total = 0
         # -- supervision / self-healing (PR 9) -------------------------
         self.engine_failures: Counter = Counter()  # (graph, kind) -> n
         self.rebuilds: Counter = Counter()  # graph -> sessions rebuilt
@@ -129,11 +127,6 @@ class ServerMetrics:
         """Count one chaos-plan fault performed on the engine thread."""
         self.injected_faults[(graph, kind)] += 1
 
-    def record_batch(self, size: int) -> None:
-        """Count one worker dispatch cycle of ``size`` requests."""
-        self.batches_total += 1
-        self.batched_requests_total += size
-
     def absorb_engine_counters(self, counters) -> None:
         """Fold one call's :class:`SkylineCounters` into the totals.
 
@@ -164,10 +157,6 @@ class ServerMetrics:
             "queue": dict(queue_counters or {}),
             "queue_wait": self.queue_wait.as_dict(),
             "service_time": self.service_time.as_dict(),
-            "batches": {
-                "total": self.batches_total,
-                "requests": self.batched_requests_total,
-            },
             "engine": {
                 "counters": dict(sorted(self.engine_counters.items())),
                 "extra": dict(sorted(self.engine_extra.items())),

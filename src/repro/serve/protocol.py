@@ -83,9 +83,11 @@ class HttpRequest:
         """The body decoded as a JSON object (400 on anything else)."""
         if not self.body:
             raise HttpError(400, "request body must be a JSON object")
+        # A RecursionError is JSON nested past the decoder's depth
+        # limit; a UnicodeDecodeError is a ValueError.
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")

@@ -1,4 +1,4 @@
-"""Bounded priority queue with deadlines, batching and backpressure.
+"""Bounded priority queue with deadlines and backpressure.
 
 The admission-control heart of the serving layer, kept free of asyncio
 so a Hypothesis state machine can drive every transition against a
@@ -10,21 +10,21 @@ model with a fake clock (``tests/serve/test_queue_stateful.py``):
   it never grows without bound.  (Purging expired requests happens
   before the capacity check, so a stale backlog cannot wedge the
   server into rejecting forever.)
-* **Priority** — lower ``priority`` values dispatch first; ties break
-  FIFO by arrival sequence.  Implemented as a heap with lazy deletion.
+* **Priority** — :meth:`BoundedRequestQueue.pop` returns the one most
+  urgent live request, whatever its graph: lower ``priority`` values
+  dispatch first; ties break FIFO by arrival sequence.  Implemented as
+  a heap with lazy deletion.
 * **Deadlines** — each request may carry an absolute deadline (same
   clock as the queue's).  An expired request is completed exceptionally
   via ``on_expire`` at purge/pop time and **never returned to a
   dispatcher**: expiry is enforced at the queue boundary, so no engine
-  cycle is spent on a request whose client has already given up.
-* **Batching** — :meth:`pop_batch` returns the most urgent request
-  plus up to ``batch_max - 1`` further requests *for the same graph*,
-  in priority order.  Same-graph batches keep one graph's data hot in
-  the CPU caches instead of ping-ponging between graphs.
+  cycle is spent on a request whose client has already given up.  A
+  request stays in the queue (and counts against ``capacity``) until
+  the moment it is popped, so its deadline bounds its whole wait.
 
-Counters (`enqueued`/`dequeued`/`rejected`/`expired`) and queue
-wait-times are recorded on the queue itself; the server folds them
-into ``/metrics``.
+Counters (`enqueued`/`dequeued`/`rejected`/`expired`) are recorded on
+the queue itself; the server folds them into ``/metrics``, together
+with each popped request's wait since ``enqueued_at``.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class QueuedRequest:
     """One admitted request, from enqueue to dispatch (or expiry).
 
     ``payload`` is opaque to the queue (the server stores the parsed
-    query spec plus the asyncio future it will resolve); ``graph`` is
-    the batching key; ``deadline`` is absolute, on the queue's clock,
-    ``None`` meaning "wait forever".
+    query spec plus the asyncio future it will resolve); ``graph``
+    names the hosted graph it runs on; ``deadline`` is absolute, on the
+    queue's clock, ``None`` meaning "wait forever".
     """
 
     graph: str
@@ -123,7 +123,6 @@ class BoundedRequestQueue:
         self.dequeued_total = 0
         self.rejected_total = 0
         self.expired_total = 0
-        self.wait_seconds: list[float] = []  # consumed by the server
 
     # -- introspection -------------------------------------------------
     def __len__(self) -> int:
@@ -197,58 +196,20 @@ class BoundedRequestQueue:
         )
         return request
 
-    def _pop_live(self, now: float) -> Optional[QueuedRequest]:
-        """The most urgent unexpired request, expiring stale heads."""
+    def pop(self) -> Optional[QueuedRequest]:
+        """The most urgent live request, or ``None`` when none is left.
+
+        Every stale request is expired first, so depth stays truthful
+        and an expired request is never returned.
+        """
+        self.purge_expired()
         while self._heap:
             _, seq, request = heapq.heappop(self._heap)
-            if seq not in self._live:  # lazily deleted (batch pull)
+            if self._live.pop(seq, None) is None:  # purged earlier
                 continue
-            del self._live[seq]
-            if request.expired(now):
-                self._expire(request)
-                continue
+            self.dequeued_total += 1
             return request
         return None
-
-    def pop_batch(self, batch_max: int = 1) -> list[QueuedRequest]:
-        """Up to ``batch_max`` same-graph requests, most urgent first.
-
-        The head of the batch is the globally most urgent live request;
-        followers are the most urgent *remaining* requests for the same
-        graph.  Expired requests encountered along the way are completed
-        via ``on_expire`` and never returned.  Empty list = empty queue.
-        """
-        if batch_max < 1:
-            raise ReproError(f"batch_max must be >= 1, got {batch_max}")
-        now = self._clock()
-        # Eager expiry at the pop boundary: every stale request is
-        # completed now, so depth is truthful and no expired request
-        # can linger in the live set between pops.
-        self.purge_expired(now)
-        head = self._pop_live(now)
-        if head is None:
-            return []
-        batch = [head]
-        if batch_max > 1:
-            # Followers: scan live same-graph requests in priority order.
-            same = sorted(
-                (
-                    r
-                    for r in self._live.values()
-                    if r.graph == head.graph
-                ),
-                key=lambda r: (r.priority, r.seq),
-            )
-            for request in same[: batch_max - 1]:
-                del self._live[request.seq]  # heap entry now lazy-dead
-                if request.expired(now):
-                    self._expire(request)
-                    continue
-                batch.append(request)
-        for request in batch:
-            self.dequeued_total += 1
-            self.wait_seconds.append(now - request.enqueued_at)
-        return batch
 
     def drain(self) -> list[QueuedRequest]:
         """Remove and return every live request (shutdown path)."""

@@ -14,12 +14,14 @@ Architecture (one process, one event loop, one engine thread)::
   responses.  It never runs graph work.
 * The **queue** is the only place requests wait: bounded (full ⇒ 429),
   priority-ordered, deadline-aware (expired ⇒ 504, never dispatched).
-* The **worker coroutine** pops same-graph batches and hands each
-  request to the supervised engine thread
-  (:class:`~repro.serve.supervision.EngineSupervisor`): engine sessions
-  are single-caller objects, so all graph work serializes on that
-  thread while the loop stays responsive.  Per-request deadlines bound
-  the *queue wait*; once dispatched, a request runs under the
+* The **worker coroutine** pops one request at a time, in strict
+  priority order across graphs, and hands it to the supervised engine
+  thread (:class:`~repro.serve.supervision.EngineSupervisor`): engine
+  sessions are single-caller objects, so all graph work serializes on
+  that thread while the loop stays responsive.  Per-request deadlines bound
+  the whole *queue wait* (a request leaves the queue only when it is
+  dispatched, so it expires with 504 even while another query holds
+  the engine); once dispatched, a request runs under the
   supervisor's cooperative per-query deadline: the engine stops at its
   next checkpoint past it and the request is answered 503.  An engine
   failure never kills the server: the supervisor rebuilds the graph's
@@ -42,6 +44,7 @@ Endpoints: ``POST /query`` (JSON: ``graph``, ``kind``, per-kind params,
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -81,7 +84,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8321  # 0 = ephemeral (the bound port is reported)
     queue_capacity: int = 64
-    batch_max: int = 8
     #: Default per-request deadline (queue wait), seconds; ``None``
     #: waits forever.  Clients override per request via ``timeout_s``.
     default_timeout_s: Optional[float] = 30.0
@@ -98,10 +100,6 @@ class ServeConfig:
         if self.queue_capacity < 1:
             raise ParameterError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.batch_max < 1:
-            raise ParameterError(
-                f"batch_max must be >= 1, got {self.batch_max}"
             )
         if self.default_timeout_s is not None and self.default_timeout_s <= 0:
             raise ParameterError(
@@ -222,8 +220,8 @@ class SkylineServer:
     async def _worker(self) -> None:
         while True:
             await self.dispatch_gate.wait()
-            batch = self.queue.pop_batch(self.config.batch_max)
-            if not batch:
+            request = self.queue.pop()
+            if request is None:
                 if self._closing:
                     return
                 self._wake.clear()
@@ -232,48 +230,38 @@ class SkylineServer:
                     continue
                 await self._wake.wait()
                 continue
-            self.metrics.record_batch(len(batch))
-            for wait in self.queue.wait_seconds:
-                self.metrics.queue_wait.observe(wait)
-            self.queue.wait_seconds.clear()
-            entry = self.registry.entry(batch[0].graph)
-            for request in batch:
-                future = request.payload["future"]
-                if future.done():  # client connection died and cancelled
-                    continue
-                started = time.monotonic()
-                # All failure classification (client error vs engine
-                # failure vs degraded) lives in the supervisor; this
-                # loop only routes outcome tuples.  One poisoned query
-                # must never take the process down.
-                outcome = await self.supervision.execute(
-                    entry,
-                    request.kind,
-                    request.payload["params"],
-                    closing=lambda: self._closing,
+            started = time.monotonic()
+            self.metrics.queue_wait.observe(started - request.enqueued_at)
+            if request.payload["future"].done():
+                continue  # client connection died and cancelled
+            # All failure classification (client error vs engine
+            # failure vs degraded) lives in the supervisor; this loop
+            # only routes outcome tuples.  One poisoned query must
+            # never take the process down.
+            outcome = await self.supervision.execute(
+                self.registry.entry(request.graph),
+                request.kind,
+                request.payload["params"],
+                closing=lambda: self._closing,
+            )
+            if outcome[0] == "ok":
+                self.metrics.service_time.observe(time.monotonic() - started)
+                self.metrics.absorb_engine_counters(
+                    outcome[1].pop("_counters", None)
                 )
-                if outcome[0] == "ok":
-                    self.metrics.service_time.observe(
-                        time.monotonic() - started
-                    )
-                    self.metrics.absorb_engine_counters(
-                        outcome[1].pop("_counters", None)
-                    )
-                    self.metrics.record_request(request.kind, 200)
-                elif outcome[0] == "degraded":
-                    # A 200 with the degraded marker: stale-but-correct
-                    # cached skyline while the breaker is open.
-                    self.metrics.record_request(request.kind, 200)
-                else:
-                    self.metrics.record_request(request.kind, outcome[1])
-                self._finish(request, outcome)
-                self._served_queries += 1
-                limit = self.config.max_requests
-                if limit is not None and self._served_queries >= limit:
-                    self._closing = True
-                    self._limit_reached.set()
-            if self._closing and not len(self.queue):
-                return
+                self.metrics.record_request(request.kind, 200)
+            elif outcome[0] == "degraded":
+                # A 200 with the degraded marker: stale-but-correct
+                # cached skyline while the breaker is open.
+                self.metrics.record_request(request.kind, 200)
+            else:
+                self.metrics.record_request(request.kind, outcome[1])
+            self._finish(request, outcome)
+            self._served_queries += 1
+            limit = self.config.max_requests
+            if limit is not None and self._served_queries >= limit:
+                self._closing = True
+                self._limit_reached.set()
 
     # -- HTTP front ----------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -483,18 +471,25 @@ class SkylineServer:
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise HttpError(400, f"'priority' must be an integer, got {priority!r}")
         timeout_s = payload.get("timeout_s", self.config.default_timeout_s)
-        if timeout_s is not None:
+        # The configured default is ServeConfig's to check (inf there
+        # waits forever); a client's value must be finite.
+        if "timeout_s" in payload and timeout_s is not None:
             if isinstance(timeout_s, bool) or not isinstance(
                 timeout_s, (int, float)
             ):
                 raise HttpError(
                     400, f"'timeout_s' must be a number, got {timeout_s!r}"
                 )
-            if timeout_s <= 0:
+            try:
+                timeout_s = float(timeout_s)
+            except OverflowError:  # an integer past the float range
+                timeout_s = math.inf
+            if not (0 < timeout_s < math.inf):  # NaN fails both tests
                 raise HttpError(
-                    400, f"'timeout_s' must be > 0, got {timeout_s}"
+                    400,
+                    f"'timeout_s' must be a finite number > 0, got "
+                    f"{timeout_s}",
                 )
-            timeout_s = float(timeout_s)
         params = {
             key: value
             for key, value in payload.items()

@@ -5,32 +5,6 @@ import os
 from repro.harness.memory import format_bytes, measure_peak
 from repro.harness.runner import FigureReport
 from repro.harness.table import format_table
-from repro.harness.timer import Stopwatch, time_call
-
-
-class TestTimer:
-    def test_time_call_returns_result(self):
-        result, seconds = time_call(lambda a, b: a + b, 2, 3)
-        assert result == 5
-        assert seconds >= 0.0
-
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure():
-            pass
-        with sw.measure():
-            pass
-        assert len(sw.laps) == 2
-        assert sw.elapsed >= sum(sw.laps) - 1e-9
-
-    def test_stopwatch_records_on_exception(self):
-        sw = Stopwatch()
-        try:
-            with sw.measure():
-                raise ValueError
-        except ValueError:
-            pass
-        assert len(sw.laps) == 1
 
 
 class TestMemory:

@@ -230,7 +230,7 @@ class TestTraversalEquivalence:
     def test_vectorized_and_scalar_kernels_agree(self, karate):
         trav = CSRTraversal(karate)
         for s in karate.vertices():
-            assert trav.bfs_distances(s) == trav._scalar_distances((s,))
+            assert trav.bfs_distances(s) == bfs_distances(karate, s)
 
 
 class TestBinaryFormat:
@@ -324,6 +324,12 @@ _CORRUPT_CASES = {
         dict(indptr=[0, 3, 1, 5, 6]),
         "indptr decreases at vertex 1",
     ),
+    # A decrease whose int32 difference wraps around to a positive
+    # value (-2e9 - 2e9 = +294,967,296 mod 2**32).
+    "wrapping_indptr": (
+        dict(indptr=[0, 2_000_000_000, -2_000_000_000, 5, 6]),
+        r"indptr decreases at vertex 1 \(2000000000 > -2000000000\)",
+    ),
     "out_of_range_index": (
         dict(indices=[1, 0, 2, 1, 7, 2]),
         r"neighbor index 7 at entry 4 is outside \[0, 4\)",
@@ -365,8 +371,10 @@ class TestHostileBinaryInput:
             read_binary_graph(_corrupt_file(tmp_path, "out_of_range_index"))
 
     def test_non_monotone_indptr_rejected(self, tmp_path):
-        with pytest.raises(GraphFormatError, match="indptr decreases"):
-            read_binary_graph(_corrupt_file(tmp_path, "non_monotone_indptr"))
+        for case in ("non_monotone_indptr", "wrapping_indptr"):
+            _kwargs, match = _CORRUPT_CASES[case]
+            with pytest.raises(GraphFormatError, match=match):
+                read_binary_graph(_corrupt_file(tmp_path, case))
 
     def test_negative_index_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError, match="outside"):

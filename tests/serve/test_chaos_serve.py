@@ -60,7 +60,6 @@ def _config(**supervision_overrides):
     return ServeConfig(
         port=0,
         queue_capacity=32,
-        batch_max=4,
         default_timeout_s=60.0,
         supervision=SupervisionConfig(**base),
     )

@@ -32,18 +32,16 @@ def test_histogram_overflow_bucket():
     assert histogram.as_dict()["buckets"]["le_inf"] == 1
 
 
-def test_server_metrics_request_and_batch_accounting():
+def test_server_metrics_request_accounting():
     metrics = ServerMetrics()
     metrics.record_request("skyline", 200)
     metrics.record_request("skyline", 200)
     metrics.record_request("group", 429)
-    metrics.record_batch(3)
     doc = metrics.as_dict(queue_counters={"depth": 1})
     assert doc["requests"] == {
         "skyline": {"200": 2},
         "group": {"429": 1},
     }
-    assert doc["batches"] == {"total": 1, "requests": 3}
     assert doc["queue"] == {"depth": 1}
 
 

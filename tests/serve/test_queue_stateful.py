@@ -5,15 +5,14 @@ enqueue / dequeue / clock-advance / purge transitions against a plain
 model (a dict of live requests plus an explicit fake clock) and asserts
 after every step:
 
-* **priority order** — every popped batch head is the globally most
-  urgent live request, ties FIFO by arrival sequence, and batch
-  followers are the most urgent remaining requests *of the same graph*;
+* **priority order** — every ``pop()`` returns the globally most
+  urgent live request across all graphs, ties FIFO by arrival sequence;
 * **bounded depth** — the queue never holds more than ``capacity``
   live requests, and a push at capacity raises
   :class:`QueueFullError` (counted as a rejection) instead of growing;
 * **expiry at the boundary** — a request whose deadline passed is
   completed via ``on_expire`` exactly once and is **never** returned
-  by ``pop_batch`` — expired requests cannot reach an engine;
+  by ``pop`` — expired requests cannot reach an engine;
 * **conservation** — every admitted request ends in exactly one of
   {dispatched, expired, still-live, drained}.
 
@@ -113,41 +112,26 @@ class QueueMachine(RuleBasedStateMachine):
         self.queue.purge_expired()
         self._model_expire(self.clock.now)
 
-    @rule(batch_max=st.integers(min_value=1, max_value=4))
-    def pop_batch(self, batch_max):
+    @rule()
+    def pop(self):
         now = self.clock.now
         self._model_expire(now)
-        batch = self.queue.pop_batch(batch_max)
+        request = self.queue.pop()
         if not self.model:
-            assert batch == []
+            assert request is None
             return
-        assert batch, "live requests pending but pop returned nothing"
-        assert len(batch) <= batch_max
-        head = batch[0]
-        expected_head = self._most_urgent(self.model.values())
-        assert (head.priority, head.seq) == (
-            expected_head.priority,
-            expected_head.seq,
-        ), "batch head must be the globally most urgent live request"
-        del self.model[head.seq]
-        # Followers: same graph as the head, in priority order, and the
-        # most urgent same-graph requests the model knows about.
-        same_graph_live = sorted(
-            (r for r in self.model.values() if r.graph == head.graph),
-            key=lambda r: (r.priority, r.seq),
+        assert request is not None, (
+            "live requests pending but pop returned nothing"
         )
-        followers = batch[1:]
-        assert followers == same_graph_live[: len(followers)]
-        for request in followers:
-            assert request.graph == head.graph
-            del self.model[request.seq]
-        for a, b in zip(batch, batch[1:]):
-            assert (a.priority, a.seq) <= (b.priority, b.seq)
-        for request in batch:
-            assert not request.expired(now), (
-                "an expired request reached the dispatcher"
-            )
-        self.dispatched.extend(batch)
+        expected = self._most_urgent(self.model.values())
+        assert request is expected, (
+            "pop must return the globally most urgent live request"
+        )
+        assert not request.expired(now), (
+            "an expired request reached the dispatcher"
+        )
+        del self.model[request.seq]
+        self.dispatched.append(request)
 
     # -- invariants ----------------------------------------------------
     @invariant()
@@ -207,12 +191,12 @@ def test_priority_order_with_fifo_ties():
     low = queue.push(_request(priority=20))
     first_urgent = queue.push(_request(priority=1))
     second_urgent = queue.push(_request(priority=1))
-    batch = queue.pop_batch(3)
-    assert [r.seq for r in batch] == [
-        first_urgent.seq,
-        second_urgent.seq,
-        low.seq,
+    assert [queue.pop() for _ in range(3)] == [
+        first_urgent,
+        second_urgent,
+        low,
     ]
+    assert queue.pop() is None
 
 
 def test_backpressure_rejects_and_counts():
@@ -230,8 +214,8 @@ def test_expired_requests_never_reach_a_dispatcher():
     doomed = queue.push(_request(deadline=1.0))
     survivor = queue.push(_request(deadline=10.0))
     clock.now = 2.0
-    batch = queue.pop_batch(4)
-    assert [r.seq for r in batch] == [survivor.seq]
+    assert queue.pop() is survivor
+    assert queue.pop() is None
     assert [r.seq for r in expired] == [doomed.seq]
     assert queue.expired_total == 1
 
@@ -245,17 +229,41 @@ def test_expired_backlog_cannot_wedge_admission():
     fresh = queue.push(_request(deadline=10.0))
     assert queue.depth == 1
     assert len(expired) == 2
-    assert queue.pop_batch(1)[0].seq == fresh.seq
+    assert queue.pop() is fresh
 
 
-def test_batching_is_same_graph_only():
+def test_dispatch_is_global_priority_order_across_graphs():
     queue, _, _ = _queue(capacity=8)
-    a0 = queue.push(_request(graph="a", priority=1))
-    b0 = queue.push(_request(graph="b", priority=2))
-    a1 = queue.push(_request(graph="a", priority=3))
-    batch = queue.pop_batch(3)
-    assert [r.seq for r in batch] == [a0.seq, a1.seq]
-    assert queue.pop_batch(3)[0].seq == b0.seq
+    a0 = queue.push(_request(graph="a", priority=0))
+    a20 = queue.push(_request(graph="a", priority=20, deadline=1.0))
+    b5 = queue.push(_request(graph="b", priority=5))
+    assert [queue.pop() for _ in range(3)] == [a0, b5, a20]
+
+
+def test_deadline_bounds_the_wait_until_pop():
+    queue, clock, expired = _queue(capacity=8)
+    head = queue.push(_request(graph="a", priority=0))
+    doomed = queue.push(_request(graph="a", priority=1, deadline=1.0))
+    assert queue.pop() is head
+    # The head holds the engine past the next request's deadline: that
+    # request is still queued, so a purge expires it and it never pops.
+    clock.now = 5.0
+    assert queue.purge_expired() == 1
+    assert expired == [doomed]
+    assert queue.pop() is None
+    assert queue.dequeued_total == 1
+
+
+def test_only_popped_requests_leave_the_capacity_bound():
+    queue, _, _ = _queue(capacity=4)
+    for _ in range(2):
+        queue.push(_request(graph="a"))
+    queue.pop()
+    for _ in range(3):
+        queue.push(_request(graph="b"))
+    assert queue.depth == 4
+    with pytest.raises(QueueFullError):
+        queue.push(_request(graph="b"))
 
 
 def test_drain_returns_pending_in_priority_order():
@@ -265,7 +273,7 @@ def test_drain_returns_pending_in_priority_order():
     drained = queue.drain()
     assert [r.seq for r in drained] == [early.seq, late.seq]
     assert queue.depth == 0
-    assert queue.pop_batch(1) == []
+    assert queue.pop() is None
 
 
 def test_born_expired_is_expired_not_rejected():

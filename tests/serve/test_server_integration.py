@@ -13,12 +13,14 @@ contracts under test:
 * ``/metrics`` and ``/health`` expose the documented schema;
 * error paths map to the documented statuses (404 unknown graph /
   route, 400 bad input, 405 wrong method, 429 full queue, 504 expired
-  deadline);
+  deadline, also while another query holds the engine);
 * shutdown is clean: no stray server thread.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,6 +30,7 @@ from repro.centrality import neisky_gc, neisky_gh
 from repro.clique import neisky_mc, neisky_topk_mcc
 from repro.core import neighborhood_skyline
 from repro.core.filter_refine import filter_refine_sky
+from repro.harness.faults import ServeFaultPlan
 from repro.serve import GraphRegistry, ServeConfig, ServerThread
 from repro.workloads import load
 
@@ -39,9 +42,7 @@ def server():
     registry = GraphRegistry(workers=1)
     for name in GRAPHS:
         registry.register_spec(name)
-    config = ServeConfig(
-        port=0, queue_capacity=32, batch_max=4, default_timeout_s=60.0
-    )
+    config = ServeConfig(port=0, queue_capacity=32, default_timeout_s=60.0)
     with ServerThread(registry, config) as handle:
         yield handle
 
@@ -154,7 +155,6 @@ def test_metrics_schema(server):
         "queue",
         "queue_wait",
         "service_time",
-        "batches",
         "engine",
         "supervision",
     }
@@ -225,6 +225,64 @@ def test_bad_inputs_are_400(server):
     )
 
 
+def _post_raw(server, path, body: bytes):
+    """POST ``body`` verbatim; ``(status, decoded_json)``."""
+    conn = http.client.HTTPConnection(
+        server.config.host, server.port, timeout=30
+    )
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [b"NaN", b"Infinity", b"-Infinity", b"1e309", b"1" + b"0" * 400],
+    ids=["nan", "inf", "-inf", "1e309", "int-1e400"],
+)
+def test_non_finite_timeout_is_400(server, value):
+    body = b'{"graph": "karate", "kind": "skyline", "timeout_s": %s}' % value
+    status, doc = _post_raw(server, "/query", body)
+    assert status == 400, doc
+    assert "timeout_s" in doc["error"]
+    assert "\n" not in doc["error"]
+
+
+def _nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/query", _nested(200_000)),
+        (
+            "/query",
+            b'{"graph": "karate", "kind": "skyline", "x": '
+            + _nested(50_000)
+            + b"}",
+        ),
+        ("/graphs", b'{"spec": ' + _nested(50_000) + b"}"),
+    ],
+    ids=["query-200k", "query-param-50k", "graphs-50k"],
+)
+def test_deeply_nested_json_is_400(server, path, body):
+    status, doc = _post_raw(server, path, body)
+    assert status == 400, doc
+    assert doc["error"].startswith("invalid JSON body")
+    assert "\n" not in doc["error"]
+    # The server is still healthy afterwards.
+    assert server.request("GET", "/health")[0] == 200
+
+
 def test_unknown_route_404_and_wrong_method_405(server):
     status, doc = server.request("GET", "/nope")
     assert status == 404
@@ -236,17 +294,8 @@ def test_unknown_route_404_and_wrong_method_405(server):
 
 
 def test_non_json_body_is_400(server):
-    import http.client
-
-    conn = http.client.HTTPConnection(
-        server.config.host, server.port, timeout=30
-    )
-    try:
-        conn.request("POST", "/query", body=b"not json at all")
-        response = conn.getresponse()
-        assert response.status == 400
-    finally:
-        conn.close()
+    status, doc = _post_raw(server, "/query", b"not json at all")
+    assert status == 400, doc
 
 
 # ---------------------------------------------------------------------
@@ -256,9 +305,7 @@ def test_non_json_body_is_400(server):
 def test_backpressure_and_deadline_end_to_end():
     registry = GraphRegistry(workers=1)
     registry.register_spec("karate")
-    config = ServeConfig(
-        port=0, queue_capacity=2, batch_max=2, default_timeout_s=30.0
-    )
+    config = ServeConfig(port=0, queue_capacity=2, default_timeout_s=30.0)
     with ServerThread(registry, config) as handle:
         handle.call_in_loop(handle.server.dispatch_gate.clear)
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -302,6 +349,49 @@ def test_backpressure_and_deadline_end_to_end():
         assert metrics["requests"]["skyline"]["504"] == 2
 
 
+def test_deadline_expires_while_another_query_holds_the_engine():
+    """A queued request whose ``timeout_s`` runs out while an earlier
+    query on the same graph holds the engine is answered 504 and never
+    dispatched: requests leave the queue one at a time."""
+    registry = GraphRegistry(workers=1)
+    registry.register_spec("karate")
+    config = ServeConfig(port=0, queue_capacity=4, default_timeout_s=30.0)
+    plan = ServeFaultPlan.single("slow", "karate", 0, slow_seconds=2.0)
+    with ServerThread(registry, config, fault_plan=plan) as handle:
+        handle.call_in_loop(handle.server.dispatch_gate.clear)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            payloads = [
+                {"graph": "karate", "kind": "skyline", "priority": 0},
+                {
+                    "graph": "karate",
+                    "kind": "skyline",
+                    "priority": 5,
+                    "timeout_s": 1.0,
+                },
+            ]
+            futures = []
+            for payload in payloads:  # admitted in this order
+                futures.append(
+                    pool.submit(handle.request, "POST", "/query", payload)
+                )
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    _, health = handle.request("GET", "/health")
+                    if health["queue"]["enqueued_total"] == len(futures):
+                        break
+                    time.sleep(0.01)
+            handle.call_in_loop(handle.server.dispatch_gate.set)
+            holder, waiter = (f.result() for f in futures)
+        assert holder[0] == 200
+        assert waiter[0] == 504, waiter
+        _, metrics = handle.request("GET", "/metrics")
+        _, health = handle.request("GET", "/health")
+    assert metrics["queue"]["dequeued_total"] == 1
+    assert metrics["queue"]["expired_total"] == 1
+    assert metrics["requests"]["skyline"] == {"200": 1, "504": 1}
+    assert health["engine"]["queries_started"] == 1
+
+
 # ---------------------------------------------------------------------
 # One skyline computation per graph
 # ---------------------------------------------------------------------
@@ -317,7 +407,7 @@ def test_served_skyline_is_computed_once_per_graph():
     direct = neighborhood_skyline(graph, counters=direct_counters)
     registry = GraphRegistry()
     registry.register("g", graph)
-    config = ServeConfig(port=0, queue_capacity=16, batch_max=4)
+    config = ServeConfig(port=0, queue_capacity=16)
     with ServerThread(registry, config) as handle:
         for _ in range(5):
             result = _query(handle, {"graph": "g", "kind": "skyline"})[
