@@ -15,10 +15,9 @@ Refine leg (``bench="refine_vector"``), the skyline computed two ways:
   **before** row and the ground truth the block kernel is pinned to;
 * ``filter_refine_block`` — the **after** row (the ``auto`` default).
 
-Both refine rows run with ``SkylineCounters`` on, and the block
-kernel's skip tallies cost about as much as its scans, so the after
-row also records ``refine_uninstrumented_s``: ``block_refine_pass``
-alone with ``NULL_COUNTERS``, on the same filter output and edge index.
+Both refine rows run with ``SkylineCounters`` on.  The block kernel
+takes the same path with or without them and tallies only values it
+computes anyway, so its counted row is also its uncounted cost.
 
 Each after result is asserted bit-for-bit equal to its before result
 (candidates, dominator and the filter counters; skyline, dominator and
@@ -47,11 +46,10 @@ import os
 import sys
 import time
 
-from repro.core.block_refine import block_refine_pass, filter_refine_block_sky
-from repro.core.counters import NULL_COUNTERS, SkylineCounters
+from repro.core.block_refine import filter_refine_block_sky
+from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.core.filter_refine import filter_refine_sky
-from repro.graph.csr import edge_index
 from repro.harness.benchjson import (
     BENCH_FILENAME,
     bench_entry,
@@ -160,19 +158,11 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
     refine_after = max(t_after - t_filter_after, 1e-9)
     speedup = refine_before / refine_after
 
-    index = edge_index(graph)
-    candidates, dominator = filter_phase(graph, index=index)
-    _, refine_null = _timed(
-        lambda: block_refine_pass(index, candidates, dominator, NULL_COUNTERS)
-    )
-    assert tuple(dominator) == ref.dominator, f"{name}: block dominator"
-
     print(
         f"{name}: n={graph.num_vertices} m={graph.num_edges} "
         f"|C|={len(ref.candidates)} |R|={len(ref.skyline)} "
         f"refine before {refine_before:.2f}s (bloom) after "
-        f"{refine_after:.2f}s => {speedup:.1f}x "
-        f"(uninstrumented block refine {refine_null:.2f}s); "
+        f"{refine_after:.2f}s => {speedup:.1f}x; "
         f"{after_counters.pair_tests} block pair tests; "
         "all outputs bit-for-bit identical to sequential bloom"
     )
@@ -214,7 +204,6 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
                 "variant": "after",
                 "filter_s": round(t_filter_after, 3),
                 "refine_s": round(refine_after, 3),
-                "refine_uninstrumented_s": round(refine_null, 3),
                 "refine_speedup": round(speedup, 2),
             },
         ),

@@ -104,8 +104,7 @@ def render_refine_vector(entries) -> str:
     One row per instance: candidate count, the scalar and vectorized
     filter walls, the before row's refine wall (annotated with the path
     that ran: the bloom Alg. 3), the block kernel's refine wall, the
-    measured refine speedup, the block kernel's refine wall without
-    counters and its pair tests.  Returns
+    measured refine speedup and the block kernel's pair tests.  Returns
     ``""`` when ``bench_refine_vector.py`` has not been run yet.
     """
     by_key = {
@@ -132,15 +131,12 @@ def render_refine_vector(entries) -> str:
             if scalar is not None and vector is not None
             else "? | ?"
         )
-        uninstrumented = a_extra.get("refine_uninstrumented_s")
-        null_cell = "?" if uninstrumented is None else f"{uninstrumented:.2f}"
         rows.append(
             f"| {name} | {a_extra.get('candidate_size', '?')} "
             f"| {filter_cells} "
             f"| {b_extra['refine_s']:.2f} "
             f"({b_extra.get('refine_path', '?')}) "
             f"| {a_extra['refine_s']:.2f} | {ratio:.1f}x "
-            f"| {null_cell} "
             f"| {after.get('counters', {}).get('pair_tests', '?')} |"
         )
     if not rows:
@@ -149,8 +145,8 @@ def render_refine_vector(entries) -> str:
         [
             "| dataset | \\|C\\| | filter scalar (s) | filter vector (s) "
             "| refine before (s) | refine block (s) | refine speedup "
-            "| refine block, no counters (s) | block pair tests |",
-            "|---|---|---|---|---|---|---|---|---|",
+            "| block pair tests |",
+            "|---|---|---|---|---|---|---|---|",
             *rows,
         ]
     )

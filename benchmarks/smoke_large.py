@@ -110,13 +110,12 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         candidates, _ = filter_phase(mapped)
         t_filter = time.perf_counter() - t0
         peak_before = _peak_rss_mb()
-        counters = SkylineCounters()
         t0 = time.perf_counter()
-        result = neighborhood_skyline(mapped, counters=counters)
+        result = neighborhood_skyline(mapped, counters=SkylineCounters())
         wall = time.perf_counter() - t0
         rise = _peak_rss_mb() - peak_before
         print(
-            f"{name}: skyline ({counters.extra['refine_path']} refine) "
+            f"{name}: skyline ({result.algorithm}) "
             f"peak RSS rise {rise:.1f} MiB (<= {SKYLINE_PEAK_RISE_MB:.0f})"
         )
         assert rise <= SKYLINE_PEAK_RISE_MB, (

@@ -75,8 +75,7 @@ def neighborhood_skyline(
         Optional :class:`SkylineCounters` to collect work statistics.
     options:
         Algorithm-specific keywords, e.g. ``bloom_bits`` / ``seed`` /
-        ``exact`` for ``"filter_refine"`` and ``"two_hop"``, or
-        ``entry_budget`` for ``"auto"`` and ``"filter_refine_block"``.
+        ``exact`` for ``"filter_refine"`` and ``"two_hop"``.
 
     >>> from repro.graph.generators import complete_graph
     >>> neighborhood_skyline(complete_graph(5)).skyline

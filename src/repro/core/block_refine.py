@@ -62,20 +62,16 @@ The pivot rows and the edge-key hash set come from the same
 
 Counter semantics
 -----------------
-``pair_tests`` counts the pivot-row pairs that reach the subset test
-in both passes: every entry that survives the skip ladder.  That now
-includes the few dozen entries per R-MAT scale-10 graph a core-number
-pretest used to reject; the pretest was deleted because computing the
-core numbers cost more than the subset tests it saved.
-``degree_skips`` and ``dominated_skips`` keep their full 2-hop meaning
-— every ``(v, w)`` visit a status or witness scan of the whole 2-hop
-neighborhood would skip — but are computed without that scan, from
-per-row degree-sorted prefix counts (one ``searchsorted`` per visited
-row); uninstrumented runs skip that arithmetic.
-``vertices_examined`` and ``dominations_found`` count one visit per
-candidate and one per domination; the skip tallies never undercount
-the sequential scan's.  ``bloom_*`` and ``nbr_checks`` stay zero.
-Totals are deterministic for any block size.
+The kernel tallies only values it computes anyway, on the one path it
+takes with or without counters.  ``vertices_examined`` is ``|C|`` (one
+status-pass visit per candidate) and ``dominations_found`` the number
+of refine-dominated candidates.  ``pair_tests`` counts the pivot-row
+pairs that reach the subset test in both passes: every entry that
+survives the skip ladder.  The pivot gather never visits the rest of
+the 2-hop neighborhood, so the refine adds no ``degree_skips`` or
+``dominated_skips``: those read the filter phase's alone, and
+``bloom_*`` and ``nbr_checks`` stay zero.  Totals are deterministic for
+any block size.
 """
 
 from __future__ import annotations
@@ -88,16 +84,12 @@ from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.deadline import check as check_deadline
 from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
-from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import EdgeIndex, budget_slices, edge_index, gather_rows
 
 __all__ = [
     "BLOCK_ENTRY_BUDGET",
-    "BlockRefineContext",
     "block_refine_pass",
-    "block_status_chunk",
-    "block_witness_chunk",
     "filter_refine_block_sky",
 ]
 
@@ -106,110 +98,17 @@ __all__ = [
 BLOCK_ENTRY_BUDGET = 1 << 22
 
 
-class BlockRefineContext:
-    """Shared ndarray state for block refine scans.
-
-    Built once per pass from the graph's
-    :func:`~repro.graph.csr.edge_index` and the frozen filter-phase
-    output; the block scans only read it (apart from the lazily
-    installed witness flags and counter keys, which are themselves
-    frozen once set).
-    """
-
-    __slots__ = (
-        "n",
-        "indptr",
-        "indices",
-        "deg",
-        "filter_ok",
-        "cand",
-        "pivot",
-        "cost",
-        "edge_index",
-        "entry_budget",
-        "refine_dominated",
-        "_skip_keys",
-        "_refine_rows",
-    )
-
-    def __init__(
-        self,
-        index: EdgeIndex,
-        candidates: Sequence[int],
-        dominator: Sequence[int],
-        *,
-        entry_budget: int = BLOCK_ENTRY_BUDGET,
-    ):
-        self.edge_index = index
-        n = self.n = len(index.deg)
-        self.indptr = index.indptr
-        self.indices = index.indices
-        self.deg = index.deg
-        dom = _np.asarray(dominator, dtype=_np.int64)
-        self.filter_ok = dom == _np.arange(n, dtype=_np.int64)
-        self.cand = _np.asarray(candidates, dtype=_np.int64)
-        # Each vertex's minimum-degree neighbor (ties to the smaller
-        # ID) heads its degree-ordered row; -1 for isolated vertices.
-        self.pivot = _np.full(n, -1, dtype=_np.int64)
-        rows = _np.flatnonzero(self.deg)
-        self.pivot[rows] = index.by_degree[self.indptr[rows]]
-        # Subset-test lookups per candidate, the quantity block sizing
-        # budgets (isolated vertices cost nothing: deg(u) = 0).
-        self.cost = self.deg * self.deg[self.pivot]
-        self.entry_budget = entry_budget
-        #: Status-pass output as per-vertex flags; installed once by
-        #: :meth:`ensure_refine_dominated` before any witness scan.
-        self.refine_dominated = None
-        self._skip_keys = None
-        self._refine_rows = None
-
-    def ensure_refine_dominated(self, dominated: Sequence[int]) -> None:
-        """Install the witness-pass skip flags (idempotent)."""
-        if self.refine_dominated is None:
-            flags = _np.zeros(self.n, dtype=bool)
-            dom = _np.asarray(dominated, dtype=_np.int64)
-            if dom.size:
-                flags[dom] = True
-            self.refine_dominated = flags
-
-    def skip_keys(self):
-        """``(stride, all_keys, dominated_keys)`` for the skip tallies.
-
-        Each CSR entry ``(v, w)`` becomes ``v·stride + deg(w)``, in the
-        degree-ordered rows' order — hence ascending — over all entries
-        and over the entries whose ``w`` the filter phase dominated.
-        Built on the first instrumented scan only.
-        """
-        if self._skip_keys is None:
-            index = self.edge_index
-            stride = int(self.deg.max(initial=0)) + 1
-            keys = index.row * stride + self.deg[index.by_degree]
-            dominated = keys[~self.filter_ok[index.by_degree]]
-            self._skip_keys = (stride, keys, dominated)
-        return self._skip_keys
-
-    def refine_rows(self):
-        """``(indptr, indices)`` of the CSR restricted to refine-dominated
-        columns — the witness pass's extra skips.  Needs the flags."""
-        if self._refine_rows is None:
-            keep = self.refine_dominated[self.indices]
-            counts = _np.bincount(
-                self.edge_index.row[keep], minlength=self.n
-            )
-            indptr = _np.zeros(self.n + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=indptr[1:])
-            self._refine_rows = (indptr, self.indices[keep])
-        return self._refine_rows
-
-
 def _smallest_settling(
-    ctx: BlockRefineContext, us, witness: bool, stats: SkylineCounters
+    index: EdgeIndex, pivot, filter_ok, refine_dominated, us, stats
 ):
     """Per ``u`` of the block ``us``: the smallest ``w`` that settles
-    ``u`` under the pass's skip predicate, ``-1`` where none does."""
-    indptr, indices, deg, n = ctx.indptr, ctx.indices, ctx.deg, ctx.n
+    ``u``, ``-1`` where none does.  Skips filter-dominated ``w`` and,
+    in the witness pass (``refine_dominated`` given), refine-dominated
+    ``w < u``."""
+    indptr, indices, deg = index.indptr, index.indices, index.deg
+    n = len(deg)
     found = _np.full(len(us), -1, dtype=_np.int64)
-    pivot = ctx.pivot[us]
+    pivot = pivot[us]
     row_lens = _np.where(pivot >= 0, deg[pivot], 0)
     w = gather_rows(indices, indptr[pivot], row_lens)
     if not w.size:
@@ -217,9 +116,9 @@ def _smallest_settling(
     entry = _np.repeat(_np.arange(len(us), dtype=_np.int64), row_lens)
     u = us[entry]
     deg_us = deg[us]
-    mask = (w != u) & (deg[w] >= deg_us[entry]) & ctx.filter_ok[w]
-    if witness:
-        mask &= ~((w < u) & ctx.refine_dominated[w])
+    mask = (w != u) & (deg[w] >= deg_us[entry]) & filter_ok[w]
+    if refine_dominated is not None:
+        mask &= ~((w < u) & refine_dominated[w])
     pair_u = entry[mask]
     pair_w = w[mask].astype(_np.int64)
     stats.pair_tests += int(pair_u.size)
@@ -231,7 +130,7 @@ def _smallest_settling(
     keys = _np.repeat(pair_w * n, lens) + gather_rows(
         indices, indptr[us[pair_u]], lens
     )
-    hit = ctx.edge_index.has_keys(keys)
+    hit = index.has_keys(keys)
     accept = _np.logical_and.reduceat(hit, _np.cumsum(lens) - lens)
     settle = accept & ((deg[pair_w] > lens) | (pair_w < us[pair_u]))
     settled_u, settled_w = pair_u[settle], pair_w[settle]
@@ -243,96 +142,11 @@ def _smallest_settling(
     return found
 
 
-def _tally_skips(
-    ctx: BlockRefineContext, us, witness: bool, stats: SkylineCounters
-) -> None:
-    """Add the ``degree_skips`` / ``dominated_skips`` a scan of the
-    whole 2-hop neighborhood of every ``u`` in ``us`` would tally."""
-    stride, keys, dominated_keys = ctx.skip_keys()
-    deg = ctx.deg
-    lens = deg[us]
-    v = gather_rows(ctx.indices, ctx.indptr[us], lens).astype(_np.int64)
-    row = v * stride
-    bound = row + _np.repeat(lens, lens)
-    # Row v's entries with deg(w) < deg(u) (u itself never is one).
-    stats.degree_skips += int(
-        (_np.searchsorted(keys, bound) - ctx.indptr[v]).sum()
-    )
-    # Filter-dominated entries with deg(w) >= deg(u) (u is a candidate).
-    stats.dominated_skips += int(
-        (
-            _np.searchsorted(dominated_keys, row + stride)
-            - _np.searchsorted(dominated_keys, bound)
-        ).sum()
-    )
-    if witness:
-        # Plus the refine-dominated w < u with deg(w) >= deg(u).
-        r_indptr, r_indices = ctx.refine_rows()
-        r_lens = r_indptr[v + 1] - r_indptr[v]
-        w = gather_rows(r_indices, r_indptr[v], r_lens)
-        u = _np.repeat(_np.repeat(us, lens), r_lens)
-        stats.dominated_skips += int(
-            _np.count_nonzero((w < u) & (deg[w] >= deg[u]))
-        )
-
-
-def _scan(
-    ctx: BlockRefineContext, us, witness: bool, stats: SkylineCounters
-):
-    """:func:`_smallest_settling` over ``us`` in budget-sized blocks."""
-    found = _np.empty(len(us), dtype=_np.int64)
-    for lo, hi in budget_slices(ctx.cost[us], ctx.entry_budget):
-        check_deadline()
-        block = us[lo:hi]
-        found[lo:hi] = _smallest_settling(ctx, block, witness, stats)
-        if stats is not NULL_COUNTERS:
-            _tally_skips(ctx, block, witness, stats)
-    return found
-
-
-def block_status_chunk(
-    ctx: BlockRefineContext, lo: int, hi: int, stats: SkylineCounters
-) -> list[int]:
-    """Status pass over candidates ``ctx.cand[lo:hi]``, in blocks.
-
-    Returns the dominated candidate IDs, ascending (chunks of the
-    ascending candidate list scan in order, so this falls out free).
-    """
-    cand = ctx.cand[lo:hi]
-    stats.vertices_examined += len(cand)
-    dominated = cand[_scan(ctx, cand, False, stats) >= 0].tolist()
-    stats.dominations_found += len(dominated)
-    return dominated
-
-
-def block_witness_chunk(
-    ctx: BlockRefineContext,
-    dominated_slice: Sequence[int],
-    stats: SkylineCounters,
-) -> list[tuple[int, int]]:
-    """Witness pass over one slice of the dominated-candidate list.
-
-    Precondition: :meth:`BlockRefineContext.ensure_refine_dominated`
-    ran with the *full* status-pass output.
-    """
-    us = _np.asarray(dominated_slice, dtype=_np.int64)
-    witnesses = _scan(ctx, us, True, stats)
-    missing = _np.flatnonzero(witnesses < 0)
-    if missing.size:
-        raise RuntimeError(
-            f"refine witness for vertex {int(us[missing[0]])} vanished "
-            "between passes; this indicates a bug in the status pass"
-        )
-    return list(zip(us.tolist(), witnesses.tolist()))
-
-
 def block_refine_pass(
     index: EdgeIndex,
     candidates: Sequence[int],
     dominator: list[int],
     stats: SkylineCounters,
-    *,
-    entry_budget: int = BLOCK_ENTRY_BUDGET,
 ) -> list[int]:
     """Run the block refine in place over ``dominator``.
 
@@ -340,19 +154,52 @@ def block_refine_pass(
     :func:`~repro.core.filter_refine.bloom_refine_pass` for the block
     kernel: takes the graph's :func:`~repro.graph.csr.edge_index` and
     the filter phase's output, writes each dominated candidate's
-    sequential witness and returns those candidates, ascending.
-    Instrumented runs also record ``block_rescans`` (the candidates
-    the witness pass rescanned) in ``stats.extra``.
+    sequential witness and returns those candidates, ascending.  Both
+    passes scan in blocks of at most :data:`BLOCK_ENTRY_BUDGET`
+    subset-test lookups.
     """
-    ctx = BlockRefineContext(
-        index, candidates, dominator, entry_budget=entry_budget
-    )
-    dominated = block_status_chunk(ctx, 0, len(candidates), stats)
-    ctx.ensure_refine_dominated(dominated)
-    for u, w in block_witness_chunk(ctx, dominated, stats):
+    deg, indptr = index.deg, index.indptr
+    n = len(deg)
+    filter_ok = _np.asarray(dominator, dtype=_np.int64) == _np.arange(n)
+    # Each vertex's minimum-degree neighbor (ties to the smaller ID)
+    # heads its degree-ordered row; -1 for isolated vertices.
+    pivot = _np.full(n, -1, dtype=_np.int64)
+    rows = _np.flatnonzero(deg)
+    pivot[rows] = index.by_degree[indptr[rows]]
+    # Subset-test lookups per vertex, the quantity blocks are sized by
+    # (isolated vertices cost nothing: deg(u) = 0).
+    cost = deg * deg[pivot]
+
+    def scan(us, refine_dominated):
+        found = _np.empty(len(us), dtype=_np.int64)
+        for lo, hi in budget_slices(cost[us], BLOCK_ENTRY_BUDGET):
+            check_deadline()
+            found[lo:hi] = _smallest_settling(
+                index, pivot, filter_ok, refine_dominated, us[lo:hi], stats
+            )
+        return found
+
+    # Status pass: candidates scan in ascending order, so the dominated
+    # ones come out ascending.
+    cand = _np.asarray(candidates, dtype=_np.int64)
+    stats.vertices_examined += len(cand)
+    dominated = cand[scan(cand, None) >= 0]
+    stats.dominations_found += len(dominated)
+
+    # Witness pass, under the sequential scan's skip predicate.
+    refine_dominated = _np.zeros(n, dtype=bool)
+    refine_dominated[dominated] = True
+    witnesses = scan(dominated, refine_dominated)
+    missing = _np.flatnonzero(witnesses < 0)
+    if missing.size:
+        raise RuntimeError(
+            f"refine witness for vertex {int(dominated[missing[0]])} "
+            "vanished between passes; this indicates a bug in the status "
+            "pass"
+        )
+    dominated = dominated.tolist()
+    for u, w in zip(dominated, witnesses.tolist()):
         dominator[u] = w
-    if stats is not NULL_COUNTERS:
-        stats.extra["block_rescans"] = len(dominated)
     return dominated
 
 
@@ -360,7 +207,6 @@ def filter_refine_block_sky(
     graph: Graph,
     *,
     counters: Optional[SkylineCounters] = None,
-    entry_budget: int = BLOCK_ENTRY_BUDGET,
 ) -> SkylineResult:
     """Compute the neighborhood skyline with the block refine kernel.
 
@@ -368,23 +214,18 @@ def filter_refine_block_sky(
     :func:`~repro.core.filter_refine.filter_refine_sky` — bit for bit —
     with the refine phase evaluated in vectorized blocks.  Both phases
     share one :func:`~repro.graph.csr.edge_index`, built here and
-    dropped on return.  ``counters.extra["refine_path"]`` records
-    ``"block"``.
+    dropped on return.
     """
-    if entry_budget <= 0:
-        raise ParameterError(
-            f"entry_budget must be positive, got {entry_budget}"
-        )
-    stats = counters if counters is not None else NULL_COUNTERS
     index = edge_index(graph)
     candidates, dominator = filter_phase(
         graph, counters=counters, index=index
     )
     dominated = block_refine_pass(
-        index, candidates, dominator, stats, entry_budget=entry_budget
+        index,
+        candidates,
+        dominator,
+        counters if counters is not None else NULL_COUNTERS,
     )
-    if counters is not None:
-        counters.extra["refine_path"] = "block"
 
     # The skyline: the candidates the refine left undominated.
     refined = set(dominated)

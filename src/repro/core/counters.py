@@ -7,8 +7,15 @@ accepts an optional :class:`SkylineCounters` and increments it as it
 runs, so benchmarks (and the bloom ablation) can report those quantities
 directly instead of inferring them from wall-clock time.
 
-Counting costs a little time, so the algorithms use the null-object
-pattern: when no counter is supplied they receive :data:`NULL_COUNTERS`,
+A kernel tallies only values it already computes, on the one path it
+takes whether or not counters are passed: a counter describes the work
+that kernel did, not the work of a scan it avoids.  The block refine,
+for one, reports its pivot-row pair tests and no ``degree_skips`` or
+``dominated_skips`` of its own.  The vectorized filter phase is the one
+exception: it reproduces the scalar Alg. 2's early-exit tallies bit for
+bit, from prefix sums it builds only when counted.
+
+Uncounted calls receive :data:`NULL_COUNTERS` (the null-object pattern),
 whose increments are cheap attribute writes on a shared throwaway — no
 ``if counters is not None`` branches in the hot loops.
 """
@@ -82,11 +89,6 @@ class SkylineCounters:
             else:
                 setattr(self, f.name, 0)
 
-
-#: Integer counter fields, i.e. everything except ``extra``.
-_COUNTER_FIELDS = frozenset(
-    f.name for f in fields(SkylineCounters) if f.name != "extra"
-)
 
 #: Shared sink for algorithms invoked without instrumentation.  Its values
 #: are meaningless (it is written to by everyone); never read from it.

@@ -130,8 +130,8 @@ class ServerMetrics:
     def absorb_engine_counters(self, counters) -> None:
         """Fold one call's :class:`SkylineCounters` into the totals.
 
-        Numeric ``extra`` values are summed; non-numeric extras (such
-        as ``refine_path``) are counted by value so the surface stays
+        Numeric ``extra`` values are summed; flags and other
+        non-numeric extras are counted by value so the surface stays
         JSON-able.
         """
         if counters is None:
@@ -139,9 +139,7 @@ class ServerMetrics:
         for key, value in counters.as_dict().items():
             self.engine_counters[key] += value
         for key, value in getattr(counters, "extra", {}).items():
-            if isinstance(value, bool):
-                self.engine_extra[f"{key}={value}"] += 1
-            elif isinstance(value, (int, float)):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
                 self.engine_extra[key] += value
             else:
                 self.engine_extra[f"{key}={value}"] += 1

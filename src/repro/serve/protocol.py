@@ -117,7 +117,10 @@ async def read_request(reader) -> Optional[HttpRequest]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line {lines[0]!r}")
     method, target = parts[0].upper(), parts[1]
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # an unclosed "[" in the authority
+        raise HttpError(400, f"malformed request target {target!r}") from None
     query = dict(parse_qsl(split.query, keep_blank_values=True))
 
     headers: dict[str, str] = {}

@@ -76,6 +76,11 @@ from repro.serve.supervision import EngineSupervisor, SupervisionConfig
 
 __all__ = ["ServeConfig", "SkylineServer", "ServerThread", "run_server"]
 
+#: Seconds a connection may take to deliver its whole request (line,
+#: headers and body) before it is answered 408 and closed, so a client
+#: that stalls mid-request cannot hold a connection open.
+READ_DEADLINE_S = 10.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -267,11 +272,17 @@ class SkylineServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             try:
-                request = await read_request(reader)
+                request = await asyncio.wait_for(
+                    read_request(reader), READ_DEADLINE_S
+                )
             except HttpError as exc:
                 writer.write(
                     json_response(exc.status, {"error": exc.detail})
                 )
+                return
+            except asyncio.TimeoutError:
+                detail = f"request not received within {READ_DEADLINE_S}s"
+                writer.write(json_response(408, {"error": detail}))
                 return
             if request is None:
                 return

@@ -8,17 +8,15 @@ witness pass against a brute-force, pure-Python replay of the
 sequential first-settling-entry scan.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import block_refine, neighborhood_skyline
 from repro.core.api import ALGORITHMS
-from repro.core.block_refine import (
-    BlockRefineContext,
-    block_status_chunk,
-    block_witness_chunk,
-)
+from repro.core.block_refine import block_refine_pass
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.filter_refine import filter_refine_sky
@@ -73,7 +71,6 @@ def test_auto_routes_rmat_to_block():
     assert auto.dominator == ref.dominator
     assert auto.candidates == ref.candidates
     assert auto.algorithm == "FilterRefineSkyBlock"
-    assert c_auto.extra["refine_path"] == "block"
     # One filter phase: its tallies appear once, not twice.
     assert (
         c_auto.extra["filter_pretest_rejects"]
@@ -81,6 +78,9 @@ def test_auto_routes_rmat_to_block():
     )
     assert c_auto.vertices_examined == c_ref.vertices_examined
     assert c_auto.dominations_found == c_ref.dominations_found
+    # The refine adds no skip tallies: those are the filter phase's.
+    assert c_auto.degree_skips == c_filter.degree_skips
+    assert c_auto.dominated_skips == c_filter.dominated_skips
     assert (
         c_auto.vertices_examined
         == c_filter.vertices_examined + len(candidates)
@@ -135,51 +135,23 @@ def brute_force_passes(g, candidates, dominator):
     return dominated, witnesses
 
 
-def brute_force_skip_tallies(g, candidates, dominator, dominated):
-    """``(degree_skips, dominated_skips)`` of a status scan of every
-    candidate's whole 2-hop neighborhood plus a witness scan of every
-    dominated one's — the totals the block kernel reports."""
-    deg = [g.degree(u) for u in range(g.num_vertices)]
-    refine_dominated = set(dominated)
-    degree_skips = dominated_skips = 0
-    for witness, us in ((False, candidates), (True, dominated)):
-        for u in us:
-            for v in g.neighbors(u):
-                for w in g.neighbors(v):
-                    if w == u:
-                        continue
-                    if deg[w] < deg[u]:
-                        degree_skips += 1
-                    elif dominator[w] != w or (
-                        witness and w < u and w in refine_dominated
-                    ):
-                        dominated_skips += 1
-    return degree_skips, dominated_skips
-
-
 def assert_batched_passes_match_brute_force(g):
     candidates, dominator = filter_phase(g)
     dominated, witnesses = brute_force_passes(g, candidates, dominator)
-    tallies = brute_force_skip_tallies(g, candidates, dominator, dominated)
+    expected = list(dominator)
+    for u, w in witnesses:
+        expected[u] = w
     for budget in (1, block_refine.BLOCK_ENTRY_BUDGET):
-        ctx = BlockRefineContext(
-            edge_index(g), candidates, dominator, entry_budget=budget
-        )
-        stats = SkylineCounters()
-        assert block_status_chunk(ctx, 0, len(candidates), stats) == dominated
-        ctx.ensure_refine_dominated(dominated)
-        assert block_witness_chunk(ctx, dominated, stats) == witnesses
-        assert (stats.degree_skips, stats.dominated_skips) == tallies
-        # Uninstrumented scans reach the same verdicts.
-        ctx = BlockRefineContext(
-            edge_index(g), candidates, dominator, entry_budget=budget
-        )
-        assert (
-            block_status_chunk(ctx, 0, len(candidates), NULL_COUNTERS)
-            == dominated
-        )
-        ctx.ensure_refine_dominated(dominated)
-        assert block_witness_chunk(ctx, dominated, NULL_COUNTERS) == witnesses
+        # Counted and uncounted runs take the same path to the same
+        # verdicts and witnesses.
+        for stats in (SkylineCounters(), NULL_COUNTERS):
+            out = list(dominator)
+            with mock.patch.object(block_refine, "BLOCK_ENTRY_BUDGET", budget):
+                assert (
+                    block_refine_pass(edge_index(g), candidates, out, stats)
+                    == dominated
+                )
+            assert out == expected
 
 
 @COMMON

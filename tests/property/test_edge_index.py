@@ -9,15 +9,19 @@ holds half the keys), complete graphs (every row a dense run of
 consecutive keys) and key sets built so every key shares one home
 slot and the probe run wraps past the end of the table.  They also
 run the filter phase and the block refine on one shared index and
-check output and every counter against the scalar references.
+check output and every counter against the scalar references, and pin
+a counted block skyline's counters to the filter phase's plus the three
+the refine tallies.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.block_refine import block_refine_pass
+from repro.core.block_refine import block_refine_pass, filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.core.filter_refine import filter_refine_sky
@@ -31,10 +35,7 @@ from repro.graph.csr import (
 )
 from repro.graph.generators import complete_graph, star_graph
 from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
-from tests.property.test_auto_refine import (
-    brute_force_passes,
-    brute_force_skip_tallies,
-)
+from tests.property.test_auto_refine import brute_force_passes
 
 COMMON = settings(
     max_examples=60,
@@ -172,16 +173,10 @@ def assert_shared_index_matches_references(g: Graph) -> None:
 
     frozen = list(dominator)
     dominated, witnesses = brute_force_passes(g, candidates, frozen)
-    degree_skips, dominated_skips = brute_force_skip_tallies(
-        g, candidates, frozen, dominated
-    )
     expected = SkylineCounters(
         vertices_examined=len(candidates),
         pair_tests=pivot_pair_tests(g, candidates, frozen, dominated),
-        degree_skips=degree_skips,
-        dominated_skips=dominated_skips,
         dominations_found=len(dominated),
-        extra={"block_rescans": len(dominated)},
     )
     stats = SkylineCounters()
     assert (
@@ -194,10 +189,35 @@ def assert_shared_index_matches_references(g: Graph) -> None:
     assert tuple(dominator) == filter_refine_sky(g).dominator
 
 
+def assert_block_skyline_counters(g: Graph) -> None:
+    """A counted block skyline's counters are the filter phase's plus
+    the refine's ``|C|`` visits, pivot pair tests and dominations; its
+    only extra is the filter phase's pretest tally."""
+    c_filter = SkylineCounters()
+    candidates, dominator = filter_phase(g, counters=c_filter)
+    dominated, _ = brute_force_passes(g, candidates, dominator)
+    counters = SkylineCounters()
+    filter_refine_block_sky(g, counters=counters)
+    assert counters == dataclasses.replace(
+        c_filter,
+        vertices_examined=c_filter.vertices_examined + len(candidates),
+        pair_tests=c_filter.pair_tests
+        + pivot_pair_tests(g, candidates, dominator, dominated),
+        dominations_found=c_filter.dominations_found + len(dominated),
+    )
+    assert set(counters.extra) <= {"filter_pretest_rejects"}
+
+
 @COMMON
 @given(st.one_of(graphs(), power_law_graphs(), twin_heavy_graphs()))
 def test_shared_index_counters_match_references(g):
     assert_shared_index_matches_references(g)
+
+
+@COMMON
+@given(st.one_of(graphs(), power_law_graphs(), twin_heavy_graphs()))
+def test_block_skyline_counters_are_filter_plus_refine(g):
+    assert_block_skyline_counters(g)
 
 
 @pytest.mark.parametrize(
@@ -208,3 +228,4 @@ def test_shared_index_counters_match_references(g):
 )
 def test_shared_index_on_degenerate_graphs(g):
     assert_shared_index_matches_references(g)
+    assert_block_skyline_counters(g)

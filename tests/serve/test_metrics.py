@@ -50,18 +50,18 @@ def test_absorb_engine_counters_sums_and_labels():
     first = SkylineCounters()
     first.pair_tests = 5
     first.extra["filter_pretest_rejects"] = 2
-    first.extra["refine_path"] = "block"
+    first.extra["kernel"] = "block"
     second = SkylineCounters()
     second.pair_tests = 7
     second.extra["filter_pretest_rejects"] = 1
-    second.extra["refine_path"] = "block"
+    second.extra["kernel"] = "block"
     metrics.absorb_engine_counters(first)
     metrics.absorb_engine_counters(second)
     metrics.absorb_engine_counters(None)  # tolerated no-op
     engine = metrics.as_dict()["engine"]
     assert engine["counters"]["pair_tests"] == 12
     assert engine["extra"]["filter_pretest_rejects"] == 3
-    assert engine["extra"]["refine_path=block"] == 2
+    assert engine["extra"]["kernel=block"] == 2
 
 
 def test_metrics_document_is_json_serializable():

@@ -1,4 +1,10 @@
-"""Unit tests for the handcrafted HTTP framing layer."""
+"""Unit tests for the handcrafted HTTP framing layer.
+
+Besides the worked examples, two byte-level properties: any bytes a
+client sends parse to a request, to ``None`` or to a 4xx
+:class:`HttpError`, and any body decodes to a dict or a 400, never to
+another exception.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,12 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
+    STATUS_REASONS,
     HttpError,
     HttpRequest,
     json_response,
@@ -60,6 +69,7 @@ def test_empty_connection_yields_none():
     [
         (b"NOT-HTTP\r\n\r\n", 400),
         (b"GET /x SPDY/3\r\n\r\n", 400),
+        (b"GET //[ HTTP/1.1\r\n\r\n", 400),
         (b"GET / HTTP/1.1\r\nbroken header line\r\n\r\n", 400),
         (b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
         (b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
@@ -116,3 +126,83 @@ def test_json_response_is_deterministic_and_roundtrips():
 def test_extra_headers_are_emitted():
     raw = json_response(429, {}, extra_headers={"Retry-After": "1"})
     assert b"Retry-After: 1\r\n" in raw
+
+
+#: Request-shaped bytes: a plausible head (method, target, version,
+#: header lines) of random pieces, then a random body.  Pure random
+#: bytes rarely get past the request line; these reach the target,
+#: header and Content-Length paths too.
+_METHODS = st.sampled_from([b"GET", b"POST", b"\xff\x00"])
+_TARGETS = st.one_of(
+    st.sampled_from(
+        [b"/", b"/query?a=1&b", b"//[", b"http://[::1/", b"http://h:x/"]
+    ),
+    st.binary(max_size=10).filter(lambda target: b" " not in target),
+)
+_VERSIONS = st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2"])
+_HEADERS = st.lists(
+    st.one_of(
+        st.builds(
+            lambda name, value: name + b": " + value,
+            st.sampled_from(
+                [b"Content-Length", b"Transfer-Encoding", b"Host", b"X"]
+            ),
+            st.one_of(
+                st.sampled_from([b"0", b"2", b"-1", b"1_0", b" 5 ", b"9" * 30]),
+                st.binary(max_size=12),
+            ),
+        ),
+        st.binary(max_size=20),
+    ),
+    max_size=4,
+)
+_REQUEST_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda method, target, version, headers, body: b" ".join(
+            [method, target, version]
+        )
+        + b"".join(b"\r\n" + h for h in headers)
+        + b"\r\n\r\n"
+        + body,
+        _METHODS,
+        _TARGETS,
+        _VERSIONS,
+        _HEADERS,
+        st.binary(max_size=40),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REQUEST_BYTES)
+def test_arbitrary_bytes_parse_or_raise_4xx(raw):
+    try:
+        request = _parse(raw)
+    except HttpError as exc:
+        assert 400 <= exc.status < 500, exc.status
+        assert exc.status in STATUS_REASONS
+    else:
+        assert request is None or isinstance(request, HttpRequest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.recursive(
+            st.none() | st.booleans() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+            max_leaves=12,
+        ).map(lambda value: json.dumps(value).encode()),
+    )
+)
+def test_arbitrary_bodies_decode_to_dict_or_400(body):
+    request = HttpRequest(method="POST", path="/query", body=body)
+    try:
+        payload = request.json_body()
+    except HttpError as exc:
+        assert exc.status == 400
+    else:
+        assert isinstance(payload, dict)

@@ -12,8 +12,9 @@ contracts under test:
   direct results;
 * ``/metrics`` and ``/health`` expose the documented schema;
 * error paths map to the documented statuses (404 unknown graph /
-  route, 400 bad input, 405 wrong method, 429 full queue, 504 expired
-  deadline, also while another query holds the engine);
+  route, 400 bad input, 405 wrong method, 408 stalled request, 429
+  full queue, 504 expired deadline, also while another query holds
+  the engine);
 * shutdown is clean: no stray server thread.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,6 +34,7 @@ from repro.core import neighborhood_skyline
 from repro.core.filter_refine import filter_refine_sky
 from repro.harness.faults import ServeFaultPlan
 from repro.serve import GraphRegistry, ServeConfig, ServerThread
+from repro.serve import server as server_module
 from repro.workloads import load
 
 GRAPHS = ("karate", "bombing_proxy")
@@ -283,6 +286,32 @@ def test_deeply_nested_json_is_400(server, path, body):
     assert server.request("GET", "/health")[0] == 200
 
 
+def test_stalled_request_body_is_408(server, monkeypatch):
+    """A client that declares a 100-byte body, sends 2 bytes and keeps
+    the socket open is answered 408 once the read deadline passes, and
+    the connection is closed."""
+    monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+    with socket.create_connection(
+        (server.config.host, server.port), timeout=5.0
+    ) as sock:
+        t0 = time.perf_counter()
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n{}"
+        )
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+        elapsed = time.perf_counter() - t0
+    assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+    error = json.loads(response.split(b"\r\n\r\n", 1)[1])["error"]
+    assert "\n" not in error
+    assert 0.2 <= elapsed < 3.0
+    # The server still answers the next, well-formed request.
+    assert server.request("GET", "/health")[0] == 200
+
+
 def test_unknown_route_404_and_wrong_method_405(server):
     status, doc = server.request("GET", "/nope")
     assert status == 404
@@ -431,6 +460,4 @@ def test_served_skyline_is_computed_once_per_graph():
     assert status == 200
     engine = metrics["engine"]
     assert engine["counters"] == direct_counters.as_dict()
-    assert engine["extra"]["refine_path=" + direct_counters.extra[
-        "refine_path"
-    ]] == 1
+    assert engine["extra"] == direct_counters.extra
