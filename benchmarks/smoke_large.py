@@ -13,7 +13,11 @@ End-to-end over the large-graph substrate, in one seeded run:
    candidates), that the **refine phase** stayed inside its wall-time
    budget (the block kernel's reason to exist — the bloom baseline
    takes several times longer at this scale), and that the call's
-   **peak RSS** rise stayed inside its memory bound.
+   **peak RSS** rise stayed inside its memory bound;
+5. record, ungated, the peak-RSS rise of one skyline in a fresh
+   process that only maps the ``.rsky`` file — the rise a
+   ``repro-sky skyline`` run on the file sees, without the in-process
+   run's earlier peaks to hide it.
 
 Wall times go into ``BENCH_skyline.json`` as ``bench="large_tier"``
 rows through the same checkpoint journal the sweep harness uses, so an
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -64,15 +69,47 @@ REFINE_BUDGET_S = float(
 #: sets an earlier peak).  Measured on kron_large (2-vCPU Linux x86-64
 #: VM, Python 3.11, numpy 2.4.6): a rise of 50.0 MiB in three runs,
 #: the block kernel's scratch arrays; the bound is the measurement plus
-#: 50% headroom.
+#: 50% headroom.  The rise now measures 34.8–35.0 MiB.
 SKYLINE_PEAK_RISE_MB = 75.0
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Run in a fresh interpreter: map the ``.rsky`` at ``argv[1]``, run one
+#: counted skyline, print the peak-RSS rise in MiB.  It reads the peak
+#: from ``VmHWM`` (Linux): ``ru_maxrss`` survives ``exec``, so a child
+#: would start at this process's peak.
+_FRESH_SKYLINE = """
+import sys
+from repro.core import SkylineCounters, neighborhood_skyline
+from repro.graph.binfmt import read_binary_graph
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(x for x in status if x.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024.0
+graph = read_binary_graph(sys.argv[1])
+before = peak()
+neighborhood_skyline(graph, counters=SkylineCounters())
+print(peak() - before)
+"""
 
 
 def _peak_rss_mb() -> float:
     """Peak resident set size in MiB (``ru_maxrss`` is KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _fresh_peak_rise_mb(binary_path: str) -> float:
+    """The skyline's peak-RSS rise in a child that only maps the file."""
+    src = os.path.join(REPO_ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_SKYLINE, binary_path],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(done.stdout)
 
 
 def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
@@ -144,6 +181,8 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         f"{name}: refine phase took {refine_wall:.1f}s, over the "
         f"{REFINE_BUDGET_S:.0f}s block-kernel budget"
     )
+    fresh_rise = _fresh_peak_rise_mb(binary_path)
+    print(f"{name}: fresh-process skyline peak RSS rise {fresh_rise:.1f} MiB")
 
     print(
         f"{name}: n={graph.num_vertices} m={graph.num_edges} "
@@ -167,6 +206,7 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
                 "generate_s": round(t_gen, 3),
                 "convert_s": round(t_convert, 3),
                 "memmap_open_s": round(t_open, 6),
+                "fresh_peak_rise_mb": round(fresh_rise, 1),
                 "description": spec(name).description,
             },
         )

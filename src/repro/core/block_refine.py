@@ -56,7 +56,7 @@ that reproduce the sequential output bit for bit:
 So ``skyline`` / ``dominator`` / ``candidates`` are bit-for-bit the
 sequential bloom baseline's, which the differential suite pins.
 
-The pivot rows and the edge-key hash set come from the same
+The pivots and the edge-key hash set come from the same
 :func:`~repro.graph.csr.edge_index` the filter phase uses:
 :func:`filter_refine_block_sky` builds it once and hands it to both.
 
@@ -99,7 +99,7 @@ BLOCK_ENTRY_BUDGET = 1 << 22
 
 
 def _smallest_settling(
-    index: EdgeIndex, pivot, filter_ok, refine_dominated, us, stats
+    index: EdgeIndex, filter_ok, refine_dominated, us, stats
 ):
     """Per ``u`` of the block ``us``: the smallest ``w`` that settles
     ``u``, ``-1`` where none does.  Skips filter-dominated ``w`` and,
@@ -108,7 +108,7 @@ def _smallest_settling(
     indptr, indices, deg = index.indptr, index.indices, index.deg
     n = len(deg)
     found = _np.full(len(us), -1, dtype=_np.int64)
-    pivot = pivot[us]
+    pivot = index.pivot[us]
     row_lens = _np.where(pivot >= 0, deg[pivot], 0)
     w = gather_rows(indices, indptr[pivot], row_lens)
     if not w.size:
@@ -158,14 +158,9 @@ def block_refine_pass(
     passes scan in blocks of at most :data:`BLOCK_ENTRY_BUDGET`
     subset-test lookups.
     """
-    deg, indptr = index.deg, index.indptr
+    deg, pivot = index.deg, index.pivot
     n = len(deg)
     filter_ok = _np.asarray(dominator, dtype=_np.int64) == _np.arange(n)
-    # Each vertex's minimum-degree neighbor (ties to the smaller ID)
-    # heads its degree-ordered row; -1 for isolated vertices.
-    pivot = _np.full(n, -1, dtype=_np.int64)
-    rows = _np.flatnonzero(deg)
-    pivot[rows] = index.by_degree[indptr[rows]]
     # Subset-test lookups per vertex, the quantity blocks are sized by
     # (isolated vertices cost nothing: deg(u) = 0).
     cost = deg * deg[pivot]
@@ -175,7 +170,7 @@ def block_refine_pass(
         for lo, hi in budget_slices(cost[us], BLOCK_ENTRY_BUDGET):
             check_deadline()
             found[lo:hi] = _smallest_settling(
-                index, pivot, filter_ok, refine_dominated, us[lo:hi], stats
+                index, filter_ok, refine_dominated, us[lo:hi], stats
             )
         return found
 

@@ -11,9 +11,9 @@ A kernel tallies only values it already computes, on the one path it
 takes whether or not counters are passed: a counter describes the work
 that kernel did, not the work of a scan it avoids.  The block refine,
 for one, reports its pivot-row pair tests and no ``degree_skips`` or
-``dominated_skips`` of its own.  The vectorized filter phase is the one
-exception: it reproduces the scalar Alg. 2's early-exit tallies bit for
-bit, from prefix sums it builds only when counted.
+``dominated_skips`` of its own, and the vectorized filter phase its
+pretest survivors; only the scalar references keep the paper loops'
+early-exit tallies.
 
 Uncounted calls receive :data:`NULL_COUNTERS` (the null-object pattern),
 whose increments are cheap attribute writes on a shared throwaway — no

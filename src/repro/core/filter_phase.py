@@ -30,14 +30,14 @@ edge_index`):
    the next step rejects anyway, but on ``ws_large``, where degrees
    are nearly uniform and neighbors are near in ID, they cut the
    surviving edges from 1.46M to 0.21M and the pass's time by half.
-2. **Rarest-neighbour-first rejection** — each row ordered by neighbor
-   degree (ties to the smaller ID, the order of block refine's pivots);
-   for the first :data:`PROBE_ROUNDS` positions ``x`` of ``N(u)`` in
-   that order, every surviving edge ``(u, v)`` is tested at once by
-   looking ``v·n + x`` up in the edge-key hash set
+2. **Pivot probe** — every surviving edge ``(u, v)`` is tested at once
+   for ``u``'s pivot ``p(u)``, its minimum-degree neighbor
+   (:attr:`~repro.graph.csr.EdgeIndex.pivot`): ``p(u) = v`` or
+   ``v·n + p(u)`` in the edge-key hash set
    (:meth:`~repro.graph.csr.EdgeIndex.has_keys`).  A low-degree
-   neighbor is the one a superset is least likely to hold, so these
-   rounds leave few edges.
+   neighbor is the one a superset is least likely to hold, so the probe
+   leaves few edges; a second probe, at the next-rarest neighbor,
+   measured as no faster.
 3. **Exact test** — the full ``N(u) \\ {v} ⊆ N(v)`` lookup on the
    survivors, in chunks of at most :data:`FILTER_KEY_BUDGET` keys.
 4. **Ordered replay** — the scalar loop's writes, replayed in Python
@@ -54,17 +54,13 @@ over the included edges, in the loop's own order, therefore performs
 the same writes in the same order; no status or witness argument is
 needed.
 
-Counters keep the scalar loop's meaning and are computed only when a
-:class:`~repro.core.counters.SkylineCounters` is passed.
-``dominations_found`` counts the replay's writes, and
-``vertices_examined`` is ``n`` minus the vertices a twin write
-dominated before the scan reached them.  ``degree_skips``,
-``pair_tests`` and ``filter_pretest_rejects`` are prefix sums of
-per-slot flags over each examined row, up to and including the slot of
-its strict domination, where the scalar loop breaks.  A slot that
-passes the degree skip but fails the bulk pretest counts under
-``filter_pretest_rejects``, never under ``pair_tests``: ``pair_tests``
-counts only the exact inclusion merges the scalar loop runs.
+Counters describe the vectorized pass's own work, tallied on its one
+path whether or not counters are passed: ``vertices_examined`` is
+``n``, ``pair_tests`` the edges that pass the pretest (steps 2–3 run on
+them), ``extra["filter_pretest_rejects"]`` the other ``2m − pair_tests``
+and ``dominations_found`` the replay's writes.  The degree test is one
+conjunct of the pretest, so the pass tallies no ``degree_skips``.  The
+scalar reference keeps Alg. 2's early-exit tallies.
 
 Worst-case cost of the scalar pass is
 ``O(Σ_{(u,v) ∈ E} (deg u + deg v))``; the paper states ``O(m)``, which
@@ -93,10 +89,6 @@ __all__ = [
     "scalar_filter_phase",
     "closed_inclusion_over_edge",
 ]
-
-#: Rarest-neighbour positions each surviving edge is probed at before
-#: the exact test.
-PROBE_ROUNDS = 2
 
 #: Gathered subset-test keys (``Σ deg(u)`` over the surviving edges) per
 #: chunk of the exact test — bounds the scratch arrays to a few tens of
@@ -259,19 +251,14 @@ def _included_edges(index: EdgeIndex, live):
     included ``(u, v)`` as arrays in CSR order (``u``, then ``v``,
     ascending).
     """
-    indptr, indices, deg, row = index[:4]
+    indptr, indices, deg, row, pivot = index[:5]
     n = len(deg)
     u = row[live]
     v = indices[live].astype(_np.int64)
-    # Rarest-neighbour-first rejection: x ∈ N(u) \ {v} must be in N(v).
-    for r in range(PROBE_ROUNDS):
-        probe = _np.flatnonzero(deg[u] > r)
-        x = index.by_degree[indptr[u[probe]] + r]
-        fail = probe[(x != v[probe]) & ~index.has_keys(v[probe] * n + x)]
-        if fail.size:
-            keep = _np.ones(u.size, dtype=bool)
-            keep[fail] = False
-            u, v = u[keep], v[keep]
+    # Pivot probe: p(u) ∈ N(u) \ {v} must be in N(v).
+    x = pivot[u]
+    keep = (x == v) | index.has_keys(v * n + x)
+    u, v = u[keep], v[keep]
     # Exact test of every survivor, in budget-sized chunks.
     lens = deg[u]
     accept = _np.empty(u.size, dtype=bool)
@@ -284,16 +271,12 @@ def _included_edges(index: EdgeIndex, live):
     return u[accept], v[accept]
 
 
-def _replay(dominator: list[int], us, vs, strict):
+def _replay(dominator: list[int], us, vs, strict) -> list[int]:
     """The scalar loop's writes, replayed over the included edges only.
 
-    Returns ``(dominated, unreached, breaks)``: every vertex written,
-    the ones written before the scan reached them, and one ``(u, v)``
-    per row the scan left at a strict domination.
+    Returns every vertex written, in write order.
     """
     dominated = []
-    unreached = []
-    breaks = []
     current = -1
     active = False
     for u, v, is_strict in zip(us, vs, strict):
@@ -306,7 +289,6 @@ def _replay(dominator: list[int], us, vs, strict):
             if dominator[u] == u:
                 dominator[u] = v
                 dominated.append(u)
-                breaks.append((u, v))
                 active = False
         elif u > v and dominator[u] == u:
             # N[u] = N[v]: true twins; the smaller ID wins (Def. 5).
@@ -315,9 +297,7 @@ def _replay(dominator: list[int], us, vs, strict):
         elif dominator[v] == v:
             dominator[v] = u
             dominated.append(v)
-            if v > u:
-                unreached.append(v)
-    return dominated, unreached, breaks
+    return dominated
 
 
 def filter_phase(
@@ -336,8 +316,8 @@ def filter_phase(
     test a lookup in the edge-key hash set of ``index``, the graph's
     :func:`~repro.graph.csr.edge_index` (built here when not given: a
     caller that also runs the block refine passes the one it shares).
-    Output and counters are bit for bit :func:`scalar_filter_phase`'s
-    (see the module docstring).
+    Output is bit for bit :func:`scalar_filter_phase`'s; the counters
+    tally this pass's own work (see the module docstring).
     """
     n = graph.num_vertices
     dominator = list(range(n))
@@ -345,40 +325,19 @@ def filter_phase(
         return [], dominator
     if index is None:
         index = edge_index(graph)
-    indptr, indices, deg, row = index[:4]
-    pretest = _edge_pretest(indptr, indices)
-    us, vs = _included_edges(index, _np.flatnonzero(pretest))
+    indptr, indices, deg = index[:3]
+    live = _np.flatnonzero(_edge_pretest(indptr, indices))
+    us, vs = _included_edges(index, live)
     strict = deg[vs] > deg[us]
-    dominated, unreached, breaks = _replay(
-        dominator, us.tolist(), vs.tolist(), strict.tolist()
-    )
+    dominated = _replay(dominator, us.tolist(), vs.tolist(), strict.tolist())
 
-    if counters is not None:
-        counters.dominations_found += len(dominated)
-        examined = _np.ones(n, dtype=bool)
-        examined[unreached] = False
-        starts = indptr[:-1][examined]
-        ends = indptr[1:].copy()
-        if breaks:
-            broke, at = _np.array(breaks, dtype=_np.int64).T
-            # The break slot: where (u, v) sits in the edge keys
-            # row·n + col, which ascend in CSR order.
-            keys = row * n + indices
-            ends[broke] = _np.searchsorted(keys, broke * n + at) + 1
-        ends = ends[examined]
-
-        def tally(flags) -> int:
-            prefix = _np.zeros(len(flags) + 1, dtype=_np.int64)
-            _np.cumsum(flags, out=prefix[1:])
-            return int((prefix[ends] - prefix[starts]).sum())
-
-        degree_ok = deg[indices] >= deg[row]
-        counters.vertices_examined += int(starts.size)
-        counters.degree_skips += tally(~degree_ok)
-        counters.pair_tests += tally(pretest)
-        counters.extra["filter_pretest_rejects"] = counters.extra.get(
-            "filter_pretest_rejects", 0
-        ) + tally(degree_ok & ~pretest)
+    stats = counters if counters is not None else NULL_COUNTERS
+    stats.vertices_examined += n
+    stats.pair_tests += len(live)
+    stats.dominations_found += len(dominated)
+    stats.extra["filter_pretest_rejects"] = stats.extra.get(
+        "filter_pretest_rejects", 0
+    ) + len(indices) - len(live)
 
     in_c = _np.ones(n, dtype=bool)
     in_c[dominated] = False

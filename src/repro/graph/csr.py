@@ -5,7 +5,7 @@ kernel (:mod:`repro.core.block_refine`) and core peeling
 (:mod:`repro.graph.cores`) run their neighborhood scans over a graph's
 :meth:`~repro.graph.adjacency.Graph.csr_arrays` instead of its tuple
 rows.  This module holds what they share: one :func:`edge_index` (an
-edge-key hash set and degree-ordered rows), the ragged row gather
+edge-key hash set and each vertex's pivot), the ragged row gather
 :func:`gather_rows` and the cost-bounded chunking :func:`budget_slices`.
 """
 
@@ -86,10 +86,10 @@ class EdgeIndex(NamedTuple):
     deg: object
     #: The row (source vertex) of every CSR slot, ``int64``.
     row: object
-    #: ``indices`` with every row reordered by neighbor degree, ties to
-    #: the smaller ID: ``by_degree[indptr[u]]`` is ``u``'s rarest
-    #: neighbor, the one any superset of ``N(u)`` is least likely to hold.
-    by_degree: object
+    #: ``pivot[u]``, ``u``'s minimum-degree neighbor (ties to the
+    #: smaller ID), ``-1`` if ``u`` is isolated: the neighbor any
+    #: superset of ``N(u)`` is least likely to hold.  ``int64``.
+    pivot: object
     #: The edge keys ``row·n + col`` as a linear-probing hash set
     #: (:func:`_key_table`): a power of two ``int64`` slots, at least
     #: :data:`_SLOTS_PER_KEY` per key, free ones ``-1``.
@@ -124,34 +124,33 @@ class EdgeIndex(NamedTuple):
 
 
 def edge_index(graph: Graph) -> EdgeIndex:
-    """The edge-key hash set and degree-ordered rows of ``graph``.
+    """The edge-key hash set and the pivots of ``graph``.
 
     The filter phase and the block refine kernel share one: the caller
     that runs both (:func:`~repro.core.block_refine.
     filter_refine_block_sky`) builds it once and passes it to each.
     Nothing caches it, so it lives for that one call.  Cost: a few
-    passes over the ``2m`` slots, one sort of ``n`` degrees, one value
-    sort of ``2m`` keys below ``n²`` and the hash-set inserts.  It
-    holds two ``2m`` ``int64`` arrays (``row``, ``by_degree``) and the
-    table of ``6m`` to ``12m`` ``int64`` slots.
+    passes over the ``2m`` slots, one sort of ``n`` degrees, one
+    ``minimum.reduceat`` over the rows and the hash-set inserts.  It
+    holds one ``2m`` ``int64`` array (``row``), ``n``-length ones and
+    the table of ``6m`` to ``12m`` ``int64`` slots.
     """
     indptr, indices = graph.csr_arrays()
     n = len(indptr) - 1
     indptr = indptr.astype(_np.int64, copy=False)
     deg = indptr[1:] - indptr[:-1]
     row = _np.repeat(_np.arange(n, dtype=_np.int64), deg)
-    base = row * n
-    # Rank every vertex by (degree, ID); sorting the keys row·n + rank
-    # then orders each row by neighbor degree, ties to the smaller ID.
+    # Rank every vertex by (degree, ID); each row's least rank is its
+    # pivot.  Only non-empty rows are reduced: reduceat would give an
+    # empty segment the value at its start.
     by_rank = _np.argsort(deg, kind="stable")
     rank = _np.empty(n, dtype=_np.int64)
     rank[by_rank] = _np.arange(n, dtype=_np.int64)
-    ranked = _np.sort(base + rank[indices])
-    ranked -= base
-    by_degree = by_rank[ranked]
-    del ranked  # one 2m array fewer alive while the table is built
-    base += indices
-    return EdgeIndex(indptr, indices, deg, row, by_degree, _key_table(base))
+    pivot = _np.full(n, -1, dtype=_np.int64)
+    rows = _np.flatnonzero(deg)
+    pivot[rows] = by_rank[_np.minimum.reduceat(rank[indices], indptr[rows])]
+    keys = row * n + indices
+    return EdgeIndex(indptr, indices, deg, row, pivot, _key_table(keys))
 
 
 def gather_rows(indices, starts, lens):

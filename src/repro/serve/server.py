@@ -102,11 +102,15 @@ class ServeConfig:
     def validate(self) -> None:
         """Reject out-of-range knobs with ParameterError (fail fast)."""
         self.supervision.validate()
+        if not 0 <= self.port <= 65535:
+            raise ParameterError(f"port must be 0-65535, got {self.port}")
         if self.queue_capacity < 1:
             raise ParameterError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.default_timeout_s is not None and self.default_timeout_s <= 0:
+        timeout = self.default_timeout_s
+        # ``not > 0`` also rejects NaN, a deadline that never expires.
+        if timeout is not None and not timeout > 0:
             raise ParameterError(
                 "default_timeout_s must be > 0 or None, got "
                 f"{self.default_timeout_s}"
@@ -160,9 +164,15 @@ class SkylineServer:
         """Bind the socket and start the worker (the supervisor already
         owns the engine thread)."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        host, port = self.config.host, self.config.port
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host, port
+            )
+        except OSError as exc:  # port taken, host unresolvable, ...
+            raise ParameterError(
+                f"cannot listen on {host}:{port}: {exc}"
+            ) from exc
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.max_requests == 0:
             # A zero budget is already spent: trip the limit before the

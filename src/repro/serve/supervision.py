@@ -100,7 +100,10 @@ class SupervisionConfig:
 
     def validate(self) -> None:
         """Reject out-of-range knobs with ParameterError (fail fast)."""
-        if self.query_deadline_s is not None and self.query_deadline_s <= 0:
+        deadline = self.query_deadline_s
+        # ``not > 0`` and ``not >= 0`` also reject NaN, which never
+        # expires and never cools down.
+        if deadline is not None and not deadline > 0:
             raise ParameterError(
                 "query_deadline_s must be > 0 or None, got "
                 f"{self.query_deadline_s}"
@@ -113,7 +116,7 @@ class SupervisionConfig:
             raise ParameterError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
-        if self.breaker_cooldown_s < 0:
+        if not self.breaker_cooldown_s >= 0:
             raise ParameterError(
                 "breaker_cooldown_s must be >= 0, got "
                 f"{self.breaker_cooldown_s}"

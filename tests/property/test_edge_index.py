@@ -7,11 +7,13 @@ over every key ``0 … n² − 1`` (self-pairs and non-edges included) on
 the shapes that stress a hash set: no keys, one key, a star (one row
 holds half the keys), complete graphs (every row a dense run of
 consecutive keys) and key sets built so every key shares one home
-slot and the probe run wraps past the end of the table.  They also
-run the filter phase and the block refine on one shared index and
-check output and every counter against the scalar references, and pin
-a counted block skyline's counters to the filter phase's plus the three
-the refine tallies.
+slot and the probe run wraps past the end of the table.  They pin
+:attr:`~repro.graph.csr.EdgeIndex.pivot` to a brute-force minimum
+over each row, isolated vertices included.  They also run the filter
+phase and the block refine on one shared index and check output
+against the scalar references and every counter against its
+definition, and pin a counted block skyline's counters to the filter
+phase's plus the three the refine tallies.
 """
 
 import dataclasses
@@ -36,6 +38,7 @@ from repro.graph.csr import (
 from repro.graph.generators import complete_graph, star_graph
 from tests.conftest import graphs, power_law_graphs, twin_heavy_graphs
 from tests.property.test_auto_refine import brute_force_passes
+from tests.property.test_filter_vector import assert_one_path_counters
 
 COMMON = settings(
     max_examples=60,
@@ -135,6 +138,48 @@ def test_one_home_slot_wrapping_run(count):
     ]
 
 
+def brute_force_pivots(g: Graph) -> list[int]:
+    """Each vertex's minimum-(degree, ID) neighbor, ``-1`` if isolated."""
+    deg = [g.degree(u) for u in range(g.num_vertices)]
+    return [
+        min(g.neighbors(u), key=lambda v: (deg[v], v), default=-1)
+        for u in range(g.num_vertices)
+    ]
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A random graph with isolated vertices first, amid and last."""
+    g = draw(st.one_of(graphs(max_vertices=16), twin_heavy_graphs()))
+    n = g.num_vertices
+    ids = draw(st.permutations(range(n + 3)))
+    # The first, a middle and the last ID stay isolated.
+    skip = {0, (n + 2) // 2, n + 2}
+    label = [i for i in ids if i not in skip]
+    return Graph.from_edges(
+        n + 3, [(label[u], label[v]) for u, v in g.edges()]
+    )
+
+
+def assert_pivots(g: Graph) -> None:
+    pivot = edge_index(g).pivot
+    assert pivot.dtype == np.int64
+    assert pivot.tolist() == brute_force_pivots(g)
+
+
+@COMMON
+@given(
+    st.one_of(
+        graphs(),
+        power_law_graphs(),
+        twin_heavy_graphs(),
+        graphs_with_isolated_vertices(),
+    )
+)
+def test_pivot_is_min_degree_neighbor(g):
+    assert_pivots(g)
+
+
 def pivot_pair_tests(g, candidates, dominator, dominated) -> int:
     """The block refine's ``pair_tests``, one pivot-row entry at a time.
 
@@ -163,13 +208,13 @@ def pivot_pair_tests(g, candidates, dominator, dominated) -> int:
 
 def assert_shared_index_matches_references(g: Graph) -> None:
     index = edge_index(g)
-    c_scalar, c_filter = SkylineCounters(), SkylineCounters()
-    reference = scalar_filter_phase(g, counters=c_scalar)
+    c_filter = SkylineCounters()
+    reference = scalar_filter_phase(g)
     candidates, dominator = filter_phase(
         g, counters=c_filter, index=index
     )
     assert (candidates, dominator) == reference
-    assert c_filter == c_scalar
+    assert_one_path_counters(g, candidates, c_filter)
 
     frozen = list(dominator)
     dominated, witnesses = brute_force_passes(g, candidates, frozen)
@@ -223,9 +268,25 @@ def test_block_skyline_counters_are_filter_plus_refine(g):
 @pytest.mark.parametrize(
     "g",
     [Graph.from_edges(0, []), Graph.from_edges(3, []), star_graph(6)]
-    + [complete_graph(k) for k in (1, 2, 6)],
-    ids=["empty", "edgeless", "star", "k1", "k2", "k6"],
+    + [complete_graph(k) for k in (1, 2, 6)]
+    # Isolated vertices first, last, in the middle and around an edge:
+    # the empty segments the pivots' reduceat skips.
+    + [Graph.from_edges(3, [(1, 2)]), Graph.from_edges(3, [(0, 1)])]
+    + [Graph.from_edges(3, [(0, 2)]), Graph.from_edges(5, [(1, 3)])],
+    ids=[
+        "empty",
+        "edgeless",
+        "star",
+        "k1",
+        "k2",
+        "k6",
+        "isolated-first",
+        "isolated-last",
+        "isolated-middle",
+        "isolated-around",
+    ],
 )
 def test_shared_index_on_degenerate_graphs(g):
+    assert_pivots(g)
     assert_shared_index_matches_references(g)
     assert_block_skyline_counters(g)

@@ -28,6 +28,7 @@ from repro.errors import ParameterError
 from repro.harness.faults import ServeFaultPlan
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import GraphRegistry, execute_query
+from repro.serve.server import ServeConfig
 from repro.serve.supervision import (
     CircuitBreaker,
     EngineSupervisor,
@@ -53,14 +54,34 @@ class FakeClock:
 # ---------------------------------------------------------------------
 def test_config_validate_rejects_bad_knobs():
     SupervisionConfig().validate()  # defaults are legal
+    ServeConfig().validate()
+    inf = float("inf")
+    # An infinite deadline, timeout or cooldown is legal: "never".
+    ServeConfig(
+        port=65535,
+        default_timeout_s=inf,
+        supervision=SupervisionConfig(
+            query_deadline_s=inf, breaker_cooldown_s=inf
+        ),
+    ).validate()
+    nan = float("nan")
     for bad in (
         SupervisionConfig(query_deadline_s=0),
         SupervisionConfig(max_query_retries=-1),
         SupervisionConfig(breaker_threshold=0),
         SupervisionConfig(breaker_cooldown_s=-0.5),
+        # NaN compares false both ways: a NaN deadline never expires
+        # and a NaN cooldown never ends.
+        SupervisionConfig(query_deadline_s=nan),
+        SupervisionConfig(breaker_cooldown_s=nan),
+        ServeConfig(default_timeout_s=nan),
+        ServeConfig(supervision=SupervisionConfig(query_deadline_s=nan)),
+        ServeConfig(port=-5),
+        ServeConfig(port=70000),
     ):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             bad.validate()
+        assert "\n" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------

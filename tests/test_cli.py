@@ -1,5 +1,7 @@
 """Tests for the repro-sky command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -333,6 +335,45 @@ def test_serve_validates_supervision_flags(capsys):
     )
     assert code == 2
     assert "breaker_threshold" in capsys.readouterr().err
+
+
+def _serve_error(capsys, *flags) -> str:
+    """Run ``serve`` on karate with ``flags``; assert exit 2 and one
+    ``error:`` line, and return that line."""
+    code = main(["serve", "--graph", "karate", "--max-requests", "0", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_serve_rejects_out_of_range_port(capsys, port):
+    assert f"port must be 0-65535, got {port}" in _serve_error(
+        capsys, "--port", port
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, knob",
+    [
+        ("--request-timeout", "default_timeout_s"),
+        ("--query-deadline", "query_deadline_s"),
+        ("--breaker-cooldown", "breaker_cooldown_s"),
+    ],
+)
+def test_serve_rejects_nan_knob(capsys, flag, knob):
+    assert f"{knob} must be" in _serve_error(capsys, flag, "nan")
+
+
+def test_serve_port_in_use_is_one_line_error(capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        err = _serve_error(capsys, "--port", str(port))
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
 
 def test_serve_supervision_flags_accepted(capsys):
