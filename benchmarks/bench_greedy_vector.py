@@ -56,6 +56,7 @@ from repro.harness.benchjson import (
     validate_file,
     write_bench_json,
 )
+from repro.paths import csr
 from repro.paths.csr import CSRTraversal
 from repro.workloads import load
 
@@ -75,25 +76,20 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @contextlib.contextmanager
 def scalar_kernels():
     """Confine the lazy driver to the scalar kernels for the "before"
-    leg: round 0 scores one scalar scan per source, and every adaptive
-    scan runs without an edge budget, so none is handed to the vector
-    scan (a negative budget is no budget)."""
-    adaptive = CSRTraversal.adaptive_eval
+    leg: round 0 scores one scalar scan per source, and the edge budget
+    is ``sys.maxsize``, so no adaptive scan is handed to the vector
+    scan."""
 
     def scalar_first_round(self, sources, objective):
         empty = [self.n] * self.n  # the scalar scan's "unreachable"
         return [
-            adaptive(self, s, empty, None, objective, budget=-1)[0]
+            self.adaptive_eval(s, empty, None, objective)[0]
             for s in sources
         ]
 
-    def unbudgeted(self, *args, **kwargs):
-        kwargs["budget"] = -1
-        return adaptive(self, *args, **kwargs)
-
     with mock.patch.object(
         CSRTraversal, "first_round_gains", scalar_first_round
-    ), mock.patch.object(CSRTraversal, "adaptive_eval", unbudgeted):
+    ), mock.patch.object(csr, "SCAN_EDGE_BUDGET", sys.maxsize):
         yield
 
 

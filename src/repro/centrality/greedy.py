@@ -12,7 +12,7 @@ The pieces that vary are factored out:
 * the **objective** supplies a ``gain_weight(old, new)`` function that
   converts one improved distance into gain units (closeness: farness
   drop ``old - new``; harmonic: ``1/new - 1/old``), evaluated over the
-  stream of a truncated BFS (:mod:`repro.paths.truncated`);
+  stream of a truncated BFS (:func:`repro.paths.csr.improvements`);
 * the **candidate pool** is either all of ``V`` (BaseGC / BaseGH) or the
   neighborhood skyline ``R`` (NeiSkyGC / NeiSkyGH, Algorithm 4) — the
   pruning is *only* a pool restriction, exactly as the paper argues in
@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Protocol
 from repro.core.deadline import check as check_deadline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.paths.truncated import improvements
+from repro.paths.csr import improvements
 
 __all__ = [
     "GainObjective",
@@ -138,10 +138,11 @@ def greedy_maximize(
     deterministic and Base/NeiSky variants comparable.
 
     This is the scalar reference driver: every gain is the generator
-    stream of :func:`repro.paths.truncated.improvements` folded through
+    stream of :func:`repro.paths.csr.improvements` folded through
     ``gain_weight``, and the lazy engine
     (:mod:`repro.centrality.lazy_greedy`) is tested against it bit for
-    bit.
+    bit.  It accepts any :class:`GainObjective`; the lazy engine only
+    the closeness and harmonic objectives its kernels fold.
     """
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")

@@ -40,8 +40,8 @@ class ClosenessObjective:
     """
 
     name = "group_closeness"
-    #: Specialized CSR gain fold (see
-    #: :meth:`repro.paths.csr.CSRTraversal.adaptive_eval`).
+    #: Picks the lazy driver's gain fold
+    #: (:class:`repro.paths.csr.CSRTraversal`).
     csr_kernel = "closeness"
 
     def __init__(self, graph: Graph):

@@ -34,8 +34,8 @@ class HarmonicObjective:
     """Harmonic-sum gain weights for group harmonic."""
 
     name = "group_harmonic"
-    #: Specialized CSR gain fold (see
-    #: :meth:`repro.paths.csr.CSRTraversal.adaptive_eval`).
+    #: Picks the lazy driver's gain fold
+    #: (:class:`repro.paths.csr.CSRTraversal`).
     csr_kernel = "harmonic"
 
     def gain_weight(self, old: int, new: int) -> float:

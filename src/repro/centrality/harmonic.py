@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.graph.adjacency import Graph
-from repro.paths.bfs import UNREACHED, bfs_distances, multi_source_distances
+from repro.paths.csr import UNREACHED, bfs_distances, multi_source_distances
 
 __all__ = ["harmonic_centrality", "group_harmonic"]
 

@@ -4,7 +4,10 @@ Same contract as :func:`repro.centrality.greedy.greedy_maximize` — same
 group, same gains, same tie-breaks, bit for bit — with four stacked
 optimizations.  It is the default schedule of every group-closeness and
 group-harmonic entry point; the eager driver stays as the reference
-it is tested against.
+it is tested against.  Its kernels fold only the two objectives that
+carry a ``csr_kernel`` tag (closeness and harmonic); any other
+objective is rejected with a :class:`~repro.errors.ParameterError`
+that points at ``strategy="eager"``.
 
 1. **Lazy evaluation.**  Marginal gains along the greedy chain are
    non-increasing for both bundled objectives (see
@@ -22,10 +25,10 @@ it is tested against.
    :class:`~repro.paths.csr.CSRTraversal` — truncated BFS over the
    graph's own neighbour tuples with preallocated scratch reused across
    the whole run — instead of the per-call generator machinery of
-   :mod:`repro.paths.truncated`.  The scalar scan works on the driver's
-   distance list itself (``n`` for unreachable): it lowers the vertices
-   it reaches in place and restores them in the sweep that folds the
-   gain.
+   :func:`~repro.paths.csr.improvements`.  The scalar scan works on the
+   driver's distance list itself (``n`` for unreachable): it lowers the
+   vertices it reaches in place and restores them in the sweep that
+   folds the gain.
 
 3. **Vector kernels.**  Round 0, scored against an empty group, runs
    on the bitset multi-source BFS of
@@ -54,9 +57,8 @@ it is tested against.
    round 0 runs the bitset kernel only on the scope's unscored
    vertices.  It fills a copy and publishes it with one assignment, so
    an exception inside the kernel (a deadline, a fault) leaves the memo
-   as it was and another thread never reads a half-written array.
-   Objectives without a ``csr_kernel`` tag bypass it, and the eager
-   driver never reads it.  A memo hit shows only as fewer
+   as it was and another thread never reads a half-written array.  The
+   eager driver never reads it.  A memo hit shows only as fewer
    ``batch_rounds``.
 
 ``evaluations`` counts the gain evaluations of the lazy schedule, round
@@ -86,7 +88,7 @@ from repro.centrality.greedy import (
 from repro.core.deadline import check as check_deadline
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.paths.csr import CSRTraversal
+from repro.paths.csr import CSRTraversal, bfs_distances
 
 __all__ = ["lazy_greedy_maximize", "run_greedy"]
 
@@ -106,13 +108,10 @@ def _empty_group_gains(graph, trav, scope, objective) -> list[float]:
     assignment, so a deadline or fault inside the kernel leaves the
     memo as it was, and a reader never sees a half-written array.
     """
-    kernel = getattr(objective, "csr_kernel", None)
-    if kernel not in ("closeness", "harmonic"):
-        return trav.first_round_gains(scope, objective)
     if graph._round0 is None:
         graph._round0 = {}
     memo = graph._round0
-    key = (kernel, getattr(objective, "penalty", None))
+    key = (objective.csr_kernel, getattr(objective, "penalty", None))
     known = memo.get(key)
     if known is None:
         known = _np.full(graph.num_vertices, _np.nan)
@@ -135,7 +134,8 @@ def lazy_greedy_maximize(
 ) -> GreedyResult:
     """CELF-style greedy maximization; output equals ``greedy_maximize``.
 
-    ``counters``, beyond the eager driver's parameters, is an optional
+    ``objective`` must be tagged ``csr_kernel = "closeness"`` or
+    ``"harmonic"``.  ``counters`` is an optional
     :class:`~repro.core.counters.SkylineCounters` for the kernel
     telemetry (``batch_rounds`` / ``lanes_evaluated`` /
     ``lanes_short_circuited`` in ``counters.extra``; see the module
@@ -143,6 +143,11 @@ def lazy_greedy_maximize(
     """
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")
+    if getattr(objective, "csr_kernel", None) not in ("closeness", "harmonic"):
+        raise ParameterError(
+            f"objective {objective.name!r} has no lazy gain kernel; "
+            'run it with strategy="eager"'
+        )
     n = graph.num_vertices
     k = min(k, n)
     pool = candidate_pool(candidates, n)
@@ -215,9 +220,8 @@ def lazy_greedy_maximize(
 
         if not group:
             # Against an empty group the winner improves every vertex it
-            # reaches to its BFS distance, so the vectorized full BFS is
-            # the commit.
-            dist_nd[:] = trav.bfs_distances(best_u)
+            # reaches to its BFS distance, so its full BFS is the commit.
+            dist_nd[:] = bfs_distances(graph, best_u)
             dist = _np.where(dist_nd < 0, n, dist_nd).tolist()
         else:
             # Scans ship gains only; re-derive the winner's update list

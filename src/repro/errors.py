@@ -39,3 +39,8 @@ class DatasetNotFoundError(ReproError, KeyError):
         super().__init__(
             f"unknown dataset {name!r}; known datasets: {', '.join(known)}"
         )
+
+    def __str__(self) -> str:
+        # KeyError's str() is the repr of its argument; print the bare
+        # message like every other ReproError.
+        return self.args[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from repro.graph.adjacency import Graph
-from repro.paths.bfs import bfs_distances
+from repro.paths.csr import bfs_distances
 
 __all__ = [
     "triangle_count",

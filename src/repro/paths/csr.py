@@ -1,94 +1,90 @@
-"""Flat-array CSR BFS kernels for greedy marginal-gain evaluation.
+"""Shortest-path substrate of the group-centrality applications.
 
-The scalar kernels in :mod:`repro.paths.bfs` and
-:mod:`repro.paths.truncated` are fine for one-shot queries, but the
-greedy group-centrality drivers call them thousands of times per run —
-one truncated BFS per candidate per round.  At that call rate the
-per-evaluation overheads dominate: a fresh ``new_dist`` list and deque
-per call, a generator suspension plus tuple allocation per improved
-vertex, and a Python-level ``gain_weight`` call per improvement.
+Unweighted BFS distances underlie both group centrality measures (Defs.
+6–9 of the paper).  This module holds every traversal the greedy
+drivers and the centrality measures run, with ``-1``
+(:data:`UNREACHED`) as the "unreachable" sentinel:
 
-:class:`CSRTraversal` removes all three.  It is built once per run
-from one :class:`~repro.graph.adjacency.Graph` and keeps:
+* :func:`bfs_distances` / :func:`multi_source_distances` — the full BFS
+  from one source, or from a set ``S`` seeded at level 0 (``d(v, S)``);
+* :func:`improvements` — the truncated gain BFS: the scalar reference
+  the eager driver (:func:`repro.centrality.greedy.greedy_maximize`)
+  runs and every gain kernel is tested against;
+* :class:`CSRTraversal` — the gain kernels of the lazy (CELF) driver.
 
-* **the graph's own neighbour tuples** (the storage
-  :meth:`~repro.graph.adjacency.Graph.neighbors` hands out, built on
-  first use and kept), so the scalar loops iterate plain tuples, a run
-  that scans a fraction of the graph only pays for the rows it touches,
-  and every later traversal of the same graph object reuses them;
-* **the graph's ``int32`` CSR arrays** (zero-copy,
-  :meth:`~repro.graph.adjacency.Graph.csr_arrays`), which back the
-  vectorized kernels — the full BFS
-  of :meth:`bfs_distances` / :meth:`multi_source_distances`
-  (distances are order-independent, so it returns exactly the scalar
-  kernel's values), the vector gain scan and the round-0 kernel;
-* two preallocated scratch lists reused across evaluations: ``queue``
-  (a flat FIFO whose prefix, after a traversal, lists the improved
-  vertices **in the exact order** the generator version yields them —
-  source first, then FIFO discovery order over sorted rows) and
-  ``olds`` (each queued vertex's distance before the scan).
+**Truncated BFS.**  Adding ``u`` to a group ``S`` only matters for the
+vertices it moves closer, so :func:`improvements` expands a vertex only
+while its new distance undercuts ``d(v, S)``.  The pruning is sound:
+BFS levels grow by one per hop while ``d(v, S)`` drops by at most one
+(it is 1-Lipschitz along edges), so once ``new >= d(v, S)`` nothing
+further along that branch improves either.
 
-That ordering guarantee is what makes the gain kernels bit-for-bit
-compatible with the eager driver: gains are float sums, and floating-
-point addition is not associative, so the scalar folds below
-replicate :mod:`repro.paths.truncated` + ``gain_weight`` term by term
-in the same order with the same arithmetic — closeness accumulates
-integer farness drops (exact in either representation), harmonic adds
-``1.0/new - old_term`` as one fused expression exactly as
+**Gain kernels.**  The drivers score thousands of candidates per run,
+so :class:`CSRTraversal` drops the generator's per-call overheads (a
+fresh ``new_dist`` list and deque, a suspension and tuple per improved
+vertex, a ``gain_weight`` call per term).  Built once per run, it reads
+the graph's own neighbour tuples (filled on first use and kept, so
+later traversals of the same graph reuse them) for the scalar loops,
+the graph's zero-copy ``int32`` CSR arrays for the vector kernels, and
+reuses two scratch lists: ``queue``, whose prefix after a scan lists
+the improved vertices **in the exact order** :func:`improvements`
+yields them, and ``olds``, each queued vertex's distance before it.
+
+The kernels fold the two objectives tagged ``csr_kernel``, closeness
+and harmonic; the lazy driver rejects any other.  Gains are float sums
+and float addition is not associative, so each fold replays
+:func:`improvements` + ``gain_weight`` term by term in emission order:
+closeness sums integer farness drops (exact either way), harmonic adds
+``1.0/new - old_term`` exactly as
 :class:`~repro.centrality.group_harmonic_max.HarmonicObjective` does.
 
-**One-array scalar scan.**  The scalar gain scan of
-:meth:`CSRTraversal.adaptive_eval` keeps no tentative-distance array of
-its own: it lowers the committed distance list in place (``n`` standing
-for "unreachable"), so one comparison per edge both skips vertices this
-scan already reached and prunes those the candidate does not move
-closer.  One sweep over ``queue`` then folds the gain in emission order
-and restores the list from ``olds``.
+**One-array scalar scan.**  :meth:`CSRTraversal.adaptive_eval` lowers
+the committed distance list in place (``n`` for "unreachable"), so one
+comparison per edge both skips vertices this scan reached and prunes
+those the candidate does not move closer; one sweep over ``queue`` then
+folds the gain and restores the list from ``olds``.
 
-**Vector gain scan.**  The pruned gain scan *also* vectorizes, despite
-its emission-order contract: :meth:`CSRTraversal._vector_scan` runs one
-pruned BFS as one numpy pass per frontier level and reconstructs the
-scalar emission order exactly.  The trick is the same first-occurrence
-gather :mod:`repro.core.block_refine` proved out: within one level the
-ragged ``np.repeat`` row gather visits parents in frontier order and
-neighbors in row order — precisely the scalar FIFO discovery order — so
-deduping same-level rediscoveries by *first occurrence* (a linear
-reversed scatter-claim, not a sort) leaves the per-level emission
-sequence identical to the scalar scan.  Levels concatenate
-level-major, which is FIFO order, so :meth:`CSRTraversal._vector_eval`
-replays the scalar float accumulation term by term: closeness sums
-integer drops (order-free, exact), harmonic computes every
-``1.0/new - old_term`` term vectorized (elementwise IEEE arithmetic
-equals CPython's) and then adds them sequentially in emission order,
-and the generic kernel feeds ``gain_weight`` the same ``(old, new)``
-stream the scalar loop would.
+**Vector gain scan.**  :meth:`CSRTraversal._vector_scan` runs one
+pruned BFS as one numpy pass per level and still reproduces the scalar
+emission order: the ragged ``np.repeat`` row gather visits parents in
+frontier order and neighbours in row order — the scalar FIFO discovery
+order — so keeping each vertex's *first* occurrence (a linear reversed
+scatter-claim, not a sort) leaves every level's sequence identical.
+:meth:`CSRTraversal._vector_eval` then sums closeness drops in int64
+and adds the elementwise harmonic terms sequentially in emission order.
 
-**Adaptive single-candidate kernel.**  After round 0 a pruned scan
-usually touches only the few vertices a candidate would move closer,
-and there the vector scan's ~10 numpy calls per level cost more than
-the scalar loop.  :meth:`CSRTraversal.adaptive_eval` runs the scalar
-scan under an edge-visit budget (:data:`SCAN_EDGE_BUDGET`) and hands
-only scans that run past it to the vector scan.  The lazy (CELF)
-driver scores every scan after round 0 this way.
+**Adaptive kernel.**  After round 0 most scans touch only a few
+vertices, where the vector scan's ~10 numpy calls per level cost more
+than the scalar loop.  :meth:`CSRTraversal.adaptive_eval` runs the
+scalar scan under an edge-visit budget (:data:`SCAN_EDGE_BUDGET`, read
+at call time) and hands only scans past it to the vector scan.
 
-**Round-0 kernel.**  With the group still empty every gain scan is a
-plain BFS and every vertex at level ``L`` contributes the same term, so
-:meth:`CSRTraversal.first_round_gains` needs only each source's level
-histogram.  It gets all of them from one bitset multi-source BFS — 64
-sources per machine word, one gather and one ``bitwise_or.reduceat``
-per level — and replays each lane's scalar fold from the histogram.
+**Round-0 kernel.**  Against an empty group every vertex at level ``L``
+contributes the same term, so :meth:`CSRTraversal.first_round_gains`
+needs only each source's level histogram, and gets them all from one
+bitset multi-source BFS — 64 sources per machine word, one gather and
+one ``bitwise_or.reduceat`` per level.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import deque
+from typing import Iterable, Iterator, Optional
 
 import numpy as _np
 
 from repro.core.deadline import check as check_deadline
 from repro.graph.adjacency import Graph
 
-__all__ = ["CSRTraversal"]
+__all__ = [
+    "UNREACHED",
+    "bfs_distances",
+    "multi_source_distances",
+    "improvements",
+    "CSRTraversal",
+]
+
+UNREACHED = -1
 
 #: Soft budget on the words one level of the round-0 bitset BFS
 #: gathers: :meth:`CSRTraversal.first_round_gains` chunks its sources so
@@ -119,12 +115,91 @@ def _sequential_sum(terms) -> float:
     return 0.0 + float(_np.cumsum(terms)[-1])
 
 
+def bfs_distances(graph: Graph, source: int) -> list[int]:
+    """Distances from ``source`` to every vertex; ``-1`` if unreachable."""
+    dist = [UNREACHED] * graph.num_vertices
+    dist[source] = 0
+    queue = deque((source,))
+    neighbors = graph.neighbors
+    while queue:
+        u = queue.popleft()
+        next_level = dist[u] + 1
+        for v in neighbors(u):
+            if dist[v] == UNREACHED:
+                dist[v] = next_level
+                queue.append(v)
+    return dist
+
+
+def multi_source_distances(graph: Graph, sources: Iterable[int]) -> list[int]:
+    """``dist[v] = min over s in sources of d(v, s)``; ``-1`` unreachable.
+
+    An empty source set yields all ``-1``.
+    """
+    dist = [UNREACHED] * graph.num_vertices
+    queue: deque[int] = deque()
+    for s in sources:
+        if dist[s] != 0:
+            dist[s] = 0
+            queue.append(s)
+    neighbors = graph.neighbors
+    while queue:
+        u = queue.popleft()
+        next_level = dist[u] + 1
+        for v in neighbors(u):
+            if dist[v] == UNREACHED:
+                dist[v] = next_level
+                queue.append(v)
+    return dist
+
+
+def improvements(
+    graph: Graph,
+    source: int,
+    current: list[int],
+) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(v, old, new)`` for each vertex ``source`` moves closer.
+
+    ``current[v]`` is ``d(v, S)`` (``-1``: unreachable).  The stream
+    holds every ``v``, ``source`` first, with ``d(v, S ∪ {source}) <
+    d(v, S)``, in BFS discovery order; the caller folds it into its
+    gain (closeness ``old - new``, harmonic ``1/new - 1/old``).
+    """
+    n = graph.num_vertices
+    # Tentative new distances; -2 = untouched in this traversal.
+    new_dist = [-2] * n
+    cur_src = current[source]
+    if cur_src != -1 and cur_src <= 0:
+        return  # source already in S (distance 0): nothing can improve
+    new_dist[source] = 0
+    yield (source, cur_src, 0)
+    queue = deque((source,))
+    neighbors = graph.neighbors
+    while queue:
+        u = queue.popleft()
+        next_level = new_dist[u] + 1
+        for v in neighbors(u):
+            if new_dist[v] != -2:
+                continue
+            cur = current[v]
+            if cur != -1 and cur <= next_level:
+                # No improvement here, and (by the Lipschitz argument)
+                # none further along this branch either.
+                continue
+            new_dist[v] = next_level
+            yield (v, cur, next_level)
+            queue.append(v)
+
+
 class CSRTraversal:
     """Reusable BFS workspace over the CSR arrays of one graph.
 
     Instances are cheap to query but stateful: the scratch buffers are
     reused by every call, so a single traversal must finish before the
-    next one starts (no interleaving, no sharing across threads).
+    next one starts (no interleaving, no sharing across threads).  The
+    gain kernels take an objective whose ``csr_kernel`` tag is
+    ``"closeness"`` (with its unreachable penalty in a public
+    ``penalty`` attribute) or ``"harmonic"``.
     """
 
     __slots__ = (
@@ -134,7 +209,6 @@ class CSRTraversal:
         "_nd_indptr",
         "_nd_indices",
         "_nd_indptr64",
-        "_nd_dist",
         "_vec_dist",
         "_vec_claim",
         "_claim_tick",
@@ -155,10 +229,9 @@ class CSRTraversal:
         # The CSR arrays back the vectorized kernels.
         self._nd_indptr, self._nd_indices = graph.csr_arrays()
         # Lazily allocated vector scratch, reused across calls: the
-        # widened indptr, the full-BFS distance array, and the distance
-        # and claim cells of the vector gain scan.
+        # widened indptr, and the distance and claim cells of the
+        # vector gain scan.
         self._nd_indptr64 = None
-        self._nd_dist = None
         self._vec_dist = None
         self._vec_claim = None
         self._claim_tick = 1
@@ -168,71 +241,12 @@ class CSRTraversal:
         #: and one per bitset chunk of :meth:`first_round_gains`.
         self.vector_dispatches = 0
 
-    # ------------------------------------------------------------------
-    # Full BFS (CSR rebuilds of repro.paths.bfs)
-    # ------------------------------------------------------------------
-    def bfs_distances(self, source: int) -> list[int]:
-        """Distances from ``source``; ``-1`` if unreachable."""
-        return self._frontier_distances((source,))
-
-    def multi_source_distances(self, sources: Iterable[int]) -> list[int]:
-        """``dist[v] = min over s in sources of d(v, s)``; ``-1`` unreachable."""
-        return self._frontier_distances(sources)
-
     def _indptr64(self):
         """``indptr`` as int64, widened once and cached (row math needs
         int64 to survive large cumsums)."""
         if self._nd_indptr64 is None:
             self._nd_indptr64 = self._nd_indptr.astype(_np.int64)
         return self._nd_indptr64
-
-    def _dist_scratch(self):
-        """The reusable full-BFS distance array, reset to all ``-1``."""
-        dist = self._nd_dist
-        if dist is None:
-            dist = _np.empty(self.n, dtype=_np.int64)
-            self._nd_dist = dist
-        dist.fill(-1)
-        return dist
-
-    def _frontier_distances(self, sources: Iterable[int]) -> list[int]:
-        """Vectorized level-synchronous BFS over the ndarray views.
-
-        Per level: gather every frontier row with one fancy-index
-        expansion, keep the unvisited targets, stamp their level.
-        Distances are order-independent, so this equals the scalar FIFO
-        kernel exactly.  The distance array and the widened ``indptr``
-        are preallocated scratch reused across calls — the greedy round
-        loops call this thousands of times, and the O(n) allocation per
-        call used to dominate small-frontier queries.
-        """
-        indptr = self._indptr64()
-        indices = self._nd_indices
-        dist = self._dist_scratch()
-        frontier = _np.unique(_np.fromiter(sources, dtype=_np.int64))
-        if frontier.size == 0:
-            return dist.tolist()
-        dist[frontier] = 0
-        level = 0
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = _np.cumsum(counts)
-            slots = (
-                _np.repeat(starts - (cum - counts), counts)
-                + _np.arange(total, dtype=_np.int64)
-            )
-            targets = indices[slots]
-            fresh = _np.unique(targets[dist[targets] == -1])
-            if fresh.size == 0:
-                break
-            level += 1
-            dist[fresh] = level
-            frontier = fresh
-        return dist.tolist()
 
     # ------------------------------------------------------------------
     # Vector gain scan: one pruned BFS, one numpy pass per level
@@ -329,27 +343,19 @@ class CSRTraversal:
         equals the scalar sum.  Harmonic terms (``1.0/new - old_term``)
         are elementwise, so numpy float64 reproduces CPython bit for
         bit; only the *sum* is order-sensitive, and it runs sequentially
-        over the emission-ordered terms (:func:`_sequential_sum`).  Any
-        other objective gets its ``gain_weight`` called per term, in
-        emission order.
+        over the emission-ordered terms (:func:`_sequential_sum`).
         """
         verts, news = self._vector_scan(source, current)
         olds = current[verts]
-        kernel = getattr(objective, "csr_kernel", None)
-        if kernel == "closeness":
+        if objective.csr_kernel == "closeness":
             drops = _np.where(olds == -1, objective.penalty, olds) - news
             gain = float(drops.sum(dtype=_np.int64))
-        elif kernel == "harmonic":
+        else:
             inv_old = _np.zeros(olds.size, dtype=_np.float64)
             _np.divide(1.0, olds, out=inv_old, where=(olds != -1))
             inv_new = _np.zeros(news.size, dtype=_np.float64)
             _np.divide(1.0, news, out=inv_new, where=(news > 0))
             gain = _sequential_sum(inv_new - inv_old)
-        else:
-            weight = objective.gain_weight
-            gain = 0.0
-            for old, new in zip(olds.tolist(), news.tolist()):
-                gain += weight(old, new)
         if not collect:
             return gain, None
         return gain, list(zip(verts.tolist(), news.tolist()))
@@ -364,8 +370,6 @@ class CSRTraversal:
         current_nd,
         objective,
         collect: bool = False,
-        *,
-        budget: int = SCAN_EDGE_BUDGET,
     ) -> tuple[float, Optional[list[tuple[int, int]]]]:
         """``(gain, updates)`` of adding ``source`` to the committed set
         whose distances are ``current``.
@@ -374,41 +378,26 @@ class CSRTraversal:
         "unreachable"; ``current_nd`` is the same distances as an int32
         ndarray with ``-1`` for unreachable (the vector scan's view).
 
-        The scalar pruned BFS works on ``current`` itself: an admitted
-        vertex is lowered in place and its old value saved in ``_olds``,
-        aligned with ``_queue``.  BFS levels only grow, so a vertex this
-        scan already lowered holds at most the next level, and one test
-        per edge, ``current[v] > next_level``, both skips it and prunes
-        the vertices the candidate does not move closer.  A single sweep
-        over the emission order then folds the gain and restores
-        ``current``.  The queue lists the improved vertices in exactly
-        the order :func:`repro.paths.truncated.improvements` yields
-        them, so the fold replays ``gain_weight`` term by term.
+        The scalar pruned BFS lowers each admitted vertex of ``current``
+        in place and saves its old value in ``_olds``, aligned with
+        ``_queue``; BFS levels only grow, so one test per edge,
+        ``current[v] > next_level``, both skips vertices already lowered
+        and prunes those the candidate does not move closer.  One sweep
+        over the queue (the :func:`improvements` order) then folds the
+        gain term by term and restores ``current``.
 
-        ``budget`` caps the edge visits (the summed row lengths of the
-        dequeued vertices): a scan that runs past it is abandoned,
-        ``current`` restored, and the candidate re-run on the vector
-        scan, whose per-level numpy passes win once a scan is large;
-        both return the same ``(gain, updates)`` bit for bit.  A
-        negative ``budget`` is no budget: the scan always finishes
-        scalar and ``current_nd`` is never read, so
-        ``adaptive_eval(u, current, None, objective, collect,
-        budget=-1)`` is the scalar reference kernel.
-
-        Objectives advertise a specialized fold via a ``csr_kernel``
-        class attribute (``"closeness"`` carries its unreachable-penalty
-        in a public ``penalty`` attribute); anything else is folded by
-        calling ``objective.gain_weight`` per improvement, with ``-1``
-        for an unreachable old distance.
+        :data:`SCAN_EDGE_BUDGET`, read at call time, caps the edge
+        visits (summed row lengths of the dequeued vertices): a scan
+        past it is abandoned, ``current`` restored, and the candidate
+        re-run on the vector scan, which returns the same ``(gain,
+        updates)`` bit for bit.  At ``sys.maxsize`` no scan hands off
+        and ``current_nd`` is never read.
         """
         n = self.n
         d = current
         if d[source] == 0:
             return 0.0, ([] if collect else None)  # source already in S
-        if budget < 0:
-            # No budget: a scan visits each row at most once, so it
-            # never spends more than every edge.
-            budget = len(self._nd_indices)
+        budget = SCAN_EDGE_BUDGET
         rows = self._rows
         queue = self._queue
         olds = self._olds
@@ -437,8 +426,7 @@ class CSRTraversal:
                     queue[tail] = v
                     tail += 1
         updates = [(v, d[v]) for v in queue[:tail]] if collect else None
-        kernel = getattr(objective, "csr_kernel", None)
-        if kernel == "closeness":
+        if objective.csr_kernel == "closeness":
             penalty = objective.penalty
             total = 0
             for i in range(tail):
@@ -447,23 +435,15 @@ class CSRTraversal:
                 total += (penalty if old == n else old) - d[v]
                 d[v] = old
             return float(total), updates
-        if kernel == "harmonic":
-            # The source (new distance 0) only removes its old term.
-            old = olds[0]
-            gain = 0.0 + -(0.0 if old == n else 1.0 / old)
-            d[source] = old
-            for i in range(1, tail):
-                v = queue[i]
-                old = olds[i]
-                gain += 1.0 / d[v] - (0.0 if old == n else 1.0 / old)
-                d[v] = old
-            return gain, updates
-        weight = objective.gain_weight
-        gain = 0.0
-        for i in range(tail):
+        # Harmonic.  The source (new distance 0) only removes its old
+        # term.
+        old = olds[0]
+        gain = 0.0 + -(0.0 if old == n else 1.0 / old)
+        d[source] = old
+        for i in range(1, tail):
             v = queue[i]
             old = olds[i]
-            gain += weight(-1 if old == n else old, d[v])
+            gain += 1.0 / d[v] - (0.0 if old == n else 1.0 / old)
             d[v] = old
         return gain, updates
 
@@ -472,7 +452,7 @@ class CSRTraversal:
     # ------------------------------------------------------------------
     def first_round_gains(self, sources, objective) -> list[float]:
         """Empty-group gain of every source, bitwise equal to the scalar
-        ``adaptive_eval(source, [n] * n, None, objective, budget=-1)``.
+        ``adaptive_eval(source, [n] * n, None, objective)`` fold.
 
         With no committed set the pruned scan is a plain BFS, and every
         vertex a source reaches at level ``L`` contributes the same term
@@ -491,17 +471,7 @@ class CSRTraversal:
         sources = [int(s) for s in sources]
         if not sources:
             return []
-        kernel = getattr(objective, "csr_kernel", None)
-        if kernel == "harmonic":
-
-            def term(level):
-                return 1.0 / level if level else -0.0
-        elif kernel != "closeness":
-            weight = objective.gain_weight
-
-            def term(level):
-                return weight(-1, level)
-
+        closeness = objective.csr_kernel == "closeness"
         # Chunk lanes so one level's (2m, W) gather stays within the
         # cell budget.
         words = max(1, ROUND0_CELL_BUDGET // max(1, self._nd_indices.size))
@@ -509,12 +479,14 @@ class CSRTraversal:
         gains: list[float] = []
         for lo in range(0, len(sources), step):
             hist = self._level_histograms(sources[lo : lo + step])
-            if kernel == "closeness":
+            if closeness:
                 levels = _np.arange(hist.shape[1], dtype=_np.int64)
                 totals = hist @ (objective.penalty - levels)
                 gains.extend(float(t) for t in totals.tolist())
                 continue
-            terms = _np.array([term(level) for level in range(hist.shape[1])])
+            # Harmonic: level L adds 1/L, the source -0.0.
+            terms = [1.0 / lv if lv else -0.0 for lv in range(hist.shape[1])]
+            terms = _np.array(terms)
             for counts in hist:
                 gains.append(_sequential_sum(_np.repeat(terms, counts)))
         return gains

@@ -36,13 +36,21 @@ __all__ = [
     "GraphEntry",
     "GraphRegistry",
     "QUERY_KINDS",
+    "QUERY_PARAMS",
+    "check_query_params",
     "execute_query",
     "load_spec_graph",
     "parse_graph_spec",
 ]
 
-#: The query kinds the serving layer routes.
-QUERY_KINDS = ("skyline", "group", "clique")
+#: The query kinds the serving layer routes, each with the parameters
+#: it accepts; any other key is an error.
+QUERY_PARAMS = {
+    "skyline": (),
+    "group": ("k", "measure", "use_skyline"),
+    "clique": ("top_k", "use_skyline"),
+}
+QUERY_KINDS = tuple(QUERY_PARAMS)
 
 
 def parse_graph_spec(spec: str) -> tuple[str, str, str]:
@@ -239,6 +247,21 @@ def _bool_param(params: dict, key: str, default: bool) -> bool:
     return value
 
 
+def check_query_params(kind: str, params: dict) -> None:
+    """ParameterError naming the first key ``kind`` does not accept."""
+    allowed = QUERY_PARAMS.get(kind)
+    if allowed is None:
+        raise ParameterError(
+            f"unknown query kind {kind!r}; choose from {list(QUERY_KINDS)}"
+        )
+    for key in params:
+        if key not in allowed:
+            raise ParameterError(
+                f"unknown {kind} query parameter {key!r}; allowed: "
+                f"{list(allowed)}"
+            )
+
+
 def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
     """Run one query on ``entry``; a JSON-able result.
 
@@ -253,7 +276,11 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
       identical groups and gains);
     * ``clique`` — the ``mc_brb``/``neisky_mc``/``*_topk_mcc`` clique
       lists, skyline-pruned variants reusing the cached skyline.
+
+    ``params`` may hold only the keys :data:`QUERY_PARAMS` lists for
+    ``kind``.
     """
+    check_query_params(kind, params)
     graph = entry.graph
     if kind == "skyline":
         counters = SkylineCounters()
@@ -296,29 +323,26 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
             "objective": result.objective,
             "_counters": counters,
         }
-    if kind == "clique":
-        from repro.clique import base_topk_mcc, mc_brb, neisky_mc, neisky_topk_mcc
+    # kind == "clique" (check_query_params rejected any other kind).
+    from repro.clique import base_topk_mcc, mc_brb, neisky_mc, neisky_topk_mcc
 
-        top_k = _int_param(params, "top_k", 1, 1)
-        use_skyline = _bool_param(params, "use_skyline", True)
-        counters = SkylineCounters()
-        if not use_skyline:
-            cliques = (
-                [mc_brb(graph)] if top_k == 1 else base_topk_mcc(graph, top_k)
-            )
+    top_k = _int_param(params, "top_k", 1, 1)
+    use_skyline = _bool_param(params, "use_skyline", True)
+    counters = SkylineCounters()
+    if not use_skyline:
+        cliques = (
+            [mc_brb(graph)] if top_k == 1 else base_topk_mcc(graph, top_k)
+        )
+    else:
+        sky = entry.skyline_result(counters)
+        if top_k == 1:
+            cliques = [neisky_mc(graph, skyline=sky.skyline)]
         else:
-            sky = entry.skyline_result(counters)
-            if top_k == 1:
-                cliques = [neisky_mc(graph, skyline=sky.skyline)]
-            else:
-                cliques = neisky_topk_mcc(graph, top_k, skyline_result=sky)
-        return {
-            "top_k": top_k,
-            "use_skyline": use_skyline,
-            "cliques": [list(c) for c in cliques],
-            "sizes": [len(c) for c in cliques],
-            "_counters": counters,
-        }
-    raise ParameterError(
-        f"unknown query kind {kind!r}; choose from {list(QUERY_KINDS)}"
-    )
+            cliques = neisky_topk_mcc(graph, top_k, skyline_result=sky)
+    return {
+        "top_k": top_k,
+        "use_skyline": use_skyline,
+        "cliques": [list(c) for c in cliques],
+        "sizes": [len(c) for c in cliques],
+        "_counters": counters,
+    }

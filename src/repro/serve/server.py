@@ -69,6 +69,7 @@ from repro.serve.queue import (
 from repro.serve.registry import (
     QUERY_KINDS,
     GraphRegistry,
+    check_query_params,
     load_spec_graph,
     parse_graph_spec,
 )
@@ -516,6 +517,10 @@ class SkylineServer:
             for key, value in payload.items()
             if key not in ("graph", "kind", "priority", "timeout_s")
         }
+        try:
+            check_query_params(kind, params)
+        except ParameterError as exc:
+            raise HttpError(400, str(exc)) from None
         return {
             "graph": graph,
             "kind": kind,

@@ -196,6 +196,24 @@ class TestValidation:
             assert result == plain
             assert all(type(u) is int for u in result.group)
 
+    def test_untagged_objective_runs_eager_only(self, karate):
+        class Unit:
+            """Counts newly reached vertices; no ``csr_kernel`` tag."""
+
+            name = "unit"
+
+            def gain_weight(self, old, new):
+                return 1.0 if old == -1 else 0.0
+
+        with pytest.raises(ParameterError) as info:
+            run_greedy(karate, 2, Unit(), strategy="lazy")
+        message = str(info.value)
+        assert "\n" not in message
+        assert "'unit'" in message and 'strategy="eager"' in message
+        eager = run_greedy(karate, 2, Unit(), strategy="eager")
+        assert len(eager.group) == 2
+        assert eager.gains == (34.0, 0.0)
+
 class TestGroupBetweennessLazy:
     @pytest.fixture
     def community(self):

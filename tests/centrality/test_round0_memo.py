@@ -25,6 +25,7 @@ from repro.centrality.lazy_greedy import lazy_greedy_maximize
 from repro.core.api import neighborhood_skyline
 from repro.core.counters import SkylineCounters
 from repro.core.deadline import DeadlineExceeded, deadline
+from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.generators import (
     barabasi_albert,
@@ -223,6 +224,8 @@ def test_closeness_penalty_is_part_of_the_key():
 
 
 def test_objective_without_kernel_never_touches_the_memo():
+    # The lazy driver has no kernel for an untagged objective: it
+    # rejects it before round 0, so the memo is never created.
     class Unit:
         name = "unit"
 
@@ -230,7 +233,8 @@ def test_objective_without_kernel_never_touches_the_memo():
             return 1.0 if old == -1 else 0.0
 
     g = karate_club()
-    lazy_greedy_maximize(g, 3, Unit())
+    with pytest.raises(ParameterError, match='strategy="eager"'):
+        lazy_greedy_maximize(g, 3, Unit())
     assert g._round0 is None
 
 

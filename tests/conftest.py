@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -29,6 +30,16 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.karate import karate_club
+import repro.paths.csr
+
+
+def scan_edge_budget(budget: int):
+    """Patch :data:`repro.paths.csr.SCAN_EDGE_BUDGET` for one ``with``
+    block: ``0`` hands every gain scan that visits an edge to the vector
+    scan, and ``sys.maxsize`` hands none, which makes
+    :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval` the scalar
+    kernel.  Safe inside Hypothesis bodies, unlike ``monkeypatch``."""
+    return mock.patch.object(repro.paths.csr, "SCAN_EDGE_BUDGET", budget)
 
 
 # ---------------------------------------------------------------------

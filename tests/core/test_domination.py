@@ -137,7 +137,7 @@ class TestTwoHop:
         assert list(two_hop_neighbors(g, 0)) == []
 
     def test_matches_bfs_definition(self, karate):
-        from repro.paths.bfs import bfs_distances
+        from repro.paths.csr import bfs_distances
 
         for u in karate.vertices():
             via_iter = set(two_hop_neighbors(karate, u))

@@ -1,11 +1,13 @@
-"""Tests for the flat-array CSR BFS kernels.
+"""Tests for the gain kernels of :class:`~repro.paths.csr.CSRTraversal`.
 
-:class:`~repro.paths.csr.CSRTraversal` re-implements the list-based
-kernels of :mod:`repro.paths.bfs` and :mod:`repro.paths.truncated` over
-preallocated scratch buffers; every test here is an equivalence check
-against those references, because the lazy greedy engine's exactness
+The traversal re-implements the scalar gain reference
+:func:`~repro.paths.csr.improvements` over preallocated scratch
+buffers; every test here is an equivalence check against that
+reference (or the full BFS), because the lazy greedy engine's exactness
 proof leans on the kernels being *identical*, not just correct.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +15,13 @@ import pytest
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
-from repro.paths.bfs import bfs_distances, multi_source_distances
-from repro.paths.csr import CSRTraversal
-from repro.paths.truncated import improvements
+from repro.paths.csr import (
+    CSRTraversal,
+    bfs_distances,
+    improvements,
+    multi_source_distances,
+)
+from tests.conftest import scan_edge_budget
 
 
 def dist_after(graph, group):
@@ -35,99 +41,101 @@ def scan_dist(current):
 
 def restored_eval(trav, source, current, current_nd, objective, collect,
                   budget):
-    """One ``adaptive_eval`` on the scan's view of ``current``, asserting
-    the scan hands its distance list back exactly as it found it."""
+    """One ``adaptive_eval`` on the scan's view of ``current`` under edge
+    budget ``budget``, asserting the scan hands its distance list back
+    exactly as it found it."""
     dist = scan_dist(current)
     before = list(dist)
-    result = trav.adaptive_eval(
-        source, dist, current_nd, objective, collect, budget=budget
-    )
+    with scan_edge_budget(budget):
+        result = trav.adaptive_eval(
+            source, dist, current_nd, objective, collect
+        )
     assert dist == before
     return result
 
 
 def scalar_eval(trav, source, current, objective, collect=True):
-    """The scalar kernel: ``adaptive_eval`` with no edge budget, which
-    never hands off, so the vector view of ``current`` is never read."""
-    return restored_eval(trav, source, current, None, objective, collect, -1)
+    """The scalar kernel: with no edge budget no scan hands off, so the
+    vector view of ``current`` is never read."""
+    return restored_eval(
+        trav, source, current, None, objective, collect, sys.maxsize
+    )
 
 
-class StreamRecorder:
-    """A generic objective (no ``csr_kernel`` tag) that records the
-    ``(old, new)`` stream it is fed and weighs every term 0."""
-
-    name = "stream-recorder"
-
-    def __init__(self):
-        self.stream = []
-
-    def gain_weight(self, old, new):
-        self.stream.append((old, new))
-        return 0.0
-
-
-def scan_improvements(trav, source, current, budget=-1):
+def scan_improvements(trav, source, current, budget=sys.maxsize):
     """The ``(v, old, new)`` stream of one ``adaptive_eval`` scan, for a
     ``current`` with ``-1`` for unreachable (as the stream reports it).
 
-    The recorder sees the ``(old, new)`` terms in the order the fold
-    consumes them, and ``collect=True`` returns the ``(v, new)`` updates
-    in emission order.  The default ``budget=-1`` keeps the scan on the
-    scalar scan; ``budget=0`` hands every scan that visits an edge
-    to the vector scan.
+    ``collect=True`` returns the ``(v, new)`` updates in emission order,
+    and each ``old`` is ``current[v]``.  The default budget keeps the
+    scan on the scalar scan; ``budget=0`` hands every scan that visits
+    an edge to the vector scan.
     """
-    recorder = StreamRecorder()
-    current_nd = None if budget < 0 else np.array(current, dtype=np.int32)
+    current_nd = np.array(current, dtype=np.int32)
     _gain, updates = restored_eval(
-        trav, source, current, current_nd, recorder, True, budget
+        trav, source, current, current_nd, HarmonicObjective(), True, budget
     )
-    assert len(updates) == len(recorder.stream)
-    out = []
-    for (v, new), (old, new_seen) in zip(updates, recorder.stream):
-        assert new == new_seen
-        out.append((v, old, new))
-    return out
+    return [(v, current[v], new) for v, new in updates]
+
+
+def commit_distances(trav, sources):
+    """``d(v, S)`` built the way the lazy driver commits a group: each
+    source's collected updates applied to the distance list in turn
+    (``-1`` for unreachable)."""
+    n = trav.n
+    dist = [n] * n
+    for s in sources:
+        _gain, updates = scalar_eval(
+            trav, s, [-1 if d == n else d for d in dist], HarmonicObjective()
+        )
+        for v, new in updates:
+            dist[v] = new
+    return [-1 if d == n else d for d in dist]
 
 
 class TestFullBfs:
+    """The full BFS the lazy driver's round-0 commit runs equals the
+    empty-group gain scan's updates, which is what every later commit
+    applies."""
+
     def test_path(self, p6):
         trav = CSRTraversal(p6)
-        assert trav.bfs_distances(0) == bfs_distances(p6, 0)
+        assert commit_distances(trav, [0]) == bfs_distances(p6, 0)
 
     def test_every_source_matches(self, karate):
         trav = CSRTraversal(karate)
         for src in karate.vertices():
-            assert trav.bfs_distances(src) == bfs_distances(karate, src)
+            assert commit_distances(trav, [src]) == bfs_distances(karate, src)
 
     def test_disconnected_marks_unreachable(self, disconnected):
         trav = CSRTraversal(disconnected)
         for src in disconnected.vertices():
-            assert trav.bfs_distances(src) == bfs_distances(
+            assert commit_distances(trav, [src]) == bfs_distances(
                 disconnected, src
             )
 
     def test_multi_source(self, karate):
         trav = CSRTraversal(karate)
         for sources in ([5], [0, 33], [0, 16, 33], []):
-            assert trav.multi_source_distances(
-                sources
+            assert commit_distances(
+                trav, sources
             ) == multi_source_distances(karate, sources)
 
     def test_multi_source_duplicates(self, p6):
         trav = CSRTraversal(p6)
-        assert trav.multi_source_distances([2, 2]) == bfs_distances(p6, 2)
+        assert commit_distances(trav, [2, 2]) == bfs_distances(p6, 2)
 
     def test_buffer_reuse_across_calls(self, karate):
-        # The queue buffer is shared state; interleaving full and
-        # truncated traversals must not leak between calls.
+        # The queue buffer is shared state; interleaving scans must not
+        # leak between calls.
         trav = CSRTraversal(karate)
-        first = trav.bfs_distances(0)
+        first = commit_distances(trav, [0])
         n = karate.num_vertices
         dist = [n] * n
-        trav.adaptive_eval(33, dist, None, HarmonicObjective(), budget=-1)
+        trav.adaptive_eval(33, dist, None, HarmonicObjective())
         assert dist == [n] * n
-        trav.multi_source_distances([1, 2])
-        assert trav.bfs_distances(0) == first
+        commit_distances(trav, [1, 2])
+        assert commit_distances(trav, [0]) == first
 
 
 class TestImprovements:
@@ -198,21 +206,6 @@ class TestEvaluators:
                 assert none is None
                 assert updates
 
-    def test_generic_fallback_kernel(self, p6):
-        class WeirdObjective:
-            """A gain objective with no specialized CSR kernel."""
-
-            name = "weird"
-
-            def gain_weight(self, old, new):
-                """Count improved vertices, nothing else."""
-                return 1.0
-
-        trav = CSRTraversal(p6)
-        gain, updates = scalar_eval(trav, 0, [-1] * 6, WeirdObjective())
-        assert gain == 6.0
-        assert len(updates) == 6
-
     def test_harmonic_disconnected_bitwise(self, disconnected):
         trav = CSRTraversal(disconnected)
         objective = HarmonicObjective()
@@ -228,8 +221,8 @@ class TestEvaluators:
 
 class TestBatchPlane:
     """The vector gain scan (``_vector_scan``, reached through
-    ``adaptive_eval`` with budget 0) must replay the scalar kernels bit
-    for bit, emission order included."""
+    ``adaptive_eval`` with the edge budget at 0) must replay the scalar
+    kernels bit for bit, emission order included."""
 
     @pytest.mark.parametrize("group", [[], [0], [0, 33], [5, 11, 20]])
     def test_batch_improvements_matches_scalar(self, karate, group):
@@ -267,14 +260,14 @@ class TestBatchPlane:
     def test_batch_scan_leaves_block_clean(self, karate):
         # The distance scratch's all-clean invariant is what lets scans
         # reuse it without a full wipe; two identical scans must agree,
-        # and a full-BFS interleave must not perturb them.
+        # and a scalar scan in between must not perturb them.
         trav = CSRTraversal(karate)
         current = [-1] * karate.num_vertices
         first = [
             scan_improvements(trav, u, current, budget=0) for u in (0, 1, 2)
         ]
         assert bool((trav._vec_dist == -2).all())
-        trav.bfs_distances(0)
+        scan_improvements(trav, 0, current)
         assert [
             scan_improvements(trav, u, current, budget=0) for u in (0, 1, 2)
         ] == first
@@ -325,8 +318,7 @@ class TestConstruction:
         first = CSRTraversal(g)
         n = g.num_vertices
         for u in g.vertices():
-            first.adaptive_eval(u, [n] * n, None, HarmonicObjective(),
-                                budget=-1)
+            first.adaptive_eval(u, [n] * n, None, HarmonicObjective())
         rows = [g.neighbors(u) for u in g.vertices()]
         second = CSRTraversal(g)
         assert all(
@@ -337,5 +329,5 @@ class TestConstruction:
     def test_singleton_graph(self):
         g = Graph.from_edges(1, [])
         trav = CSRTraversal(g)
-        assert trav.bfs_distances(0) == [0]
+        assert commit_distances(trav, [0]) == bfs_distances(g, 0) == [0]
         assert scan_improvements(trav, 0, [-1]) == [(0, -1, 0)]

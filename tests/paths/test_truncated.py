@@ -1,10 +1,13 @@
-"""Tests for the pruned marginal-gain BFS."""
+"""Tests for the pruned marginal-gain BFS, the scalar gain reference."""
 
 import random
 
 from repro.graph.generators import erdos_renyi
-from repro.paths.bfs import bfs_distances, multi_source_distances
-from repro.paths.truncated import gain_sum, improvements
+from repro.paths.csr import (
+    bfs_distances,
+    improvements,
+    multi_source_distances,
+)
 
 
 def brute_improvements(graph, source, current):
@@ -69,14 +72,17 @@ class TestImprovements:
 
 
 class TestGainSum:
+    """Gains are folds of the improvement stream, as the eager driver
+    runs them."""
+
     def test_counts_improvements(self, p6):
         current = multi_source_distances(p6, [0])
-        total = gain_sum(p6, 5, current, lambda old, new: 1.0)
+        total = sum(1.0 for _ in improvements(p6, 5, current))
         # Improved vertices: 3 (4→2), 4 (4... ) compute: current=[0..5];
         # adding 5 improves 3 (3→2), 4 (4→1), 5 (5→0).
         assert total == 3.0
 
     def test_weight_receives_old_and_new(self, p6):
         current = multi_source_distances(p6, [0])
-        drop = gain_sum(p6, 5, current, lambda old, new: old - new)
+        drop = sum(old - new for _v, old, new in improvements(p6, 5, current))
         assert drop == (3 - 2) + (4 - 1) + (5 - 0)

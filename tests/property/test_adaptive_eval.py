@@ -3,8 +3,8 @@
 :meth:`~repro.paths.csr.CSRTraversal.adaptive_eval` runs the scalar
 pruned scan under an edge-visit budget and hands scans that run past it
 to the vector scan.  Whichever path runs, it must return the *bitwise
-same* ``(gain, updates)`` as the unbudgeted scalar kernel
-(``budget=-1``, which never hands off), hand its distance list back
+same* ``(gain, updates)`` as the scalar kernel (the budget patched to
+``sys.maxsize``, so no scan hands off), hand its distance list back
 exactly as it found it (the scalar scan lowers it in place), and leave
 the vector scratch clean for the next traversal.  The budget is forced
 to 0 (every scan with an edge hands off), to a huge value (none does)
@@ -20,6 +20,7 @@ greedy equals the eager reference on benchmark-sized graphs.
 import builtins
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -30,10 +31,12 @@ from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.core.api import group_centrality_maximize, neighborhood_skyline
 from repro.graph.generators import copying_power_law, kronecker_graph
-from repro.paths.bfs import multi_source_distances
-from repro.paths.csr import CSRTraversal
-from repro.paths.truncated import improvements
-from tests.conftest import graphs
+from repro.paths.csr import (
+    CSRTraversal,
+    improvements,
+    multi_source_distances,
+)
+from tests.conftest import graphs, scan_edge_budget
 
 COMMON = settings(
     max_examples=40,
@@ -41,32 +44,16 @@ COMMON = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-MEASURES = st.sampled_from(["closeness", "harmonic", "generic"])
+MEASURES = st.sampled_from(["closeness", "harmonic"])
 
-#: Larger than any edge count a test graph can have.
-NO_HANDOFF = 1 << 40
-
-
-class InverseSquareObjective:
-    """An untagged objective: drives the generic ``gain_weight`` path.
-
-    Its terms are not exact binary fractions, so any fold other than the
-    scalar's left-to-right order shows up in the last bits.
-    """
-
-    name = "inverse-square"
-
-    def gain_weight(self, old: int, new: int) -> float:
-        old_term = 0.0 if old == -1 else 1.0 / (old * old + 1)
-        return 1.0 / (new * new + 1) - old_term
+#: Larger than any edge count a graph can have: no scan hands off.
+NO_HANDOFF = sys.maxsize
 
 
 def make_objective(graph, measure):
     if measure == "closeness":
         return ClosenessObjective(graph)
-    if measure == "harmonic":
-        return HarmonicObjective()
-    return InverseSquareObjective()
+    return HarmonicObjective()
 
 
 def committed(graph, seed):
@@ -89,9 +76,10 @@ def scan_dist(current):
 
 def scalar_eval(trav, source, current, objective, collect=False):
     """The scalar reference: no edge budget, so never a hand-off."""
-    return trav.adaptive_eval(
-        source, scan_dist(current), None, objective, collect, budget=-1
-    )
+    with scan_edge_budget(NO_HANDOFF):
+        return trav.adaptive_eval(
+            source, scan_dist(current), None, objective, collect
+        )
 
 
 def assert_same(got, want):
@@ -136,9 +124,10 @@ def test_adaptive_matches_scalar_bitwise(g, measure, seed, budget_kind):
         else:
             budget = budget_kind
         for collect in (False, True):
-            got = trav.adaptive_eval(
-                u, dist, current_nd, objective, collect, budget=budget
-            )
+            with scan_edge_budget(budget):
+                got = trav.adaptive_eval(
+                    u, dist, current_nd, objective, collect
+                )
             assert_restored(trav, dist, before)
             want = scalar_eval(trav, u, current, objective, collect)
             assert_same(got, want)
@@ -156,9 +145,9 @@ def test_budget_zero_hands_off_and_huge_budget_never(g, seed):
     ):
         trav = CSRTraversal(g)
         dist = scan_dist(current)
-        for u in g.vertices():
-            trav.adaptive_eval(u, dist, current_nd, objective,
-                               budget=budget)
+        with scan_edge_budget(budget):
+            for u in g.vertices():
+                trav.adaptive_eval(u, dist, current_nd, objective)
         assert trav.vector_dispatches == len(expected)
 
 
@@ -205,10 +194,11 @@ def test_harmonic_fold_ignores_a_compensated_builtin_sum(monkeypatch):
     # whose harmonic fold is the one a compensated sum could change.
     trav.vector_dispatches = 0
     dist = scan_dist(current)
-    vector = [
-        trav.adaptive_eval(u, dist, current_nd, objective, budget=0)[0]
-        for u in sources
-    ]
+    with scan_edge_budget(0):
+        vector = [
+            trav.adaptive_eval(u, dist, current_nd, objective)[0]
+            for u in sources
+        ]
     assert trav.vector_dispatches == len(handoffs_at_zero_budget(g, current))
     assert [x.hex() for x in vector] == [w.hex() for w in want]
 

@@ -11,7 +11,7 @@ from repro.clique.mcbrb import mc_brb
 from repro.clique.neisky import neisky_mc
 from repro.clique.verify import is_clique, is_maximal_clique
 from repro.core.domination import dominates, two_hop_neighbors
-from repro.paths.bfs import bfs_distances, multi_source_distances
+from repro.paths.csr import bfs_distances, multi_source_distances
 from tests.conftest import connected_graphs, graphs, power_law_graphs
 
 COMMON = settings(

@@ -17,6 +17,7 @@ import os
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,11 +38,12 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators import copying_power_law
 from repro.graph.io import read_edge_list
 from repro.graph.karate import karate_club
-from repro.paths.bfs import bfs_distances, multi_source_distances
-from repro.paths.csr import CSRTraversal
+from repro.centrality.group_harmonic_max import HarmonicObjective
+from repro.paths.csr import CSRTraversal, bfs_distances, multi_source_distances
 from repro.workloads import load, names
 
-from tests.conftest import graphs, power_law_graphs
+from tests.conftest import graphs, power_law_graphs, scan_edge_budget
+from tests.paths.test_bfs import nx_distances
 from tests.property.test_filter_vector import assert_one_path_counters
 
 #: Edge sets built through every constructor: ``(n, edges)``.  The
@@ -213,25 +215,33 @@ class TestSkylineEquivalence:
 class TestTraversalEquivalence:
     @given(graphs(max_vertices=16))
     def test_bfs_distances_match(self, g):
-        if g.num_vertices == 0:
-            return
-        trav = CSRTraversal(g)
         for s in g.vertices():
-            assert trav.bfs_distances(s) == bfs_distances(g, s)
+            assert bfs_distances(g, s) == nx_distances(g, [s])
 
     @given(graphs(max_vertices=16))
     def test_multi_source_matches(self, g):
         n = g.num_vertices
-        trav = CSRTraversal(g)
         for sources in ([], list(range(0, n, 3)), list(range(n))):
-            assert trav.multi_source_distances(
-                sources
-            ) == multi_source_distances(g, sources)
+            assert multi_source_distances(g, sources) == nx_distances(
+                g, sources
+            )
 
     def test_vectorized_and_scalar_kernels_agree(self, karate):
+        # Against an empty group the vector gain scan's updates are the
+        # source's full BFS, as the lazy driver's round-0 commit has it.
         trav = CSRTraversal(karate)
+        n = karate.num_vertices
+        empty_nd = np.full(n, -1, dtype=np.int32)
         for s in karate.vertices():
-            assert trav.bfs_distances(s) == bfs_distances(karate, s)
+            with scan_edge_budget(0):
+                _gain, updates = trav.adaptive_eval(
+                    s, [n] * n, empty_nd, HarmonicObjective(), True
+                )
+            dist = [-1] * n
+            for v, new in updates:
+                dist[v] = new
+            assert dist == bfs_distances(karate, s)
+        assert trav.vector_dispatches == n
 
 
 class TestBinaryFormat:
@@ -418,8 +428,6 @@ class TestHostileBinaryInput:
     def test_mutated_bytes_fail_cleanly_or_keep_invariants(
         self, tmp_path_factory, data
     ):
-        import numpy as np
-
         path = tmp_path_factory.mktemp("mut") / "g.rsky"
         write_binary_graph(Graph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]

@@ -3,9 +3,9 @@
 :meth:`~repro.paths.csr.CSRTraversal.first_round_gains` scores every
 source of an empty group with one bit-parallel BFS and replays each
 lane's scalar fold from its level histogram.  It must return the
-*bitwise same* float as the scalar closeness / harmonic / generic fold
-(``adaptive_eval`` with ``budget=-1``) on an all-unreachable distance
-vector, for every source count (one lane, one word, one word plus one lane,
+*bitwise same* float as the scalar closeness / harmonic fold
+(``adaptive_eval`` with the budget patched to ``sys.maxsize``) on an
+all-unreachable distance vector, for every source count (one lane, one word, one word plus one lane,
 several words), across lane chunks, and on graphs with isolated
 vertices and several components.  Equality is on ``float.hex`` so a
 last-bit drift or a ``-0.0`` for ``0.0`` fails.
@@ -13,6 +13,8 @@ last-bit drift or a ``-0.0`` for ``0.0`` fails.
 The end-to-end leg pins the default greedy (lazy, so the bitset round
 0) to the scalar eager driver on R-MAT graphs of scale 7 to 10.
 """
+
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,7 @@ from repro.core.api import group_centrality_maximize, neighborhood_skyline
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi, kronecker_graph
 from repro.paths.csr import CSRTraversal
-from tests.conftest import graphs
+from tests.conftest import graphs, scan_edge_budget
 
 COMMON = settings(
     max_examples=40,
@@ -33,39 +35,24 @@ COMMON = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-MEASURES = st.sampled_from(["closeness", "harmonic", "generic"])
-
-
-class InverseSquareObjective:
-    """An untagged objective: drives the generic per-level term path.
-
-    Its terms are not exact binary fractions, so a fold that is not the
-    scalar's left-to-right order shows up in the last bits.
-    """
-
-    name = "inverse-square"
-
-    def gain_weight(self, old: int, new: int) -> float:
-        old_term = 0.0 if old == -1 else 1.0 / (old * old + 1)
-        return 1.0 / (new * new + 1) - old_term
+MEASURES = st.sampled_from(["closeness", "harmonic"])
 
 
 def make_objective(graph, measure):
     if measure == "closeness":
         return ClosenessObjective(graph)
-    if measure == "harmonic":
-        return HarmonicObjective()
-    return InverseSquareObjective()
+    return HarmonicObjective()
 
 
 def scalar_gains(graph, sources, objective):
     trav = CSRTraversal(graph)
     n = graph.num_vertices
     empty = [n] * n  # nothing reachable: the scan's ``n`` sentinel
-    return [
-        trav.adaptive_eval(s, empty, None, objective, budget=-1)[0]
-        for s in sources
-    ]
+    with scan_edge_budget(sys.maxsize):
+        return [
+            trav.adaptive_eval(s, empty, None, objective)[0]
+            for s in sources
+        ]
 
 
 def assert_bitwise(got, want):
@@ -154,7 +141,7 @@ def test_source_counts_across_words_and_chunks(
 def test_chunk_boundary_with_monkeypatched_budget(monkeypatch):
     g = kronecker_graph(8, 4, seed=5)
     sources = list(range(g.num_vertices))
-    for measure in ("closeness", "harmonic", "generic"):
+    for measure in ("closeness", "harmonic"):
         objective = make_objective(g, measure)
         want = scalar_gains(g, sources, objective)
         monkeypatch.setattr(csr_module, "ROUND0_CELL_BUDGET", 1)

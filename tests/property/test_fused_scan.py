@@ -8,12 +8,12 @@ list in one sweep.  A scan that runs past its edge budget restores the
 list and hands the candidate to the vector scan.
 
 Every scan here is checked against the eager driver's reference: the
-``(v, old, new)`` stream of :func:`repro.paths.truncated.improvements`
+``(v, old, new)`` stream of :func:`repro.paths.csr.improvements`
 (``-1`` for unreachable) folded the old way, ``gain = 0.0`` then
 ``gain += gain_weight(old, new)`` in emission order.  Gains must agree
-on ``float.hex`` and update lists exactly, for the closeness, harmonic
-and an untagged ``gain_weight`` objective, budgets 0 (every scan that
-visits an edge is abandoned), huge (none is) and random, ``collect`` on
+on ``float.hex`` and update lists exactly, for the closeness and
+harmonic objectives, budgets 0 (every scan that visits an edge is
+abandoned), ``sys.maxsize`` (none is) and random, ``collect`` on
 and off, every source including those already in the group, on graphs
 with isolated vertices and several components.
 After every finished and every abandoned scan the distance list must
@@ -21,6 +21,7 @@ equal its pre-scan copy.
 """
 
 import random
+import sys
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -29,10 +30,12 @@ from hypothesis import strategies as st
 from repro.centrality.group_closeness_max import ClosenessObjective
 from repro.centrality.group_harmonic_max import HarmonicObjective
 from repro.graph.adjacency import Graph
-from repro.paths.bfs import multi_source_distances
-from repro.paths.csr import CSRTraversal
-from repro.paths.truncated import improvements
-from tests.conftest import graphs
+from repro.paths.csr import (
+    CSRTraversal,
+    improvements,
+    multi_source_distances,
+)
+from tests.conftest import graphs, scan_edge_budget
 
 COMMON = settings(
     max_examples=60,
@@ -40,28 +43,8 @@ COMMON = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Larger than any edge count a test graph can have.
-NO_HANDOFF = 1 << 40
-
-
-class RecordingObjective:
-    """An untagged objective: drives the generic ``gain_weight`` fold.
-
-    Its terms are not exact binary fractions, so a fold out of emission
-    order shows in the last bits, and an unreachable old distance passed
-    as anything but ``-1`` changes the term.  It records the ``(old,
-    new)`` stream it is fed.
-    """
-
-    name = "recording-inverse-square"
-
-    def __init__(self):
-        self.stream = []
-
-    def gain_weight(self, old: int, new: int) -> float:
-        self.stream.append((old, new))
-        old_term = 0.0 if old == -1 else 1.0 / (old * old + 1)
-        return 1.0 / (new * new + 1) - old_term
+#: Larger than any edge count a graph can have: no scan hands off.
+NO_HANDOFF = sys.maxsize
 
 
 @st.composite
@@ -83,21 +66,20 @@ def multi_component_graphs(draw):
 
 
 def reference(graph, source, current, weight):
-    """The eager driver's fold of one candidate: ``(gain, updates,
-    stream)`` with the ``(old, new)`` terms in emission order."""
+    """The eager driver's fold of one candidate: ``(gain, updates)``
+    with the terms folded in emission order."""
     gain = 0.0
-    updates, stream = [], []
+    updates = []
     for v, old, new in improvements(graph, source, current):
         gain += weight(old, new)
         updates.append((v, new))
-        stream.append((old, new))
-    return gain, updates, stream
+    return gain, updates
 
 
 @COMMON
 @given(
     multi_component_graphs(),
-    st.sampled_from(["closeness", "harmonic", "generic"]),
+    st.sampled_from(["closeness", "harmonic"]),
     st.sampled_from([0, NO_HANDOFF, "random"]),
     st.integers(min_value=0, max_value=2**31),
 )
@@ -111,10 +93,8 @@ def test_fused_scan_matches_the_eager_fold(g, measure, budget_kind, seed):
     before = list(dist)
     if measure == "closeness":
         objective = ClosenessObjective(g)
-    elif measure == "harmonic":
-        objective = HarmonicObjective()
     else:
-        objective = RecordingObjective()
+        objective = HarmonicObjective()
     trav = CSRTraversal(g)
     abandoned = 0
     for u in g.vertices():
@@ -123,21 +103,18 @@ def test_fused_scan_matches_the_eager_fold(g, measure, budget_kind, seed):
             if budget_kind == "random" else budget_kind
         )
         for collect in (False, True):
-            want_gain, want_updates, want_stream = reference(
+            want_gain, want_updates = reference(
                 g, u, current, objective.gain_weight
             )
-            if measure == "generic":
-                objective.stream = []
             dispatches = trav.vector_dispatches
-            gain, updates = trav.adaptive_eval(
-                u, dist, current_nd, objective, collect, budget=budget
-            )
+            with scan_edge_budget(budget):
+                gain, updates = trav.adaptive_eval(
+                    u, dist, current_nd, objective, collect
+                )
             abandoned += trav.vector_dispatches - dispatches
             assert dist == before
             assert gain.hex() == want_gain.hex()
             assert updates == (want_updates if collect else None)
-            if measure == "generic":
-                assert objective.stream == want_stream
     if budget_kind == 0:
         # Every scan that visits an edge was abandoned: the restore
         # check above ran on the abandoned path too.
@@ -162,12 +139,13 @@ def test_source_in_group_scores_zero_and_touches_nothing(g, seed):
     trav = CSRTraversal(g)
     for u in group:
         for objective in (ClosenessObjective(g), HarmonicObjective()):
-            for budget in (0, -1):
-                assert trav.adaptive_eval(
-                    u, dist, None, objective, True, budget=budget
-                ) == (0.0, [])
-                assert trav.adaptive_eval(
-                    u, dist, None, objective, budget=budget
-                ) == (0.0, None)
+            for budget in (0, NO_HANDOFF):
+                with scan_edge_budget(budget):
+                    assert trav.adaptive_eval(
+                        u, dist, None, objective, True
+                    ) == (0.0, [])
+                    assert trav.adaptive_eval(
+                        u, dist, None, objective
+                    ) == (0.0, None)
     assert dist == before
     assert trav.vector_dispatches == 0

@@ -16,6 +16,7 @@ run the scalar kernels only.
 
 import contextlib
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.core.counters import SkylineCounters
 from repro.graph.adjacency import Graph
 from repro.paths.csr import CSRTraversal
 from repro.workloads import load, names
-from tests.conftest import graphs
+from tests.conftest import graphs, scan_edge_budget
 
 COMMON = settings(
     max_examples=30,
@@ -42,60 +43,28 @@ COMMON = settings(
 )
 
 
-class HalfDropObjective:
-    """A custom objective with no ``csr_kernel`` tag.
-
-    Exercises the *generic* kernels (vector BFS, Python ``gain_weight``
-    per improvement) rather than the fused closeness / harmonic
-    reductions.  A vertex at distance ``d`` from the group is worth
-    ``w(d) = 0.5 * max(0, HORIZON - d)`` (unreachable: 0), so the
-    objective is a facility-location sum of a non-increasing ``w``:
-    submodular, which the CELF drain needs to agree with the eager scan.
-    Every value is a multiple of 0.5, so float sums are exact in any
-    order.
-    """
-
-    name = "half-drop"
-    HORIZON = 8
-
-    def _worth(self, dist: int) -> float:
-        if dist == -1:
-            return 0.0
-        return 0.5 * max(0, self.HORIZON - dist)
-
-    def gain_weight(self, old: int, new: int) -> float:
-        return self._worth(new) - self._worth(old)
-
-
 def make_objective(graph, measure):
     if measure == "closeness":
         return ClosenessObjective(graph)
-    if measure == "harmonic":
-        return HarmonicObjective()
-    return HalfDropObjective()
+    return HarmonicObjective()
 
 
 @contextlib.contextmanager
 def scalar_kernels():
     """Confine the lazy driver to the scalar kernels: round 0 scores one
-    scalar scan per source, and no adaptive scan is handed off (a
-    negative budget is no budget)."""
-    adaptive = CSRTraversal.adaptive_eval
+    scalar scan per source, and no adaptive scan is handed off (the
+    edge budget is ``sys.maxsize``)."""
 
     def scalar_first_round(self, sources, objective):
         empty = [self.n] * self.n  # the scalar scan's "unreachable"
         return [
-            adaptive(self, s, empty, None, objective, budget=-1)[0]
+            self.adaptive_eval(s, empty, None, objective)[0]
             for s in sources
         ]
 
-    def unbudgeted(self, *args, **kwargs):
-        kwargs["budget"] = -1
-        return adaptive(self, *args, **kwargs)
-
     with mock.patch.object(
         CSRTraversal, "first_round_gains", scalar_first_round
-    ), mock.patch.object(CSRTraversal, "adaptive_eval", unbudgeted):
+    ), scan_edge_budget(sys.maxsize):
         yield
 
 
@@ -109,30 +78,29 @@ def scalar_lazy(graph, k, objective, **kwargs):
 
 def vector_eager(graph, k, objective):
     """The eager round loop with every candidate scored on the vector
-    scan (``adaptive_eval`` with budget 0)."""
+    scan (``adaptive_eval`` with the edge budget patched to 0)."""
     n = graph.num_vertices
     trav = CSRTraversal(graph)
     dist = [n] * n  # n = unreachable for the scalar scan, -1 for dist_nd
     dist_nd = np.full(n, -1, dtype=np.int32)
     group, gains = [], []
-    for _round in range(min(k, n)):
-        best_u, best_gain = -1, float("-inf")
-        for u in range(n):
-            if u in group:
-                continue
-            gain, _ = trav.adaptive_eval(
-                u, dist, dist_nd, objective, budget=0
+    with scan_edge_budget(0):
+        for _round in range(min(k, n)):
+            best_u, best_gain = -1, float("-inf")
+            for u in range(n):
+                if u in group:
+                    continue
+                gain, _ = trav.adaptive_eval(u, dist, dist_nd, objective)
+                if gain > best_gain:
+                    best_u, best_gain = u, gain
+            _gain, updates = trav.adaptive_eval(
+                best_u, dist, dist_nd, objective, True
             )
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        _gain, updates = trav.adaptive_eval(
-            best_u, dist, dist_nd, objective, True, budget=0
-        )
-        for v, new in updates:
-            dist[v] = new
-            dist_nd[v] = new
-        group.append(best_u)
-        gains.append(best_gain)
+            for v, new in updates:
+                dist[v] = new
+                dist_nd[v] = new
+            group.append(best_u)
+            gains.append(best_gain)
     return tuple(group), tuple(gains)
 
 
@@ -162,7 +130,7 @@ def with_isolated(graph, extra):
     return Graph.from_edges(max(1, graph.num_vertices) * step, edges)
 
 
-MEASURES = st.sampled_from(["closeness", "harmonic", "generic"])
+MEASURES = st.sampled_from(["closeness", "harmonic"])
 
 
 @COMMON

@@ -122,6 +122,30 @@ def test_execute_query_validates_parameters():
         registry.close()
 
 
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("skyline", {"k": 3}, "'k'"),
+        ("group", {"K": 3}, "'K'"),
+        ("group", {"k": 2, "top_k": 2}, "'top_k'"),
+        ("clique", {"k": 2}, "'k'"),
+    ],
+)
+def test_unknown_query_key_is_rejected(kind, params, key):
+    # An unknown key used to be ignored silently: {"K": 3} ran k=8.
+    registry = GraphRegistry()
+    try:
+        entry = registry.register("karate", load("karate"))
+        with pytest.raises(ParameterError) as info:
+            execute_query(entry, kind, params)
+        message = str(info.value)
+        assert "\n" not in message
+        assert key in message and f"unknown {kind} query parameter" in message
+        assert "allowed: [" in message
+    finally:
+        registry.close()
+
+
 @pytest.mark.parametrize("kind", ["group", "clique"])
 @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [], "true"])
 def test_use_skyline_must_be_boolean(kind, value):

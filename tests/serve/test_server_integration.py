@@ -228,6 +228,23 @@ def test_bad_inputs_are_400(server):
     )
 
 
+def test_unknown_query_key_is_400(server):
+    doc = _query(
+        server, {"graph": "karate", "kind": "group", "K": 3}, expect=400
+    )
+    assert doc["error"] == (
+        "unknown group query parameter 'K'; allowed: "
+        "['k', 'measure', 'use_skyline']"
+    )
+
+
+def test_unknown_dataset_spec_is_400_unquoted(server):
+    status, doc = server.request("POST", "/graphs", {"spec": "nosuch"})
+    assert status == 400, doc
+    assert doc["error"].startswith("unknown dataset 'nosuch'; known")
+    assert not doc["error"].endswith('"')
+
+
 def _post_raw(server, path, body: bytes):
     """POST ``body`` verbatim; ``(status, decoded_json)``."""
     conn = http.client.HTTPConnection(

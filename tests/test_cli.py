@@ -95,6 +95,13 @@ def test_unknown_dataset_is_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_dataset_message_is_unquoted(capsys):
+    assert main(["skyline", "--dataset", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown dataset 'nosuch'; known datasets:")
+    assert err.rstrip("\n").endswith("youtube_sim")
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
