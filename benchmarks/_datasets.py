@@ -1,8 +1,9 @@
-"""Shared, cached benchmark instances.
+"""Shared, cached benchmark instances and the skyline columns.
 
 All benchmark modules draw their graphs from here so that (a) every
 figure uses the same instances and (b) each graph is generated once per
-session.  Three families:
+session.  Figs. 3 and 4 draw their columns from
+:data:`SKYLINE_ALGORITHMS`.  Three graph families:
 
 * ``dataset(name)`` — the registry graphs as-is (skyline experiments).
 * ``centrality_instance(name)`` — a connected, smaller instance for the
@@ -25,10 +26,30 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.core import (
+    base_cset_sky,
+    base_sky,
+    base_two_hop_sky,
+    filter_refine_sky,
+    lc_join_sky,
+)
+from repro.core.block_refine import filter_refine_block_sky
 from repro.graph.adjacency import Graph
 from repro.graph.components import largest_connected_component
 from repro.graph.sampling import sample_edges, sample_prefix, sample_vertices
 from repro.workloads import load
+
+#: The paper's five Exp-1 algorithms, FilterRefineSky being its bloom
+#: Alg. 3, then the production kernel (``filter_refine_block``, the
+#: ``"auto"`` default of ``neighborhood_skyline``).
+SKYLINE_ALGORITHMS = (
+    ("LC-Join", lc_join_sky),
+    ("BaseSky", base_sky),
+    ("Base2Hop", base_two_hop_sky),
+    ("BaseCSet", base_cset_sky),
+    ("FilterRefineSky", filter_refine_sky),
+    ("FilterRefineSkyBlock", filter_refine_block_sky),
+)
 
 #: The k values used for Figs. 7/8 (the paper sweeps 50..300 on graphs
 #: three orders of magnitude larger; the ladder keeps the same 6-point

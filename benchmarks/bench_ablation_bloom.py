@@ -8,11 +8,11 @@ Not a paper figure; this sweeps the design choices the paper fixes:
 * ``exact=False`` — the "approximate skyline" variant (paper Sec. III
   remark): skip NBRcheck and accept one-sided error.
 
-The report shows runtime, false-positive counts and (for the
-approximate variant) how many true skyline vertices were lost.
+The report shows runtime (the fastest of :data:`ROUNDS` calls, also
+recorded as a ``bench="ablation_bloom"`` row), false-positive counts
+and (for the approximate variant) how many true skyline vertices were
+lost.
 """
-
-import time
 
 import pytest
 
@@ -22,21 +22,34 @@ from repro.core import SkylineCounters, filter_refine_sky
 DATASET = "livejournal_sim"
 BITS_PER_ELEMENT = (1, 2, 4, 8, 16)
 
+#: Timed calls per cell; the table reports the fastest.
+ROUNDS = 3
 
-@pytest.mark.parametrize("bpe", BITS_PER_ELEMENT)
-def test_ablation_bloom_width(benchmark, figure_report, bpe):
+#: (bits_per_element, exact) per variant: the width sweep, then the
+#: approximate mode at a narrow and a wide filter.
+VARIANTS = [(bpe, True) for bpe in BITS_PER_ELEMENT] + [(1, False), (8, False)]
+
+
+@pytest.mark.parametrize("bpe,exact", VARIANTS)
+def test_ablation_bloom(time_cells, figure_report, bench_json, bpe, exact):
     graph = dataset(DATASET)
     counters = SkylineCounters()
 
     def run():
         counters.reset()
         return filter_refine_sky(
-            graph, bits_per_element=bpe, counters=counters
+            graph, bits_per_element=bpe, exact=exact, counters=counters
         )
 
-    start = time.perf_counter()
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
+    label = f"{'exact' if exact else 'approx'} bpe={bpe}"
+    (timing,) = time_cells({label: run}, ROUNDS).values()
+    result = timing.result
+    bench_json(
+        timing.entry(bench="ablation_bloom", instance=DATASET, algorithm=label)
+    )
+    if not exact:
+        lost = filter_refine_sky(graph).size - result.size
+        label += f" (lost {lost})"
 
     report = figure_report(
         "Ablation bloom",
@@ -52,47 +65,8 @@ def test_ablation_bloom_width(benchmark, figure_report, bpe):
         ),
     )
     report.add_row(
-        f"exact bpe={bpe}",
-        elapsed,
-        result.size,
-        counters.bloom_subset_rejects + counters.bloom_member_rejects,
-        counters.bloom_false_positives,
-        counters.nbr_checks,
-    )
-
-
-@pytest.mark.parametrize("bpe", (1, 8))
-def test_ablation_approximate_mode(benchmark, figure_report, bpe):
-    graph = dataset(DATASET)
-    exact_size = filter_refine_sky(graph).size
-    counters = SkylineCounters()
-
-    def run():
-        counters.reset()
-        return filter_refine_sky(
-            graph, bits_per_element=bpe, exact=False, counters=counters
-        )
-
-    start = time.perf_counter()
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-
-    report = figure_report(
-        "Ablation bloom",
-        f"Bloom sizing and approximation inside FilterRefineSky "
-        f"({DATASET})",
-        (
-            "variant",
-            "time (s)",
-            "|R|",
-            "bloom rejects",
-            "false positives",
-            "nbr checks",
-        ),
-    )
-    report.add_row(
-        f"approx bpe={bpe} (lost {exact_size - result.size})",
-        elapsed,
+        label,
+        timing.min_s,
         result.size,
         counters.bloom_subset_rejects + counters.bloom_member_rejects,
         counters.bloom_false_positives,

@@ -2,59 +2,51 @@
 
 LiveJournal stand-in subsampled along two axes: vertex fraction ``n``
 and edge fraction ``ρ``, at 20–100 %.  Expected shape: FilterRefineSky
-grows smoothly and stays fastest; BaseSky grows more sharply.
+grows smoothly and stays fastest; BaseSky grows more sharply.  The
+production kernel (``FilterRefineSkyBlock``, the ``"auto"`` default)
+rides along as a third column; all three return the same skyline
+(asserted).  Each cell is the fastest of :data:`ROUNDS` calls and lands
+in ``BENCH_skyline.json`` as a ``bench="fig10_scalability"`` row.
 """
-
-import time
 
 import pytest
 
-from _datasets import SCALING_FRACTIONS, scalability_instance
-from repro.core import base_sky, filter_refine_sky
+from _datasets import (
+    SCALING_FRACTIONS,
+    SKYLINE_ALGORITHMS,
+    scalability_instance,
+)
 
-_RESULTS: dict[tuple[str, float], dict[str, float]] = {}
+#: Timed calls per cell; the table reports the fastest.
+ROUNDS = 3
 
-
-def _record(figure_report, axis, fraction, label, elapsed):
-    key = (axis, fraction)
-    _RESULTS.setdefault(key, {})[label] = elapsed
-    row = _RESULTS[key]
-    if "BaseSky" in row and "FilterRefineSky" in row:
-        report = figure_report(
-            "Figure 10",
-            "Scalability of skyline computation on livejournal_sim",
-            ("axis", "fraction", "BaseSky (s)", "FilterRefineSky (s)", "ratio"),
-        )
-        report.add_row(
-            axis,
-            fraction,
-            row["BaseSky"],
-            row["FilterRefineSky"],
-            row["BaseSky"] / row["FilterRefineSky"],
-        )
+COLUMNS = ("BaseSky", "FilterRefineSky", "FilterRefineSkyBlock")
 
 
 @pytest.mark.parametrize("axis", ("n", "rho"))
 @pytest.mark.parametrize("fraction", SCALING_FRACTIONS)
-def test_fig10_base_sky(benchmark, figure_report, axis, fraction):
+def test_fig10_scalability(
+    time_cells, figure_report, bench_json, axis, fraction
+):
     graph = scalability_instance(axis, fraction)
-    start = time.perf_counter()
-    benchmark.pedantic(base_sky, args=(graph,), rounds=1, iterations=1)
-    _record(figure_report, axis, fraction, "BaseSky", time.perf_counter() - start)
-
-
-@pytest.mark.parametrize("axis", ("n", "rho"))
-@pytest.mark.parametrize("fraction", SCALING_FRACTIONS)
-def test_fig10_filter_refine(benchmark, figure_report, axis, fraction):
-    graph = scalability_instance(axis, fraction)
-    start = time.perf_counter()
-    benchmark.pedantic(
-        filter_refine_sky, args=(graph,), rounds=1, iterations=1
+    algos = dict(SKYLINE_ALGORITHMS)
+    times = time_cells(
+        {label: (lambda a=algos[label]: a(graph)) for label in COLUMNS}, ROUNDS
     )
-    _record(
-        figure_report,
-        axis,
-        fraction,
-        "FilterRefineSky",
-        time.perf_counter() - start,
-    )
+    skylines = {times[label].result.skyline for label in COLUMNS}
+    assert len(skylines) == 1, f"{axis}={fraction}: skylines differ"
+    for label in COLUMNS:
+        bench_json(
+            times[label].entry(
+                bench="fig10_scalability",
+                instance=f"livejournal_sim:{axis}={fraction}",
+                algorithm=label,
+            )
+        )
+    walls = [times[label].min_s for label in COLUMNS]
+    figure_report(
+        "Figure 10",
+        "Scalability of skyline computation on livejournal_sim "
+        f"(fastest of {ROUNDS} calls)",
+        ("axis", "fraction") + tuple(f"{c} (s)" for c in COLUMNS) + ("ratio",),
+    ).add_row(axis, fraction, *walls, walls[0] / walls[1])

@@ -12,63 +12,41 @@ median is recorded alongside), and lands in ``BENCH_skyline.json`` as a
 ``bench="fig9_topk_mcc"`` row.
 """
 
-import statistics
-import time
-
 import pytest
 
 from _datasets import dataset
 from repro.clique import base_topk_mcc, neisky_topk_mcc
-from repro.harness.benchjson import bench_entry
 
 DATASETS = ("pokec_sim", "orkut_sim")
 K_VALUES = (1, 3, 5, 7, 9)
-VARIANTS = (("BaseTopkMCC", base_topk_mcc), ("NeiSkyTopkMCC", neisky_topk_mcc))
+VARIANTS = {"BaseTopkMCC": base_topk_mcc, "NeiSkyTopkMCC": neisky_topk_mcc}
 
 #: Timed calls per cell; the table reports the fastest.
 ROUNDS = 3
 
-_RESULTS: dict[tuple[str, int], dict[str, object]] = {}
-
 
 @pytest.mark.parametrize("name", DATASETS)
 @pytest.mark.parametrize("k", K_VALUES)
-@pytest.mark.parametrize("label,solver", VARIANTS, ids=[v for v, _ in VARIANTS])
-def test_fig9_topk(benchmark, figure_report, bench_json, name, k, label, solver):
+def test_fig9_topk(time_cells, figure_report, bench_json, name, k):
     graph = dataset(name)
-    walls = []
-
-    def timed():
-        start = time.perf_counter()
-        out = solver(graph, k)
-        walls.append(time.perf_counter() - start)
-        return out
-
-    cliques = benchmark.pedantic(timed, rounds=ROUNDS, iterations=1)
-    elapsed = min(walls)
-    sizes = [len(c) for c in cliques]
-    bench_json(
-        bench_entry(
-            bench="fig9_topk_mcc",
-            instance=f"{name}:k={k}",
-            algorithm=label,
-            wall_s=elapsed,
-            extra={
-                "sizes": sizes,
-                "rounds": len(walls),
-                "median_s": statistics.median(walls),
-            },
-        )
+    times = time_cells(
+        {label: (lambda s=s: s(graph, k)) for label, s in VARIANTS.items()},
+        ROUNDS,
     )
-
-    row = _RESULTS.setdefault((name, k), {})
-    row[label] = elapsed
-    row[label + "_sizes"] = sizes
-    if not all(v in row for v, _ in VARIANTS):
-        return
-    assert row["BaseTopkMCC_sizes"] == row["NeiSkyTopkMCC_sizes"], (
+    base, neisky = times.values()
+    sizes = [len(c) for c in base.result]
+    assert [len(c) for c in neisky.result] == sizes, (
         "clique sizes differ by rank"
     )
+    for label, timing in times.items():
+        bench_json(
+            timing.entry(
+                bench="fig9_topk_mcc",
+                instance=f"{name}:k={k}",
+                algorithm=label,
+                extra={"sizes": sizes},
+            )
+        )
     report = figure_report(
         "Figure 9",
         "Top-k maximum cliques: BaseTopkMCC vs NeiSkyTopkMCC "
@@ -78,9 +56,9 @@ def test_fig9_topk(benchmark, figure_report, bench_json, name, k, label, solver)
     report.add_row(
         name,
         k,
-        1e3 * row["BaseTopkMCC"],
-        1e3 * row["NeiSkyTopkMCC"],
-        row["BaseTopkMCC"] / row["NeiSkyTopkMCC"],
+        1e3 * base.min_s,
+        1e3 * neisky.min_s,
+        base.min_s / neisky.min_s,
         str(sizes),
     )
     if len(report.rows) == len(DATASETS) * len(K_VALUES):

@@ -18,6 +18,7 @@ ways on the same graph:
 The lazy engine memoizes each vertex's empty-group gain on the graph
 object, so the scalar and *after* legs each run on their own zero-copy
 graph object (:func:`_datasets.cold_copy`): both time a cold round 0.
+Every leg goes through :func:`~repro.harness.runner.time_rounds`.
 
 Every leg is asserted bit-for-bit equal (group, per-round gains, and
 the CELF ``evaluations + evaluations_saved == eager.evaluations``
@@ -42,7 +43,6 @@ import contextlib
 import os
 import random
 import sys
-import time
 from unittest import mock
 
 from _datasets import cold_copy
@@ -52,10 +52,10 @@ from repro.centrality.lazy_greedy import lazy_greedy_maximize
 from repro.core.counters import SkylineCounters
 from repro.harness.benchjson import (
     BENCH_FILENAME,
-    bench_entry,
     validate_file,
     write_bench_json,
 )
+from repro.harness.runner import time_rounds
 from repro.paths import csr
 from repro.paths.csr import CSRTraversal
 from repro.workloads import load
@@ -65,6 +65,10 @@ DEFAULT_INSTANCES = ("kron_large",)
 GREEDY_K = 16
 POOL_SIZE = 192
 POOL_SEED = 9
+
+#: Timed calls per leg: one, since the eager reference alone takes over
+#: a minute on kron_large, and the warm leg must follow one after call.
+ROUNDS = 1
 
 #: Acceptance floor for the default-vs-scalar lazy speedup on the
 #: default instances; override per-run with ``REPRO_MIN_GREEDY_SPEEDUP``.
@@ -98,12 +102,6 @@ def _scalar_lazy(*args, **kwargs):
         return lazy_greedy_maximize(*args, **kwargs)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
 def _assert_same_selection(name, label, result, ref) -> None:
     assert result.group == ref.group, (name, label, "group")
     assert result.gains == ref.gains, (name, label, "gains")
@@ -117,27 +115,27 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
     pool = random.Random(POOL_SEED).sample(range(n), min(POOL_SIZE, n))
     objective = ClosenessObjective(graph)
 
-    t_eager, eager = _timed(
-        lambda: greedy_maximize(graph, k, objective, candidates=pool)
+    t_eager = time_rounds(
+        lambda: greedy_maximize(graph, k, objective, candidates=pool), ROUNDS
     )
-    scalar_graph = cold_copy(graph)
-    t_scalar, scalar = _timed(
-        lambda: _scalar_lazy(scalar_graph, k, objective, candidates=pool)
+    t_scalar = time_rounds(
+        lambda g: _scalar_lazy(g, k, objective, candidates=pool),
+        ROUNDS,
+        setup=lambda: cold_copy(graph),
     )
     default_graph = cold_copy(graph)
-    counters = SkylineCounters()
-    t_batched, batched = _timed(
-        lambda: lazy_greedy_maximize(
-            default_graph, k, objective, candidates=pool, counters=counters
+
+    def default_lazy(c):
+        return lambda: lazy_greedy_maximize(
+            default_graph, k, objective, candidates=pool, counters=c
         )
-    )
-    warm_counters = SkylineCounters()
-    t_warm, warm = _timed(
-        lambda: lazy_greedy_maximize(
-            default_graph, k, objective, candidates=pool,
-            counters=warm_counters,
-        )
-    )
+
+    counters, warm_counters = SkylineCounters(), SkylineCounters()
+    t_batched = time_rounds(default_lazy(counters), ROUNDS)
+    # The warm leg repeats the after leg on the same graph object.
+    t_warm = time_rounds(default_lazy(warm_counters), ROUNDS)
+    eager, scalar = t_eager.result, t_scalar.result
+    batched, warm = t_batched.result, t_warm.result
 
     # Correctness gates before any timing row is recorded.
     _assert_same_selection(name, "lazy-scalar", scalar, eager)
@@ -153,13 +151,13 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
         ), (name, label, "CELF counter invariant")
     assert batched.evaluations == scalar.evaluations == warm.evaluations, name
 
-    speedup = t_scalar / max(t_batched, 1e-9)
+    speedup = t_scalar.min_s / max(t_batched.min_s, 1e-9)
     extra_counters = counters.extra
     print(
         f"{name}: n={n} m={graph.num_edges} k={k} |pool|={len(pool)} "
-        f"eager {t_eager:.2f}s lazy-scalar {t_scalar:.2f}s "
-        f"lazy-batched {t_batched:.2f}s => {speedup:.1f}x; "
-        f"lazy-warm {t_warm:.2f}s; "
+        f"eager {t_eager.min_s:.2f}s lazy-scalar {t_scalar.min_s:.2f}s "
+        f"lazy-batched {t_batched.min_s:.2f}s => {speedup:.1f}x; "
+        f"lazy-warm {t_warm.min_s:.2f}s; "
         "all selections bit-for-bit identical to the scalar eager run"
     )
     if enforce_speedup:
@@ -175,19 +173,17 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
         "pool_size": len(pool),
     }
     return [
-        bench_entry(
+        t_eager.entry(
             bench="greedy_vector",
             instance=name,
             algorithm=f"BaseGC-eager-scalar(k={k})",
-            wall_s=t_eager,
             extra={**common, "variant": "reference",
                    "evaluations": eager.evaluations},
         ),
-        bench_entry(
+        t_scalar.entry(
             bench="greedy_vector",
             instance=name,
             algorithm=f"BaseGC-lazy-scalar(k={k})",
-            wall_s=t_scalar,
             extra={
                 **common,
                 "variant": "before",
@@ -195,11 +191,10 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
                 "evaluations_saved": scalar.evaluations_saved,
             },
         ),
-        bench_entry(
+        t_batched.entry(
             bench="greedy_vector",
             instance=name,
             algorithm=f"BaseGC-lazy-batched(k={k})",
-            wall_s=t_batched,
             extra={
                 **common,
                 "variant": "after",
@@ -213,11 +208,10 @@ def run_greedy_one(name: str, enforce_speedup: bool) -> list[dict]:
                 ),
             },
         ),
-        bench_entry(
+        t_warm.entry(
             bench="greedy_vector",
             instance=name,
             algorithm=f"BaseGC-lazy-warm(k={k})",
-            wall_s=t_warm,
             extra={
                 **common,
                 "variant": "warm",

@@ -25,7 +25,8 @@ candidates for the skyline) *before* any timing row is recorded, so a
 speedup number can never paper over a wrong answer.  Refine-phase wall
 time is the end-to-end wall minus the separately timed filter pass the
 algorithm runs (bloom Alg. 3 runs the scalar filter, the block kernel
-the vectorized one).
+the vectorized one).  Every cell goes through
+:func:`~repro.harness.runner.time_rounds`.
 
 Rows go into ``BENCH_skyline.json`` at the repo root (merge-write,
 same as every other harness script); the after rows carry the measured
@@ -44,20 +45,20 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase, scalar_filter_phase
 from repro.core.filter_refine import filter_refine_sky
-from repro.harness.benchjson import (
-    BENCH_FILENAME,
-    bench_entry,
-    write_bench_json,
-)
+from repro.harness.benchjson import BENCH_FILENAME, write_bench_json
+from repro.harness.runner import time_rounds
 from repro.workloads import load
 
 DEFAULT_INSTANCES = ("kron_large",)
+
+#: Timed calls per cell: one, since the bloom refine alone takes about
+#: 40 s on kron_large, and each counted row must count one call.
+ROUNDS = 1
 
 #: Acceptance floor for the refine-phase speedup on the default
 #: instances; override per-run with ``REPRO_MIN_REFINE_SPEEDUP``.
@@ -79,27 +80,25 @@ def _assert_identical(result, ref, name: str, kernel: str) -> None:
     )
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0
-
-
 def run_filter_leg(
     graph, name: str, enforce_speedup: bool
 ) -> tuple[float, float, list[dict]]:
     """Scalar vs vectorized filter, asserted identical; returns both
     wall times and the two rows."""
     c_scalar, c_vector = SkylineCounters(), SkylineCounters()
-    scalar, t_scalar = _timed(
-        lambda: scalar_filter_phase(graph, counters=c_scalar)
+    t_scalar = time_rounds(
+        lambda: scalar_filter_phase(graph, counters=c_scalar), ROUNDS
     )
-    vector, t_vector = _timed(lambda: filter_phase(graph, counters=c_vector))
+    t_vector = time_rounds(
+        lambda: filter_phase(graph, counters=c_vector), ROUNDS
+    )
+    scalar, vector = t_scalar.result, t_vector.result
     assert vector[0] == scalar[0], f"{name}: filter candidates"
     assert vector[1] == scalar[1], f"{name}: filter dominator"
-    speedup = t_scalar / max(t_vector, 1e-9)
+    speedup = t_scalar.min_s / max(t_vector.min_s, 1e-9)
     print(
-        f"{name}: filter scalar {t_scalar:.2f}s vector {t_vector:.2f}s "
+        f"{name}: filter scalar {t_scalar.min_s:.2f}s "
+        f"vector {t_vector.min_s:.2f}s "
         f"=> {speedup:.1f}x; |C|={len(scalar[0])}, candidates and "
         "dominator bit-for-bit identical"
     )
@@ -114,19 +113,17 @@ def run_filter_leg(
         "candidate_size": len(scalar[0]),
     }
     rows = [
-        bench_entry(
+        t_scalar.entry(
             bench="filter_vector",
             instance=name,
             algorithm="scalar_filter_phase",
-            wall_s=t_scalar,
             counters=c_scalar.as_dict(),
             extra={**common, "variant": "before"},
         ),
-        bench_entry(
+        t_vector.entry(
             bench="filter_vector",
             instance=name,
             algorithm="filter_phase",
-            wall_s=t_vector,
             counters=c_vector.as_dict(),
             extra={
                 **common,
@@ -135,7 +132,7 @@ def run_filter_leg(
             },
         ),
     ]
-    return t_scalar, t_vector, rows
+    return t_scalar.min_s, t_vector.min_s, rows
 
 
 def run_one(name: str, enforce_speedup: bool) -> list[dict]:
@@ -145,16 +142,18 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
     )
 
     before_counters, after_counters = SkylineCounters(), SkylineCounters()
-    ref, t_before = _timed(
-        lambda: filter_refine_sky(graph, counters=before_counters)
+    t_before = time_rounds(
+        lambda: filter_refine_sky(graph, counters=before_counters), ROUNDS
     )
-    after, t_after = _timed(
-        lambda: filter_refine_block_sky(graph, counters=after_counters)
+    t_after = time_rounds(
+        lambda: filter_refine_block_sky(graph, counters=after_counters),
+        ROUNDS,
     )
+    ref, after = t_before.result, t_after.result
     _assert_identical(after, ref, name, "block")
 
-    refine_before = max(t_before - t_filter_before, 1e-9)
-    refine_after = max(t_after - t_filter_after, 1e-9)
+    refine_before = max(t_before.min_s - t_filter_before, 1e-9)
+    refine_after = max(t_after.min_s - t_filter_after, 1e-9)
     speedup = refine_before / refine_after
 
     print(
@@ -178,11 +177,10 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
         "candidate_size": len(ref.candidates),
     }
     return filter_rows + [
-        bench_entry(
+        t_before.entry(
             bench="refine_vector",
             instance=name,
             algorithm="FilterRefineSky",
-            wall_s=t_before,
             counters=before_counters.as_dict(),
             extra={
                 **common,
@@ -192,11 +190,10 @@ def run_one(name: str, enforce_speedup: bool) -> list[dict]:
                 "refine_path": "bloom",
             },
         ),
-        bench_entry(
+        t_after.entry(
             bench="refine_vector",
             instance=name,
             algorithm="FilterRefineSkyBlock",
-            wall_s=t_after,
             counters=after_counters.as_dict(),
             extra={
                 **common,

@@ -15,80 +15,51 @@ median is recorded alongside), and lands in ``BENCH_skyline.json`` as a
 ``bench="table2_mcc"`` row.
 """
 
-import statistics
-import time
-
 import pytest
 
 from _datasets import SCALING_FRACTIONS, scalability_instance
 from repro.clique import mc_brb, neisky_mc
 from repro.core import neighborhood_skyline
-from repro.harness.benchjson import bench_entry
 
 #: Timed calls per cell; the table reports the fastest.
 ROUNDS = 5
 
-_RESULTS: dict[tuple[str, float], dict[str, float]] = {}
-_COLUMNS = ("MC-BRB", "NeiSkyMC e2e", "NeiSkyMC search")
-
-
-def _solver(label, graph):
-    if label == "MC-BRB":
-        return lambda: mc_brb(graph)
-    if label == "NeiSkyMC e2e":
-        return lambda: neisky_mc(graph)
-    skyline = neighborhood_skyline(graph).skyline
-    return lambda: neisky_mc(graph, skyline=skyline)
-
 
 @pytest.mark.parametrize("axis", ("n", "rho"))
 @pytest.mark.parametrize("fraction", SCALING_FRACTIONS)
-@pytest.mark.parametrize("label", _COLUMNS)
-def test_table2_mcc(benchmark, figure_report, bench_json, axis, fraction, label):
+def test_table2_mcc(time_cells, figure_report, bench_json, axis, fraction):
     graph = scalability_instance(axis, fraction)
-    run = _solver(label, graph)
-    walls = []
-
-    def timed():
-        start = time.perf_counter()
-        out = run()
-        walls.append(time.perf_counter() - start)
-        return out
-
-    clique = benchmark.pedantic(timed, rounds=ROUNDS, iterations=1)
-    elapsed = min(walls)
-    bench_json(
-        bench_entry(
-            bench="table2_mcc",
-            instance=f"livejournal_sim:{axis}={fraction}",
-            algorithm=label,
-            wall_s=elapsed,
-            extra={
-                "omega": len(clique),
-                "rounds": len(walls),
-                "median_s": statistics.median(walls),
-            },
-        )
+    skyline = neighborhood_skyline(graph).skyline
+    times = time_cells(
+        {
+            "MC-BRB": lambda: mc_brb(graph),
+            "NeiSkyMC e2e": lambda: neisky_mc(graph),
+            "NeiSkyMC search": lambda: neisky_mc(graph, skyline=skyline),
+        },
+        ROUNDS,
     )
-
-    row = _RESULTS.setdefault((axis, fraction), {})
-    row[label] = elapsed
-    row[label + "_omega"] = len(clique)
-    if not all(c in row for c in _COLUMNS):
-        return
-    omegas = {row[c + "_omega"] for c in _COLUMNS}
+    omegas = {len(t.result) for t in times.values()}
     assert len(omegas) == 1, "solvers disagree on omega"
+    for label, timing in times.items():
+        bench_json(
+            timing.entry(
+                bench="table2_mcc",
+                instance=f"livejournal_sim:{axis}={fraction}",
+                algorithm=label,
+                extra={"omega": len(timing.result)},
+            )
+        )
     report = figure_report(
         "Table 2",
         "Scalability of maximum clique search on livejournal_sim "
         f"(fastest of {ROUNDS} calls)",
-        ("axis", "fraction") + tuple(f"{c} (ms)" for c in _COLUMNS) + ("omega",),
+        ("axis", "fraction") + tuple(f"{c} (ms)" for c in times) + ("omega",),
     )
     report.add_row(
         axis,
         fraction,
-        *(1e3 * row[c] for c in _COLUMNS),
-        int(row["MC-BRB_omega"]),
+        *(1e3 * t.min_s for t in times.values()),
+        omegas.pop(),
     )
     if len(report.rows) == 2 * len(SCALING_FRACTIONS):
         search = [r[4] / r[2] for r in report.rows]

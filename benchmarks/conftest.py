@@ -1,11 +1,12 @@
-"""Benchmark-suite plumbing: figure reports and rendering.
+"""Benchmark-suite plumbing: timed cells, figure reports and rendering.
 
-Benchmark modules create one :class:`~repro.harness.runner.FigureReport`
-each via the :func:`figure_report` fixture factory; at the end of the
-session every populated report is written to ``benchmarks/reports/`` and
-echoed into the terminal summary, so a full
-``pytest benchmarks/ --benchmark-only`` run regenerates the paper's
-tables and figures as text artifacts.
+Benchmark modules time a report row's cells with the :func:`time_cells`
+fixture, record its rows with :func:`bench_json` and create one
+:class:`~repro.harness.runner.FigureReport` each via the
+:func:`figure_report` fixture factory; at the end of the session every
+populated report is written to ``benchmarks/reports/`` and echoed into
+the terminal summary, so a full ``pytest benchmarks/ --benchmark-only``
+run regenerates the paper's tables and figures as text artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.harness.benchjson import (  # noqa: E402
     BENCH_FILENAME,
     write_bench_json,
 )
-from repro.harness.runner import FigureReport  # noqa: E402
+from repro.harness.runner import FigureReport, time_rounds  # noqa: E402
 
 _REPORTS: dict[str, FigureReport] = {}
 _BENCH_ENTRIES: list[dict] = []
@@ -46,6 +47,29 @@ def figure_report():
         return _REPORTS[artifact]
 
     return get
+
+
+@pytest.fixture
+def time_cells(benchmark):
+    """Time one report row: ``{label: cell}`` to ``{label: CellTiming}``.
+
+    Each cell runs ``rounds`` times through
+    :func:`~repro.harness.runner.time_rounds`.  A cell is a callable, or
+    an ``(fn, setup)`` pair whose ``setup`` value ``fn`` gets fresh each
+    round.  pytest-benchmark records the whole row as one round.
+    """
+
+    def run(cells: dict, rounds: int) -> dict:
+        def row():
+            timings = {}
+            for label, cell in cells.items():
+                fn, setup = cell if isinstance(cell, tuple) else (cell, None)
+                timings[label] = time_rounds(fn, rounds, setup=setup)
+            return timings
+
+        return benchmark.pedantic(row, rounds=1, iterations=1)
+
+    return run
 
 
 @pytest.fixture(scope="session")

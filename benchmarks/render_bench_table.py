@@ -2,12 +2,16 @@
 
 Reads the repo-root benchmark document and prints GitHub-markdown
 tables pasted into README.md — the paper's Fig. 3 skyline runtimes
-(``fig3_runtime`` entries), and eager vs lazy (CELF + CSR) group-centrality wall times with their
-evaluation counts (``fig7_group_closeness``/``fig8_group_harmonic``
-entries).  Keeping the renderer next to the data means the README
-numbers are always regenerable::
+(``fig3_runtime`` entries), and eager vs lazy (CELF + CSR)
+group-centrality wall times with their evaluation counts
+(``fig7_group_closeness``/``fig8_group_harmonic`` entries).  Keeping
+the renderer next to the data means the README numbers are always
+regenerable::
 
     PYTHONPATH=src python benchmarks/render_bench_table.py
+
+It exits non-zero when a Fig. 3 dataset lacks one of
+:data:`FIG3_SERIES`, so CI catches a dropped column.
 """
 
 from __future__ import annotations
@@ -20,12 +24,24 @@ from repro.harness.benchjson import BENCH_FILENAME, load_bench_json
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-#: The paper's Exp-1 series, in ``bench_fig3_runtime.py``'s column order.
-FIG3_SERIES = ("LC-Join", "BaseSky", "Base2Hop", "BaseCSet", "FilterRefineSky")
+#: The paper's Exp-1 series and the production kernel, in
+#: ``bench_fig3_runtime.py``'s column order.
+FIG3_SERIES = (
+    "LC-Join",
+    "BaseSky",
+    "Base2Hop",
+    "BaseCSet",
+    "FilterRefineSky",
+    "FilterRefineSkyBlock",
+)
 
 
 def render(entries) -> str:
-    """Fig. 3 wall times (s) per dataset, one column per paper series."""
+    """Fig. 3 wall times (s) per dataset, one column per series.
+
+    Raises ``ValueError`` when there is no Fig. 3 row or a dataset
+    lacks a series.
+    """
     by_key = {
         (e["instance"], e["algorithm"]): e
         for e in entries
@@ -35,10 +51,14 @@ def render(entries) -> str:
         "| dataset | " + " | ".join(FIG3_SERIES) + " |",
         "|---" * (len(FIG3_SERIES) + 1) + "|",
     ]
-    for name in sorted({k[0] for k in by_key}):
+    names = sorted({k[0] for k in by_key})
+    if not names:
+        raise ValueError("no fig3_runtime entries")
+    for name in names:
         cells = [by_key.get((name, a)) for a in FIG3_SERIES]
-        if None in cells:
-            continue
+        missing = [a for a, e in zip(FIG3_SERIES, cells) if e is None]
+        if missing:
+            raise ValueError(f"fig3_runtime {name} lacks {missing}")
         lines.append(
             f"| {name} | "
             + " | ".join(f"{e['wall_s']:.3f}" for e in cells)
@@ -59,7 +79,8 @@ def render_greedy(entries) -> str:
 
     Each lazy rider entry carries its eager twin's wall time and
     evaluation count in ``extra`` (written by
-    ``benchmarks/_greedy_bench.py``), so one entry per row suffices.
+    ``benchmarks/bench_group_centrality.py``), so one entry per row
+    suffices.
     Returns ``""`` when no lazy entries have been recorded yet.
     """
     rows = []
@@ -245,7 +266,11 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(render(entries))
+    try:
+        print(render(entries))
+    except ValueError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return 1
     greedy = render_greedy(entries)
     if greedy:
         print()

@@ -1,38 +1,48 @@
 """Live-server chaos replay: availability and correctness under faults.
 
-Two seeded profiles run against a live in-process server
+Seeded profiles run against a live in-process server
 (:class:`~repro.serve.server.ServerThread`, real sockets, cached
-skylines, the supervision layer active in both), and their
-headline numbers merge into ``BENCH_skyline.json`` as
-``bench="chaos_serve"`` rows:
+skylines, the supervision layer active in all of them):
 
 * **faultfree** — the supervised worker loop with no fault plan; every
   request must complete 200 with zero rebuilds and zero degraded
-  answers, and its p50 prices the supervision overhead itself (target:
-  within 2% of the pre-supervision ``bench="serve"`` steady row — the
-  row lands next to it in BENCH_skyline.json for exactly that
-  comparison);
-* **chaos** — the same trace shape with a seeded
-  :class:`~repro.harness.faults.ServeFaultPlan` injecting
-  engine exceptions, session poisoning and slow queries at a 15%
-  dispatch rate.  The row records availability
-  (fraction of requests answered 200, degraded included), session
-  rebuilds, and p99 under fault.
+  answers, and its p50 prices the supervision overhead itself (the
+  row lands next to the ``bench="serve"`` steady row in
+  BENCH_skyline.json for that comparison);
+* **chaos** — the same 200-request trace shape (seed 0) with a seeded
+  :class:`~repro.harness.faults.ServeFaultPlan` injecting engine
+  exceptions, session poisoning and slow queries at a 15% dispatch
+  rate.  The row records availability (fraction of requests answered
+  200, degraded included), session rebuilds, and p99 under fault;
+* **smoke** — the CI gate: a denser 100-request trace (seed 11, 0.005 s
+  mean gap) under a 20% fault rate, recorded as its own
+  ``bench="chaos_serve_smoke"`` row, so a smoke run replaces only that
+  row.  Fully seeded: a red run replays identically with the same
+  command locally.
 
-Both profiles assert the full self-healing contract:
+faultfree and chaos record ``bench="chaos_serve"`` rows.  Every
+profile asserts the full self-healing contract:
 
-* availability >= 95% under chaos (100% fault-free);
+* availability >= 95% under faults (100% fault-free, with no rebuild
+  and no degraded answer);
 * **every** 200 — degraded or not — is bit-for-bit the direct API
-  result for its exact parameters (graphs are immutable, so the
-  degraded cache can never be stale-wrong, only stale-marked);
+  result for its exact parameters, computed with no server in between
+  (graphs are immutable, so the degraded cache can never be
+  stale-wrong, only stale-marked);
+* under faults, the chaos genuinely happened and was healed, not
+  dodged: injected-fault and rebuild counters are non-zero in
+  ``/metrics``;
 * queue accounting is conserved (enqueued == dequeued + expired);
 * shutdown is clean: no orphaned child process and no engine thread
   left alive.
 
+A failing profile raises before any row is written.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/replay_chaos_serve.py \
-        [--requests N] [--seed S] [--graphs karate bombing_proxy]
+        [--profile faultfree chaos smoke] [--requests N] [--seed S] \
+        [--graphs karate bombing_proxy]
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+from typing import NamedTuple, Optional
 
 from _serve_trace import (
     direct_references,
@@ -51,12 +62,12 @@ from _serve_trace import (
     verify_200s,
 )
 
-from repro.harness.faults import ServeFaultPlan
 from repro.harness.benchjson import (
     BENCH_FILENAME,
     bench_entry,
     write_bench_json,
 )
+from repro.harness.faults import ServeFaultPlan
 from repro.serve import (
     GraphRegistry,
     ServeConfig,
@@ -67,12 +78,37 @@ from repro.serve import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 AVAILABILITY_FLOOR = 0.95
-CHAOS_RATE = 0.15
+
+
+class Profile(NamedTuple):
+    bench: str
+    label: str  # the row's algorithm prefix
+    requests: int
+    seed: int
+    gap_s: float
+    fault_seed_offset: Optional[int]  # None: no fault plan
+    rate: float
+
+
+PROFILES = {
+    "faultfree": Profile(
+        bench="chaos_serve", label="replay-faultfree", requests=200, seed=0,
+        gap_s=0.01, fault_seed_offset=None, rate=0.0,
+    ),
+    "chaos": Profile(
+        bench="chaos_serve", label="replay-chaos", requests=200, seed=0,
+        gap_s=0.01, fault_seed_offset=1, rate=0.15,
+    ),
+    "smoke": Profile(
+        bench="chaos_serve_smoke", label="smoke-chaos", requests=100,
+        seed=11, gap_s=0.005, fault_seed_offset=0, rate=0.2,
+    ),
+}
 
 #: Supervision tuned for a dense replay: two immediate retries and a
 #: breaker that opens after 3 straight failures but re-probes in a
 #: quarter second.
-SUPERVISION = dict(
+SUPERVISION = SupervisionConfig(
     query_deadline_s=30.0,
     max_query_retries=2,
     breaker_threshold=3,
@@ -80,25 +116,29 @@ SUPERVISION = dict(
 )
 
 
-def run_profile(profile, graphs, num_requests, seed, references):
+def run_profile(graphs, profile: Profile) -> dict:
+    trace = generate_trace(
+        graphs, profile.requests, seed=profile.seed, mean_gap_s=profile.gap_s
+    )
+    references = direct_references(trace)
+    faulted = profile.fault_seed_offset is not None
     fault_plan = None
-    if profile == "chaos":
+    if faulted:
         fault_plan = ServeFaultPlan.seeded(
-            seed + 1,
+            profile.seed + profile.fault_seed_offset,
             graphs,
-            max_calls=4 * num_requests,
-            rate=CHAOS_RATE,
+            max_calls=4 * profile.requests,
+            rate=profile.rate,
         )
-    trace = generate_trace(graphs, num_requests, seed=seed, mean_gap_s=0.01)
     registry = GraphRegistry()
     for graph in graphs:
         registry.register_spec(graph)
     config = ServeConfig(
-        port=0,
-        queue_capacity=num_requests,
-        supervision=SupervisionConfig(**SUPERVISION),
+        port=0, queue_capacity=profile.requests, supervision=SUPERVISION
     )
     with ServerThread(registry, config, fault_plan=fault_plan) as handle:
+        status, health = handle.request("GET", "/health")
+        assert status == 200 and health["status"] == "ok", health
         outcomes, wall_s = replay(
             handle, trace, max_clients=8, capture_docs=True
         )
@@ -115,6 +155,7 @@ def run_profile(profile, graphs, num_requests, seed, references):
     ), queue
     assert queue["depth"] == 0, queue
 
+    # Bit-for-bit: every 200 (degraded included) equals the direct API.
     verified, degraded = verify_200s(trace, outcomes, references)
     assert verified == summary["ok"]
     supervision = metrics["supervision"]
@@ -125,8 +166,10 @@ def run_profile(profile, graphs, num_requests, seed, references):
         supervision["injected_faults"].values()
     )
 
-    if profile == "chaos":
+    if faulted:
         assert summary["availability"] >= AVAILABILITY_FLOOR, summary
+        assert summary["injected_faults"] > 0, "the plan injected nothing"
+        assert summary["rebuilds"] > 0, "faults fired but nothing was rebuilt"
     else:
         assert summary["availability"] == 1.0, summary["statuses"]
         assert summary["rebuilds"] == 0 and degraded == 0, summary
@@ -135,23 +178,28 @@ def run_profile(profile, graphs, num_requests, seed, references):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--profile",
+        nargs="+",
+        choices=sorted(PROFILES),
+        default=["faultfree", "chaos"],
+    )
+    parser.add_argument("--requests", type=int, help="override the profile's")
+    parser.add_argument("--seed", type=int, help="override the profile's")
     parser.add_argument(
         "--graphs", nargs="+", default=["karate", "bombing_proxy"]
     )
     args = parser.parse_args(argv)
 
-    trace = generate_trace(args.graphs, args.requests, seed=args.seed)
-    references = direct_references(trace)
-    instance = "+".join(args.graphs)
     entries = []
-    for profile in ("faultfree", "chaos"):
-        summary = run_profile(
-            profile, args.graphs, args.requests, args.seed, references
+    for name in args.profile:
+        profile = PROFILES[name]._replace(
+            requests=args.requests or PROFILES[name].requests,
+            seed=PROFILES[name].seed if args.seed is None else args.seed,
         )
+        summary = run_profile(args.graphs, profile)
         print(
-            f"{profile}: {summary['ok']}/{summary['requests']} ok "
+            f"{name}: {summary['ok']}/{summary['requests']} ok "
             f"(availability={summary['availability']:.1%}, "
             f"{summary['degraded']} degraded), "
             f"faults={summary['injected_faults']} "
@@ -161,9 +209,9 @@ def main(argv=None) -> int:
         )
         entries.append(
             bench_entry(
-                bench="chaos_serve",
-                instance=instance,
-                algorithm=f"replay-{profile}(n={summary['requests']})",
+                bench=profile.bench,
+                instance="+".join(args.graphs),
+                algorithm=f"{profile.label}(n={summary['requests']})",
                 wall_s=summary["wall_s"],
                 extra={
                     "availability": round(summary["availability"], 4),

@@ -13,9 +13,11 @@ and the whole run must finish inside ``REPRO_SMOKE_GREEDY_BUDGET``
 seconds (default 120) so a perf regression in the smoke tier fails CI
 instead of quietly stretching it.
 
-Each lazy run gets its own graph object (:func:`_datasets.cold_copy`):
-the lazy engine memoizes round-0 gains on the graph, so NeiSkyGC-lazy
-after BaseGC-lazy on one object would time memo hits.
+Each cell is the fastest of :data:`ROUNDS` calls
+(:func:`~repro.harness.runner.time_rounds`), and each lazy round gets
+its own graph object (:func:`_datasets.cold_copy`): the lazy engine
+memoizes round-0 gains on the graph, so a second lazy call on one
+object would time memo hits.
 
 Exit status is non-zero on any mismatch, so the CI step fails loudly.
 
@@ -34,25 +36,22 @@ from _datasets import cold_copy
 from repro.centrality import base_gc, base_gh, neisky_gc
 from repro.harness.benchjson import (
     BENCH_FILENAME,
-    bench_entry,
     validate_file,
     write_bench_json,
 )
+from repro.harness.runner import time_rounds
 from repro.workloads import load
 
 DEFAULT_INSTANCES = ("karate", "bombing_proxy")
 SMOKE_K = 6
 
+#: Timed calls per cell; the rows record the fastest.
+ROUNDS = 3
+
 #: Wall-time budget for the whole smoke run, in seconds.
 WALL_BUDGET = float(os.environ.get("REPRO_SMOKE_GREEDY_BUDGET", "120"))
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
 
 
 def _check_pair(name, label, eager, lazy):
@@ -74,29 +73,29 @@ def run(instances) -> list[dict]:
             ("NeiSkyGC", neisky_gc),
             ("BaseGH", base_gh),
         ):
-            t_eager, eager = _timed(
-                lambda r=runner: r(graph, SMOKE_K, strategy="eager")
+            t_eager = time_rounds(
+                lambda r=runner: r(graph, SMOKE_K, strategy="eager"), ROUNDS
             )
-            cold = cold_copy(graph)
-            t_lazy, lazy = _timed(
-                lambda r=runner: r(cold, SMOKE_K, strategy="lazy")
+            t_lazy = time_rounds(
+                lambda g, r=runner: r(g, SMOKE_K, strategy="lazy"),
+                ROUNDS,
+                setup=lambda: cold_copy(graph),
             )
+            eager, lazy = t_eager.result, t_lazy.result
             _check_pair(name, label, eager, lazy)
             entries.append(
-                bench_entry(
+                t_eager.entry(
                     bench="smoke_greedy",
                     instance=name,
                     algorithm=f"{label}-eager(k={SMOKE_K})",
-                    wall_s=t_eager,
                     extra={"evaluations": eager.evaluations},
                 )
             )
             entries.append(
-                bench_entry(
+                t_lazy.entry(
                     bench="smoke_greedy",
                     instance=name,
                     algorithm=f"{label}-lazy(k={SMOKE_K})",
-                    wall_s=t_lazy,
                     extra={
                         "evaluations": lazy.evaluations,
                         "evaluations_saved": lazy.evaluations_saved,

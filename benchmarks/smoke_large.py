@@ -19,6 +19,7 @@ End-to-end over the large-graph substrate, in one seeded run:
    ``repro-sky skyline`` run on the file sees, without the in-process
    run's earlier peaks to hide it.
 
+Every step is one :func:`~repro.harness.runner.time_rounds` round.
 Wall times go into ``BENCH_skyline.json`` as ``bench="large_tier"``
 rows through the same checkpoint journal the sweep harness uses, so an
 interrupted smoke resumes instead of regenerating the graph.
@@ -35,17 +36,13 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 
 from repro.core import SkylineCounters, neighborhood_skyline
 from repro.core.filter_phase import filter_phase
 from repro.graph.binfmt import read_binary_graph, write_binary_graph
-from repro.harness.benchjson import (
-    BENCH_FILENAME,
-    bench_entry,
-    write_bench_json,
-)
+from repro.harness.benchjson import BENCH_FILENAME, write_bench_json
 from repro.harness.checkpoint import CheckpointJournal
+from repro.harness.runner import CellTiming, time_rounds
 from repro.workloads import load, spec
 
 DEFAULT_INSTANCES = ("kron_large",)
@@ -113,22 +110,19 @@ def _fresh_peak_rise_mb(binary_path: str) -> float:
 
 
 def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
-    t0 = time.perf_counter()
-    graph = load(name)
-    t_gen = time.perf_counter() - t0
+    loaded = time_rounds(lambda: load(name), 1)
+    graph, t_gen = loaded.result, loaded.min_s
     assert graph.num_edges >= MIN_EDGES, (
         f"{name}: {graph.num_edges} edges; the large tier starts at "
         f"{MIN_EDGES}"
     )
 
     binary_path = os.path.join(workdir, f"{name}.rsky")
-    t0 = time.perf_counter()
-    write_binary_graph(graph, binary_path)
-    t_convert = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    mapped = read_binary_graph(binary_path)
-    t_open = time.perf_counter() - t0
+    t_convert = time_rounds(
+        lambda: write_binary_graph(graph, binary_path), 1
+    ).min_s
+    opened = time_rounds(lambda: read_binary_graph(binary_path), 1)
+    mapped, t_open = opened.result, opened.min_s
     assert mapped.num_vertices == graph.num_vertices
     assert mapped.num_edges == graph.num_edges
     # No-parse open: a million-edge graph must map and validate in
@@ -143,14 +137,15 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         candidate_size = cell["extra"]["candidate_size"]
         print(f"{name}: resumed skyline cell from checkpoint")
     else:
-        t0 = time.perf_counter()
-        candidates, _ = filter_phase(mapped)
-        t_filter = time.perf_counter() - t0
+        filtered = time_rounds(lambda: filter_phase(mapped), 1)
+        candidates, _ = filtered.result
         peak_before = _peak_rss_mb()
-        t0 = time.perf_counter()
-        result = neighborhood_skyline(mapped, counters=SkylineCounters())
-        wall = time.perf_counter() - t0
+        skyline = time_rounds(
+            lambda: neighborhood_skyline(mapped, counters=SkylineCounters()),
+            1,
+        )
         rise = _peak_rss_mb() - peak_before
+        result, wall = skyline.result, skyline.min_s
         print(
             f"{name}: skyline ({result.algorithm}) "
             f"peak RSS rise {rise:.1f} MiB (<= {SKYLINE_PEAK_RISE_MB:.0f})"
@@ -159,7 +154,7 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
             f"{name}: the skyline raised peak RSS by {rise:.1f} MiB, "
             f"over the {SKYLINE_PEAK_RISE_MB:.0f} MiB bound"
         )
-        refine_wall = max(wall - t_filter, 0.0)
+        refine_wall = max(wall - filtered.min_s, 0.0)
         assert result.size > 0, f"{name}: empty skyline"
         assert result.candidate_size is not None
         assert result.size <= result.candidate_size
@@ -192,11 +187,10 @@ def run_one(name: str, workdir: str, journal: CheckpointJournal) -> list[dict]:
         f"|C|={candidate_size} |R|={skyline_size}"
     )
     return [
-        bench_entry(
+        CellTiming((wall,), None).entry(
             bench="large_tier",
             instance=name,
             algorithm="auto_skyline",
-            wall_s=wall,
             extra={
                 "refine_s": round(refine_wall, 3),
                 "num_vertices": graph.num_vertices,

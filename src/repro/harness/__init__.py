@@ -1,4 +1,4 @@
-"""Measurement harness: memory probes, bench rows and report rendering."""
+"""Measurement harness: cell timer, memory probes, bench rows and reports."""
 
 from repro.harness.benchjson import (
     bench_entry,
@@ -7,7 +7,7 @@ from repro.harness.benchjson import (
     write_bench_json,
 )
 from repro.harness.memory import format_bytes, measure_peak
-from repro.harness.runner import FigureReport
+from repro.harness.runner import CellTiming, FigureReport, time_rounds
 from repro.harness.table import format_table
 
 __all__ = [
@@ -17,6 +17,8 @@ __all__ = [
     "write_bench_json",
     "format_bytes",
     "measure_peak",
+    "CellTiming",
     "FigureReport",
+    "time_rounds",
     "format_table",
 ]

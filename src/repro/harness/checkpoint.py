@@ -1,6 +1,6 @@
 """Resumable benchmark runs: an atomic journal of completed cells.
 
-A multi-hour sweep (fig10–12 scalability, the CLI ``sweep`` command)
+A long sweep (the CLI ``sweep`` command, ``benchmarks/smoke_large.py``)
 is a grid of ``(dataset, algorithm, trial)`` cells.  Dying at cell 7
 of 9 must not cost the first six: drivers journal each finished cell
 into a small JSON document, and a restarted run skips every cell the

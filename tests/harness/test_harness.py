@@ -2,8 +2,12 @@
 
 import os
 
+import pytest
+
+from repro.errors import ParameterError
+from repro.harness.benchjson import validate_entry
 from repro.harness.memory import format_bytes, measure_peak
-from repro.harness.runner import FigureReport
+from repro.harness.runner import FigureReport, time_rounds
 from repro.harness.table import format_table
 
 
@@ -67,3 +71,68 @@ class TestFigureReport:
         path = report.write(str(tmp_path))
         assert os.path.exists(path)
         assert "figure_1" in os.path.basename(path)
+
+
+class TestTimeRounds:
+    @staticmethod
+    def fake_clock(walls):
+        """A clock whose successive start/stop pairs are ``walls`` apart."""
+        ticks = []
+        now = 0.0
+        for wall in walls:
+            ticks += [now, now + wall]
+            now += wall + 100.0
+        return iter(ticks).__next__
+
+    def test_rounds_and_statistics(self):
+        calls = []
+        timing = time_rounds(
+            lambda: calls.append(1) or len(calls),
+            5,
+            clock=self.fake_clock([4.0, 1.0, 3.0, 2.0, 9.0]),
+        )
+        assert len(calls) == 5
+        assert timing.walls == (4.0, 1.0, 3.0, 2.0, 9.0)
+        assert timing.result == 5  # the last round's return value
+        assert timing.min_s == 1.0
+        assert timing.median_s == 3.0
+        assert timing.iqr_s == 2.0  # inclusive quartiles 2.0 and 4.0
+
+    def test_one_round_has_no_spread(self):
+        timing = time_rounds(lambda: None, 1, clock=self.fake_clock([0.5]))
+        assert timing.min_s == timing.median_s == 0.5
+        assert timing.iqr_s == 0.0
+
+    def test_setup_runs_once_per_round_outside_the_clock(self):
+        made = []
+
+        def setup():
+            made.append(object())
+            return made[-1]
+
+        seen = []
+        timing = time_rounds(
+            seen.append, 3, setup=setup, clock=self.fake_clock([1, 1, 1])
+        )
+        assert seen == made and len(made) == 3
+        assert timing.walls == (1, 1, 1)
+
+    def test_rounds_must_be_positive(self):
+        with pytest.raises(ParameterError):
+            time_rounds(lambda: None, 0)
+
+    def test_entry_is_a_valid_row(self):
+        timing = time_rounds(
+            lambda: None, 3, clock=self.fake_clock([3.0, 1.0, 2.0])
+        )
+        row = timing.entry(
+            bench="b", instance="i", algorithm="a", extra={"k": 4}
+        )
+        assert validate_entry(row) == []
+        assert row["wall_s"] == 1.0
+        assert row["extra"] == {
+            "k": 4,
+            "rounds": 3,
+            "median_s": 2.0,
+            "iqr_s": 1.0,
+        }
